@@ -74,7 +74,6 @@ class GroupTemplate:
     kernel_level: int
     preimages: tuple[str, ...]
     param: str = ""  # "", "half", "full", "1nu", "rs"
-    flagged: bool = False
 
     @property
     def table(self) -> int:
@@ -176,8 +175,18 @@ def _env_for(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | No
     if params is None or len(params) != (2 if tpl.param == "rs" else 1):
         raise CatalogError(f"{tpl.label} needs {'(r, s)' if tpl.param == 'rs' else 'r'}")
     r = params[0]
-    valid = {v for v in _param_values(tpl, ctx) if v is not None}
-    if params not in valid:
+    if tpl.param == "full":
+        valid = 1 <= r < p
+    elif tpl.param == "1nu":
+        valid = r in (1, ctx.nu)
+    elif tpl.param in ("half", "rs"):
+        valid = 1 <= r <= (p - 1) // 2
+    else:
+        raise CatalogError(f"unknown parameter kind {tpl.param!r}")
+    if valid and tpl.param == "rs":
+        n, m = _rs_shape(ctx, r)
+        valid = 0 <= params[1] <= m
+    if not valid:
         raise CatalogError(f"parameters {params} out of range for {tpl.label} at p={p}")
     env["r"] = r
     label = tpl.label
@@ -191,7 +200,6 @@ def _env_for(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | No
     elif label == "Phi15(2211)b_{r,s}":
         s = params[1]
         env["s"] = s
-        n, _ = _rs_shape(ctx, r)
         env["k"] = pow(ctx.g, (1 // (2 * n)) + s, p)
     return env
 
@@ -200,13 +208,13 @@ def _env_for(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | No
 # the templates, in catalog (table row) order
 
 def _t(family, label, order_exp, gens, powers, comms, kernels, kernel_level, preimages,
-       param="", flagged=False) -> GroupTemplate:
+       param="") -> GroupTemplate:
     return GroupTemplate(
         family=family, label=label, order_exp=order_exp,
         gens=tuple(gens), powers=tuple(powers.items()),
         comms=tuple((x, y, w) for (x, y), w in comms.items()),
         kernels=tuple(kernels), kernel_level=kernel_level,
-        preimages=tuple(preimages), param=param, flagged=flagged,
+        preimages=tuple(preimages), param=param,
     )
 
 
@@ -247,8 +255,8 @@ def _f13(label, powers, param=""):
     return _t(13, label, 6, _F13_GENS, powers, _F13_COMM, ("beta2", "beta1"), 1, _A4_PRE, param)
 
 
-def _f15(label, powers, param="", flagged=False):
-    return _t(15, label, 6, _F13_GENS, powers, _F15_COMM, ("beta2", "beta1"), 1, _A4_PRE, param, flagged)
+def _f15(label, powers, param=""):
+    return _t(15, label, 6, _F13_GENS, powers, _F15_COMM, ("beta2", "beta1"), 1, _A4_PRE, param)
 
 
 _TEMPLATES: tuple[GroupTemplate, ...] = (
@@ -385,8 +393,7 @@ _TEMPLATES: tuple[GroupTemplate, ...] = (
     _f13("Phi13(21^4)d", {"alpha3": "beta1"}),
     _f13("Phi13(1^6)", {}),
     _f15("Phi15(2211)a", {"alpha1": "beta1", "alpha2": "beta2"}),
-    _f15("Phi15(2211)b_{r,s}", {"alpha1": "beta1*beta2^r", "alpha2": "beta2^k"},
-         param="rs", flagged=True),
+    _f15("Phi15(2211)b_{r,s}", {"alpha1": "beta1*beta2^r", "alpha2": "beta2^k"}, param="rs"),
     _f15("Phi15(2211)c", {"alpha1": "beta1", "alpha4": "beta2^-g"}),
     _f15("Phi15(2211)d_r", {"alpha1": "beta1", "alpha4": "beta2^k"}, param="half"),
     _f15("Phi15(21^4)", {"alpha1": "beta1"}),
@@ -440,10 +447,6 @@ class GroupInstance:
     @property
     def preimages(self) -> tuple[str, ...]:
         return self.template.preimages
-
-    @property
-    def flagged(self) -> bool:
-        return self.template.flagged
 
     def gold_row(self, gold_path: str | None = None) -> "TableRow":
         return gold_row(self, gold_path)

@@ -184,7 +184,6 @@ def cmd_check_tables(args) -> int:
     for p in _primes(args, default=(3, 5, 7)):
         start = time.perf_counter()
         bad = 0
-        flagged = 0
         nrows = 0
         for diff in obstructions.all_tables(p, args.gold):
             nrows += len(diff.rows)
@@ -197,18 +196,12 @@ def cmd_check_tables(args) -> int:
                 if r.minimal_root_level != r.gold_root_level:
                     kind.append(
                         f"minimal root level {r.minimal_root_level} != {r.gold_root_level}")
-                tag = "FLAGGED" if r.flagged else "MISMATCH"
-                if r.flagged:
-                    flagged += 1
-                else:
-                    bad += 1
-                print(f"{tag} table {diff.table_id} p={p} {r.label}: {'; '.join(kind)}")
+                bad += 1
+                print(f"MISMATCH table {diff.table_id} p={p} {r.label}: {'; '.join(kind)}")
                 print(f"  engine: {', '.join(r.result.texts())}")
         elapsed = time.perf_counter() - start
         verdict = "OK" if bad == 0 else f"{bad} mismatches"
-        print(f"p={p}: {nrows} rows, {verdict}"
-              + (f", {flagged} flagged" if flagged else "")
-              + f" ({elapsed:.2f}s)")
+        print(f"p={p}: {nrows} rows, {verdict} ({elapsed:.2f}s)")
         if bad:
             status = MISMATCH_ERROR
     return status

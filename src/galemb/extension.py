@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from . import groups
 from .groups import Element, Presentation
 
-DEFAULT_INDEPENDENCE_BOUND = 10**6
-
 
 class ExtensionError(ValueError):
     """Kernel or pre-image data violating the embedding-problem preconditions."""
@@ -93,8 +91,34 @@ def _p_power_exponent(P: Presentation, x: Element, in_kernel) -> int:
     return e
 
 
-def quotient_structure(spec: EmbeddingProblemSpec,
-                       bound: int = DEFAULT_INDEPENDENCE_BOUND) -> tuple[int, ...]:
+def _fp_rank(rows: list[Element], p: int) -> int:
+    """Rank over F_p of integer row vectors, by Gaussian elimination mod p."""
+    pivots: dict[int, list[int]] = {}  # pivot column -> reduced row with a 1 there
+    for row in rows:
+        v = [c % p for c in row]
+        for col, piv in pivots.items():
+            if v[col]:
+                f = v[col]
+                v = [(a - f * b) % p for a, b in zip(v, piv)]
+        lead = next((i for i, c in enumerate(v) if c), None)
+        if lead is not None:
+            scale = pow(v[lead], -1, p)
+            pivots[lead] = [c * scale % p for c in v]
+    return len(pivots)
+
+
+def _frattini_relations(P: Presentation) -> list[Element]:
+    """Relation rows whose F_p span is the image of Phi(G) in F_p^k.
+
+    G/Phi(G) is the abelianization of G mod p: F_p^k, one coordinate per
+    generator, modulo every power tail (g_i^{p^{e_i}} = tail_i and p^{e_i}
+    vanishes mod p, whatever e_i) and every commutator word."""
+    rows = [t for t in P.power_tails if t is not None]
+    rows += [word for _, _, word in P.comm]
+    return rows
+
+
+def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
     """Levels n_i of the pre-image images in G/(kernel product), verified to be
     independent direct-factor generators of the whole quotient."""
     P = spec.presentation
@@ -112,41 +136,14 @@ def quotient_structure(spec: EmbeddingProblemSpec,
             "pre-images do not generate a direct decomposition: "
             f"prod p^n_i = {target} != quotient order {groups.group_order(Q)}"
         )
-    if target > bound:
-        raise ExtensionError("independence check exceeds enumeration bound")
-    plain = all(t is None for t in Q.power_tails) and not Q.comm
-    supports = [frozenset(i for i, c in enumerate(img) if c) for img in images]
-    if plain and all(s.isdisjoint(t) for s, t in itertools.combinations(supports, 2)):
-        # coordinate-disjoint images of the right orders span a direct product
-        # of size prod p^{n_i}, which the order check above pinned to |Q|
-        return n
-    span = _abelian_span(Q, images, n) if plain else _generic_span(Q, images, n)
-    if len(span) != target:
+    # Q is abelian.  Images spanning Q/Phi(Q) generate Q (Burnside basis
+    # theorem), so (c_i) -> prod s_i^{c_i} maps prod Z/p^{n_i} onto Q; both
+    # sides have order prod p^{n_i} = |Q|, so the map is an isomorphism and the
+    # images give a direct decomposition.
+    relations = _frattini_relations(Q)
+    if _fp_rank(relations + images, P.p) != Q.ngens:
         raise ExtensionError("pre-image images are not independent generators of the quotient")
     return n
-
-
-def _abelian_span(Q: Presentation, images: list[Element], n: tuple[int, ...]) -> set[Element]:
-    span = {Q.identity}
-    for img, ni in zip(images, n):
-        powers = []
-        acc = Q.identity
-        for _ in range(Q.p**ni):
-            powers.append(acc)
-            acc = tuple((a + b) % o for a, b, o in zip(acc, img, Q.orders))
-        span = {tuple((a + b) % o for a, b, o in zip(x, y, Q.orders)) for x in span for y in powers}
-    return span
-
-
-def _generic_span(Q: Presentation, images: list[Element], n: tuple[int, ...]) -> set[Element]:
-    span = set()
-    ranges = [range(Q.p**ni) for ni in n]
-    for combo in itertools.product(*ranges):
-        acc = Q.identity
-        for img, c in zip(images, combo):
-            acc = groups.mul(Q, acc, groups.pow_element(Q, img, c))
-        span.add(acc)
-    return span
 
 
 def extract_params(spec: EmbeddingProblemSpec, kernel_index: int = 0,
@@ -182,11 +179,12 @@ def commutator_log(spec: EmbeddingProblemSpec, kernel_index: int, j: int, i: int
     return groups.central_log(P, groups.commutator(P, s[j], s[i]), eps, complement)
 
 
-def minimal_root_level(spec: EmbeddingProblemSpec) -> int:
+def minimal_root_level(spec: EmbeddingProblemSpec, n: tuple[int, ...] | None = None) -> int:
     """Smallest root-of-unity level N at which a complete condition set exists:
     the largest factor level carrying a nonzero kernel residue, but at least
     max n_i - 1 (cyclic realizability) and the kernel level itself."""
-    n = quotient_structure(spec)
+    if n is None:
+        n = quotient_structure(spec)
     level = max(1, spec.kernel_level, max(n) - 1)
     for k in range(len(spec.kernel_names)):
         params = extract_params(spec, k, n=n)
@@ -197,15 +195,11 @@ def minimal_root_level(spec: EmbeddingProblemSpec) -> int:
 
 
 def frattini_contains_kernel(P: Presentation, kernel_names: tuple[str, ...] | list[str]) -> bool:
-    """True iff each kernel generator lies in G^p [G,G].
-
-    For class-2 groups with p odd, that subgroup is generated by the p-th
-    powers of the generators together with all commutator words.
-    """
-    gens = [groups.pow_element(P, P.generator(nm), P.p) for nm in P.names]
-    gens += [tuple(c % o for c, o in zip(word, P.orders)) for _, _, word in P.comm]
-    frattini = groups.subgroup_closure(P, [g for g in gens if g != P.identity])
-    return all(P.generator(nm) in frattini for nm in kernel_names)
+    """True iff each kernel generator lies in Phi(G) = G^p [G,G], i.e. its unit
+    vector lies in the F_p span of the relation rows of _frattini_relations."""
+    relations = _frattini_relations(P)
+    base = _fp_rank(relations, P.p)
+    return all(_fp_rank(relations + [P.generator(nm)], P.p) == base for nm in kernel_names)
 
 
 @dataclass(frozen=True)

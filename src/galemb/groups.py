@@ -242,32 +242,42 @@ def generator_power(P: Presentation, i: int, n: int) -> Element:
     return _carry(P, z)
 
 
+def _relation_sum(P: Presentation, coeffs: list[int]) -> list[int]:
+    """Uncarried coordinates of prod [g_j, g_i]^{c}, one coefficient c per
+    stored commutator relation (j, i) in P.comm order."""
+    z = [0] * P.ngens
+    for (_, _, word), c in zip(P.comm, coeffs):
+        if c:
+            for t, w in enumerate(word):
+                if w:
+                    z[t] += w * c
+    return z
+
+
 def inv(P: Presentation, x: Element) -> Element:
-    """Inverse: collect g_{k-1}^{-x_{k-1}} ... g_0^{-x_0}."""
-    acc = P.identity
-    for i in range(P.ngens - 1, -1, -1):
-        if x[i]:
-            acc = mul(P, acc, generator_power(P, i, -x[i]))
-    return acc
+    """Inverse, as the power x^-1."""
+    return pow_element(P, x, -1)
 
 
 def pow_element(P: Presentation, x: Element, n: int) -> Element:
-    """x^n by binary powering (agrees with n-fold mul)."""
-    if n < 0:
-        return pow_element(P, inv(P, x), -n)
-    acc = P.identity
-    base = x
-    while n:
-        if n & 1:
-            acc = mul(P, acc, base)
-        base = mul(P, base, base)
-        n >>= 1
-    return acc
+    """x^n for any integer n, in closed form: in class 2,
+    (g_0^{x_0}...g_{k-1}^{x_{k-1}})^n = g_0^{n x_0}...g_{k-1}^{n x_{k-1}}
+    prod_{j>i} [g_j, g_i]^{C(n,2) x_j x_i}, from (ab)^n = a^n b^n [b, a]^{C(n,2)}."""
+    if len(x) != P.ngens:
+        raise ElementError("element length does not match presentation")
+    c2 = n * (n - 1) // 2
+    z = _relation_sum(P, [c2 * x[j] * x[i] for j, i, _ in P.comm])
+    for t, c in enumerate(x):
+        z[t] += n * c
+    return _carry(P, z)
 
 
 def commutator(P: Presentation, x: Element, y: Element) -> Element:
-    """[x, y] = x^-1 y^-1 x y; central for class-2 presentations."""
-    return mul(P, mul(P, inv(P, x), inv(P, y)), mul(P, x, y))
+    """[x, y] = x^-1 y^-1 x y; central for class-2 presentations, where the
+    commutator map is bilinear: prod_{j>i} [g_j, g_i]^{x_j y_i - x_i y_j}."""
+    if len(x) != P.ngens or len(y) != P.ngens:
+        raise ElementError("element length does not match presentation")
+    return _carry(P, _relation_sum(P, [x[j] * y[i] - x[i] * y[j] for j, i, _ in P.comm]))
 
 
 def element_order(P: Presentation, x: Element) -> int:

@@ -134,13 +134,13 @@ def obstruction_abelian(spec: EmbeddingProblemSpec) -> ObstructionResult:
         raise ObstructionError("order-p kernel expected; use obstruction_mu_pn for higher levels")
     if len(spec.kernel_names) != 1:
         raise ObstructionError("single kernel expected; use obstruction_pullback")
-    if spec.root_level < extension.minimal_root_level(spec):
+    n = extension.quotient_structure(spec)
+    minimal = extension.minimal_root_level(spec, n)
+    if spec.root_level < minimal:
         raise ObstructionError(
-            f"root level {spec.root_level} below the minimal level "
-            f"{extension.minimal_root_level(spec)}"
+            f"root level {spec.root_level} below the minimal level {minimal}"
         )
     basis = basis_for(spec)
-    n = extension.quotient_structure(spec)
     conditions = [kernel_condition(spec, 0, n=n)]
     conditions += _realizability_conditions(n, basis)
     return ObstructionResult(
@@ -165,10 +165,10 @@ def obstruction_pullback(spec: EmbeddingProblemSpec) -> ObstructionResult:
     """Union of the two kernel projections for a two-kernel (pullback) problem."""
     if len(spec.kernel_names) != 2:
         raise ObstructionError("pullback problems need exactly two kernels")
-    if spec.root_level < extension.minimal_root_level(spec):
+    n = extension.quotient_structure(spec)
+    if spec.root_level < extension.minimal_root_level(spec, n):
         raise ObstructionError("root level below the minimal level")
     basis = basis_for(spec)
-    n = extension.quotient_structure(spec)
     conditions = [kernel_condition(spec, k, n=n) for k in range(len(spec.kernel_names))]
     conditions += _realizability_conditions(n, basis)
     return ObstructionResult(
@@ -358,7 +358,6 @@ class RowResult:
     minimal_root_level: int
     gold_normal_forms: frozenset
     match: bool
-    flagged: bool
 
     @property
     def label(self) -> str:
@@ -385,7 +384,6 @@ def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[
                 minimal_root_level=extension.minimal_root_level(spec),
                 gold_normal_forms=gold_nfs,
                 match=(gold_nfs == engine_nfs),
-                flagged=inst.flagged,
             )
         )
     return out
@@ -400,14 +398,6 @@ class TableDiff:
     @property
     def mismatches(self) -> tuple[RowResult, ...]:
         return tuple(r for r in self.rows if not r.match)
-
-    @property
-    def unflagged_mismatches(self) -> tuple[RowResult, ...]:
-        return tuple(r for r in self.rows if not r.match and not r.flagged)
-
-    @property
-    def ok(self) -> bool:
-        return not self.unflagged_mismatches
 
 
 def compare_gold(table_id: int, p: int, gold_path: str | None = None) -> TableDiff:

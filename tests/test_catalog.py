@@ -16,6 +16,7 @@ from galemb.catalog import (
     table_of,
     templates,
 )
+from galemb.groups import PrimeContext
 from galemb.symbols import SymbolBasis, normalize
 
 
@@ -111,6 +112,26 @@ class TestEnumeration:
         # one instance per surviving r at least; g is a non-residue so g = r^2
         # never occurs and no r is skipped
         assert len({i.id.params[0] for i in rs}) == (p - 1) // 2
+
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_parameter_checks_accept_exactly_the_enumerated_values(self, p):
+        from galemb.catalog import _param_values
+
+        ctx = PrimeContext.for_prime(p)
+        for tpl in templates():
+            if not tpl.param:
+                continue
+            valid = set(_param_values(tpl, ctx))
+            if tpl.param == "rs":
+                candidates = [(r, s) for r in range(-1, p + 2) for s in range(-1, 2 * p + 2)]
+            else:
+                candidates = [(r,) for r in range(-1, p + 2)]
+            for params in candidates:
+                if params in valid:
+                    assert instantiate(tpl, p, params).id.params == params
+                else:
+                    with pytest.raises(CatalogError):
+                        instantiate(tpl, p, params)
 
     def test_total_template_count_matches_gold_file(self):
         from galemb.catalog import _load_gold

@@ -57,6 +57,10 @@ class TestCheckTables:
         code, out, _ = run(capsys, "check-tables", "--p", "3")
         assert code == 0 and "101 rows, OK" in out
 
+    def test_ok_at_p17(self, capsys):
+        code, out, _ = run(capsys, "check-tables", "--p", "17")
+        assert code == 0 and "311 rows, OK" in out
+
     def test_mismatch_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "gold.txt"
         bad.write_text(

@@ -40,6 +40,26 @@ class TestQuotientStructure:
         with pytest.raises(ExtensionError):
             extension.quotient_structure(spec)
 
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_rejects_preimages_dependent_through_power_tail(self, e):
+        # Q = <x, y, c | x^(p^e) = c> = C_{p^(e+1)} x C_p: x (order p^(e+1)) and
+        # c (order p) have the right orders, order product |Q| and disjoint
+        # supports, yet c = x^(p^e)
+        ctx = PrimeContext.for_prime(3)
+        P = make_presentation(ctx, [("x", e), ("y", 1), ("c", 1), ("k", 1)],
+                              power_tails={"x": {"c": 1}})
+        spec = EmbeddingProblemSpec(
+            presentation=P, kernel_names=("k",), kernel_level=1,
+            preimage_names=("x", "c"), root_level=e + 1,
+        )
+        with pytest.raises(ExtensionError, match="not independent"):
+            extension.quotient_structure(spec)
+        ok = EmbeddingProblemSpec(
+            presentation=P, kernel_names=("k",), kernel_level=1,
+            preimage_names=("x", "y"), root_level=e + 1,
+        )
+        assert extension.quotient_structure(ok) == (e + 1, 1)
+
     def test_rejects_nonabelian_quotient(self):
         spec = EmbeddingProblemSpec(
             presentation=instantiate("Phi4(221)a", 3).presentation,
@@ -161,6 +181,37 @@ class TestFrattini:
     def test_phi2_41(self):
         inst = instantiate("Phi2(41)", 3)
         assert extension.frattini_contains_kernel(inst.presentation, inst.kernels)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_rank_check_equals_subgroup_closure(self, p):
+        # Phi(G) = <g^p, [G,G]> enumerated by collection, for every generator
+        for inst in enumerate_instances(p):
+            P = inst.presentation
+            gens = [groups.generator_power(P, i, p) for i in range(P.ngens)]
+            gens += [tuple(c % o for c, o in zip(word, P.orders)) for _, _, word in P.comm]
+            frattini = groups.subgroup_closure(P, gens)
+            for name in P.names:
+                want = P.generator(name) in frattini
+                assert extension.frattini_contains_kernel(P, (name,)) == want, (inst.label, name)
+
+    def test_power_tail_on_kernel_and_another_generator(self):
+        # x^p = k*c puts k*c in Phi(G) but neither k nor c; the commutator
+        # [y, x] = c then pulls both in
+        ctx = PrimeContext.for_prime(5)
+        gens = [("x", 1), ("y", 1), ("k", 1), ("c", 1)]
+        P = make_presentation(ctx, gens, power_tails={"x": {"k": 1, "c": 1}})
+        assert not extension.frattini_contains_kernel(P, ("k",))
+        assert not extension.frattini_contains_kernel(P, ("c",))
+        P = make_presentation(ctx, gens, power_tails={"x": {"k": 1, "c": 1}},
+                              comms={("y", "x"): {"c": 1}})
+        assert extension.frattini_contains_kernel(P, ("k", "c"))
+
+    def test_power_tail_of_order_p2_generator(self):
+        # k = x^(p^2) lies in G^p although x has relative order p^2
+        ctx = PrimeContext.for_prime(5)
+        P = make_presentation(ctx, [("x", 2), ("y", 1), ("k", 1)], power_tails={"x": {"k": 1}})
+        assert extension.frattini_contains_kernel(P, ("k",))
+        assert not extension.frattini_contains_kernel(P, ("y",))
 
 
 class TestFindCentralKernels:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from galemb import groups
-from galemb.catalog import instantiate
+from galemb.catalog import enumerate_instances, instantiate
 from galemb.groups import (
     ElementError,
     EnumerationBoundError,
@@ -44,8 +44,15 @@ class TestMul:
         assert fold_mul(P, P.generator("alpha"), 27) == (0, 0, 1)
 
     def test_dimension_mismatch(self, phi2_41_p3):
+        P = phi2_41_p3.presentation
         with pytest.raises(ElementError):
-            groups.mul(phi2_41_p3.presentation, (0, 0), (0, 0, 0))
+            groups.mul(P, (0, 0), (0, 0, 0))
+        with pytest.raises(ElementError):
+            groups.commutator(P, (0, 0, 0), (1, 0))
+        with pytest.raises(ElementError):
+            groups.inv(P, (1, 0))
+        with pytest.raises(ElementError):
+            groups.pow_element(P, (1, 0, 0, 0), 2)
 
 
 class TestInv:
@@ -136,6 +143,56 @@ class TestCommutator:
                     assert groups.is_central_element(P, tuple(c % o for c, o in zip(tail, P.orders)))
             for _, _, word in P.comm:
                 assert groups.is_central_element(P, tuple(c % o for c, o in zip(word, P.orders)))
+
+
+def ref_inv(P, x):
+    """Inverse collected as g_{k-1}^{-x_{k-1}} ... g_0^{-x_0}, from mul alone."""
+    acc = P.identity
+    for i in range(P.ngens - 1, -1, -1):
+        acc = groups.mul(P, acc, groups.generator_power(P, i, -x[i]))
+    return acc
+
+
+def ref_pow(P, x, n):
+    """x^n by binary powering with mul; negative n through ref_inv."""
+    if n < 0:
+        x, n = ref_inv(P, x), -n
+    acc = P.identity
+    while n:
+        if n & 1:
+            acc = groups.mul(P, acc, x)
+        x = groups.mul(P, x, x)
+        n >>= 1
+    return acc
+
+
+class TestClosedForms:
+    """The bilinear commutator and the class-2 power formula against
+    references built only from collection (mul) and generator_power."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_agree_with_collection_on_every_instance(self, p):
+        rng = random.Random(p)
+        for inst in enumerate_instances(p):
+            P = inst.presentation
+            exponent = max(P.orders) * p  # past the exponent of every catalog group
+            gens = [P.generator(name) for name in P.names]
+            for _ in range(4):
+                x = tuple(rng.randrange(o) for o in P.orders)
+                y = tuple(rng.randrange(o) for o in P.orders)
+                x_inv = ref_inv(P, x)
+                assert groups.inv(P, x) == x_inv, inst.label
+                assert groups.mul(P, x, x_inv) == P.identity, inst.label
+                want = groups.mul(P, groups.mul(P, x_inv, ref_inv(P, y)), groups.mul(P, x, y))
+                assert groups.commutator(P, x, y) == want, inst.label
+                for n in (0, 1, -1, p, -p, exponent + 1, -exponent - 1,
+                          rng.randrange(-exponent, exponent)):
+                    assert groups.pow_element(P, x, n) == ref_pow(P, x, n), (inst.label, x, n)
+                # x is rarely central; its part on the relation targets always is
+                on_targets = tuple(c if P.central[i] else 0 for i, c in enumerate(x))
+                for z in (x, on_targets, groups.mul(P, x, on_targets)):
+                    central = all(groups.mul(P, z, g) == groups.mul(P, g, z) for g in gens)
+                    assert groups.is_central_element(P, z) == central, (inst.label, z)
 
 
 class TestStructure:

@@ -230,13 +230,22 @@ class TestTables:
 
     def test_compare_gold_table6_p3(self):
         diff = ob.compare_gold(6, 3)
-        assert len(diff.rows) == 3 and diff.ok and not diff.mismatches
+        assert len(diff.rows) == 3 and not diff.mismatches
 
     def test_compare_gold_table2_p7_with_parameters(self):
         diff = ob.compare_gold(2, 7)
         labels = [r.label for r in diff.rows]
         assert "Phi4(221)d_3" in labels and "Phi4(221)f_2" in labels
-        assert diff.ok and not diff.mismatches
+        assert not diff.mismatches
+
+    @pytest.mark.parametrize("p", [17, 19, 23])
+    def test_table3_at_larger_primes(self, p):
+        # |Q| reaches p^5 here, beyond any enumeration of the quotient
+        rows = ob.generate_table(3, p)
+        assert len(rows) == 15
+        for row in rows:
+            assert row.match, (p, row.label, row.result.texts())
+            assert row.minimal_root_level == row.gold_root_level, (p, row.label)
 
     def test_conditions_deduplicated_and_nonzero(self):
         for p in (3, 5):
