@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,11 +50,17 @@ class PrimeContext:
 
     @classmethod
     def for_prime(cls, p: int) -> "PrimeContext":
-        if p == 2:
-            raise PresentationError("only odd primes are supported")
-        if not is_prime(p):
-            raise PresentationError(f"{p} is not prime")
-        return cls(p=p, nu=smallest_nonresidue(p), g=smallest_primitive_root(p))
+        return _prime_context(p)
+
+
+@lru_cache(maxsize=256)
+def _prime_context(p: int) -> PrimeContext:
+    # raising leaves nothing in the cache: only valid contexts are memoized
+    if p == 2:
+        raise PresentationError("only odd primes are supported")
+    if not is_prime(p):
+        raise PresentationError(f"{p} is not prime")
+    return PrimeContext(p=p, nu=smallest_nonresidue(p), g=smallest_primitive_root(p))
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,27 @@ its normal form is a hard failure of the symbol engine.
 
 The root basis symbol is pinned to valuation 0 and a unit of exact order p^N,
 which requires ell = 1 mod p^N.
+
+The checks evaluate all their assignments at once: each draws its assignment
+rows from one stdlib generator and computes the same tame symbols as int64
+arrays over F_ell.  The scalar `eval_symbol` / `eval_expression` /
+`eval_normal_form` are the reference the batch is tested against.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import is_prime, smallest_primitive_root
 from .symbols import BrauerExpression, Monomial, NormalForm, SymbolBasis, bind_exponent
 
-DEFAULT_PRIME_BOUND = 10**7
+# Largest ell with (ell - 1)^2 < 2^63: a product of two residues mod ell fits int64.
+MAX_ELL = math.isqrt(2**63 - 1) + 1
 
 
 class OracleError(ValueError):
@@ -46,7 +55,7 @@ class LocalAssignment:
         raise OracleError(f"assignment has no value for {label!r}")
 
 
-def find_suitable_ell(p: int, level: int, count: int, bound: int = DEFAULT_PRIME_BOUND) -> list[int]:
+def find_suitable_ell(p: int, level: int, count: int, bound: int = MAX_ELL) -> list[int]:
     """First `count` primes ell = 1 mod p^level."""
     modulus = p**level
     out = []
@@ -74,24 +83,6 @@ def _dlog_table(ell: int, base: int, order: int) -> dict[int, int]:
         table[acc] = k
         acc = acc * base % ell
     return table
-
-
-def random_assignment(basis: SymbolBasis, ell: int, seed: int) -> LocalAssignment:
-    """Deterministic assignment: root symbol pinned to a unit of exact order
-    p^N; labels get small random valuations and uniform unit residues."""
-    p, N, n = basis.p, basis.root_level, basis.torsion_level
-    if (ell - 1) % p**N != 0:
-        raise OracleError(f"ell={ell} does not admit a primitive p^{N}-th root of unity")
-    rng = random.Random(f"{ell}:{seed}")
-    values = [("z", (0, _element_of_order(ell, p**N)))]
-    for label in basis.labels:
-        values.append((label, (rng.randint(-2, 2), rng.randrange(1, ell))))
-    return LocalAssignment(
-        ell=ell,
-        torsion_level=n,
-        zeta_base=_element_of_order(ell, p**n),
-        values=tuple(values),
-    )
 
 
 def _monomial_value(basis: SymbolBasis, assignment: LocalAssignment, mono: Monomial) -> tuple[int, int]:
@@ -152,35 +143,224 @@ class EquivalenceVerdict:
     counterexample: LocalAssignment | None = None
 
 
+@dataclass(frozen=True)
+class EquivalenceVerdict:
+    equal: bool
+    trials: int
+    counterexample: LocalAssignment | None = None
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+
+# Valuations and units are reduced from 63-bit generator words; the modulo
+# bias is below 2^-31 for every ell <= MAX_ELL.
+_WORD_BYTES = 8
+_WORD_MASK = 2**63 - 1
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Consecutive assignment rows; column 0 is the root symbol, 1..t the labels."""
+
+    start: int  # stream position of the first row
+    ell: np.ndarray  # (k,)
+    val: np.ndarray  # (k, size) valuations
+    unit: np.ndarray  # (k, size) unit residues mod the row's ell
+
+
+class _RowStream:
+    """Assignment rows of one check, read row by row from one stdlib generator,
+    so the first k rows do not depend on how many are drawn.  Row i lives over
+    ells[i % len(ells)]: root symbol pinned to valuation 0 and a unit of exact
+    order p^N, labels with valuations in -2..2 and uniform unit residues."""
+
+    def __init__(self, basis: SymbolBasis, ells, seed: int):
+        p, N = basis.p, basis.root_level
+        for ell in ells:
+            if ell > MAX_ELL:
+                raise OracleError(f"ell={ell} exceeds the int64 evaluation bound {MAX_ELL}")
+            if (ell - 1) % p**N != 0:
+                raise OracleError(f"ell={ell} does not admit a primitive p^{N}-th root of unity")
+        self.basis = basis
+        self.ells = tuple(ells)
+        self.drawn = 0
+        self._ell = np.array(self.ells, dtype=np.int64)
+        self._root = np.array([_element_of_order(ell, p**N) for ell in self.ells], dtype=np.int64)
+        self._rng = random.Random(seed)
+
+    def draw(self, k: int) -> _Rows:
+        t = len(self.basis.labels)
+        raw = np.frombuffer(self._rng.randbytes(k * t * 2 * _WORD_BYTES), dtype="<i8")
+        words = (raw & _WORD_MASK).reshape(k, t, 2)
+        which = (self.drawn + np.arange(k)) % len(self.ells)
+        ell = self._ell[which]
+        val = np.zeros((k, t + 1), dtype=np.int64)
+        val[:, 1:] = words[:, :, 0] % 5 - 2
+        unit = np.empty((k, t + 1), dtype=np.int64)
+        unit[:, 0] = self._root[which]
+        unit[:, 1:] = words[:, :, 1] % (ell[:, None] - 1) + 1
+        rows = _Rows(start=self.drawn, ell=ell, val=val, unit=unit)
+        self.drawn += k
+        return rows
+
+    def assignment(self, rows: _Rows, r: int) -> LocalAssignment:
+        basis = self.basis
+        ell = int(rows.ell[r])
+        names = ("z",) + basis.labels
+        values = tuple((name, (int(v), int(u)))
+                       for name, v, u in zip(names, rows.val[r], rows.unit[r]))
+        return LocalAssignment(ell=ell, torsion_level=basis.torsion_level,
+                               zeta_base=_element_of_order(ell, basis.torsion), values=values)
+
+
+def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Elementwise base^exp mod `mod` (broadcast), for exp >= 0 and residues
+    below MAX_ELL, by square-and-multiply over the bits of the largest exp."""
+    out = np.ones(np.broadcast_shapes(base.shape, exp.shape, mod.shape), dtype=np.int64)
+    for bit in range(int(exp.max(initial=0)).bit_length()):
+        if bit:
+            base = base * base % mod
+        out = np.where(exp >> bit & 1, out * base % mod, out)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _mu_table(ell: int, torsion: int) -> tuple[np.ndarray, np.ndarray]:
+    """The powers zeta^j (j < torsion) of the order-p^n element, sorted, with
+    their exponents j: a discrete-log table of mu_{p^n} in F_ell^x."""
+    zeta = _element_of_order(ell, torsion)
+    powers = np.ones(1, dtype=np.int64)
+    while len(powers) < torsion:
+        powers = np.concatenate([powers, powers * pow(zeta, len(powers), ell) % ell])
+    order = np.argsort(powers[:torsion])
+    return powers[order], order
+
+
+def _discrete_log(t: np.ndarray, rows: _Rows, ells: tuple[int, ...], torsion: int) -> np.ndarray:
+    out = np.empty_like(t)
+    n = len(ells)
+    for j, ell in enumerate(ells):
+        sel = slice((j - rows.start) % n, None, n)  # the rows over ells[j]
+        values, exps = _mu_table(ell, torsion)
+        pos = np.minimum(np.searchsorted(values, t[sel]), torsion - 1)
+        if not np.array_equal(values[pos], t[sel]):
+            raise OracleError("tame value outside the expected root-of-unity subgroup")
+        out[sel] = exps[pos]
+    return out
+
+
+def _values(weights: np.ndarray, monos: np.ndarray, rows: _Rows, ells: tuple[int, ...],
+            torsion: int) -> np.ndarray:
+    """Value in Z/p^n of sum_f weights[f] * (x_f, y_f) on every row, where
+    monos stacks the exponent vectors of the x_f, then of the y_f."""
+    F = len(weights)
+    ell = rows.ell[:, None]
+    # monomial values: valuation V.e and unit prod U_i^e_i, together with
+    # its inverse prod (U_i^-1)^e_i from the per-row inverses U_i^(ell-2)
+    val = rows.val @ monos.T
+    units = np.stack([rows.unit, _pow_mod(rows.unit, ell - 2, ell)], axis=1)
+    parts = _pow_mod(units[:, :, None, :], monos, ell[:, :, None, None])
+    mono = parts[..., 0]
+    for i in range(1, parts.shape[-1]):
+        mono = mono * parts[..., i] % ell[:, :, None]
+    vx, vy = val[:, :F], val[:, F:]
+    # c = (-1)^(vx vy) x^vy y^-vx, a negative power taken of the inverse
+    base = np.concatenate([np.where(vy >= 0, mono[:, 0, :F], mono[:, 1, :F]),
+                           np.where(vx <= 0, mono[:, 0, F:], mono[:, 1, F:])], axis=1)
+    powers = _pow_mod(base, np.abs(np.concatenate([vy, vx], axis=1)), ell)
+    sign = np.where(vx & vy & 1, ell - 1, 1)
+    c = sign * powers[:, :F] % ell * powers[:, F:] % ell
+    t = _pow_mod(c, (ell - 1) // torsion, ell)
+    return _discrete_log(t, rows, ells, torsion) @ weights % torsion
+
+
+def _expression_factors(expr: BrauerExpression, basis: SymbolBasis) -> list[tuple]:
+    """(bound weight, resolved left, resolved right) per factor of nonzero weight."""
+    out = []
+    for f in expr.factors:
+        # fractional exponents bind mod p^n exactly as in normalization
+        w = bind_exponent(f.exponent, basis.torsion)
+        if w:
+            out.append((w, basis.resolve(f.left_mono()), basis.resolve(f.right_mono())))
+    return out
+
+
+def _normal_form_factors(nf: NormalForm) -> list[tuple]:
+    size = nf.basis.size
+    basis_vec = [tuple(int(i == j) for j in range(size)) for i in range(size)]
+    return [(e, basis_vec[u], basis_vec[v]) for u, v, e in nf.entries()]
+
+
+def _arrays(factors: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The weights, and the left then the right exponent vectors, of `factors`."""
+    weights = np.array([w for w, _, _ in factors], dtype=np.int64)
+    monos = np.array([x for _, x, _ in factors] + [y for _, _, y in factors], dtype=np.int64)
+    return weights, monos
+
+
+def _first_nonzero(factors: list[tuple], basis: SymbolBasis, trials: int, seed: int,
+                   nells: int, chunk: int) -> tuple[int, LocalAssignment] | None:
+    """Stream position and assignment of the first of `trials` rows on which
+    the product of `factors` is nonzero.  Rows are evaluated in chunks that
+    start at `chunk` rows and double."""
+    ells = tuple(find_suitable_ell(basis.p, basis.root_level, nells))
+    stream = _RowStream(basis, ells, seed)
+    if not factors:
+        return None
+    weights, monos = _arrays(factors)
+    while stream.drawn < trials:
+        rows = stream.draw(min(chunk, trials - stream.drawn))
+        hits = np.flatnonzero(_values(weights, monos, rows, ells, basis.torsion))
+        if hits.size:
+            r = int(hits[0])
+            return rows.start + r, stream.assignment(rows, r)
+        chunk *= 2
+    return None
+
+
+def _compare(lhs: list[tuple], rhs: list[tuple], basis: SymbolBasis, trials: int,
+             seed: int) -> EquivalenceVerdict:
+    """Both sides on the same rows, as the one product lhs * rhs^-1."""
+    torsion = basis.torsion
+    diff = lhs + [(-w % torsion, x, y) for w, x, y in rhs]
+    hit = _first_nonzero(diff, basis, trials, seed, nells=3, chunk=trials)
+    if hit is None:
+        return EquivalenceVerdict(equal=True, trials=trials)
+    index, assignment = hit
+    return EquivalenceVerdict(equal=False, trials=index + 1, counterexample=assignment)
+
+
+def random_assignment(basis: SymbolBasis, ell: int, seed: int) -> LocalAssignment:
+    """The first row of the assignment stream of `seed` over the one prime ell."""
+    stream = _RowStream(basis, (ell,), seed)
+    return stream.assignment(stream.draw(1), 0)
+
+
 def _trial_assignments(basis: SymbolBasis, trials: int, seed: int, nells: int = 3):
-    ells = find_suitable_ell(basis.p, basis.root_level, nells)
-    for i in range(trials):
-        yield random_assignment(basis, ells[i % len(ells)], seed=seed * 10_007 + i)
+    """The rows a check with this seed evaluates, as assignments."""
+    stream = _RowStream(basis, find_suitable_ell(basis.p, basis.root_level, nells), seed)
+    rows = stream.draw(trials)
+    for r in range(trials):
+        yield stream.assignment(rows, r)
 
 
 def check_equivalence(e1: BrauerExpression, e2: BrauerExpression, basis: SymbolBasis,
                       trials: int = 200, seed: int = 0) -> EquivalenceVerdict:
-    """Numeric comparison over `trials` seeded assignments spread over >= 3 primes."""
-    for i, assignment in enumerate(_trial_assignments(basis, trials, seed)):
-        if eval_expression(e1, assignment, basis) != eval_expression(e2, assignment, basis):
-            return EquivalenceVerdict(equal=False, trials=i + 1, counterexample=assignment)
-    return EquivalenceVerdict(equal=True, trials=trials)
+    """Numeric comparison over `trials` seeded assignments spread over 3 primes."""
+    return _compare(_expression_factors(e1, basis), _expression_factors(e2, basis),
+                    basis, trials, seed)
 
 
 def check_raw_vs_normal(expr: BrauerExpression, nf: NormalForm, trials: int = 200,
                         seed: int = 0) -> EquivalenceVerdict:
-    basis = nf.basis
-    for i, assignment in enumerate(_trial_assignments(basis, trials, seed)):
-        if eval_expression(expr, assignment, basis) != eval_normal_form(nf, assignment):
-            return EquivalenceVerdict(equal=False, trials=i + 1, counterexample=assignment)
-    return EquivalenceVerdict(equal=True, trials=trials)
+    return _compare(_expression_factors(expr, nf.basis), _normal_form_factors(nf),
+                    nf.basis, trials, seed)
 
 
 def witness_nontrivial(expr: BrauerExpression, basis: SymbolBasis, trials: int = 500,
                        seed: int = 0) -> LocalAssignment | None:
-    """Search for an assignment with nonzero value; expected to exist whenever
-    the normal form is nonzero, since tame symbols realize all residues."""
-    for assignment in _trial_assignments(basis, trials, seed, nells=4):
-        if eval_expression(expr, assignment, basis) != 0:
-            return assignment
-    return None
+    """First assignment, over 4 primes, with nonzero value; expected to exist
+    whenever the normal form is nonzero, since tame symbols realize all residues."""
+    hit = _first_nonzero(_expression_factors(expr, basis), basis, trials, seed, nells=4, chunk=4)
+    return None if hit is None else hit[1]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import extension, groups
-from .catalog import GroupInstance, enumerate_instances, gold_row, templates
+from .catalog import GroupInstance, enumerate_instances, gold_row
 from .extension import EmbeddingProblemSpec, ExtensionParams
 from .symbols import (
     BrauerExpression,
@@ -55,14 +55,6 @@ class ResidualProblem:
 
     spec: EmbeddingProblemSpec
     indices: tuple[int, ...]  # positions (0-based) of the surviving pre-images
-
-    @property
-    def abelian(self) -> bool:
-        return True  # catalog quotients are abelian; splits stay inside them
-
-    def describe(self) -> str:
-        names = [self.spec.preimage_names[i] for i in self.indices]
-        return f"restricted problem on <{', '.join(names)}>"
 
 
 @dataclass(frozen=True)
@@ -407,7 +399,3 @@ def compare_gold(table_id: int, p: int, gold_path: str | None = None) -> TableDi
 
 def all_tables(p: int, gold_path: str | None = None) -> list[TableDiff]:
     return [compare_gold(t, p, gold_path) for t in range(1, 7)]
-
-
-def table_ids(order_exp: int | None = None) -> list[int]:
-    return sorted({t.table for t in templates(order_exp)})

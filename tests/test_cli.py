@@ -94,6 +94,13 @@ class TestMisc:
         assert code == 0
         assert "normal form: 1" in out
 
+    def test_eval_at_p101_root_level_3(self, capsys):
+        # the first prime = 1 mod 101^3 is 30,909,031
+        code, out, _ = run(capsys, "eval", "(a1, z3*a2; z)", "--p", "101", "--trials", "20",
+                           "--seed", "1")
+        assert code == 0
+        assert "ell in [30909031, " in out and "agree (20 trials)" in out
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "obstruct")  # missing group argument

@@ -276,6 +276,12 @@ class TestValidator:
         with pytest.raises(PresentationError):
             PrimeContext.for_prime(9)
 
+    def test_context_built_once_per_prime(self):
+        assert PrimeContext.for_prime(101) is PrimeContext.for_prime(101)
+        for bad in (2, 2, 9, 9):  # invalid primes are never cached
+            with pytest.raises(PresentationError):
+                PrimeContext.for_prime(bad)
+
     def test_rejects_tail_on_noncentral_target(self):
         # x's tail hits y, but y carries a commutator relation: not class <= 2 data
         ctx = PrimeContext.for_prime(3)

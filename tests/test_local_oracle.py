@@ -1,12 +1,18 @@
 """Tame-symbol evaluation: frozen worked values, structural properties, and
 agreement with the symbolic normal form."""
 
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from galemb import local_oracle as lo
-from galemb.symbols import SymbolBasis, normalize, one, parse, symbol
+from galemb.arith import is_prime
+from galemb.symbols import NormalForm, SymbolBasis, normalize, one, parse, symbol
 
 B1 = SymbolBasis(p=3, labels=("a1", "a2"), root_level=1, torsion_level=1)
 B3 = SymbolBasis(p=3, labels=("a1", "a2"), root_level=3, torsion_level=1)
@@ -130,3 +136,147 @@ def test_fraction_exponents_evaluate_like_bound_residues():
     for i in range(30):
         asg = lo.random_assignment(B1, 7, seed=i)
         assert lo.eval_expression(e1, asg, B1) == lo.eval_expression(e2, asg, B1)
+
+
+def _random_expression(rng: random.Random, basis: SymbolBasis):
+    """A product of symbols on every label and root level of the basis, with
+    integer, fractional and zero-weight exponents."""
+    names = basis.labels + tuple(f"z{k}" if k > 1 else "z" for k in range(1, basis.root_level + 1))
+    exponents = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 4), basis.torsion]
+
+    def mono():
+        picked = rng.sample(names, rng.randint(1, 3))
+        return {name: rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-3, 3), 2)])
+                for name in picked}
+
+    expr = one()
+    for _ in range(rng.randint(1, 4)):
+        expr = expr * symbol(mono(), mono(), basis.torsion_level, rng.choice(exponents))
+    return expr
+
+
+def _batch_values(factors, basis, trials, seed, nells=3):
+    """Batch values of `factors` on the rows a check with `seed` draws, in two
+    chunks: the second starts at a row whose ell is not ells[0]."""
+    ells = tuple(lo.find_suitable_ell(basis.p, basis.root_level, nells))
+    stream = lo._RowStream(basis, ells, seed)
+    chunks = [stream.draw(7), stream.draw(trials - 7)]
+    if not factors:
+        return [0] * trials
+    return [v for rows in chunks
+            for v in lo._values(*lo._arrays(factors), rows, ells, basis.torsion)]
+
+
+BASES = [SymbolBasis(p=p, labels=("a1", "a2", "a3"), root_level=N, torsion_level=n)
+         for p in (3, 5, 7) for N in (1, 2, 3) for n in (1, 2) if n <= N]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("basis", BASES, ids=lambda b: f"p{b.p}N{b.root_level}n{b.torsion_level}")
+    def test_batch_equals_scalar(self, basis):
+        rng = random.Random(basis.p * 100 + basis.root_level * 10 + basis.torsion_level)
+        for case in range(4):
+            expr = _random_expression(rng, basis)
+            nf = normalize(expr, basis)
+            raw = _batch_values(lo._expression_factors(expr, basis), basis, 40, case)
+            normal = _batch_values(lo._normal_form_factors(nf), basis, 40, case)
+            rows = list(lo._trial_assignments(basis, 40, case))
+            assert raw == [lo.eval_expression(expr, asg, basis) for asg in rows]
+            assert normal == [lo.eval_normal_form(nf, asg) for asg in rows]
+            assert lo.check_raw_vs_normal(expr, nf, trials=40, seed=case).equal
+
+    def test_largest_admissible_ell(self):
+        # residues near MAX_ELL: products of two residues come close to 2^63
+        basis = SymbolBasis(p=3, labels=("a1", "a2"), root_level=2, torsion_level=2)
+        ell = next(e for e in range(lo.MAX_ELL - (lo.MAX_ELL - 1) % 9, 0, -9) if is_prime(e))
+        expr = parse("(a1^2*z2, a2^-1; z2)(a2*z2^4, a1^7; z2)^-1/2")
+        stream = lo._RowStream(basis, (ell,), seed=4)
+        rows = stream.draw(30)
+        batch = lo._values(*lo._arrays(lo._expression_factors(expr, basis)), rows, (ell,),
+                           basis.torsion)
+        assert list(batch) == [lo.eval_expression(expr, stream.assignment(rows, r), basis)
+                               for r in range(30)]
+
+    def test_ell_above_int64_limit_raises(self):
+        assert (lo.MAX_ELL - 1) ** 2 < 2**63 <= lo.MAX_ELL**2
+        with pytest.raises(lo.OracleError):
+            lo.random_assignment(B1, lo.MAX_ELL + (1 - lo.MAX_ELL) % 3, seed=0)
+        # 3^20 > MAX_ELL, so no evaluation prime exists at root level 20
+        deep = SymbolBasis(p=3, labels=("a1",), root_level=20, torsion_level=1)
+        with pytest.raises(lo.OracleError):
+            lo.check_raw_vs_normal(parse("(a1, z; z)"), normalize(parse("(a1, z; z)"), deep))
+
+    def test_mutated_normal_form_is_caught(self):
+        basis = SymbolBasis(p=5, labels=("a1", "a2"), root_level=2, torsion_level=1)
+        expr = parse("(z2^-1*a1, a2; z)(a1, z2^3; z)")
+        nf = normalize(expr, basis)
+        for u, v in ((0, 1), (1, 2), (0, 2)):
+            matrix = [list(row) for row in nf.matrix]
+            matrix[u][v] = (matrix[u][v] + 1) % basis.torsion
+            bad = NormalForm(basis=basis, matrix=tuple(tuple(row) for row in matrix))
+            verdict = lo.check_raw_vs_normal(expr, bad, trials=200, seed=u + v)
+            assert not verdict.equal
+            rows = list(lo._trial_assignments(basis, verdict.trials, seed=u + v))
+            # the counterexample is the first disagreeing row, also under the scalar path
+            assert rows[-1] == verdict.counterexample
+            assert lo.eval_expression(expr, rows[-1], basis) != lo.eval_normal_form(bad, rows[-1])
+            assert all(lo.eval_expression(expr, asg, basis) == lo.eval_normal_form(bad, asg)
+                       for asg in rows[:-1])
+
+    def test_witness_is_first_nonzero_row(self):
+        basis = SymbolBasis(p=3, labels=("a1", "a2"), root_level=1, torsion_level=1)
+        expr = parse("(a1*a2, z; z)")
+        firsts = []
+        for seed in range(120):
+            rows = list(lo._trial_assignments(basis, 60, seed, nells=4))
+            first = next(i for i, asg in enumerate(rows) if lo.eval_expression(expr, asg, basis))
+            assert lo.witness_nontrivial(expr, basis, trials=60, seed=seed) == rows[first]
+            firsts.append(first)
+        assert max(firsts) >= 4  # some witnesses lie past the first chunk
+
+    def test_prefix_property(self):
+        basis = SymbolBasis(p=5, labels=("a1", "a2", "a3"), root_level=2, torsion_level=1)
+        long = list(lo._trial_assignments(basis, 200, seed=3))
+        assert list(lo._trial_assignments(basis, 50, seed=3)) == long[:50]
+        ells = lo.find_suitable_ell(5, 2, 3)
+        stream = lo._RowStream(basis, ells, seed=3)
+        chunks = [stream.draw(k) for k in (4, 8, 16, 172)]
+        assert [stream.assignment(rows, r) for rows in chunks
+                for r in range(len(rows.ell))] == long
+        assert lo.random_assignment(basis, ells[0], seed=3) == long[0]
+
+    def test_no_numpy_random(self):
+        # numpy.random adds ~5 MB of resident memory to every oracle run
+        code = (
+            "import sys\n"
+            "from galemb import local_oracle as lo\n"
+            "from galemb.symbols import SymbolBasis, normalize, parse\n"
+            "b = SymbolBasis(p=3, labels=('a1', 'a2'), root_level=2, torsion_level=1)\n"
+            "e = parse('(z2*a1, a2; z)')\n"
+            "assert lo.check_raw_vs_normal(e, normalize(e, b)).equal\n"
+            "assert lo.witness_nontrivial(e, b) is not None\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(lo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120, env=env)
+        assert out.stdout.strip() == "False"
+
+
+def test_is_prime_matches_sieve():
+    n = 10**5
+    sieve = [True] * n
+    sieve[0] = sieve[1] = False
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [is_prime(k) for k in range(n)] == sieve
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and is_prime(30909031)
