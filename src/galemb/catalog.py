@@ -140,6 +140,9 @@ def _rs_shape(ctx: PrimeContext, r: int) -> tuple[int, int]:
     if (ctx.g - r * r) % p == 0:
         raise CatalogError(f"instance undefined at p={p}: g = r^2 for r={r}")
     n = 2 + discrete_log_mod_p(ctx.g, (ctx.g - r * r) % p, p)
+    # 1 // (2 * n) is 0 for every n >= 2, so the last term vanishes: either dead
+    # arithmetic or a mis-transcribed non-integer term; the transcription is
+    # unverified against James (1980), the source of the Phi_k labelling.
     m = (p - 3) // 2 + n - 2 * (1 // (2 * n))
     return n, m
 
@@ -200,6 +203,8 @@ def _env_for(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | No
     elif label == "Phi15(2211)b_{r,s}":
         s = params[1]
         env["s"] = s
+        # 1 // (2 * n) is 0 (n >= 2), as in _rs_shape; unverified against
+        # James (1980)
         env["k"] = pow(ctx.g, (1 // (2 * n)) + s, p)
     return env
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, extension, groups, local_oracle, obstructions
 from .catalog import CatalogError, enumerate_instances, gold_row, lookup
 from .groups import EnumerationBoundError, PresentationError
-from .obstructions import ObstructionError, spec_for_instance
+from .obstructions import ObstructionError
 from .symbols import (
     ExpressionError,
     SymbolBasis,
@@ -29,6 +29,10 @@ from .symbols import (
 )
 
 USAGE_ERROR, DATA_ERROR, MISMATCH_ERROR = 1, 2, 3
+
+# selfcheck tests associativity on the whole Cayley table up to this order
+# (every order-p^5 group at p = 3), on random triples above it
+ASSOC_EXHAUSTIVE_MAX_ORDER = 243
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +48,6 @@ def _add_common(sub):
     sub.add_argument("--format", choices=["text", "csv", "machine"], default="text")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--trials", type=int, default=200)
-    sub.add_argument("--bound", type=int, default=groups.DEFAULT_ENUMERATION_BOUND)
     sub.add_argument("--gold", default=None, help="override path of the reference table file")
 
 
@@ -98,13 +101,13 @@ def _instances(args, p):
     return out
 
 
-def _machine_row(inst, result, minimal):
+def _machine_row(inst, result):
     return {
         "label": inst.label,
         "p": inst.p,
         "params": list(inst.id.params) if inst.id.params else None,
         "root_level": result.root_level,
-        "minimal_root_level": minimal,
+        "minimal_root_level": result.data.minimal_root_level,
         "torsion_level": result.torsion_level,
         "conditions": result.texts(),
         "solvability": result.solvability_kind,
@@ -148,9 +151,8 @@ def cmd_obstruct(args) -> int:
     for p in _primes(args):
         inst = lookup(args.group, p)
         result = obstructions.obstruction_for_instance(inst, args.root_level)
-        minimal = extension.minimal_root_level(spec_for_instance(inst, result.root_level))
         if args.format == "machine":
-            print(json.dumps(_machine_row(inst, result, minimal)))
+            print(json.dumps(_machine_row(inst, result)))
         else:
             conds = ", ".join(result.texts()) or "1"
             print(f"{inst.label} p={p} root=p^{result.root_level} "
@@ -169,7 +171,7 @@ def cmd_table(args) -> int:
                       f"{r.result.solvability_kind},{conds}")
         elif args.format == "machine":
             for r in rows:
-                print(json.dumps(_machine_row(r.instance, r.result, r.minimal_root_level)))
+                print(json.dumps(_machine_row(r.instance, r.result)))
         else:
             print(f"table {args.table_id}, p={p}")
             for r in rows:
@@ -216,7 +218,7 @@ def cmd_selfcheck(args) -> int:
             P = inst.presentation
             checks = []
             checks.append(("order", groups.group_order(P) == p**inst.id.order_exp))
-            if groups.group_order(P) <= min(243, args.bound):
+            if groups.group_order(P) <= ASSOC_EXHAUSTIVE_MAX_ORDER:
                 checks.append(("assoc-exhaustive", groups.associativity_exhaustive(P)))
             else:
                 checks.append(("assoc-random",

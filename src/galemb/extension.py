@@ -11,6 +11,10 @@ s_i^{p^{n_i}}) and the strictly upper-triangular d with
 projected modulo the other kernel in the two-kernel (pullback) case.  That
 sign convention is the one under which the obstruction product
 prod_{i<j} (a_j, a_i; zeta)^{d_ij} reproduces the reference tables.
+
+`embedding_data` computes these data once per problem, together with the
+minimal root level and the solvability verdict, into one `EmbeddingData`
+record that the obstruction formulas read.
 """
 
 from __future__ import annotations
@@ -146,16 +150,13 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
     return n
 
 
-def extract_params(spec: EmbeddingProblemSpec, kernel_index: int = 0,
-                   n: tuple[int, ...] | None = None) -> ExtensionParams:
-    """m and d of the kernel_index projection; the other kernel is quotiented away."""
+def extract_params(spec: EmbeddingProblemSpec, n: tuple[int, ...],
+                   kernel_index: int) -> ExtensionParams:
+    """m and d of the kernel_index projection, given the factor levels n; the
+    other kernel is quotiented away."""
     P = spec.presentation
-    if not 0 <= kernel_index < len(spec.kernel_names):
-        raise ExtensionError(f"kernel index {kernel_index} out of range")
     eps = spec.kernel_names[kernel_index]
     complement = frozenset(k for i, k in enumerate(spec.kernel_names) if i != kernel_index)
-    if n is None:
-        n = quotient_structure(spec)
     modulus = P.p**spec.kernel_level
     s = spec.preimages
     m = tuple(
@@ -179,19 +180,38 @@ def commutator_log(spec: EmbeddingProblemSpec, kernel_index: int, j: int, i: int
     return groups.central_log(P, groups.commutator(P, s[j], s[i]), eps, complement)
 
 
-def minimal_root_level(spec: EmbeddingProblemSpec, n: tuple[int, ...] | None = None) -> int:
-    """Smallest root-of-unity level N at which a complete condition set exists:
-    the largest factor level carrying a nonzero kernel residue, but at least
-    max n_i - 1 (cyclic realizability) and the kernel level itself."""
-    if n is None:
-        n = quotient_structure(spec)
-    level = max(1, spec.kernel_level, max(n) - 1)
-    for k in range(len(spec.kernel_names)):
-        params = extract_params(spec, k, n=n)
-        positive = [ni for ni, mi in zip(params.n, params.m) if mi]
-        if positive:
-            level = max(level, max(positive))
-    return level
+@dataclass(frozen=True)
+class EmbeddingData:
+    """Everything the obstruction reads off one embedding problem."""
+
+    spec: EmbeddingProblemSpec
+    n: tuple[int, ...]
+    params: tuple[ExtensionParams, ...]  # one per kernel projection, in kernel order
+    minimal_root_level: int
+    # weak solvability implies proper solvability: always for order-p
+    # kernels, and for larger kernels iff they lie in Phi(G)
+    proper: bool
+
+
+def embedding_data(spec: EmbeddingProblemSpec) -> EmbeddingData:
+    """The levels n_i, every kernel projection's (m, d), the minimal root level
+    and the solvability verdict of one problem, computed once.
+
+    The minimal root level N is the largest factor level carrying a nonzero
+    kernel residue, but at least max n_i - 1 (cyclic realizability) and the
+    kernel level itself."""
+    n = quotient_structure(spec)
+    params = tuple(extract_params(spec, n, k) for k in range(len(spec.kernel_names)))
+    level = max(1, spec.kernel_level, max(n) - 1,
+                *(ni for prm in params for ni, mi in zip(n, prm.m) if mi))
+    proper = spec.kernel_level == 1 or frattini_contains_kernel(spec.presentation,
+                                                                spec.kernel_names)
+    return EmbeddingData(spec=spec, n=n, params=params, minimal_root_level=level, proper=proper)
+
+
+def minimal_root_level(spec: EmbeddingProblemSpec) -> int:
+    """Smallest root-of-unity level at which a complete condition set exists."""
+    return embedding_data(spec).minimal_root_level
 
 
 def frattini_contains_kernel(P: Presentation, kernel_names: tuple[str, ...] | list[str]) -> bool:

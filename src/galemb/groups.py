@@ -102,12 +102,6 @@ class Presentation:
         e[i] = 1
         return tuple(e)
 
-    def comm_entry(self, j: int, i: int) -> Element | None:
-        for jj, ii, word in self.comm:
-            if jj == j and ii == i:
-                return word
-        return None
-
 
 def make_presentation(
     ctx: PrimeContext,

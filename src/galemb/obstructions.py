@@ -1,7 +1,9 @@
 """Obstruction condition sets for the catalog's central embedding problems.
 
-The core operation turns the extracted (n_i, m_i, d_ij) of an abelian-quotient
-problem with kernel mu_p into the product
+One path serves every problem shape.  It reads the problem's `EmbeddingData`
+record (levels n_i, per-kernel residues m_i and commutator logs d_ij, minimal
+root level, solvability verdict) and turns each kernel projection into the
+product
 
     prod_i (a_i, zeta_{p^{n_i}}^{m_i}; zeta) * prod_{i<j} (a_j, a_i; zeta)^{d_ij},
 
@@ -9,19 +11,19 @@ normalized against the assumed root level N (sub-level root factors vanish
 under that normalization), plus one cyclic-realizability condition
 (a_i, zeta_{p^N}; zeta) for each quotient factor with n_i = N + 1.  Pullback
 problems (two disjoint order-p kernels) take the union of their two kernel
-projections; homocyclic problems with kernel mu_{p^n}, n >= 2, use the same
-shape of product at torsion p^n.  Two alternative assembly routes (splitting
-off direct factors, and the elementary-abelian product formula) are provided
-as cross-checks and must normalize to the same conditions.
+projections; homocyclic problems with kernel mu_{p^n}, n >= 2, give the same
+shape of product at torsion p^n.  Splitting off direct factors is an
+alternative assembly route, kept as a cross-check that must normalize to the
+same conditions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import extension, groups
 from .catalog import GroupInstance, enumerate_instances, gold_row
-from .extension import EmbeddingProblemSpec, ExtensionParams
+from .extension import EmbeddingData, EmbeddingProblemSpec, ExtensionParams
 from .symbols import (
     BrauerExpression,
     NormalForm,
@@ -60,10 +62,19 @@ class ResidualProblem:
 @dataclass(frozen=True)
 class ObstructionResult:
     conditions: tuple[Condition, ...]
-    root_level: int
-    torsion_level: int
-    solvability_kind: str  # "proper" | "weak"
-    residuals: tuple[ResidualProblem, ...] = field(default=())
+    data: EmbeddingData
+
+    @property
+    def root_level(self) -> int:
+        return self.data.spec.root_level
+
+    @property
+    def torsion_level(self) -> int:
+        return self.data.spec.kernel_level
+
+    @property
+    def solvability_kind(self) -> str:
+        return "proper" if self.data.proper else "weak"
 
     def texts(self) -> list[str]:
         return [c.text() for c in self.conditions]
@@ -81,18 +92,20 @@ def basis_for(spec: EmbeddingProblemSpec) -> SymbolBasis:
     )
 
 
-def _kernel_expression(params: ExtensionParams, level: int) -> BrauerExpression:
-    """The raw product of the kernel formula, before normalization."""
-    expr = one()
+def kernel_condition(spec: EmbeddingProblemSpec, params: ExtensionParams) -> Condition:
+    """The kernel-formula condition of one kernel projection."""
+    raw = one()
     for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1):
         if mi:
-            expr = expr * symbol({f"a{i}": 1}, {root_label(ni): mi}, level)
+            raw = raw * symbol({f"a{i}": 1}, {root_label(ni): mi}, spec.kernel_level)
     for i in range(params.t):
         for j in range(i + 1, params.t):
             dij = params.d[i][j]
             if dij:
-                expr = expr * symbol({f"a{j + 1}": 1}, {f"a{i + 1}": 1}, level, exponent=dij)
-    return expr
+                raw = raw * symbol({f"a{j + 1}": 1}, {f"a{i + 1}": 1}, spec.kernel_level,
+                                   exponent=dij)
+    return Condition(raw=raw, normal=normalize(raw, basis_for(spec)),
+                     origin=f"kernel {spec.kernel_names[params.kernel_index]}")
 
 
 def _realizability_conditions(n: tuple[int, ...], basis: SymbolBasis) -> list[Condition]:
@@ -102,10 +115,6 @@ def _realizability_conditions(n: tuple[int, ...], basis: SymbolBasis) -> list[Co
             raw = symbol({f"a{i}": 1}, {root_label(basis.root_level): 1}, basis.torsion_level)
             out.append(Condition(raw=raw, normal=normalize(raw, basis),
                                  origin=f"cyclic-realizability a{i}"))
-        elif ni > basis.root_level + 1:
-            raise ObstructionError(
-                f"factor level p^{ni} needs at least zeta_{{p^{ni - 1}}} in the base field"
-            )
     return out
 
 
@@ -120,109 +129,23 @@ def _dedupe(conditions: list[Condition]) -> tuple[Condition, ...]:
     return tuple(out)
 
 
-def obstruction_abelian(spec: EmbeddingProblemSpec) -> ObstructionResult:
-    """Conditions for a single order-p kernel under an abelian quotient."""
-    if spec.kernel_level != 1:
-        raise ObstructionError("order-p kernel expected; use obstruction_mu_pn for higher levels")
-    if len(spec.kernel_names) != 1:
-        raise ObstructionError("single kernel expected; use obstruction_pullback")
-    n = extension.quotient_structure(spec)
-    minimal = extension.minimal_root_level(spec, n)
-    if spec.root_level < minimal:
+def obstruction(spec: EmbeddingProblemSpec) -> ObstructionResult:
+    """Conditions of any catalog shape: one kernel condition per projection,
+    plus cyclic realizability for order-p kernels.  A kernel mu_{p^n}, n >= 2,
+    needs a homocyclic quotient (C_{p^n})^t."""
+    data = extension.embedding_data(spec)
+    if spec.kernel_level >= 2 and any(ni != spec.kernel_level for ni in data.n):
         raise ObstructionError(
-            f"root level {spec.root_level} below the minimal level {minimal}"
+            f"quotient is not homocyclic of exponent p^{spec.kernel_level}: levels {data.n}"
         )
-    basis = basis_for(spec)
-    conditions = [kernel_condition(spec, 0, n=n)]
-    conditions += _realizability_conditions(n, basis)
-    return ObstructionResult(
-        conditions=_dedupe(conditions),
-        root_level=spec.root_level,
-        torsion_level=1,
-        solvability_kind="proper",  # order-p kernels: weak solvability is proper
-    )
-
-
-def kernel_condition(spec: EmbeddingProblemSpec, kernel_index: int,
-                     n: tuple[int, ...] | None = None) -> Condition:
-    """The kernel-formula condition of one kernel projection."""
-    basis = basis_for(spec)
-    params = extension.extract_params(spec, kernel_index, n=n)
-    raw = _kernel_expression(params, spec.kernel_level)
-    return Condition(raw=raw, normal=normalize(raw, basis),
-                     origin=f"kernel {spec.kernel_names[kernel_index]}")
-
-
-def obstruction_pullback(spec: EmbeddingProblemSpec) -> ObstructionResult:
-    """Union of the two kernel projections for a two-kernel (pullback) problem."""
-    if len(spec.kernel_names) != 2:
-        raise ObstructionError("pullback problems need exactly two kernels")
-    n = extension.quotient_structure(spec)
-    if spec.root_level < extension.minimal_root_level(spec, n):
-        raise ObstructionError("root level below the minimal level")
-    basis = basis_for(spec)
-    conditions = [kernel_condition(spec, k, n=n) for k in range(len(spec.kernel_names))]
-    conditions += _realizability_conditions(n, basis)
-    return ObstructionResult(
-        conditions=_dedupe(conditions),
-        root_level=spec.root_level,
-        torsion_level=1,
-        solvability_kind="proper",
-    )
-
-
-def obstruction_mu_pn(spec: EmbeddingProblemSpec) -> ObstructionResult:
-    """Single condition at torsion p^n for a cyclic kernel of order p^n, n >= 2,
-    under a homocyclic quotient (C_{p^n})^m."""
-    if spec.kernel_level < 2 or len(spec.kernel_names) != 1:
-        raise ObstructionError("cyclic kernel of order p^n with n >= 2 expected")
-    if spec.root_level < spec.kernel_level:
-        raise ObstructionError("root level below the kernel level")
-    n = extension.quotient_structure(spec)
-    if any(ni != spec.kernel_level for ni in n):
+    if spec.root_level < data.minimal_root_level:
         raise ObstructionError(
-            f"quotient is not homocyclic of exponent p^{spec.kernel_level}: levels {n}"
+            f"root level {spec.root_level} below the minimal level {data.minimal_root_level}"
         )
-    basis = basis_for(spec)
-    params = extension.extract_params(spec, 0, n=n)
-    raw = _kernel_expression(params, spec.kernel_level)
-    conditions = _dedupe([Condition(raw=raw, normal=normalize(raw, basis),
-                                    origin=f"kernel {spec.kernel_names[0]}")])
-    proper = extension.frattini_contains_kernel(spec.presentation, spec.kernel_names)
-    return ObstructionResult(
-        conditions=conditions,
-        root_level=spec.root_level,
-        torsion_level=spec.kernel_level,
-        solvability_kind="proper" if proper else "weak",
-    )
-
-
-def elementary_abelian_obstruction(spec: EmbeddingProblemSpec,
-                                   kernel_index: int = 0) -> ObstructionResult:
-    """The product formula for (C_p)^t quotients, assembled factor by factor:
-    prod (a_i, zeta; zeta)^{m_i} prod_{i<j} (a_j, a_i; zeta)^{d_ij}.
-    Must agree with the kernel condition of the general formula whenever all
-    n_i = 1; applies to one kernel projection of a pullback as well."""
-    if spec.kernel_level != 1:
-        raise ObstructionError("order-p kernel expected")
-    n = extension.quotient_structure(spec)
-    if any(ni != 1 for ni in n):
-        raise ObstructionError(f"quotient is not elementary abelian: levels {n}")
-    basis = basis_for(spec)
-    params = extension.extract_params(spec, kernel_index, n=n)
-    expr = one()
-    for i, mi in enumerate(params.m, start=1):
-        if mi:
-            expr = expr * symbol({f"a{i}": 1}, {"z": 1}, 1, exponent=mi)
-    for i in range(params.t):
-        for j in range(i + 1, params.t):
-            if params.d[i][j]:
-                expr = expr * symbol({f"a{j + 1}": 1}, {f"a{i + 1}": 1}, 1,
-                                     exponent=params.d[i][j])
-    conditions = _dedupe([Condition(raw=expr, normal=normalize(expr, basis),
-                                    origin=f"kernel {spec.kernel_names[kernel_index]}")])
-    return ObstructionResult(conditions=conditions, root_level=spec.root_level,
-                             torsion_level=1, solvability_kind="proper")
+    conditions = [kernel_condition(spec, params) for params in data.params]
+    if spec.kernel_level == 1:
+        conditions += _realizability_conditions(data.n, basis_for(spec))
+    return ObstructionResult(conditions=_dedupe(conditions), data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +257,11 @@ def spec_for_instance(inst: GroupInstance, root_level: int | None = None) -> Emb
 
 
 def obstruction_for_instance(inst: GroupInstance, root_level: int | None = None) -> ObstructionResult:
-    spec = spec_for_instance(inst, root_level)
-    if spec.kernel_level >= 2:
-        return obstruction_mu_pn(spec)
-    if len(spec.kernel_names) == 2:
-        return obstruction_pullback(spec)
-    return obstruction_abelian(spec)
+    """`obstruction` of a catalog instance; errors name the instance and p."""
+    try:
+        return obstruction(spec_for_instance(inst, root_level))
+    except (extension.ExtensionError, ObstructionError) as exc:
+        raise type(exc)(f"{inst.label} p={inst.p}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -347,13 +269,16 @@ class RowResult:
     instance: GroupInstance
     result: ObstructionResult
     gold_root_level: int
-    minimal_root_level: int
     gold_normal_forms: frozenset
     match: bool
 
     @property
     def label(self) -> str:
         return self.instance.label
+
+    @property
+    def minimal_root_level(self) -> int:
+        return self.result.data.minimal_root_level
 
 
 def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[RowResult]:
@@ -363,19 +288,16 @@ def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[
     out = []
     for inst in enumerate_instances(p, table=table_id):
         row = gold_row(inst, gold_path)
-        spec = spec_for_instance(inst, row.root_level)
         result = obstruction_for_instance(inst, row.root_level)
-        basis = basis_for(spec)
+        basis = basis_for(result.data.spec)
         gold_nfs = frozenset(normalize(e, basis) for e in row.obstructions)
-        engine_nfs = frozenset(c.normal for c in result.conditions)
         out.append(
             RowResult(
                 instance=inst,
                 result=result,
                 gold_root_level=row.root_level,
-                minimal_root_level=extension.minimal_root_level(spec),
                 gold_normal_forms=gold_nfs,
-                match=(gold_nfs == engine_nfs),
+                match=(gold_nfs == result.normal_forms()),
             )
         )
     return out

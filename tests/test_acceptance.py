@@ -41,16 +41,15 @@ def test_criterion_2_worked_proof_fixtures():
     """Extracted parameters match the two worked proofs for p in {3,5,7,11}."""
     for p in (3, 5, 7, 11):
         spec = spec_for_instance(instantiate("Phi2(41)", p), 3)
-        params = extension.extract_params(spec, 0)
+        params = extension.embedding_data(spec).params[0]
         assert params.n == (1, 3) and params.m == (0, 1), (p, params)
         assert params.d[0][1] == p - 1, (p, params.d)
 
         spec = spec_for_instance(instantiate("Phi4(221)a", p), 1)
-        beta2 = extension.extract_params(spec, 0)
+        beta2, beta1 = extension.embedding_data(spec).params
         assert beta2.t == 3 and beta2.m == (0, 0, 1), (p, beta2)
         assert beta2.d[1][2] == p - 1 and beta2.d[0][2] == 0, (p, beta2.d)
         assert max(i + 1 for i, mi in enumerate(beta2.m) if mi) == 3  # r = 3
-        beta1 = extension.extract_params(spec, 1)
         assert beta1.m == (1, 0, 0) and beta1.d[0][2] == p - 1, (p, beta1)
     _report("2 worked-proof-fixtures", True, "Phi2(41) and Phi4(221)a at p=3,5,7,11")
 
@@ -80,31 +79,72 @@ def test_criterion_3_group_engine_soundness():
     _report("3 group-engine-soundness", elapsed < 60.0, f"{count} instances in {elapsed:.1f}s")
 
 
+def _collected_data(spec):
+    """n, and (m, d) per kernel, from repeated collection (`groups.mul`) alone:
+    s^k by k-fold products, x^-1 as x^(|x|-1), [x, y] = x^-1 y^-1 x y, each
+    read at the kernel coordinate."""
+    P = spec.presentation
+    p = P.p
+    kernel = {P.index[k] for k in spec.kernel_names}
+    modulus = p**spec.kernel_level
+
+    def in_kernel(x):
+        return all(c == 0 or i in kernel for i, c in enumerate(x))
+
+    walks = []  # walks[i][k] = s_i^k for 0 <= k < |s_i|
+    for s in spec.preimages:
+        walk = [P.identity]
+        while (nxt := groups.mul(P, walk[-1], s)) != P.identity:
+            walk.append(nxt)
+        walks.append(walk)
+    n = []
+    for walk in walks:
+        e = 0
+        while not in_kernel(walk[p**e % len(walk)]):
+            e += 1
+        n.append(e)
+    t = len(walks)
+    commutators = {}
+    for i in range(t):
+        for j in range(i + 1, t):
+            x, y = spec.preimages[j], spec.preimages[i]
+            c = groups.mul(P, groups.mul(P, groups.mul(P, walks[j][-1], walks[i][-1]), x), y)
+            assert in_kernel(c), (spec.preimage_names, i, j)
+            commutators[i, j] = c
+    out = []
+    for k in spec.kernel_names:
+        col = P.index[k]
+        m = tuple(walk[p**e % len(walk)][col] % modulus for walk, e in zip(walks, n))
+        d = tuple(tuple(commutators[i, j][col] % modulus if j > i else 0 for j in range(t))
+                  for i in range(t))
+        out.append((m, d))
+    return tuple(n), out
+
+
 def test_criterion_4_formula_cross_validation():
-    """Elementary-abelian product formula and the recursive split path both
-    equal the direct formula, p in {3,5}, zero mismatches."""
-    massy_checked = split_checked = 0
+    """The embedding data (n, m, d) equal their values by collection alone for
+    every order-p-kernel problem, and the recursive split path equals the
+    direct formula, p in {3,5}, zero mismatches."""
+    collected = split_checked = 0
     for p in (3, 5):
         for inst in enumerate_instances(p):
             if inst.kernel_level != 1:
                 continue
             spec = spec_for_instance(inst)
-            n = extension.quotient_structure(spec)
-            if all(ni == 1 for ni in n):
-                for k in range(len(spec.kernel_names)):
-                    short = ob.elementary_abelian_obstruction(spec, k)
-                    direct = ob.kernel_condition(spec, k, n=n)
-                    expect = set() if direct.normal.is_zero() else {direct.normal}
-                    assert {c.normal for c in short.conditions} == expect, (inst.label, k)
-                    massy_checked += 1
+            data = extension.embedding_data(spec)
+            n, per_kernel = _collected_data(spec)
+            assert data.n == n, inst.label
+            for params, (m, d) in zip(data.params, per_kernel, strict=True):
+                assert (params.m, params.d) == (m, d), (inst.label, params.kernel_index)
+                collected += 1
             if inst.id.family in (2, 5):
                 basis = ob.basis_for(spec)
-                direct = ob.kernel_condition(spec, 0)
+                direct = ob.kernel_condition(spec, data.params[0])
                 split = normalize(ob.recursive_split_expression(spec), basis)
                 assert split == direct.normal, inst.label
                 split_checked += 1
     _report("4 formula-cross-validation", True,
-            f"{massy_checked} elementary-abelian projections, {split_checked} split paths")
+            f"{collected} kernel projections by collection, {split_checked} split paths")
 
 
 def test_criterion_5_oracle_soundness():

@@ -33,6 +33,11 @@ class TestObstruct:
         code, _, err = run(capsys, "obstruct", "Phi99(1)", "--p", "3")
         assert code == 2 and "unknown group" in err
 
+    def test_root_level_error_names_group_and_prime(self, capsys):
+        code, _, err = run(capsys, "obstruct", "Phi2(41)", "--p", "5", "--root-level", "1")
+        assert code == 2
+        assert "Phi2(41)" in err and "p=5" in err and "below the minimal level 3" in err
+
 
 class TestTable:
     def test_table6_csv_three_rows(self, capsys):
@@ -113,3 +118,8 @@ class TestMisc:
     def test_selfcheck_small(self, capsys):
         code, out, _ = run(capsys, "selfcheck", "--p", "3", "--order", "5", "--triples", "2000")
         assert code == 0 and "OK" in out
+
+    def test_bound_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "selfcheck", "--p", "3", "--bound", "100")
+        assert exc.value.code == 1

@@ -72,7 +72,7 @@ class TestQuotientStructure:
 
 class TestExtractParams:
     def test_phi2_41_worked_values(self):
-        params = extension.extract_params(make_spec("Phi2(41)", 3))
+        params = extension.embedding_data(make_spec("Phi2(41)", 3)).params[0]
         assert params.n == (1, 3)
         assert params.m == (0, 1)
         assert params.d[0][1] == 2  # p - 1
@@ -84,20 +84,17 @@ class TestExtractParams:
             presentation=P, kernel_names=("k",), kernel_level=1,
             preimage_names=("x", "y"), root_level=1,
         )
-        params = extension.extract_params(spec)
+        params = extension.embedding_data(spec).params[0]
         assert params.m == (0, 0)
         assert all(all(c == 0 for c in row) for row in params.d)
 
     def test_phi4_221a_both_projections(self):
-        spec = make_spec("Phi4(221)a", 3)
-        beta2 = extension.extract_params(spec, 0)
+        beta2, beta1 = extension.embedding_data(make_spec("Phi4(221)a", 3)).params
         assert beta2.m == (0, 0, 1) and beta2.d[1][2] == 2 and beta2.d[0][2] == 0
-        beta1 = extension.extract_params(spec, 1)
         assert beta1.m == (1, 0, 0) and beta1.d[0][2] == 2 and beta1.d[1][2] == 0
 
     def test_phi14_level2_values(self):
-        spec = make_spec("Phi14(42)", 3)
-        params = extension.extract_params(spec)
+        params = extension.embedding_data(make_spec("Phi14(42)", 3)).params[0]
         assert params.m == (1, 0)
         assert params.d[0][1] == 8  # p^2 - 1
 
@@ -107,7 +104,7 @@ class TestExtractParams:
         for label in ("Phi2(41)", "Phi4(221)a", "Phi5(2111)"):
             inst = instantiate(label, 3)
             spec = spec_for_instance(inst, 4)
-            base = [extension.extract_params(spec, k) for k in range(len(spec.kernel_names))]
+            base = extension.embedding_data(spec).params
             P = spec.presentation
             for _ in range(10):
                 perturbed = []
@@ -163,9 +160,22 @@ class TestMinimalRootLevel:
         ("Phi2(32)a2", 2),
         ("Phi2(311)c", 2),
         ("Phi14(321)", 2),
+        ("Phi4(221)a", 1),
     ])
     def test_examples(self, label, expected):
         assert extension.minimal_root_level(make_spec(label, 3, root_level=4)) == expected
+
+
+class TestEmbeddingData:
+    def test_frattini_test_runs_only_above_kernel_level_1(self, monkeypatch):
+        calls = []
+        original = extension.frattini_contains_kernel
+        monkeypatch.setattr(extension, "frattini_contains_kernel",
+                            lambda P, names: calls.append(names) or original(P, names))
+        assert extension.embedding_data(make_spec("Phi2(41)", 3)).proper
+        assert calls == []
+        assert extension.embedding_data(make_spec("Phi14(42)", 3)).proper
+        assert calls == [("beta",)]
 
 
 class TestFrattini:

@@ -4,7 +4,7 @@ import pytest
 
 from galemb import extension, obstructions as ob
 from galemb.catalog import enumerate_instances, instantiate
-from galemb.extension import EmbeddingProblemSpec
+from galemb.extension import EmbeddingProblemSpec, ExtensionError
 from galemb.groups import PrimeContext, make_presentation
 from galemb.obstructions import ObstructionError, spec_for_instance
 from galemb.symbols import normalize, parse
@@ -21,7 +21,7 @@ def gold_nfs(texts, basis, env=None):
 class TestAbelian:
     def test_phi2_41(self):
         spec = spec_for_instance(instantiate("Phi2(41)", 3), 3)
-        result = ob.obstruction_abelian(spec)
+        result = ob.obstruction(spec)
         basis = ob.basis_for(spec)
         assert nfs(result) == gold_nfs(["(z3^-1*a1, a2; z)"], basis)
         assert result.solvability_kind == "proper"
@@ -29,7 +29,7 @@ class TestAbelian:
     def test_phi2_32a2_kernel_term_vanishes(self):
         # at root level 2 the (a1, z; z) kernel factor is a p-th power
         spec = spec_for_instance(instantiate("Phi2(32)a2", 5), 2)
-        result = ob.obstruction_abelian(spec)
+        result = ob.obstruction(spec)
         basis = ob.basis_for(spec)
         assert nfs(result) == gold_nfs(["(a2, z2; z)", "(a1, a2; z)"], basis)
 
@@ -40,15 +40,15 @@ class TestAbelian:
             presentation=P, kernel_names=("k",), kernel_level=1,
             preimage_names=("x",), root_level=1,
         )
-        assert ob.obstruction_abelian(spec).conditions == ()
+        assert ob.obstruction(spec).conditions == ()
 
     def test_root_level_too_small(self):
         with pytest.raises(ObstructionError):
-            ob.obstruction_abelian(spec_for_instance(instantiate("Phi2(41)", 3), 2))
+            ob.obstruction(spec_for_instance(instantiate("Phi2(41)", 3), 2))
 
     def test_realizability_terms_added_per_factor(self):
         spec = spec_for_instance(instantiate("Phi2(221)d", 3), 1)
-        result = ob.obstruction_abelian(spec)
+        result = ob.obstruction(spec)
         origins = [c.origin for c in result.conditions]
         assert origins == ["kernel alpha2", "cyclic-realizability a1", "cyclic-realizability a2"]
 
@@ -56,13 +56,13 @@ class TestAbelian:
 class TestPullback:
     def test_phi4_221a(self):
         spec = spec_for_instance(instantiate("Phi4(221)a", 3), 1)
-        result = ob.obstruction_pullback(spec)
+        result = ob.obstruction(spec)
         basis = ob.basis_for(spec)
         assert nfs(result) == gold_nfs(["(z^-1*a2, a3; z)", "(a1, z*a3; z)"], basis)
 
     def test_phi4_1five(self):
         spec = spec_for_instance(instantiate("Phi4(1^5)", 5), 1)
-        result = ob.obstruction_pullback(spec)
+        result = ob.obstruction(spec)
         basis = ob.basis_for(spec)
         assert nfs(result) == gold_nfs(["(a2, a3; z)", "(a1, a3; z)"], basis)
 
@@ -73,16 +73,17 @@ class TestPullback:
             presentation=P, kernel_names=("k1", "k2"), kernel_level=1,
             preimage_names=("x",), root_level=1,
         )
-        assert ob.obstruction_pullback(spec).conditions == ()
+        assert ob.obstruction(spec).conditions == ()
 
     def test_projection_matches_single_kernel_condition(self):
         # restricting the pullback conditions to one kernel reproduces that
         # kernel's own formula
         for label in ("Phi4(221)b", "Phi12(2211)h", "Phi13(2211)d", "Phi15(21^4)"):
             spec = spec_for_instance(instantiate(label, 3))
-            result = ob.obstruction_pullback(spec)
-            for k, kernel in enumerate(spec.kernel_names):
-                cond = ob.kernel_condition(spec, k)
+            result = ob.obstruction(spec)
+            for params in result.data.params:
+                cond = ob.kernel_condition(spec, params)
+                kernel = spec.kernel_names[params.kernel_index]
                 from_result = [c for c in result.conditions if c.origin == f"kernel {kernel}"]
                 if cond.normal.is_zero():
                     assert not from_result
@@ -93,16 +94,15 @@ class TestPullback:
 class TestMuPn:
     def test_phi14_42(self):
         spec = spec_for_instance(instantiate("Phi14(42)", 3), 2)
-        result = ob.obstruction_mu_pn(spec)
+        result = ob.obstruction(spec)
         basis = ob.basis_for(spec)
         assert nfs(result) == gold_nfs(["(a1, z2*a2; z2)"], basis)
         assert result.solvability_kind == "proper"
 
     def test_phi14_321_j_equals_p(self):
         spec = spec_for_instance(instantiate("Phi14(321)", 5), 2)
-        params = extension.extract_params(spec)
-        assert params.m == (5, 0)
-        result = ob.obstruction_mu_pn(spec)
+        result = ob.obstruction(spec)
+        assert result.data.params[0].m == (5, 0)
         basis = ob.basis_for(spec)
         assert nfs(result) == gold_nfs(["(a1, z*a2; z2)"], basis)
 
@@ -113,7 +113,10 @@ class TestMuPn:
             presentation=P, kernel_names=("k",), kernel_level=2,
             preimage_names=("x",), root_level=2,
         )
-        assert ob.obstruction_mu_pn(spec).conditions == ()
+        result = ob.obstruction(spec)
+        assert result.conditions == ()
+        # k is a free generator, outside Phi(G): only weak solvability
+        assert result.solvability_kind == "weak"
 
     def test_rejects_non_homocyclic(self):
         ctx = PrimeContext.for_prime(3)
@@ -122,14 +125,14 @@ class TestMuPn:
             presentation=P, kernel_names=("k",), kernel_level=2,
             preimage_names=("x", "y"), root_level=2,
         )
-        with pytest.raises(ObstructionError):
-            ob.obstruction_mu_pn(spec)
+        with pytest.raises(ObstructionError, match="not homocyclic"):
+            ob.obstruction(spec)
 
 
 class TestElementaryAbelian:
     def test_phi5_1five(self):
         spec = spec_for_instance(instantiate("Phi5(1^5)", 3), 1)
-        result = ob.elementary_abelian_obstruction(spec)
+        result = ob.obstruction(spec)
         basis = ob.basis_for(spec)
         assert nfs(result) == gold_nfs(["(a1, a2; z)(a3, a4; z)"], basis)
 
@@ -140,26 +143,7 @@ class TestElementaryAbelian:
             presentation=P, kernel_names=("k",), kernel_level=1,
             preimage_names=("x", "y"), root_level=1,
         )
-        assert ob.elementary_abelian_obstruction(spec).conditions == ()
-
-    def test_rejects_higher_factors(self):
-        with pytest.raises(ObstructionError):
-            ob.elementary_abelian_obstruction(spec_for_instance(instantiate("Phi2(41)", 3), 3))
-
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_agrees_with_general_formula_everywhere(self, p):
-        for inst in enumerate_instances(p):
-            if inst.kernel_level != 1:
-                continue
-            spec = spec_for_instance(inst)
-            n = extension.quotient_structure(spec)
-            if any(ni != 1 for ni in n):
-                continue
-            for k in range(len(spec.kernel_names)):
-                short = ob.elementary_abelian_obstruction(spec, k)
-                direct = ob.kernel_condition(spec, k, n=n)
-                expect = set() if direct.normal.is_zero() else {direct.normal}
-                assert nfs(short) == expect, (inst.label, k)
+        assert ob.obstruction(spec).conditions == ()
 
 
 class TestSplitting:
@@ -219,7 +203,7 @@ class TestSplitting:
                 continue
             spec = spec_for_instance(inst)
             basis = ob.basis_for(spec)
-            direct = ob.kernel_condition(spec, 0)
+            direct = ob.kernel_condition(spec, extension.embedding_data(spec).params[0])
             split = normalize(ob.recursive_split_expression(spec), basis)
             assert split == direct.normal, inst.label
 
@@ -266,3 +250,30 @@ class TestTables:
     def test_unknown_table(self):
         with pytest.raises(ObstructionError):
             ob.generate_table(7, 3)
+
+    def test_one_embedding_pass_per_row(self, monkeypatch):
+        calls = {"quotient_structure": 0, "extract_params": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(extension, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(extension, name, counted)
+        rows = kernels = 0
+        for table in range(1, 7):
+            for row in ob.generate_table(table, 5):
+                rows += 1
+                kernels += len(row.instance.kernels)
+        assert calls == {"quotient_structure": rows, "extract_params": kernels}
+
+
+class TestErrors:
+    def test_obstruction_error_names_instance_and_prime(self):
+        with pytest.raises(ObstructionError, match=r"^Phi2\(41\) p=5: root level 1 below"):
+            ob.obstruction_for_instance(instantiate("Phi2(41)", 5), 1)
+
+    def test_extension_error_keeps_its_type(self, monkeypatch):
+        def broken(spec):
+            raise ExtensionError("quotient by the kernel product is not abelian")
+        monkeypatch.setattr(extension, "quotient_structure", broken)
+        with pytest.raises(ExtensionError, match=r"^Phi4\(221\)a p=7: quotient"):
+            ob.obstruction_for_instance(instantiate("Phi4(221)a", 7))
