@@ -150,7 +150,10 @@ def cmd_show(args) -> int:
 def cmd_obstruct(args) -> int:
     for p in _primes(args):
         inst = lookup(args.group, p)
-        result = obstructions.obstruction_for_instance(inst, args.root_level)
+        root_level = args.root_level
+        if root_level is None:
+            root_level = gold_row(inst, args.gold).root_level
+        result = obstructions.obstruction_for_instance(inst, root_level)
         if args.format == "machine":
             print(json.dumps(_machine_row(inst, result)))
         else:

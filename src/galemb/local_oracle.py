@@ -56,7 +56,12 @@ class LocalAssignment:
 
 
 def find_suitable_ell(p: int, level: int, count: int, bound: int = MAX_ELL) -> list[int]:
-    """First `count` primes ell = 1 mod p^level."""
+    """First `count` primes ell = 1 mod p^level (a fresh list on every call)."""
+    return list(_suitable_ells(p, level, count, bound))
+
+
+@lru_cache(maxsize=256)
+def _suitable_ells(p: int, level: int, count: int, bound: int) -> tuple[int, ...]:
     modulus = p**level
     out = []
     ell = modulus + 1
@@ -66,7 +71,7 @@ def find_suitable_ell(p: int, level: int, count: int, bound: int = MAX_ELL) -> l
         if is_prime(ell):
             out.append(ell)
         ell += modulus
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=64)

@@ -33,6 +33,24 @@ class TestObstruct:
         code, _, err = run(capsys, "obstruct", "Phi99(1)", "--p", "3")
         assert code == 2 and "unknown group" in err
 
+    def test_gold_file_sets_the_root_level(self, capsys, tmp_path):
+        gold = tmp_path / "gold.txt"
+        gold.write_text(
+            "\n".join(
+                line if not line.startswith("Phi2(41)")
+                else "Phi2(41) | 5 | 4 | (z3^-1*a1, a2; z)"
+                for line in _default_gold_text().splitlines()
+            ),
+            encoding="utf-8",
+        )
+        _, shown, _ = run(capsys, "show", "Phi2(41)", "--p", "5", "--gold", str(gold))
+        assert "level p^4" in shown
+        code, out, _ = run(capsys, "obstruct", "Phi2(41)", "--p", "5", "--gold", str(gold))
+        assert code == 0 and "root=p^4" in out
+        code, out, _ = run(capsys, "obstruct", "Phi2(41)", "--p", "5", "--gold", str(gold),
+                           "--root-level", "3")
+        assert code == 0 and "root=p^3" in out
+
     def test_root_level_error_names_group_and_prime(self, capsys):
         code, _, err = run(capsys, "obstruct", "Phi2(41)", "--p", "5", "--root-level", "1")
         assert code == 2

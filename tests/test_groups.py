@@ -3,6 +3,7 @@ orders, enumeration, and the structural helpers."""
 
 import random
 
+import numpy as np
 import pytest
 
 from galemb import groups
@@ -298,19 +299,40 @@ class TestValidator:
         assert ctx.nu == 3 and ctx.g == 3
 
 
-class TestBulkOps:
-    def test_bulk_matches_scalar(self, phi4_221a_p3):
-        import numpy as np
+def xy_commutator_z(z_exp):
+    """x, y of order 3 with [y, x] = z, z of order 3^z_exp.  For z_exp = 2 the
+    presentation is inconsistent: [y, x]^3 = [y, x^3] = 1 forces z^3 = 1."""
+    ctx = PrimeContext.for_prime(3)
+    return make_presentation(ctx, [("x", 1), ("y", 1), ("z", z_exp)],
+                             comms={("y", "x"): {"z": 1}})
 
-        P = phi4_221a_p3.presentation
+
+def associative_all_columns(T):
+    """Reference sweep: (xa)y = x(ay) for every middle element a of the table."""
+    return all(np.array_equal(T[T[:, a], :], T[:, T[a, :]]) for a in range(T.shape[0]))
+
+
+class TestBulkOps:
+    def test_bulk_matches_scalar(self):
         rng = random.Random(1)
-        X, Y = [], []
-        for _ in range(200):
-            X.append([rng.randrange(o) for o in P.orders])
-            Y.append([rng.randrange(o) for o in P.orders])
-        Z = groups.bulk_mul(P, np.array(X), np.array(Y))
-        for x, y, z in zip(X, Y, Z):
-            assert groups.mul(P, tuple(x), tuple(y)) == tuple(z)
+        for p in (3, 5):
+            for inst in enumerate_instances(p):
+                P = inst.presentation
+                X = [[rng.randrange(o) for o in P.orders] for _ in range(50)]
+                Y = [[rng.randrange(o) for o in P.orders] for _ in range(50)]
+                Z = groups.bulk_mul(P, np.array(X), np.array(Y))
+                assert Z.shape == (50, P.ngens)
+                for x, y, z in zip(X, Y, Z):
+                    assert groups.mul(P, tuple(x), tuple(y)) == tuple(z), (inst.label, p)
+
+    def test_cayley_table_matches_scalar(self, phi2_41_p3):
+        for P in (phi2_41_p3.presentation, xy_commutator_z(2)):
+            elements = groups.enumerate_elements(P)
+            index = {x: a for a, x in enumerate(elements)}
+            T = groups.cayley_table(P)
+            assert T.shape == (len(elements),) * 2
+            for a, x in enumerate(elements):
+                assert [index[groups.mul(P, x, y)] for y in elements] == T[a].tolist()
 
     def test_exhaustive_associativity_small(self, phi2_41_p3):
         assert groups.associativity_exhaustive(phi2_41_p3.presentation)
@@ -318,3 +340,49 @@ class TestBulkOps:
     def test_random_associativity(self):
         P = instantiate("Phi14(321)", 3).presentation
         assert groups.associativity_random(P, 20_000, seed=42)
+
+    def test_checks_reject_an_inconsistent_presentation(self):
+        bad, good = xy_commutator_z(2), xy_commutator_z(1)
+        assert not groups.associativity_exhaustive(bad)
+        assert groups.associativity_exhaustive(good)
+        for seed in range(5):
+            assert not groups.associativity_random(bad, 2_000, seed=seed)
+            assert groups.associativity_random(good, 2_000, seed=seed)
+
+    def test_light_test_agrees_with_all_columns(self):
+        presentations = [xy_commutator_z(2), xy_commutator_z(1)]
+        presentations += [inst.presentation for inst in enumerate_instances(3)
+                          if groups.group_order(inst.presentation) <= 243]
+        assert len(presentations) == 22
+        for P in presentations:
+            T = groups.cayley_table(P)
+            assert groups.associativity_exhaustive(P) == associative_all_columns(T)
+
+    def test_light_test_is_exact_on_any_table(self, phi2_41_p3):
+        # Light's test checks the generators and everything outside their
+        # right-closure; its verdict must equal the all-column sweep whatever
+        # the table and whichever elements are called generators.
+        rng = np.random.default_rng(7)
+        cases = []
+        for n in (2, 3, 4, 5):
+            for _ in range(300):
+                gens = np.flatnonzero(rng.random(n) < 0.4)
+                cases.append((rng.integers(0, n, size=(n, n)), gens))
+        r = np.arange(6)
+        cases += [(np.maximum.outer(r, r), np.array([0])),
+                  (np.add.outer(r, 0 * r), np.array([2])),  # left zero semigroup
+                  (np.add.outer(r, r) % 6, np.array([1]))]
+        P = phi2_41_p3.presentation
+        group_table = groups.cayley_table(P)
+        gens = groups._radix_weights(P)
+        for _ in range(20):
+            T = group_table.copy()
+            a, b = rng.integers(0, len(T), size=2)
+            T[a, b] = (T[a, b] + 1 + rng.integers(0, len(T) - 1)) % len(T)
+            cases.append((T, gens))
+        verdicts = []
+        for T, gens in cases:
+            verdict = groups._light_associative(T, gens)
+            assert verdict == associative_all_columns(T), (T, gens)
+            verdicts.append(verdict)
+        assert 50 < sum(verdicts) < len(verdicts) - 50

@@ -91,6 +91,14 @@ class TestHelpers:
     def test_find_suitable_ell_level4(self):
         assert lo.find_suitable_ell(3, 4, 1) == [163]
 
+    def test_find_suitable_ell_is_cached_but_never_shared(self, monkeypatch):
+        first = lo.find_suitable_ell(5, 2, 4)
+        first.append(0)  # the caller's list is its own
+        calls = []
+        monkeypatch.setattr(lo, "is_prime", lambda n: calls.append(n) or True)
+        assert lo.find_suitable_ell(5, 2, 4) == first[:-1]
+        assert calls == []  # served from the cache, no primality tests
+
     def test_no_prime_below_bound(self):
         with pytest.raises(lo.OracleError):
             lo.find_suitable_ell(3, 2, 1, bound=10)
