@@ -42,13 +42,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _add_common(sub):
-    sub.add_argument("--p", type=int, action="append", help="odd prime (repeatable)")
-    sub.add_argument("--order", choices=["5", "6", "both"], default="both")
-    sub.add_argument("--format", choices=["text", "csv", "machine"], default="text")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--trials", type=int, default=200)
-    sub.add_argument("--gold", default=None, help="override path of the reference table file")
+_OPTIONS = {
+    "--order": dict(choices=["5", "6", "both"], default="both"),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=200),
+    "--triples": dict(type=int, default=100_000),
+    "--root-level": dict(type=int, default=None),
+    "--gold": dict(default=None, help="override path of the reference table file"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,32 +57,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"galemb {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("list", help="list catalog instances")
-    _add_common(sub)
+    def command(name, help, *options, formats=None):
+        """A subcommand with --p and exactly the options it reads."""
+        sub = subs.add_parser(name, help=help)
+        sub.add_argument("--p", type=int, action="append", help="odd prime (repeatable)")
+        for flag in options:
+            sub.add_argument(flag, **_OPTIONS[flag])
+        if formats:
+            sub.add_argument("--format", choices=formats, default="text")
+        return sub
 
-    sub = subs.add_parser("show", help="dump one group presentation")
+    command("list", "list catalog instances", "--order", formats=["text", "machine"])
+
+    sub = command("show", "dump one group presentation", "--gold")
     sub.add_argument("group")
-    _add_common(sub)
 
-    sub = subs.add_parser("obstruct", help="obstruction conditions for one group")
+    sub = command("obstruct", "obstruction conditions for one group", "--root-level", "--gold",
+                  formats=["text", "machine"])
     sub.add_argument("group")
-    sub.add_argument("--root-level", type=int, default=None)
-    _add_common(sub)
 
-    sub = subs.add_parser("table", help="regenerate one reference table")
+    sub = command("table", "regenerate one reference table", "--gold",
+                  formats=["text", "csv", "machine"])
     sub.add_argument("table_id", type=int, choices=range(1, 7))
-    _add_common(sub)
 
-    sub = subs.add_parser("check-tables", help="diff every generated row against the reference data")
-    _add_common(sub)
+    command("check-tables", "diff every generated row against the reference data", "--gold")
+    command("selfcheck", "group-engine consistency sweep", "--order", "--seed", "--triples")
 
-    sub = subs.add_parser("selfcheck", help="group-engine consistency sweep")
-    sub.add_argument("--triples", type=int, default=100_000)
-    _add_common(sub)
-
-    sub = subs.add_parser("eval", help="numeric tame-symbol values of an expression")
+    sub = command("eval", "numeric tame-symbol values of an expression", "--seed", "--trials")
     sub.add_argument("expression")
-    _add_common(sub)
 
     return parser
 

@@ -47,13 +47,12 @@ class EmbeddingProblemSpec:
             raise ExtensionError("one or two kernel generators expected")
         if len(self.kernel_names) == 2 and self.kernel_level != 1:
             raise ExtensionError("two-kernel problems require kernel level 1")
+        try:
+            groups.kernel_indices(P, self.kernel_names)
+        except groups.ElementError as exc:
+            raise ExtensionError(str(exc)) from exc
         for name in self.kernel_names:
-            if name not in P.index:
-                raise ExtensionError(f"unknown kernel generator {name!r}")
-            g = P.generator(name)
-            if not groups.is_central_element(P, g):
-                raise ExtensionError(f"kernel generator {name!r} is not central")
-            if groups.element_order(P, g) != P.p**self.kernel_level:
+            if groups.element_order(P, P.generator(name)) != P.p**self.kernel_level:
                 raise ExtensionError(
                     f"kernel generator {name!r} does not have order p^{self.kernel_level}"
                 )
@@ -68,6 +67,13 @@ class EmbeddingProblemSpec:
     def labels(self) -> tuple[str, ...]:
         return tuple(f"a{i}" for i in range(1, len(self.preimage_names) + 1))
 
+    def kernel_log(self, x: Element, kernel_index: int) -> int:
+        """Exponent of kernel generator kernel_index in the central element x,
+        modulo the other kernel generator (the pullback projection)."""
+        names = self.kernel_names
+        return groups.central_log(self.presentation, x, names[kernel_index],
+                                  names[:kernel_index] + names[kernel_index + 1:])
+
 
 @dataclass(frozen=True)
 class ExtensionParams:
@@ -81,18 +87,6 @@ class ExtensionParams:
     @property
     def t(self) -> int:
         return len(self.n)
-
-
-def _p_power_exponent(P: Presentation, x: Element, in_kernel) -> int:
-    """Smallest e with x^{p^e} in the kernel subgroup."""
-    e = 0
-    y = x
-    while not in_kernel(y):
-        y = groups.pow_element(P, y, P.p)
-        e += 1
-        if P.p**e > groups.group_order(P):
-            raise ExtensionError("pre-image order computation diverged")
-    return e
 
 
 def _fp_rank(rows: list[Element], p: int) -> int:
@@ -123,29 +117,41 @@ def _frattini_relations(P: Presentation) -> list[Element]:
 
 
 def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
-    """Levels n_i of the pre-image images in G/(kernel product), verified to be
-    independent direct-factor generators of the whole quotient."""
+    """Levels n_i of the pre-image images in Q = G/(kernel product), verified to
+    be independent direct-factor generators of the whole quotient.
+
+    Q is read off P without being built: dropping the kernel coordinates is
+    the quotient map (`groups.kernel_indices`), so an image is trivial iff its
+    support lies in the kernel and |Q| = p^(sum of the other e_i)."""
     P = spec.presentation
     if not groups.is_abelian_quotient(P, list(spec.kernel_names)):
         raise ExtensionError("quotient by the kernel product is not abelian")
-    Q, proj = groups.quotient_by_central(P, list(spec.kernel_names))
-    images = [proj(x) for x in spec.preimages]
-    n = tuple(_p_power_exponent(Q, img, lambda y: y == Q.identity) for img in images)
+    ker = groups.kernel_indices(P, spec.kernel_names)
+    order_exp = sum(e for i, e in enumerate(P.order_exps) if i not in ker)
 
-    target = 1
-    for ni in n:
-        target *= P.p**ni
-    if target != groups.group_order(Q):
+    def level(x: Element) -> int:
+        e = 0
+        while any(c and i not in ker for i, c in enumerate(x)):
+            x = groups.pow_element(P, x, P.p)
+            e += 1
+            if e > order_exp:
+                raise ExtensionError("pre-image order computation diverged")
+        return e
+
+    n = tuple(level(x) for x in spec.preimages)
+    if sum(n) != order_exp:
         raise ExtensionError(
             "pre-images do not generate a direct decomposition: "
-            f"prod p^n_i = {target} != quotient order {groups.group_order(Q)}"
+            f"prod p^n_i = {P.p**sum(n)} != quotient order {P.p**order_exp}"
         )
     # Q is abelian.  Images spanning Q/Phi(Q) generate Q (Burnside basis
     # theorem), so (c_i) -> prod s_i^{c_i} maps prod Z/p^{n_i} onto Q; both
     # sides have order prod p^{n_i} = |Q|, so the map is an isomorphism and the
-    # images give a direct decomposition.
-    relations = _frattini_relations(Q)
-    if _fp_rank(relations + images, P.p) != Q.ngens:
+    # images give a direct decomposition.  Q's relation rows are P's with the
+    # kernel columns dropped, and the kernel unit vectors span exactly those
+    # columns, so the F_p rank on Q is the rank on P less |K|.
+    units = [P.generator(name) for name in spec.kernel_names]
+    if _fp_rank(_frattini_relations(P) + units + list(spec.preimages), P.p) != P.ngens:
         raise ExtensionError("pre-image images are not independent generators of the quotient")
     return n
 
@@ -155,29 +161,16 @@ def extract_params(spec: EmbeddingProblemSpec, n: tuple[int, ...],
     """m and d of the kernel_index projection, given the factor levels n; the
     other kernel is quotiented away."""
     P = spec.presentation
-    eps = spec.kernel_names[kernel_index]
-    complement = frozenset(k for i, k in enumerate(spec.kernel_names) if i != kernel_index)
     modulus = P.p**spec.kernel_level
     s = spec.preimages
-    m = tuple(
-        groups.central_log(P, groups.pow_element(P, si, P.p**ni), eps, complement) % modulus
-        for si, ni in zip(s, n)
-    )
+    m = tuple(spec.kernel_log(groups.pow_element(P, si, P.p**ni), kernel_index) % modulus
+              for si, ni in zip(s, n))
     t = len(s)
     d = [[0] * t for _ in range(t)]
     for i in range(t):
         for j in range(i + 1, t):
-            d[i][j] = groups.central_log(P, groups.commutator(P, s[j], s[i]), eps, complement) % modulus
+            d[i][j] = spec.kernel_log(groups.commutator(P, s[j], s[i]), kernel_index) % modulus
     return ExtensionParams(n=n, m=m, d=tuple(tuple(row) for row in d), kernel_index=kernel_index)
-
-
-def commutator_log(spec: EmbeddingProblemSpec, kernel_index: int, j: int, i: int) -> int:
-    """central_log([s_j, s_i]) on the selected kernel, for any index pair."""
-    P = spec.presentation
-    eps = spec.kernel_names[kernel_index]
-    complement = frozenset(k for idx, k in enumerate(spec.kernel_names) if idx != kernel_index)
-    s = spec.preimages
-    return groups.central_log(P, groups.commutator(P, s[j], s[i]), eps, complement)
 
 
 @dataclass(frozen=True)

@@ -190,14 +190,6 @@ def make_presentation(
     return pres
 
 
-def check_element(P: Presentation, x: Element) -> None:
-    if len(x) != P.ngens:
-        raise ElementError(f"element of length {len(x)} for a {P.ngens}-generator presentation")
-    for c, o in zip(x, P.orders):
-        if not 0 <= c < o:
-            raise ElementError(f"coordinate {c} out of range [0,{o})")
-
-
 def _carry(P: Presentation, z: list[int]) -> Element:
     orders = P.orders
     tails = P.power_tails
@@ -342,22 +334,41 @@ def _vec_to_element(P: Presentation, vec: Element) -> Element:
     return tuple(c % o for c, o in zip(vec, P.orders))
 
 
-def is_abelian_quotient(P: Presentation, kernel_names: list[str]) -> bool:
-    """True iff every commutator word lies in the subgroup spanned by the kernel generators."""
+def kernel_indices(P: Presentation, kernel_names) -> frozenset[int]:
+    """Coordinates of the kernel generators, validated so that dropping them
+    is the quotient map onto G/K, K the subgroup they generate.
+
+    Each name must be a generator, each generator central (read off P.comm:
+    the commutator map is bilinear, so g_i is central iff no stored relation
+    involves i), and each power tail of a kernel generator must stay inside
+    the kernel coordinates; then K is exactly the elements supported there.
+    """
+    involved = {t for j, i, _ in P.comm for t in (j, i)}
     ker = set()
     for name in kernel_names:
         if name not in P.index:
             raise ElementError(f"unknown kernel generator {name!r}")
-        if not is_central_element(P, P.generator(name)):
+        if P.index[name] in involved:
             raise ElementError(f"kernel generator {name!r} is not central")
         ker.add(P.index[name])
+    for i in ker:
+        tail = P.power_tails[i]
+        if tail is not None and any(c and t not in ker for t, c in enumerate(tail)):
+            raise ElementError(f"power tail of kernel generator {P.names[i]!r} leaves the kernel")
+    return frozenset(ker)
+
+
+def is_abelian_quotient(P: Presentation, kernel_names: list[str]) -> bool:
+    """True iff every commutator word lies in the subgroup spanned by the kernel generators."""
+    ker = kernel_indices(P, kernel_names)
     for _, _, word in P.comm:
         if any(c and i not in ker for i, c in enumerate(word)):
             return False
     return True
 
 
-def central_log(P: Presentation, x: Element, eps: str, complement: set[str] | frozenset[str] = frozenset()) -> int:
+def central_log(P: Presentation, x: Element, eps: str,
+                complement: tuple[str, ...] | set[str] | frozenset[str] = ()) -> int:
     """Exponent m with x = eps^m modulo the complement generators.
 
     eps must be a presentation generator; for catalog groups kernels are
@@ -378,16 +389,11 @@ def central_log(P: Presentation, x: Element, eps: str, complement: set[str] | fr
 def quotient_by_central(P: Presentation, kernel_names: list[str]) -> tuple[Presentation, "QuotientMap"]:
     """Presentation of G/<kernel gens> obtained by dropping the kernel coordinates.
 
-    Valid whenever the named generators are central; relation words keep their
-    non-kernel support.
+    Valid when the kernel passes `kernel_indices`: central generators whose
+    power tails stay inside the kernel; relation words keep their non-kernel
+    support.
     """
-    drop = set()
-    for name in kernel_names:
-        if name not in P.index:
-            raise ElementError(f"unknown kernel generator {name!r}")
-        if not is_central_element(P, P.generator(name)):
-            raise ElementError(f"kernel generator {name!r} is not central")
-        drop.add(P.index[name])
+    drop = kernel_indices(P, kernel_names)
     keep = [i for i in range(P.ngens) if i not in drop]
 
     gens = [(P.names[i], P.order_exps[i]) for i in keep]

@@ -12,6 +12,11 @@ alternating by construction, so every formal rewriting rule the normalizer
 uses must be invisible to it: a single disagreement between an expression and
 its normal form is a hard failure of the symbol engine.
 
+For odd p the sign (-1)^{v(x) v(y)} cannot change a value: ell - 1 is even
+and p^n odd, so (ell-1)/p^n is even and the power-residue map sends -1 to 1.
+The sign is kept for the standard formula, but no check here can tell a wrong
+sign convention from the right one.
+
 The root basis symbol is pinned to valuation 0 and a unit of exact order p^N,
 which requires ell = 1 mod p^N.
 
@@ -139,13 +144,6 @@ def eval_normal_form(nf: NormalForm, assignment: LocalAssignment) -> int:
         total += e * eval_symbol({basis.base_name(u): 1}, {basis.base_name(v): 1},
                                  assignment, basis)
     return total % basis.torsion
-
-
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    equal: bool
-    trials: int
-    counterexample: LocalAssignment | None = None
 
 
 @dataclass(frozen=True)

@@ -164,10 +164,8 @@ def split_direct_factor(spec: EmbeddingProblemSpec, factor_index: int,
     n = extension.quotient_structure(spec)
     if n[factor_index] != 1:
         raise ObstructionError("no direct C_p complement at this index: factor level exceeds p")
-    eps = spec.kernel_names[kernel_index]
-    complement = frozenset(k for idx, k in enumerate(spec.kernel_names) if idx != kernel_index)
     t_el = spec.preimages[factor_index]
-    j = groups.central_log(P, groups.pow_element(P, t_el, P.p), eps, complement)
+    j = spec.kernel_log(groups.pow_element(P, t_el, P.p), kernel_index)
     right: dict[str, int] = {}
     if j:
         right["z"] = j
@@ -175,7 +173,7 @@ def split_direct_factor(spec: EmbeddingProblemSpec, factor_index: int,
         if i == factor_index:
             continue
         # t s_i = s_i t [t, s_i]
-        di = groups.central_log(P, groups.commutator(P, t_el, si), eps, complement)
+        di = spec.kernel_log(groups.commutator(P, t_el, si), kernel_index)
         if di:
             right[f"a{i + 1}"] = right.get(f"a{i + 1}", 0) + di
     expr = symbol({f"a{factor_index + 1}": 1}, right, 1) if right else one()
@@ -194,10 +192,12 @@ def split_direct_product(spec: EmbeddingProblemSpec, left: tuple[int, ...],
         raise ObstructionError("both bipartition parts must be nonempty")
     if not (set(left) | set(right)) <= set(range(len(spec.preimage_names))):
         raise ObstructionError("bipartition indices out of range")
+    P = spec.presentation
+    s = spec.preimages
     expr = one()
     for i in left:
         for j in right:
-            dij = extension.commutator_log(spec, kernel_index, j, i)
+            dij = spec.kernel_log(groups.commutator(P, s[j], s[i]), kernel_index)
             if dij:
                 expr = expr * symbol({f"a{j + 1}": 1}, {f"a{i + 1}": 1}, 1, exponent=dij)
     return (
@@ -212,11 +212,8 @@ def _cyclic_residual_expression(spec: EmbeddingProblemSpec, index: int,
     """A single cyclic factor contributes (a_i, zeta_{p^{n_i}}^{m_i}; zeta)."""
     P = spec.presentation
     n = extension.quotient_structure(spec)
-    eps = spec.kernel_names[kernel_index]
-    complement = frozenset(k for idx, k in enumerate(spec.kernel_names) if idx != kernel_index)
-    mi = groups.central_log(
-        P, groups.pow_element(P, spec.preimages[index], P.p ** n[index]), eps, complement
-    )
+    mi = spec.kernel_log(groups.pow_element(P, spec.preimages[index], P.p ** n[index]),
+                         kernel_index)
     if not mi:
         return one()
     return symbol({f"a{index + 1}": 1}, {root_label(n[index]): mi}, 1)

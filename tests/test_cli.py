@@ -1,6 +1,8 @@
 """CLI behaviour: output shapes, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +143,22 @@ class TestMisc:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "selfcheck", "--p", "3", "--bound", "100")
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("obstruct", "Phi2(41)", "--p", "5", "--format", "csv"),
+        ("list", "--p", "3", "--trials", "5"),
+    ])
+    def test_option_the_subcommand_does_not_read_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 1
+
+
+def test_readme_command_lines_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("galemb ")]
+    assert len(commands) >= 8
+    for argv in commands:
+        assert run(capsys, *argv[1:])[0] == 0, argv

@@ -1,13 +1,16 @@
 """Quotient structure, parameter extraction, kernel discovery, and root levels."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galemb import extension, groups
 from galemb.catalog import enumerate_instances, instantiate
 from galemb.extension import EmbeddingProblemSpec, ExtensionError
-from galemb.groups import PrimeContext, make_presentation
+from galemb.groups import ElementError, PrimeContext, make_presentation
 from galemb.obstructions import spec_for_instance
 
 
@@ -70,6 +73,164 @@ class TestQuotientStructure:
             extension.quotient_structure(spec)
 
 
+def c9_presentation():
+    """G = C_9 = <a> with b = a^3.  Kernel a (order 9) is central, but its
+    power tail lands on b: dropping coordinate a leaves a group of order 3
+    where G/<a> is trivial."""
+    return make_presentation(PrimeContext.for_prime(3), [("a", 1), ("b", 1)], {"a": {"b": 1}})
+
+
+def phi2_41():
+    return instantiate("Phi2(41)", 3).presentation
+
+
+# (presentation, kernel, kernel level, pre-images, error); the groups helpers
+# reject every case but the wrong order, which only the spec knows about
+BAD_KERNELS = {
+    "unknown": (phi2_41, ("gamma",), 1, ("alpha1", "alpha"), "unknown kernel generator"),
+    "non-central": (phi2_41, ("alpha",), 1, ("alpha1",), "not central"),
+    "wrong-order": (phi2_41, ("alpha2",), 2, ("alpha1", "alpha"), "does not have order p\\^2"),
+    "tail-leaves-kernel": (c9_presentation, ("a",), 2, ("b",), "leaves the kernel"),
+}
+
+
+class TestKernelValidation:
+    @pytest.mark.parametrize("case", BAD_KERNELS)
+    def test_spec_rejects(self, case):
+        make, kernel, level, pre, message = BAD_KERNELS[case]
+        with pytest.raises(ExtensionError, match=message):
+            EmbeddingProblemSpec(presentation=make(), kernel_names=kernel, kernel_level=level,
+                                 preimage_names=pre, root_level=1)
+
+    @pytest.mark.parametrize("case", sorted(set(BAD_KERNELS) - {"wrong-order"}))
+    @pytest.mark.parametrize("helper", [groups.quotient_by_central, groups.is_abelian_quotient])
+    def test_groups_helpers_reject(self, case, helper):
+        make, kernel, _, _, message = BAD_KERNELS[case]
+        with pytest.raises(ElementError, match=message):
+            helper(make(), list(kernel))
+
+
+def _reference_kernel_ok(P, kernel_names) -> bool:
+    """Kernel validity without `groups.kernel_indices`: every generator
+    central by collection, and the subgroup they generate is exactly the
+    elements supported on their coordinates."""
+    gens = [P.generator(k) for k in kernel_names]
+    if not all(groups.is_central_element(P, g) for g in gens):
+        return False
+    ker = {P.index[k] for k in kernel_names}
+    closure = groups.subgroup_closure(P, gens)
+    return (all(c == 0 or i in ker for x in closure for i, c in enumerate(x))
+            and len(closure) == math.prod(P.orders[i] for i in ker))
+
+
+def _reference_quotient_structure(P, kernel_names, preimage_names):
+    """The levels n_i, or None when the pre-images do not decompose G/K,
+    computed on the explicit quotient Q = G/K: powering in Q and the F_p rank
+    of Q's relation rows plus the images."""
+    if not _reference_kernel_ok(P, kernel_names):
+        return None
+    Q, proj = groups.quotient_by_central(P, list(kernel_names))
+    if Q.comm:
+        return None  # non-abelian quotient
+    images = [proj(P.generator(name)) for name in preimage_names]
+    n = []
+    for y in images:
+        e = 0
+        while y != Q.identity:
+            y = groups.pow_element(Q, y, Q.p)
+            e += 1
+        n.append(e)
+    if math.prod(Q.p**e for e in n) != groups.group_order(Q):
+        return None
+    if extension._fp_rank(extension._frattini_relations(Q) + images, Q.p) != Q.ngens:
+        return None
+    return tuple(n)
+
+
+def _read_off(P, kernel_names, preimage_names):
+    """quotient_structure on P, or None when the spec or the read-off rejects
+    the problem.  The kernel level is taken from the first kernel generator's
+    order, so only a non-central or tail-leaving kernel fails the spec."""
+    order = groups.element_order(P, P.generator(kernel_names[0]))
+    try:
+        spec = EmbeddingProblemSpec(presentation=P, kernel_names=tuple(kernel_names),
+                                    kernel_level=round(math.log(order, P.p)),
+                                    preimage_names=tuple(preimage_names), root_level=1)
+        return extension.quotient_structure(spec)
+    except ExtensionError:
+        return None
+
+
+@st.composite
+def class2_presentations(draw):
+    """Consistent class-2 presentations at p = 3 or 5: relative orders p or
+    p^2, and a central subset of generators, with trivial relations of their
+    own, receiving every power tail and commutator word of the others.
+    [g_j, g_i]^(p^e_i) = [g_j, tail_i] = 1, so each commutator word's
+    coefficients are scaled to order dividing p^min(e_i, e_j)."""
+    p = draw(st.sampled_from([3, 5]))
+    exps = draw(st.lists(st.integers(1, 2), min_size=2, max_size=5))
+    k = len(exps)
+    names = [f"g{i}" for i in range(k)]
+    central = sorted(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 1)))
+    top = [i for i in range(k) if i not in central]
+
+    def word(level):
+        out = {}
+        for t in central:
+            c = draw(st.integers(0, p**exps[t] - 1)) * p**max(0, exps[t] - level)
+            if c % p**exps[t]:
+                out[names[t]] = c
+        return out
+
+    tails = {names[i]: word(2) for i in top if draw(st.booleans())}  # unconstrained
+    comms = {(names[j], names[i]): word(min(exps[i], exps[j]))
+             for i in top for j in top if j > i and draw(st.booleans())}
+    return make_presentation(PrimeContext.for_prime(p), list(zip(names, exps)), tails, comms)
+
+
+@st.composite
+def kernel_problems(draw):
+    """A presentation with one or two kernel generators (central or not) and
+    pre-images drawn from the other generators: a permutation of them (often
+    a decomposition) or any list (often dependent)."""
+    P = draw(class2_presentations())
+    kernel = draw(st.lists(st.sampled_from(P.names), min_size=1,
+                           max_size=min(2, P.ngens - 1), unique=True))
+    if len(kernel) == 2 and any(groups.element_order(P, P.generator(k)) != P.p for k in kernel):
+        kernel = kernel[:1]  # pullback kernels have order p
+    rest = [name for name in P.names if name not in kernel]
+    pre = draw(st.one_of(st.permutations(rest),
+                         st.lists(st.sampled_from(rest), min_size=1, max_size=len(rest) + 1)))
+    return P, kernel, pre
+
+
+class TestKernelReadOff:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_catalog_matches_explicit_quotient(self, p):
+        for inst in enumerate_instances(p):
+            want = _reference_quotient_structure(inst.presentation, inst.kernels, inst.preimages)
+            assert want is not None, inst.label
+            assert extension.quotient_structure(spec_for_instance(inst)) == want, inst.label
+
+    @settings(max_examples=150, deadline=None)
+    @given(P=class2_presentations())
+    def test_structural_centrality_equals_collection(self, P):
+        for name in P.names:
+            try:
+                groups.kernel_indices(P, [name])
+                structural = True
+            except ElementError as exc:
+                structural = "not central" not in str(exc)
+            assert structural == groups.is_central_element(P, P.generator(name)), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=kernel_problems())
+    def test_read_off_matches_explicit_quotient(self, problem):
+        P, kernel, pre = problem
+        assert _read_off(P, kernel, pre) == _reference_quotient_structure(P, kernel, pre)
+
+
 class TestExtractParams:
     def test_phi2_41_worked_values(self):
         params = extension.embedding_data(make_spec("Phi2(41)", 3)).params[0]
@@ -115,27 +276,24 @@ class TestExtractParams:
                     perturbed.append(x)
                 n = extension.quotient_structure(spec)
                 for k in range(len(spec.kernel_names)):
-                    eps = spec.kernel_names[k]
-                    comp = frozenset(c for c in spec.kernel_names if c != eps)
-                    m = tuple(
-                        groups.central_log(P, groups.pow_element(P, s, 3**ni), eps, comp)
-                        for s, ni in zip(perturbed, n)
-                    )
+                    m = tuple(spec.kernel_log(groups.pow_element(P, s, 3**ni), k)
+                              for s, ni in zip(perturbed, n))
                     assert m == base[k].m, label
                     for i in range(len(n)):
                         for j in range(i + 1, len(n)):
-                            dij = groups.central_log(
-                                P, groups.commutator(P, perturbed[j], perturbed[i]), eps, comp)
+                            dij = spec.kernel_log(
+                                groups.commutator(P, perturbed[j], perturbed[i]), k)
                             assert dij == base[k].d[i][j], label
 
     def test_d_is_alternating(self):
         spec = make_spec("Phi15(2211)a", 5)
+        P, s = spec.presentation, spec.preimages
         for k in range(2):
             t = len(spec.preimage_names)
             for i in range(t):
                 for j in range(i + 1, t):
-                    dij = extension.commutator_log(spec, k, j, i)
-                    dji = extension.commutator_log(spec, k, i, j)
+                    dij = spec.kernel_log(groups.commutator(P, s[j], s[i]), k)
+                    dji = spec.kernel_log(groups.commutator(P, s[i], s[j]), k)
                     assert (dij + dji) % 5 == 0
 
     def test_pullback_projections_recombine(self):

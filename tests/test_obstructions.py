@@ -2,7 +2,7 @@
 
 import pytest
 
-from galemb import extension, obstructions as ob
+from galemb import catalog, extension, groups, obstructions as ob
 from galemb.catalog import enumerate_instances, instantiate
 from galemb.extension import EmbeddingProblemSpec, ExtensionError
 from galemb.groups import PrimeContext, make_presentation
@@ -264,6 +264,21 @@ class TestTables:
                 rows += 1
                 kernels += len(row.instance.kernels)
         assert calls == {"quotient_structure": rows, "extract_params": kernels}
+
+    def test_quotient_read_off_presentation(self, monkeypatch):
+        # G/K is read off each row's own presentation: no centrality check by
+        # collection and no second presentation per row
+        calls = {"is_central_element": 0, "make_presentation": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(groups, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            for module in (groups, catalog):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
+        assert rows == 118
+        assert calls == {"is_central_element": 0, "make_presentation": rows}
 
 
 class TestErrors:
