@@ -453,9 +453,6 @@ class GroupInstance:
     def preimages(self) -> tuple[str, ...]:
         return self.template.preimages
 
-    def gold_row(self, gold_path: str | None = None) -> "TableRow":
-        return gold_row(self, gold_path)
-
 
 def instantiate(label_or_template, p: int, params: tuple[int, ...] | None = None) -> GroupInstance:
     """Build the presentation of one concrete group instance at an odd prime p."""
@@ -516,7 +513,6 @@ def lookup(label: str, p: int) -> GroupInstance:
 
 @dataclass(frozen=True)
 class TableRow:
-    group: GroupId
     independents: int
     root_level: int
     obstructions: tuple[BrauerExpression, ...]
@@ -559,13 +555,6 @@ def _split_conditions(text: str) -> list[str]:
     return [c for c in out if c]
 
 
-def gold_root_level(label: str, gold_path: str | None = None) -> int:
-    rows = _load_gold(gold_path)
-    if label not in rows:
-        raise CatalogError(f"no gold row for {label!r}")
-    return rows[label][1]
-
-
 def gold_row(inst: GroupInstance, gold_path: str | None = None) -> TableRow:
     rows = _load_gold(gold_path)
     label = inst.template.label
@@ -576,7 +565,6 @@ def gold_row(inst: GroupInstance, gold_path: str | None = None) -> TableRow:
         raise CatalogError(f"gold row order mismatch for {label!r}")
     parsed = tuple(parse(e, env=inst.env) for e in exprs)
     return TableRow(
-        group=inst.id,
         independents=len(inst.preimages),
         root_level=root_level,
         obstructions=parsed,

@@ -6,7 +6,7 @@ as a direct product of cyclic factors, this module computes the cyclic factor
 levels n_i and, per kernel, the residues m_i (kernel component of
 s_i^{p^{n_i}}) and the strictly upper-triangular d with
 
-    d_ij = central_log([s_j, s_i], kernel)   for i < j,
+    d_ij = kernel_log([s_j, s_i], kernel)   for i < j,
 
 projected modulo the other kernel in the two-kernel (pullback) case.  That
 sign convention is the one under which the obstruction product
@@ -20,7 +20,7 @@ record that the obstruction formulas read.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import groups
 from .groups import Element, Presentation
@@ -40,6 +40,9 @@ class EmbeddingProblemSpec:
     kernel_level: int
     preimage_names: tuple[str, ...]
     root_level: int
+    # coordinate of each kernel generator, in kernel order, validated by
+    # groups.kernel_indices: dropping them is the quotient map
+    kernel_coords: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = self.presentation
@@ -48,9 +51,12 @@ class EmbeddingProblemSpec:
         if len(self.kernel_names) == 2 and self.kernel_level != 1:
             raise ExtensionError("two-kernel problems require kernel level 1")
         try:
-            groups.kernel_indices(P, self.kernel_names)
+            coords = groups.kernel_indices(P, self.kernel_names)
         except groups.ElementError as exc:
             raise ExtensionError(str(exc)) from exc
+        if len(coords) != len(self.kernel_names):
+            raise ExtensionError(f"kernel generator {self.kernel_names[0]!r} given twice")
+        object.__setattr__(self, "kernel_coords", tuple(P.index[n] for n in self.kernel_names))
         for name in self.kernel_names:
             if groups.element_order(P, P.generator(name)) != P.p**self.kernel_level:
                 raise ExtensionError(
@@ -68,11 +74,12 @@ class EmbeddingProblemSpec:
         return tuple(f"a{i}" for i in range(1, len(self.preimage_names) + 1))
 
     def kernel_log(self, x: Element, kernel_index: int) -> int:
-        """Exponent of kernel generator kernel_index in the central element x,
-        modulo the other kernel generator (the pullback projection)."""
-        names = self.kernel_names
-        return groups.central_log(self.presentation, x, names[kernel_index],
-                                  names[:kernel_index] + names[kernel_index + 1:])
+        """Exponent of kernel generator kernel_index in x, an element of the
+        kernel product, modulo the other kernel generator (the pullback
+        projection): a coordinate read-off after a support check."""
+        if any(c and i not in self.kernel_coords for i, c in enumerate(x)):
+            raise ExtensionError(f"element {x} lies outside the kernel {self.kernel_names}")
+        return x[self.kernel_coords[kernel_index]]
 
 
 @dataclass(frozen=True)
@@ -121,12 +128,12 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
     be independent direct-factor generators of the whole quotient.
 
     Q is read off P without being built: dropping the kernel coordinates is
-    the quotient map (`groups.kernel_indices`), so an image is trivial iff its
+    the quotient map (`spec.kernel_coords`), so an image is trivial iff its
     support lies in the kernel and |Q| = p^(sum of the other e_i)."""
     P = spec.presentation
-    if not groups.is_abelian_quotient(P, list(spec.kernel_names)):
+    ker = spec.kernel_coords
+    if any(c and i not in ker for _, _, word in P.comm for i, c in enumerate(word)):
         raise ExtensionError("quotient by the kernel product is not abelian")
-    ker = groups.kernel_indices(P, spec.kernel_names)
     order_exp = sum(e for i, e in enumerate(P.order_exps) if i not in ker)
 
     def level(x: Element) -> int:
@@ -208,11 +215,12 @@ def minimal_root_level(spec: EmbeddingProblemSpec) -> int:
 
 
 def frattini_contains_kernel(P: Presentation, kernel_names: tuple[str, ...] | list[str]) -> bool:
-    """True iff each kernel generator lies in Phi(G) = G^p [G,G], i.e. its unit
-    vector lies in the F_p span of the relation rows of _frattini_relations."""
+    """True iff each kernel generator lies in Phi(G) = G^p [G,G], i.e. the
+    kernel unit vectors lie in the F_p span of the relation rows of
+    _frattini_relations: adding them all leaves the rank unchanged."""
     relations = _frattini_relations(P)
-    base = _fp_rank(relations, P.p)
-    return all(_fp_rank(relations + [P.generator(nm)], P.p) == base for nm in kernel_names)
+    units = [P.generator(name) for name in kernel_names]
+    return _fp_rank(relations + units, P.p) == _fp_rank(relations, P.p)
 
 
 @dataclass(frozen=True)
@@ -222,48 +230,44 @@ class KernelCandidates:
     cyclic_p2: tuple[Element, ...]        # central x of order p^2 with homocyclic quotient
 
 
-def find_central_kernels(P: Presentation, bound: int = 10**5) -> KernelCandidates:
-    """Scan for admissible kernels: central subgroups of order p (and disjoint
-    pairs, and central cyclic p^2 subgroups) whose quotient is abelian."""
+def _cyclic_subgroups(P: Presentation, elements: list[Element]) -> list[tuple[Element, frozenset]]:
+    """Each distinct cyclic subgroup <x>, x in elements, once: (first such x,
+    <x>).  Elements of one order only, so x inside an earlier <y> generates
+    it and is not closed again."""
+    out = []
+    covered: set[Element] = set()
+    for x in elements:
+        if x not in covered:
+            sub = frozenset(groups.subgroup_closure(P, [x]))
+            covered |= sub
+            out.append((x, sub))
+    return out
+
+
+def find_central_kernels(P: Presentation) -> KernelCandidates:
+    """Scan for admissible kernels: central subgroups of order p (and
+    products of two of them, and central cyclic p^2 subgroups) whose quotient
+    is abelian, each subgroup listed once."""
     derived = groups.derived_subgroup(P)
-    centre = groups.center(P, bound)
-    order_p = [x for x in centre if x != P.identity and groups.element_order(P, x) == P.p]
+    centre = [x for x in groups.center(P, bound=10**5) if x != P.identity]
+    order = {x: groups.element_order(P, x) for x in centre}
+    lines = _cyclic_subgroups(P, [x for x in centre if order[x] == P.p])
+    cyclic = _cyclic_subgroups(P, [x for x in centre if order[x] == P.p**2])
 
-    singles = []
-    seen: set[frozenset] = set()
-    for x in order_p:
-        sub = frozenset(groups.subgroup_closure(P, [x]))
-        if sub in seen:
-            continue
-        seen.add(sub)
-        if derived <= sub:
-            singles.append(x)
+    singles = [x for x, sub in lines if derived <= sub]
 
+    # two distinct central lines span a C_p x C_p; its p + 1 lines give
+    # C(p + 1, 2) pairs, of which only the first is closed and listed
     pairs = []
-    seen_pairs: set[frozenset] = set()
-    for x, y in itertools.combinations(order_p, 2):
-        sx = frozenset(groups.subgroup_closure(P, [x]))
-        sy = frozenset(groups.subgroup_closure(P, [y]))
-        if sx == sy:
+    planes: list[frozenset] = []
+    for (x, _), (y, _) in itertools.combinations(lines, 2):
+        if any(x in plane and y in plane for plane in planes):
             continue
-        key = frozenset((sx, sy))
-        if key in seen_pairs:
-            continue
-        seen_pairs.add(key)
-        prod = frozenset(groups.subgroup_closure(P, [x, y]))
-        if len(prod) == P.p**2 and derived <= prod:
+        plane = frozenset(groups.subgroup_closure(P, [x, y]))
+        planes.append(plane)
+        if derived <= plane:
             pairs.append((x, y))
 
-    cyclic_p2 = []
-    seen2: set[frozenset] = set()
-    for x in centre:
-        if x == P.identity or groups.element_order(P, x) != P.p**2:
-            continue
-        sub = frozenset(groups.subgroup_closure(P, [x]))
-        if sub in seen2:
-            continue
-        seen2.add(sub)
-        if derived <= sub:
-            cyclic_p2.append(x)
+    cyclic_p2 = [x for x, sub in cyclic if derived <= sub]
 
     return KernelCandidates(tuple(singles), tuple(pairs), tuple(cyclic_p2))

@@ -367,25 +367,6 @@ def is_abelian_quotient(P: Presentation, kernel_names: list[str]) -> bool:
     return True
 
 
-def central_log(P: Presentation, x: Element, eps: str,
-                complement: tuple[str, ...] | set[str] | frozenset[str] = ()) -> int:
-    """Exponent m with x = eps^m modulo the complement generators.
-
-    eps must be a presentation generator; for catalog groups kernels are
-    always single generators, so this is a coordinate read-off after a
-    support check.
-    """
-    if eps not in P.index:
-        raise ElementError(f"unknown generator {eps!r}")
-    allowed = {P.index[eps]} | {P.index[c] for c in complement}
-    for i, c in enumerate(x):
-        if c and i not in allowed:
-            raise ElementError(
-                f"element {x} lies outside the central subgroup spanned by {eps!r} and {sorted(complement)}"
-            )
-    return x[P.index[eps]]
-
-
 def quotient_by_central(P: Presentation, kernel_names: list[str]) -> tuple[Presentation, "QuotientMap"]:
     """Presentation of G/<kernel gens> obtained by dropping the kernel coordinates.
 

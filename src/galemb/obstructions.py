@@ -52,14 +52,6 @@ class Condition:
 
 
 @dataclass(frozen=True)
-class ResidualProblem:
-    """Unevaluated restricted problem left over by a direct-factor split."""
-
-    spec: EmbeddingProblemSpec
-    indices: tuple[int, ...]  # positions (0-based) of the surviving pre-images
-
-
-@dataclass(frozen=True)
 class ObstructionResult:
     conditions: tuple[Condition, ...]
     data: EmbeddingData
@@ -153,10 +145,10 @@ def obstruction(spec: EmbeddingProblemSpec) -> ObstructionResult:
 
 
 def split_direct_factor(spec: EmbeddingProblemSpec, factor_index: int,
-                        kernel_index: int = 0) -> tuple[ResidualProblem, BrauerExpression]:
+                        kernel_index: int = 0) -> tuple[tuple[int, ...], BrauerExpression]:
     """Split a C_p direct factor (pre-image t = s_{factor_index}) off the quotient.
 
-    Returns the restricted problem on the remaining pre-images plus the symbol
+    Returns the positions (0-based) of the remaining pre-images plus the symbol
     factor (b, zeta^j prod a_i^{d_i}; zeta) with t^p = zeta^j and
     t s_i = zeta^{d_i} s_i t.
     """
@@ -178,14 +170,14 @@ def split_direct_factor(spec: EmbeddingProblemSpec, factor_index: int,
             right[f"a{i + 1}"] = right.get(f"a{i + 1}", 0) + di
     expr = symbol({f"a{factor_index + 1}": 1}, right, 1) if right else one()
     rest = tuple(i for i in range(len(spec.preimages)) if i != factor_index)
-    return ResidualProblem(spec=spec, indices=rest), expr
+    return rest, expr
 
 
 def split_direct_product(spec: EmbeddingProblemSpec, left: tuple[int, ...],
                          right: tuple[int, ...], kernel_index: int = 0,
-                         ) -> tuple[ResidualProblem, ResidualProblem, BrauerExpression]:
+                         ) -> tuple[tuple[int, ...], tuple[int, ...], BrauerExpression]:
     """Cross terms prod (b_j, a_i; zeta)^{d_ij} for a bipartition of quotient
-    factors (possibly of a restricted problem), plus the two residual handles."""
+    factors (possibly of a restricted problem), plus the two parts, sorted."""
     if set(left) & set(right):
         raise ObstructionError("bipartition parts overlap")
     if not set(left) or not set(right):
@@ -200,18 +192,13 @@ def split_direct_product(spec: EmbeddingProblemSpec, left: tuple[int, ...],
             dij = spec.kernel_log(groups.commutator(P, s[j], s[i]), kernel_index)
             if dij:
                 expr = expr * symbol({f"a{j + 1}": 1}, {f"a{i + 1}": 1}, 1, exponent=dij)
-    return (
-        ResidualProblem(spec=spec, indices=tuple(sorted(left))),
-        ResidualProblem(spec=spec, indices=tuple(sorted(right))),
-        expr,
-    )
+    return tuple(sorted(left)), tuple(sorted(right)), expr
 
 
-def _cyclic_residual_expression(spec: EmbeddingProblemSpec, index: int,
+def _cyclic_residual_expression(spec: EmbeddingProblemSpec, n: tuple[int, ...], index: int,
                                 kernel_index: int) -> BrauerExpression:
     """A single cyclic factor contributes (a_i, zeta_{p^{n_i}}^{m_i}; zeta)."""
     P = spec.presentation
-    n = extension.quotient_structure(spec)
     mi = spec.kernel_log(groups.pow_element(P, spec.preimages[index], P.p ** n[index]),
                          kernel_index)
     if not mi:
@@ -221,20 +208,21 @@ def _cyclic_residual_expression(spec: EmbeddingProblemSpec, index: int,
 
 def recursive_split_expression(spec: EmbeddingProblemSpec, kernel_index: int = 0,
                                indices: tuple[int, ...] | None = None) -> BrauerExpression:
-    """Full recursive split of the quotient into cyclic factors: cross terms at
-    each bipartition plus the evaluated cyclic residuals.  Normalizes equal to
-    the kernel condition of the direct formula."""
+    """Full recursive split of the quotient into cyclic factors: at each step
+    the head's cyclic residual and its cross terms with the rest, then the
+    split of the rest.  Normalizes equal to the kernel condition of the direct
+    formula."""
+    n = extension.quotient_structure(spec)
     if indices is None:
-        indices = tuple(range(len(spec.preimage_names)))
-    if len(indices) == 1:
-        return _cyclic_residual_expression(spec, indices[0], kernel_index)
-    head, rest = indices[0], indices[1:]
-    _, _, cross = split_direct_product(spec, (head,), rest, kernel_index)
-    return (
-        _cyclic_residual_expression(spec, head, kernel_index)
-        * cross
-        * recursive_split_expression(spec, kernel_index, rest)
-    )
+        indices = tuple(range(len(n)))
+    expr = one()
+    for pos, head in enumerate(indices):
+        expr = expr * _cyclic_residual_expression(spec, n, head, kernel_index)
+        rest = indices[pos + 1:]
+        if rest:
+            _, _, cross = split_direct_product(spec, (head,), rest, kernel_index)
+            expr = expr * cross
+    return expr
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import mod_inverse
+from .arith import ModularArithmeticError, mod_inverse
 
 Monomial = dict[str, int | Fraction]
 
@@ -177,7 +177,12 @@ class NormalForm:
 
 def bind_exponent(exp: int | Fraction, torsion: int) -> int:
     if isinstance(exp, Fraction):
-        return exp.numerator * mod_inverse(exp.denominator, torsion) % torsion
+        try:
+            return exp.numerator * mod_inverse(exp.denominator, torsion) % torsion
+        except ModularArithmeticError as exc:
+            raise ExpressionError(
+                f"exponent {exp} has no value mod {torsion}: its denominator is not invertible"
+            ) from exc
     return exp % torsion
 
 
@@ -219,6 +224,8 @@ def _parse_exponent(text: str, pos: int, env: dict[str, int] | None) -> tuple[in
         tok = m.group(0)
         if "/" in tok:
             num, den = tok.split("/")
+            if int(den) == 0:
+                raise ExpressionError("zero denominator in exponent", pos)
             return Fraction(int(num), int(den)), m.end()
         return int(tok), m.end()
     m = _NAME_EXP_RE.match(text, pos)

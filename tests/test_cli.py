@@ -126,6 +126,16 @@ class TestMisc:
         assert code == 0
         assert "ell in [30909031, " in out and "agree (20 trials)" in out
 
+    @pytest.mark.parametrize("expression,message", [
+        ("(a1, a2; z)^1/3", "exponent 1/3 has no value mod 3"),
+        ("(a1^1/3, a2; z)", "exponent 1/3 has no value mod 3"),
+        ("(a1, a2; z)^1/0", "zero denominator in exponent (at position 12)"),
+    ])
+    def test_bad_fractional_exponent_is_data_error(self, capsys, expression, message):
+        code, _, err = run(capsys, "eval", expression, "--p", "3", "--trials", "5")
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "obstruct")  # missing group argument

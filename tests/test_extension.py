@@ -84,9 +84,17 @@ def phi2_41():
     return instantiate("Phi2(41)", 3).presentation
 
 
+def xyk_presentation():
+    """<x, y, k | [y, x] = k> at p = 3."""
+    return make_presentation(PrimeContext.for_prime(3), [("x", 1), ("y", 1), ("k", 1)],
+                             comms={("y", "x"): {"k": 1}})
+
+
 # (presentation, kernel, kernel level, pre-images, error); the groups helpers
-# reject every case but the wrong order, which only the spec knows about
+# reject every case but the wrong order and the repeated name, which only the
+# spec knows about
 BAD_KERNELS = {
+    "repeated": (xyk_presentation, ("k", "k"), 1, ("x", "y"), "'k' given twice"),
     "unknown": (phi2_41, ("gamma",), 1, ("alpha1", "alpha"), "unknown kernel generator"),
     "non-central": (phi2_41, ("alpha",), 1, ("alpha1",), "not central"),
     "wrong-order": (phi2_41, ("alpha2",), 2, ("alpha1", "alpha"), "does not have order p\\^2"),
@@ -102,7 +110,7 @@ class TestKernelValidation:
             EmbeddingProblemSpec(presentation=make(), kernel_names=kernel, kernel_level=level,
                                  preimage_names=pre, root_level=1)
 
-    @pytest.mark.parametrize("case", sorted(set(BAD_KERNELS) - {"wrong-order"}))
+    @pytest.mark.parametrize("case", sorted(set(BAD_KERNELS) - {"wrong-order", "repeated"}))
     @pytest.mark.parametrize("helper", [groups.quotient_by_central, groups.is_abelian_quotient])
     def test_groups_helpers_reject(self, case, helper):
         make, kernel, _, _, message = BAD_KERNELS[case]
@@ -297,8 +305,9 @@ class TestExtractParams:
                     assert (dij + dji) % 5 == 0
 
     def test_pullback_projections_recombine(self):
-        inst = instantiate("Phi4(221)a", 3)
-        P = inst.presentation
+        spec = make_spec("Phi4(221)a", 3)
+        k1, k2 = spec.kernel_names.index("beta1"), spec.kernel_names.index("beta2")
+        P = spec.presentation
         rng = random.Random(2)
         for _ in range(50):
             c1, c2 = rng.randrange(3), rng.randrange(3)
@@ -307,8 +316,8 @@ class TestExtractParams:
                 groups.pow_element(P, P.generator("beta1"), c1),
                 groups.pow_element(P, P.generator("beta2"), c2),
             )
-            assert groups.central_log(P, x, "beta1", {"beta2"}) == c1
-            assert groups.central_log(P, x, "beta2", {"beta1"}) == c2
+            assert spec.kernel_log(x, k1) == c1
+            assert spec.kernel_log(x, k2) == c2
 
 
 class TestMinimalRootLevel:
@@ -421,6 +430,19 @@ class TestFindCentralKernels:
                     for x, y in cands.pairs
                 }
                 assert frozenset(want) in got
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_each_subgroup_listed_once(self, p):
+        # C_p x C_p has p + 1 lines, so C(p + 1, 2) pairs of lines span it
+        for inst in enumerate_instances(p, order_exp=5):
+            P = inst.presentation
+            cands = extension.find_central_kernels(P)
+            for kind in (cands.singles, cands.cyclic_p2):
+                subs = [frozenset(groups.subgroup_closure(P, [x])) for x in kind]
+                assert len(set(subs)) == len(subs), inst.label
+            planes = [frozenset(groups.subgroup_closure(P, list(pair))) for pair in cands.pairs]
+            assert all(len(plane) == p**2 for plane in planes), inst.label
+            assert len(set(planes)) == len(planes), inst.label
 
     def test_phi14_cyclic_p2_kernel_found(self):
         inst = instantiate("Phi14(222)", 3)

@@ -8,6 +8,7 @@ import pytest
 
 from galemb import groups
 from galemb.catalog import enumerate_instances, instantiate
+from galemb.extension import ExtensionError
 from galemb.groups import (
     ElementError,
     EnumerationBoundError,
@@ -15,6 +16,7 @@ from galemb.groups import (
     PrimeContext,
     make_presentation,
 )
+from galemb.obstructions import spec_for_instance
 
 
 def fold_mul(P, x, times):
@@ -228,24 +230,28 @@ class TestStructure:
 
 
 class TestCentralLog:
+    """The log of a central element, read by `EmbeddingProblemSpec.kernel_log`."""
+
     def test_identity(self, phi2_41_p3):
-        P = phi2_41_p3.presentation
-        assert groups.central_log(P, P.identity, "alpha2") == 0
+        spec = spec_for_instance(phi2_41_p3)
+        assert spec.kernel_names == ("alpha2",)
+        assert spec.kernel_log(phi2_41_p3.presentation.identity, 0) == 0
 
     def test_power_tail(self, phi2_41_p3):
         P = phi2_41_p3.presentation
         x = groups.pow_element(P, P.generator("alpha"), 27)
-        assert groups.central_log(P, x, "alpha2") == 1
+        assert spec_for_instance(phi2_41_p3).kernel_log(x, 0) == 1
 
     def test_projection_modulo_complement(self, phi4_221a_p3):
         P = phi4_221a_p3.presentation
+        spec = spec_for_instance(phi4_221a_p3)
         c = groups.commutator(P, P.generator("alpha"), P.generator("alpha1"))
-        assert groups.central_log(P, c, "beta1", {"beta2"}) == 2
+        assert spec.kernel_log(c, spec.kernel_names.index("beta1")) == 2
 
     def test_rejects_support_outside_subgroup(self, phi4_221a_p3):
         P = phi4_221a_p3.presentation
-        with pytest.raises(ElementError):
-            groups.central_log(P, P.generator("alpha"), "beta1", {"beta2"})
+        with pytest.raises(ExtensionError, match="outside the kernel"):
+            spec_for_instance(phi4_221a_p3).kernel_log(P.generator("alpha"), 0)
 
 
 class TestEnumerate:

@@ -151,10 +151,10 @@ class TestSplitting:
         spec = spec_for_instance(instantiate("Phi2(41)", 3), 3)
         residual, expr = ob.split_direct_factor(spec, 0)
         basis = ob.basis_for(spec)
-        assert residual.indices == (1,)
+        assert residual == (1,)
         assert normalize(expr, basis) == normalize(parse("(a1, a2; z)"), basis)
         # residual cyclic factor evaluates to the root term
-        tail = ob.recursive_split_expression(spec, 0, residual.indices)
+        tail = ob.recursive_split_expression(spec, 0, residual)
         assert normalize(tail, basis) == normalize(parse("(a2, z3; z)"), basis)
 
     def test_split_central_trivial_power(self):
@@ -184,8 +184,8 @@ class TestSplitting:
         basis = ob.basis_for(spec)
         left, right, cross = ob.split_direct_product(spec, (0, 1), (2, 3))
         assert normalize(cross, basis).is_zero()
-        res_left = ob.recursive_split_expression(spec, 0, left.indices)
-        res_right = ob.recursive_split_expression(spec, 0, right.indices)
+        res_left = ob.recursive_split_expression(spec, 0, left)
+        res_right = ob.recursive_split_expression(spec, 0, right)
         assert normalize(res_left, basis) == normalize(parse("(a1, z*a2; z)"), basis)
         assert normalize(res_right, basis) == normalize(parse("(a3, a4; z)"), basis)
 
@@ -206,6 +206,16 @@ class TestSplitting:
             direct = ob.kernel_condition(spec, extension.embedding_data(spec).params[0])
             split = normalize(ob.recursive_split_expression(spec), basis)
             assert split == direct.normal, inst.label
+
+    def test_one_quotient_structure_per_recursive_split(self, monkeypatch):
+        calls = []
+        original = extension.quotient_structure
+        monkeypatch.setattr(extension, "quotient_structure",
+                            lambda spec: calls.append(spec) or original(spec))
+        spec = spec_for_instance(instantiate("Phi5(1^5)", 3))
+        assert len(spec.preimage_names) == 4
+        ob.recursive_split_expression(spec)
+        assert calls == [spec]
 
 
 class TestTables:
@@ -279,6 +289,19 @@ class TestTables:
         rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
         assert rows == 118
         assert calls == {"is_central_element": 0, "make_presentation": rows}
+
+    def test_kernel_validated_once_per_row(self, monkeypatch):
+        # the spec validates its kernel once; quotient_structure and every
+        # kernel log read the coordinates it keeps
+        calls = {"kernel_indices": 0, "is_abelian_quotient": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(groups, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(groups, name, counted)
+        rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
+        assert rows == 118
+        assert calls == {"kernel_indices": rows, "is_abelian_quotient": 0}
 
 
 class TestErrors:
