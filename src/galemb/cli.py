@@ -42,11 +42,21 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 _OPTIONS = {
     "--order": dict(choices=["5", "6", "both"], default="both"),
     "--seed": dict(type=int, default=0),
-    "--trials": dict(type=int, default=200),
-    "--triples": dict(type=int, default=100_000),
+    "--trials": dict(type=_positive_int, default=200),
+    "--triples": dict(type=_positive_int, default=100_000),
     "--root-level": dict(type=int, default=None),
     "--gold": dict(default=None, help="override path of the reference table file"),
 }
@@ -195,9 +205,7 @@ def cmd_check_tables(args) -> int:
         nrows = 0
         for diff in obstructions.all_tables(p, args.gold):
             nrows += len(diff.rows)
-            for r in diff.rows:
-                if r.match and r.minimal_root_level == r.gold_root_level:
-                    continue
+            for r in diff.mismatches:
                 kind = []
                 if not r.match:
                     kind.append("conditions differ")
@@ -282,11 +290,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for p in args.p or []:
-        if p == 2:
-            print("error: p must be an odd prime", file=sys.stderr)
-            return USAGE_ERROR
     try:
+        for p in args.p or []:
+            if p == 2:
+                print("error: p must be an odd prime", file=sys.stderr)
+                return USAGE_ERROR
+            groups.PrimeContext.for_prime(p)  # a data error unless p is prime
         return _COMMANDS[args.command](args)
     except (CatalogError, PresentationError, EnumerationBoundError, ObstructionError,
             ExpressionError, extension.ExtensionError, local_oracle.OracleError) as exc:

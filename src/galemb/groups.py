@@ -306,7 +306,7 @@ def center(P: Presentation, bound: int = DEFAULT_ENUMERATION_BOUND) -> list[Elem
     return [x for x in enumerate_elements(P, bound) if is_central_element(P, x)]
 
 
-def subgroup_closure(P: Presentation, gens: list[Element], bound: int = DEFAULT_ENUMERATION_BOUND) -> set[Element]:
+def subgroup_closure(P: Presentation, gens: list[Element]) -> set[Element]:
     """Subgroup generated by gens (finite group: closure under right products)."""
     seen = {P.identity}
     frontier = [P.identity]
@@ -316,7 +316,7 @@ def subgroup_closure(P: Presentation, gens: list[Element], bound: int = DEFAULT_
             for g in gens:
                 y = mul(P, x, g)
                 if y not in seen:
-                    if len(seen) >= bound:
+                    if len(seen) >= DEFAULT_ENUMERATION_BOUND:
                         raise EnumerationBoundError("subgroup closure exceeded bound")
                     seen.add(y)
                     nxt.append(y)
@@ -415,6 +415,10 @@ class QuotientMap:
 # 2-vCPU x86-64 host)
 _SWEEP_CHUNK = 8192
 
+# largest group cayley_table builds: its collection call holds (k, n, n) int64
+# arrays, about 26 MB each at n = 3^6, k = 6 (11.7 GB at an order-5^6 group)
+_CAYLEY_TABLE_MAX_ORDER = 3**6
+
 
 def _collect(P: Presentation, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Coordinate-major collection product of two int64 arrays of shape
@@ -472,12 +476,13 @@ def bulk_mul(P: Presentation, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _collect(P, X.T, Y.T).T
 
 
-def cayley_table(P: Presentation, bound: int = 100_000) -> np.ndarray:
+def cayley_table(P: Presentation) -> np.ndarray:
     """(n, n) table of element indices (lexicographic coordinate order, as in
     enumerate_elements): T[a, b] is the index of ab."""
     n = group_order(P)
-    if n > bound:
-        raise EnumerationBoundError(f"group order {n} exceeds table bound {bound}")
+    if n > _CAYLEY_TABLE_MAX_ORDER:
+        raise EnumerationBoundError(
+            f"group order {n} exceeds the Cayley table limit {_CAYLEY_TABLE_MAX_ORDER}")
     E = _decode(P, np.arange(n, dtype=np.int64))
     return np.tensordot(_radix_weights(P), _collect(P, E[:, :, None], E[:, None, :]), axes=1)
 
@@ -507,11 +512,11 @@ def _light_associative(T: np.ndarray, gens: np.ndarray) -> bool:
     return True
 
 
-def associativity_exhaustive(P: Presentation, bound: int = 100_000) -> bool:
+def associativity_exhaustive(P: Presentation) -> bool:
     """Check (xy)z = x(yz) for every triple of the Cayley table, by Light's
     test from the presentation generators (see `_light_associative`)."""
     # generator g_i is the element with index weights[i]
-    return _light_associative(cayley_table(P, bound), _radix_weights(P))
+    return _light_associative(cayley_table(P), _radix_weights(P))
 
 
 def associativity_random(P: Presentation, ntriples: int, seed: int = 0) -> bool:

@@ -12,16 +12,14 @@ under that normalization), plus one cyclic-realizability condition
 (a_i, zeta_{p^N}; zeta) for each quotient factor with n_i = N + 1.  Pullback
 problems (two disjoint order-p kernels) take the union of their two kernel
 projections; homocyclic problems with kernel mu_{p^n}, n >= 2, give the same
-shape of product at torsion p^n.  Splitting off direct factors is an
-alternative assembly route, kept as a cross-check that must normalize to the
-same conditions.
+shape of product at torsion p^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import extension, groups
+from . import extension
 from .catalog import GroupInstance, enumerate_instances, gold_row
 from .extension import EmbeddingData, EmbeddingProblemSpec, ExtensionParams
 from .symbols import (
@@ -38,7 +36,7 @@ from .symbols import (
 
 class ObstructionError(ValueError):
     """Problem shape outside the implemented criteria (root level too small,
-    non-abelian or non-homocyclic quotient, missing direct factor...)."""
+    non-homocyclic quotient, no such table...)."""
 
 
 @dataclass(frozen=True)
@@ -141,91 +139,6 @@ def obstruction(spec: EmbeddingProblemSpec) -> ObstructionResult:
 
 
 # ---------------------------------------------------------------------------
-# direct-factor / direct-product splitting (alternative assembly routes)
-
-
-def split_direct_factor(spec: EmbeddingProblemSpec, factor_index: int,
-                        kernel_index: int = 0) -> tuple[tuple[int, ...], BrauerExpression]:
-    """Split a C_p direct factor (pre-image t = s_{factor_index}) off the quotient.
-
-    Returns the positions (0-based) of the remaining pre-images plus the symbol
-    factor (b, zeta^j prod a_i^{d_i}; zeta) with t^p = zeta^j and
-    t s_i = zeta^{d_i} s_i t.
-    """
-    P = spec.presentation
-    n = extension.quotient_structure(spec)
-    if n[factor_index] != 1:
-        raise ObstructionError("no direct C_p complement at this index: factor level exceeds p")
-    t_el = spec.preimages[factor_index]
-    j = spec.kernel_log(groups.pow_element(P, t_el, P.p), kernel_index)
-    right: dict[str, int] = {}
-    if j:
-        right["z"] = j
-    for i, si in enumerate(spec.preimages):
-        if i == factor_index:
-            continue
-        # t s_i = s_i t [t, s_i]
-        di = spec.kernel_log(groups.commutator(P, t_el, si), kernel_index)
-        if di:
-            right[f"a{i + 1}"] = right.get(f"a{i + 1}", 0) + di
-    expr = symbol({f"a{factor_index + 1}": 1}, right, 1) if right else one()
-    rest = tuple(i for i in range(len(spec.preimages)) if i != factor_index)
-    return rest, expr
-
-
-def split_direct_product(spec: EmbeddingProblemSpec, left: tuple[int, ...],
-                         right: tuple[int, ...], kernel_index: int = 0,
-                         ) -> tuple[tuple[int, ...], tuple[int, ...], BrauerExpression]:
-    """Cross terms prod (b_j, a_i; zeta)^{d_ij} for a bipartition of quotient
-    factors (possibly of a restricted problem), plus the two parts, sorted."""
-    if set(left) & set(right):
-        raise ObstructionError("bipartition parts overlap")
-    if not set(left) or not set(right):
-        raise ObstructionError("both bipartition parts must be nonempty")
-    if not (set(left) | set(right)) <= set(range(len(spec.preimage_names))):
-        raise ObstructionError("bipartition indices out of range")
-    P = spec.presentation
-    s = spec.preimages
-    expr = one()
-    for i in left:
-        for j in right:
-            dij = spec.kernel_log(groups.commutator(P, s[j], s[i]), kernel_index)
-            if dij:
-                expr = expr * symbol({f"a{j + 1}": 1}, {f"a{i + 1}": 1}, 1, exponent=dij)
-    return tuple(sorted(left)), tuple(sorted(right)), expr
-
-
-def _cyclic_residual_expression(spec: EmbeddingProblemSpec, n: tuple[int, ...], index: int,
-                                kernel_index: int) -> BrauerExpression:
-    """A single cyclic factor contributes (a_i, zeta_{p^{n_i}}^{m_i}; zeta)."""
-    P = spec.presentation
-    mi = spec.kernel_log(groups.pow_element(P, spec.preimages[index], P.p ** n[index]),
-                         kernel_index)
-    if not mi:
-        return one()
-    return symbol({f"a{index + 1}": 1}, {root_label(n[index]): mi}, 1)
-
-
-def recursive_split_expression(spec: EmbeddingProblemSpec, kernel_index: int = 0,
-                               indices: tuple[int, ...] | None = None) -> BrauerExpression:
-    """Full recursive split of the quotient into cyclic factors: at each step
-    the head's cyclic residual and its cross terms with the rest, then the
-    split of the rest.  Normalizes equal to the kernel condition of the direct
-    formula."""
-    n = extension.quotient_structure(spec)
-    if indices is None:
-        indices = tuple(range(len(n)))
-    expr = one()
-    for pos, head in enumerate(indices):
-        expr = expr * _cyclic_residual_expression(spec, n, head, kernel_index)
-        rest = indices[pos + 1:]
-        if rest:
-            _, _, cross = split_direct_product(spec, (head,), rest, kernel_index)
-            expr = expr * cross
-    return expr
-
-
-# ---------------------------------------------------------------------------
 # catalog-level drivers
 
 
@@ -296,7 +209,9 @@ class TableDiff:
 
     @property
     def mismatches(self) -> tuple[RowResult, ...]:
-        return tuple(r for r in self.rows if not r.match)
+        """Rows whose conditions or minimal root level differ from the gold row."""
+        return tuple(r for r in self.rows
+                     if not (r.match and r.minimal_root_level == r.gold_root_level))
 
 
 def compare_gold(table_id: int, p: int, gold_path: str | None = None) -> TableDiff:

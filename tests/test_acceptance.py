@@ -12,7 +12,7 @@ import numpy as np
 from galemb import extension, groups, local_oracle as lo, obstructions as ob
 from galemb.catalog import enumerate_instances, instantiate
 from galemb.obstructions import spec_for_instance
-from galemb.symbols import normalize
+from galemb.symbols import NormalForm, SymbolBasis
 
 
 def _report(name, ok, detail=""):
@@ -121,11 +121,38 @@ def _collected_data(spec):
     return tuple(n), out
 
 
+def _expected_normal_forms(spec, n, per_kernel):
+    """The obstruction's normal forms written straight from collected data, at
+    root level N and torsion p, over the basis (z, a1..at): per kernel,
+    entry (z, a_i) = -m_i * p^(N - n_i) and entry (a_i, a_j) = -d_ij; one
+    form with entry (z, a_i) = -1 per n_i = N + 1; mod p, zero forms dropped."""
+    p, N, t = spec.presentation.p, spec.root_level, len(n)
+    basis = SymbolBasis(p=p, labels=spec.labels(), root_level=N, torsion_level=1)
+    matrices = []
+    for m, d in per_kernel:
+        M = [[0] * (t + 1) for _ in range(t + 1)]
+        for i in range(t):
+            if m[i]:
+                assert n[i] <= N, (spec.preimage_names, i)
+                M[0][i + 1] = -m[i] * p ** (N - n[i])
+            for j in range(i + 1, t):
+                M[i + 1][j + 1] = -d[i][j]
+        matrices.append(M)
+    for i in range(t):
+        if n[i] == N + 1:
+            M = [[0] * (t + 1) for _ in range(t + 1)]
+            M[0][i + 1] = -1
+            matrices.append(M)
+    forms = {NormalForm(basis, tuple(tuple(c % p for c in row) for row in M))
+             for M in matrices}
+    return {nf for nf in forms if not nf.is_zero()}
+
+
 def test_criterion_4_formula_cross_validation():
-    """The embedding data (n, m, d) equal their values by collection alone for
-    every order-p-kernel problem, and the recursive split path equals the
-    direct formula, p in {3,5}, zero mismatches."""
-    collected = split_checked = 0
+    """For every order-p-kernel problem at p in {3,5}: the embedding data
+    (n, m, d) equal their values by collection alone, and the obstruction's
+    normal forms equal the ones written directly from those values."""
+    collected = instances = 0
     for p in (3, 5):
         for inst in enumerate_instances(p):
             if inst.kernel_level != 1:
@@ -137,14 +164,12 @@ def test_criterion_4_formula_cross_validation():
             for params, (m, d) in zip(data.params, per_kernel, strict=True):
                 assert (params.m, params.d) == (m, d), (inst.label, params.kernel_index)
                 collected += 1
-            if inst.id.family in (2, 5):
-                basis = ob.basis_for(spec)
-                direct = ob.kernel_condition(spec, data.params[0])
-                split = normalize(ob.recursive_split_expression(spec), basis)
-                assert split == direct.normal, inst.label
-                split_checked += 1
-    _report("4 formula-cross-validation", True,
-            f"{collected} kernel projections by collection, {split_checked} split paths")
+            expected = _expected_normal_forms(spec, n, per_kernel)
+            assert ob.obstruction(spec).normal_forms() == expected, inst.label
+            instances += 1
+    _report("4 formula-cross-validation", (collected, instances) == (378, 213),
+            f"{collected} kernel projections by collection, "
+            f"{instances} instances against normal forms from collected data")
 
 
 def test_criterion_5_oracle_soundness():
@@ -167,7 +192,6 @@ def test_criterion_5_oracle_soundness():
                     conditions += 1
 
     import random
-    from galemb.symbols import SymbolBasis
 
     basis = SymbolBasis(p=3, labels=("a1", "a2", "a3"), root_level=2, torsion_level=1)
     ells = lo.find_suitable_ell(3, 2, 3)

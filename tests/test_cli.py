@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from galemb.cli import main
+from galemb.obstructions import compare_gold
 from galemb.symbols import parse
 
 
@@ -36,15 +37,7 @@ class TestObstruct:
         assert code == 2 and "unknown group" in err
 
     def test_gold_file_sets_the_root_level(self, capsys, tmp_path):
-        gold = tmp_path / "gold.txt"
-        gold.write_text(
-            "\n".join(
-                line if not line.startswith("Phi2(41)")
-                else "Phi2(41) | 5 | 4 | (z3^-1*a1, a2; z)"
-                for line in _default_gold_text().splitlines()
-            ),
-            encoding="utf-8",
-        )
+        gold = _gold_with(tmp_path, "Phi2(41) | 5 | 4 | (z3^-1*a1, a2; z)")
         _, shown, _ = run(capsys, "show", "Phi2(41)", "--p", "5", "--gold", str(gold))
         assert "level p^4" in shown
         code, out, _ = run(capsys, "obstruct", "Phi2(41)", "--p", "5", "--gold", str(gold))
@@ -87,24 +80,33 @@ class TestCheckTables:
         assert code == 0 and "311 rows, OK" in out
 
     def test_mismatch_exit_code(self, capsys, tmp_path):
-        bad = tmp_path / "gold.txt"
-        bad.write_text(
-            "\n".join(
-                line if not line.startswith("Phi2(41)")
-                else "Phi2(41) | 5 | 3 | (a1, a2; z)"
-                for line in _default_gold_text().splitlines()
-            ),
-            encoding="utf-8",
-        )
+        bad = _gold_with(tmp_path, "Phi2(41) | 5 | 3 | (a1, a2; z)")
         code, out, _ = run(capsys, "check-tables", "--p", "3", "--gold", str(bad))
         assert code == 3
         assert "MISMATCH" in out and "Phi2(41)" in out
 
+    def test_root_level_mismatch_counts_in_compare_gold(self, capsys, tmp_path):
+        # equal conditions, but the gold root level is not the minimal one
+        gold = _gold_with(tmp_path, "Phi2(41) | 5 | 4 | (z3^-1*a1, a2; z)")
+        code, out, _ = run(capsys, "check-tables", "--p", "3", "--gold", str(gold))
+        assert code == 3
+        assert "MISMATCH table 1 p=3 Phi2(41): minimal root level 3 != 4\n" in out
+        assert [r.label for r in compare_gold(1, 3, str(gold)).mismatches] == ["Phi2(41)"]
 
-def _default_gold_text():
+
+def _gold_with(tmp_path, row):
+    """The packaged reference file with the row of the same label replaced."""
     from importlib import resources
 
-    return resources.files("galemb").joinpath("data/gold_tables.txt").read_text("utf-8")
+    label = row.split("|", 1)[0].strip()
+    text = resources.files("galemb").joinpath("data/gold_tables.txt").read_text("utf-8")
+    gold = tmp_path / "gold.txt"
+    gold.write_text(
+        "\n".join(row if line.split("|", 1)[0].strip() == label else line
+                  for line in text.splitlines()),
+        encoding="utf-8",
+    )
+    return gold
 
 
 class TestMisc:
@@ -145,6 +147,22 @@ class TestMisc:
         code, _, err = run(capsys, "list", "--p", "2")
         assert code == 1 and "odd prime" in err
 
+    @pytest.mark.parametrize("p", ["9", "15", "1", "0"])
+    def test_non_prime_is_data_error(self, capsys, p):
+        code, _, err = run(capsys, "eval", "(a1, a2; z)", "--p", p)
+        assert code == 2 and err == f"error: {p} is not prime\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "(a1, a2; z)", "--p", "3", "--trials", "0"),
+        ("eval", "(a1, a2; z)", "--p", "3", "--trials", "-5"),
+        ("selfcheck", "--p", "3", "--triples", "0"),
+        ("selfcheck", "--p", "3", "--triples", "-1"),
+    ])
+    def test_count_below_one_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 1
+
     def test_selfcheck_small(self, capsys):
         code, out, _ = run(capsys, "selfcheck", "--p", "3", "--order", "5", "--triples", "2000")
         assert code == 0 and "OK" in out
@@ -164,11 +182,25 @@ class TestMisc:
         assert exc.value.code == 1
 
 
-def test_readme_command_lines_run(capsys):
+def _readme_block(heading, language):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
-    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return readme.split(heading, 1)[1].split(f"```{language}", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_lines_run(capsys):
+    block = _readme_block("## Command line", "sh")
     commands = [shlex.split(line, comments=True) for line in block.splitlines()
                 if line.startswith("galemb ")]
     assert len(commands) >= 8
     for argv in commands:
         assert run(capsys, *argv[1:])[0] == 0, argv
+
+
+def test_readme_library_example_prints_its_comments():
+    # each `print(value)  # text` line of the example: repr(value) == text
+    block = _readme_block("## Library", "python")
+    expected = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    printed = []
+    exec(block, {"print": lambda value: printed.append(repr(value))})
+    assert len(expected) >= 2 and printed == expected

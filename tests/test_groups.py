@@ -343,6 +343,12 @@ class TestBulkOps:
     def test_exhaustive_associativity_small(self, phi2_41_p3):
         assert groups.associativity_exhaustive(phi2_41_p3.presentation)
 
+    def test_cayley_table_limit(self):
+        # |G| = 5^5, k = 3: each (k, |G|, |G|) collection array would take ~234 MB
+        P = instantiate("Phi2(41)", 5).presentation
+        with pytest.raises(EnumerationBoundError):
+            groups.associativity_exhaustive(P)
+
     def test_random_associativity(self):
         P = instantiate("Phi14(321)", 3).presentation
         assert groups.associativity_random(P, 20_000, seed=42)

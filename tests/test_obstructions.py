@@ -3,7 +3,7 @@
 import pytest
 
 from galemb import catalog, extension, groups, obstructions as ob
-from galemb.catalog import enumerate_instances, instantiate
+from galemb.catalog import instantiate
 from galemb.extension import EmbeddingProblemSpec, ExtensionError
 from galemb.groups import PrimeContext, make_presentation
 from galemb.obstructions import ObstructionError, spec_for_instance
@@ -144,78 +144,6 @@ class TestElementaryAbelian:
             preimage_names=("x", "y"), root_level=1,
         )
         assert ob.obstruction(spec).conditions == ()
-
-
-class TestSplitting:
-    def test_split_off_cp_factor_phi2_41(self):
-        spec = spec_for_instance(instantiate("Phi2(41)", 3), 3)
-        residual, expr = ob.split_direct_factor(spec, 0)
-        basis = ob.basis_for(spec)
-        assert residual == (1,)
-        assert normalize(expr, basis) == normalize(parse("(a1, a2; z)"), basis)
-        # residual cyclic factor evaluates to the root term
-        tail = ob.recursive_split_expression(spec, 0, residual)
-        assert normalize(tail, basis) == normalize(parse("(a2, z3; z)"), basis)
-
-    def test_split_central_trivial_power(self):
-        ctx = PrimeContext.for_prime(3)
-        P = make_presentation(ctx, [("x", 1), ("t", 1), ("k", 1)])
-        spec = EmbeddingProblemSpec(
-            presentation=P, kernel_names=("k",), kernel_level=1,
-            preimage_names=("x", "t"), root_level=1,
-        )
-        _, expr = ob.split_direct_factor(spec, 1)
-        assert normalize(expr, ob.basis_for(spec)).is_zero()
-
-    def test_split_off_sigma4_phi5_1five(self):
-        spec = spec_for_instance(instantiate("Phi5(1^5)", 3), 1)
-        _, expr = ob.split_direct_factor(spec, 3)
-        basis = ob.basis_for(spec)
-        # [s4, s3] = beta^-1 fixes the sign: (a4, a3^-1; z)
-        assert normalize(expr, basis) == normalize(parse("(a4, a3^-1; z)"), basis)
-
-    def test_split_requires_order_p_factor(self):
-        spec = spec_for_instance(instantiate("Phi2(41)", 3), 3)
-        with pytest.raises(ObstructionError):
-            ob.split_direct_factor(spec, 1)  # the C_{p^3} factor
-
-    def test_bipartition_cross_terms_phi5_2111(self):
-        spec = spec_for_instance(instantiate("Phi5(2111)", 3), 1)
-        basis = ob.basis_for(spec)
-        left, right, cross = ob.split_direct_product(spec, (0, 1), (2, 3))
-        assert normalize(cross, basis).is_zero()
-        res_left = ob.recursive_split_expression(spec, 0, left)
-        res_right = ob.recursive_split_expression(spec, 0, right)
-        assert normalize(res_left, basis) == normalize(parse("(a1, z*a2; z)"), basis)
-        assert normalize(res_right, basis) == normalize(parse("(a3, a4; z)"), basis)
-
-    def test_bipartition_validation(self):
-        spec = spec_for_instance(instantiate("Phi5(1^5)", 3), 1)
-        with pytest.raises(ObstructionError):
-            ob.split_direct_product(spec, (0, 1), (1, 2))
-        with pytest.raises(ObstructionError):
-            ob.split_direct_product(spec, (), (0, 1, 2, 3))
-
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_recursive_split_equals_direct_formula(self, p):
-        for inst in enumerate_instances(p):
-            if inst.id.family not in (2, 5):
-                continue
-            spec = spec_for_instance(inst)
-            basis = ob.basis_for(spec)
-            direct = ob.kernel_condition(spec, extension.embedding_data(spec).params[0])
-            split = normalize(ob.recursive_split_expression(spec), basis)
-            assert split == direct.normal, inst.label
-
-    def test_one_quotient_structure_per_recursive_split(self, monkeypatch):
-        calls = []
-        original = extension.quotient_structure
-        monkeypatch.setattr(extension, "quotient_structure",
-                            lambda spec: calls.append(spec) or original(spec))
-        spec = spec_for_instance(instantiate("Phi5(1^5)", 3))
-        assert len(spec.preimage_names) == 4
-        ob.recursive_split_expression(spec)
-        assert calls == [spec]
 
 
 class TestTables:
