@@ -534,7 +534,12 @@ def _load_gold(path: str | None) -> dict[str, tuple[int, int, tuple[str, ...]]]:
         if len(parts) != 4:
             raise CatalogError(f"gold table line {lineno}: expected 4 columns")
         label, order_exp, root_level, exprs = parts
-        rows[label] = (int(order_exp), int(root_level), tuple(_split_conditions(exprs)))
+        try:
+            order, root = int(order_exp), int(root_level)
+        except ValueError:
+            raise CatalogError(f"gold table line {lineno}: order {order_exp!r} and root level "
+                               f"{root_level!r} must be integers") from None
+        rows[label] = (order, root, tuple(_split_conditions(exprs)))
     return rows
 
 

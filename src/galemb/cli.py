@@ -19,6 +19,7 @@ from .catalog import CatalogError, enumerate_instances, gold_row, lookup
 from .groups import EnumerationBoundError, PresentationError
 from .obstructions import ObstructionError
 from .symbols import (
+    BasisError,
     ExpressionError,
     SymbolBasis,
     normalize,
@@ -225,9 +226,10 @@ def cmd_check_tables(args) -> int:
 
 def cmd_selfcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
-    failures = 0
+    status = 0
     for p in _primes(args):
         start = time.perf_counter()
+        failures = 0
         for inst in _instances(args, p):
             P = inst.presentation
             checks = []
@@ -250,31 +252,36 @@ def cmd_selfcheck(args) -> int:
                 print(f"FAIL {inst.label} p={p}: {', '.join(bad)}")
         elapsed = time.perf_counter() - start
         print(f"p={p}: selfcheck {'OK' if not failures else 'FAILED'} ({elapsed:.2f}s)")
-    return DATA_ERROR if failures else 0
+        if failures:
+            status = DATA_ERROR
+    return status
 
 
 def cmd_eval(args) -> int:
-    p = _primes(args)[0]
     expr = parse(args.expression)
     labels = sorted({lbl for f in expr.factors for lbl, _ in f.left + f.right
                      if lbl.startswith("a")})
     root = max([root_level_of(lbl) for f in expr.factors for lbl, _ in f.left + f.right
                 if lbl.startswith("z")] + [expr.torsion_level or 1])
-    basis = SymbolBasis(p=p, labels=tuple(labels) or ("a1",),
-                        root_level=root, torsion_level=expr.torsion_level or 1)
-    nf = normalize(expr, basis)
-    print(f"normal form: {render(nf)}")
-    values = []
-    ells = set()
-    for assignment in local_oracle._trial_assignments(basis, args.trials, args.seed):
-        ells.add(assignment.ell)
-        values.append(local_oracle.eval_expression(expr, assignment, basis))
-    counts = {v: values.count(v) for v in sorted(set(values))}
-    print(f"{len(values)} assignments over ell in {sorted(ells)}; value counts: {counts}")
-    verdict = local_oracle.check_raw_vs_normal(expr, nf, trials=args.trials, seed=args.seed)
-    print(f"raw vs normal form: {'agree' if verdict.equal else 'DISAGREE'} "
-          f"({verdict.trials} trials)")
-    return 0 if verdict.equal else MISMATCH_ERROR
+    status = 0
+    for p in _primes(args):
+        basis = SymbolBasis(p=p, labels=tuple(labels) or ("a1",),
+                            root_level=root, torsion_level=expr.torsion_level or 1)
+        nf = normalize(expr, basis)
+        print(f"p={p} normal form: {render(nf)}")
+        values = []
+        ells = set()
+        for assignment in local_oracle._trial_assignments(basis, args.trials, args.seed):
+            ells.add(assignment.ell)
+            values.append(local_oracle.eval_expression(expr, assignment, basis))
+        counts = {v: values.count(v) for v in sorted(set(values))}
+        print(f"{len(values)} assignments over ell in {sorted(ells)}; value counts: {counts}")
+        verdict = local_oracle.check_raw_vs_normal(expr, nf, trials=args.trials, seed=args.seed)
+        print(f"raw vs normal form: {'agree' if verdict.equal else 'DISAGREE'} "
+              f"({verdict.trials} trials)")
+        if not verdict.equal:
+            status = MISMATCH_ERROR
+    return status
 
 
 _COMMANDS = {
@@ -298,7 +305,8 @@ def main(argv: list[str] | None = None) -> int:
             groups.PrimeContext.for_prime(p)  # a data error unless p is prime
         return _COMMANDS[args.command](args)
     except (CatalogError, PresentationError, EnumerationBoundError, ObstructionError,
-            ExpressionError, extension.ExtensionError, local_oracle.OracleError) as exc:
+            ExpressionError, BasisError, extension.ExtensionError,
+            local_oracle.OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

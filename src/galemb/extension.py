@@ -19,7 +19,6 @@ record that the obstruction formulas read.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import groups
@@ -221,53 +220,3 @@ def frattini_contains_kernel(P: Presentation, kernel_names: tuple[str, ...] | li
     relations = _frattini_relations(P)
     units = [P.generator(name) for name in kernel_names]
     return _fp_rank(relations + units, P.p) == _fp_rank(relations, P.p)
-
-
-@dataclass(frozen=True)
-class KernelCandidates:
-    singles: tuple[Element, ...]          # central x of order p, <x> >= [G,G]
-    pairs: tuple[tuple[Element, Element], ...]
-    cyclic_p2: tuple[Element, ...]        # central x of order p^2 with homocyclic quotient
-
-
-def _cyclic_subgroups(P: Presentation, elements: list[Element]) -> list[tuple[Element, frozenset]]:
-    """Each distinct cyclic subgroup <x>, x in elements, once: (first such x,
-    <x>).  Elements of one order only, so x inside an earlier <y> generates
-    it and is not closed again."""
-    out = []
-    covered: set[Element] = set()
-    for x in elements:
-        if x not in covered:
-            sub = frozenset(groups.subgroup_closure(P, [x]))
-            covered |= sub
-            out.append((x, sub))
-    return out
-
-
-def find_central_kernels(P: Presentation) -> KernelCandidates:
-    """Scan for admissible kernels: central subgroups of order p (and
-    products of two of them, and central cyclic p^2 subgroups) whose quotient
-    is abelian, each subgroup listed once."""
-    derived = groups.derived_subgroup(P)
-    centre = [x for x in groups.center(P, bound=10**5) if x != P.identity]
-    order = {x: groups.element_order(P, x) for x in centre}
-    lines = _cyclic_subgroups(P, [x for x in centre if order[x] == P.p])
-    cyclic = _cyclic_subgroups(P, [x for x in centre if order[x] == P.p**2])
-
-    singles = [x for x, sub in lines if derived <= sub]
-
-    # two distinct central lines span a C_p x C_p; its p + 1 lines give
-    # C(p + 1, 2) pairs, of which only the first is closed and listed
-    pairs = []
-    planes: list[frozenset] = []
-    for (x, _), (y, _) in itertools.combinations(lines, 2):
-        if any(x in plane and y in plane for plane in planes):
-            continue
-        plane = frozenset(groups.subgroup_closure(P, [x, y]))
-        planes.append(plane)
-        if derived <= plane:
-            pairs.append((x, y))
-
-    cyclic_p2 = [x for x, sub in cyclic if derived <= sub]
-
-    return KernelCandidates(tuple(singles), tuple(pairs), tuple(cyclic_p2))

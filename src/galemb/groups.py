@@ -302,10 +302,6 @@ def is_central_element(P: Presentation, x: Element) -> bool:
     return all(commutator(P, x, P.generator(n)) == P.identity for n in P.names)
 
 
-def center(P: Presentation, bound: int = DEFAULT_ENUMERATION_BOUND) -> list[Element]:
-    return [x for x in enumerate_elements(P, bound) if is_central_element(P, x)]
-
-
 def subgroup_closure(P: Presentation, gens: list[Element]) -> set[Element]:
     """Subgroup generated by gens (finite group: closure under right products)."""
     seen = {P.identity}
@@ -322,16 +318,6 @@ def subgroup_closure(P: Presentation, gens: list[Element]) -> set[Element]:
                     nxt.append(y)
         frontier = nxt
     return seen
-
-
-def derived_subgroup(P: Presentation) -> set[Element]:
-    """Subgroup generated by all commutator words of the presentation."""
-    gens = [_vec_to_element(P, word) for _, _, word in P.comm]
-    return subgroup_closure(P, gens)
-
-
-def _vec_to_element(P: Presentation, vec: Element) -> Element:
-    return tuple(c % o for c, o in zip(vec, P.orders))
 
 
 def kernel_indices(P: Presentation, kernel_names) -> frozenset[int]:

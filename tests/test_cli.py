@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from galemb import groups
 from galemb.cli import main
 from galemb.obstructions import compare_gold
 from galemb.symbols import parse
@@ -79,6 +80,22 @@ class TestCheckTables:
         code, out, _ = run(capsys, "check-tables", "--p", "17")
         assert code == 0 and "311 rows, OK" in out
 
+    @pytest.mark.parametrize("argv", [("table", "1"), ("check-tables",)])
+    def test_out_of_basis_gold_label_is_data_error(self, capsys, tmp_path, argv):
+        gold = _gold_with(tmp_path, "Phi2(41) | 5 | 3 | (z3^-1*a1, a5; z)")
+        code, _, err = run(capsys, *argv, "--p", "3", "--gold", str(gold))
+        assert code == 2
+        assert err == ("error: Phi2(41) p=3: unknown label 'a5' for basis ('a1', 'a2')\n")
+
+    @pytest.mark.parametrize("row", ["Phi2(41) | five | 3 | (a1, a2; z)",
+                                     "Phi2(41) | 5 | 3.0 | (a1, a2; z)"])
+    def test_non_integer_gold_column_is_data_error(self, capsys, tmp_path, row):
+        gold = _gold_with(tmp_path, row)
+        code, _, err = run(capsys, "table", "1", "--p", "3", "--gold", str(gold))
+        assert code == 2
+        assert err.startswith("error: gold table line ") and err.count("\n") == 1
+        assert "must be integers" in err
+
     def test_mismatch_exit_code(self, capsys, tmp_path):
         bad = _gold_with(tmp_path, "Phi2(41) | 5 | 3 | (a1, a2; z)")
         code, out, _ = run(capsys, "check-tables", "--p", "3", "--gold", str(bad))
@@ -120,6 +137,14 @@ class TestMisc:
         code, out, _ = run(capsys, "eval", "(a1, a2; z)(a2, a1; z)", "--p", "3", "--trials", "20")
         assert code == 0
         assert "normal form: 1" in out
+
+    def test_eval_at_every_prime(self, capsys):
+        code, out, _ = run(capsys, "eval", "(a1, z*a2; z)", "--p", "3", "--p", "5",
+                           "--trials", "20")
+        assert code == 0
+        assert "p=3 normal form: (a1, z; z)(a1, a2; z)\n" in out
+        assert "p=5 normal form: (a1, z; z)(a1, a2; z)\n" in out
+        assert out.count("raw vs normal form: agree (20 trials)") == 2
 
     def test_eval_at_p101_root_level_3(self, capsys):
         # the first prime = 1 mod 101^3 is 30,909,031
@@ -166,6 +191,14 @@ class TestMisc:
     def test_selfcheck_small(self, capsys):
         code, out, _ = run(capsys, "selfcheck", "--p", "3", "--order", "5", "--triples", "2000")
         assert code == 0 and "OK" in out
+
+    def test_selfcheck_verdict_is_per_prime(self, capsys, monkeypatch):
+        original = groups.is_abelian_quotient
+        monkeypatch.setattr(groups, "is_abelian_quotient",
+                            lambda P, kernels: P.p != 3 and original(P, kernels))
+        code, out, _ = run(capsys, "selfcheck", "--p", "3", "--p", "5", "--triples", "2000")
+        assert code == 2
+        assert "p=3: selfcheck FAILED" in out and "p=5: selfcheck OK" in out
 
     def test_bound_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

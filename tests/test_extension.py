@@ -1,4 +1,4 @@
-"""Quotient structure, parameter extraction, kernel discovery, and root levels."""
+"""Quotient structure, kernel validation, parameter extraction, and root levels."""
 
 import math
 import random
@@ -12,6 +12,7 @@ from galemb.catalog import enumerate_instances, instantiate
 from galemb.extension import EmbeddingProblemSpec, ExtensionError
 from galemb.groups import ElementError, PrimeContext, make_presentation
 from galemb.obstructions import spec_for_instance
+from strategies import class2_presentations
 
 
 def make_spec(label, p, root_level=None):
@@ -167,34 +168,6 @@ def _read_off(P, kernel_names, preimage_names):
         return extension.quotient_structure(spec)
     except ExtensionError:
         return None
-
-
-@st.composite
-def class2_presentations(draw):
-    """Consistent class-2 presentations at p = 3 or 5: relative orders p or
-    p^2, and a central subset of generators, with trivial relations of their
-    own, receiving every power tail and commutator word of the others.
-    [g_j, g_i]^(p^e_i) = [g_j, tail_i] = 1, so each commutator word's
-    coefficients are scaled to order dividing p^min(e_i, e_j)."""
-    p = draw(st.sampled_from([3, 5]))
-    exps = draw(st.lists(st.integers(1, 2), min_size=2, max_size=5))
-    k = len(exps)
-    names = [f"g{i}" for i in range(k)]
-    central = sorted(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 1)))
-    top = [i for i in range(k) if i not in central]
-
-    def word(level):
-        out = {}
-        for t in central:
-            c = draw(st.integers(0, p**exps[t] - 1)) * p**max(0, exps[t] - level)
-            if c % p**exps[t]:
-                out[names[t]] = c
-        return out
-
-    tails = {names[i]: word(2) for i in top if draw(st.booleans())}  # unconstrained
-    comms = {(names[j], names[i]): word(min(exps[i], exps[j]))
-             for i in top for j in top if j > i and draw(st.booleans())}
-    return make_presentation(PrimeContext.for_prime(p), list(zip(names, exps)), tails, comms)
 
 
 @st.composite
@@ -389,64 +362,3 @@ class TestFrattini:
         P = make_presentation(ctx, [("x", 2), ("y", 1), ("k", 1)], power_tails={"x": {"k": 1}})
         assert extension.frattini_contains_kernel(P, ("k",))
         assert not extension.frattini_contains_kernel(P, ("y",))
-
-
-class TestFindCentralKernels:
-    def test_phi2_41_unique_kernel(self):
-        P = instantiate("Phi2(41)", 3).presentation
-        cands = extension.find_central_kernels(P)
-        assert cands.singles == ((0, 0, 1),) or cands.singles == ((0, 0, 2),)
-        assert not cands.pairs
-
-    def test_abelian_group_every_central_subgroup_qualifies(self):
-        ctx = PrimeContext.for_prime(3)
-        P = make_presentation(ctx, [("x", 1), ("y", 1)])
-        cands = extension.find_central_kernels(P)
-        assert len(cands.singles) == 4  # the four order-3 subgroups of C_3 x C_3
-
-    def test_phi4_1five_pair(self):
-        inst = instantiate("Phi4(1^5)", 3)
-        P = inst.presentation
-        cands = extension.find_central_kernels(P)
-        b1, b2 = P.generator("beta1"), P.generator("beta2")
-        sub = {frozenset(groups.subgroup_closure(P, [g])) for g in (b1, b2)}
-        assert any(
-            {frozenset(groups.subgroup_closure(P, [x])), frozenset(groups.subgroup_closure(P, [y]))} == sub
-            for x, y in cands.pairs
-        )
-
-    def test_pinned_kernels_are_among_candidates(self):
-        for inst in enumerate_instances(3, order_exp=5):
-            P = inst.presentation
-            cands = extension.find_central_kernels(P)
-            if len(inst.kernels) == 1:
-                want = frozenset(groups.subgroup_closure(P, [P.generator(inst.kernels[0])]))
-                assert want in {frozenset(groups.subgroup_closure(P, [x])) for x in cands.singles}
-            else:
-                want = {frozenset(groups.subgroup_closure(P, [P.generator(k)])) for k in inst.kernels}
-                got = {
-                    frozenset({frozenset(groups.subgroup_closure(P, [x])),
-                               frozenset(groups.subgroup_closure(P, [y]))})
-                    for x, y in cands.pairs
-                }
-                assert frozenset(want) in got
-
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_each_subgroup_listed_once(self, p):
-        # C_p x C_p has p + 1 lines, so C(p + 1, 2) pairs of lines span it
-        for inst in enumerate_instances(p, order_exp=5):
-            P = inst.presentation
-            cands = extension.find_central_kernels(P)
-            for kind in (cands.singles, cands.cyclic_p2):
-                subs = [frozenset(groups.subgroup_closure(P, [x])) for x in kind]
-                assert len(set(subs)) == len(subs), inst.label
-            planes = [frozenset(groups.subgroup_closure(P, list(pair))) for pair in cands.pairs]
-            assert all(len(plane) == p**2 for plane in planes), inst.label
-            assert len(set(planes)) == len(planes), inst.label
-
-    def test_phi14_cyclic_p2_kernel_found(self):
-        inst = instantiate("Phi14(222)", 3)
-        P = inst.presentation
-        cands = extension.find_central_kernels(P)
-        want = frozenset(groups.subgroup_closure(P, [P.generator("beta")]))
-        assert want in {frozenset(groups.subgroup_closure(P, [x])) for x in cands.cyclic_p2}

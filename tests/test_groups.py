@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from galemb import groups
 from galemb.catalog import enumerate_instances, instantiate
@@ -17,6 +19,7 @@ from galemb.groups import (
     make_presentation,
 )
 from galemb.obstructions import spec_for_instance
+from strategies import class2_presentations
 
 
 def fold_mul(P, x, times):
@@ -169,6 +172,30 @@ def ref_pow(P, x, n):
     return acc
 
 
+def assert_closed_forms_match_collection(P, x, y, exponent, n, where):
+    """inv, commutator, pow_element and is_central_element at x and y
+    against the mul-only references; exponent is a multiple of the exponent
+    of P, n any further power to try."""
+    p = P.p
+    x_inv = ref_inv(P, x)
+    assert groups.inv(P, x) == x_inv, where
+    assert groups.mul(P, x, x_inv) == P.identity, where
+    want = groups.mul(P, groups.mul(P, x_inv, ref_inv(P, y)), groups.mul(P, x, y))
+    assert groups.commutator(P, x, y) == want, where
+    for k in (0, 1, -1, p, -p, exponent + 1, -exponent - 1, n):
+        assert groups.pow_element(P, x, k) == ref_pow(P, x, k), (where, x, k)
+    # x is rarely central; its part on the relation targets always is
+    gens = [P.generator(name) for name in P.names]
+    on_targets = tuple(c if P.central[i] else 0 for i, c in enumerate(x))
+    for z in (x, on_targets, groups.mul(P, x, on_targets)):
+        central = all(groups.mul(P, z, g) == groups.mul(P, g, z) for g in gens)
+        assert groups.is_central_element(P, z) == central, (where, z)
+
+
+def elements(P):
+    return st.tuples(*(st.integers(0, o - 1) for o in P.orders))
+
+
 class TestClosedForms:
     """The bilinear commutator and the class-2 power formula against
     references built only from collection (mul) and generator_power."""
@@ -179,40 +206,29 @@ class TestClosedForms:
         for inst in enumerate_instances(p):
             P = inst.presentation
             exponent = max(P.orders) * p  # past the exponent of every catalog group
-            gens = [P.generator(name) for name in P.names]
             for _ in range(4):
                 x = tuple(rng.randrange(o) for o in P.orders)
                 y = tuple(rng.randrange(o) for o in P.orders)
-                x_inv = ref_inv(P, x)
-                assert groups.inv(P, x) == x_inv, inst.label
-                assert groups.mul(P, x, x_inv) == P.identity, inst.label
-                want = groups.mul(P, groups.mul(P, x_inv, ref_inv(P, y)), groups.mul(P, x, y))
-                assert groups.commutator(P, x, y) == want, inst.label
-                for n in (0, 1, -1, p, -p, exponent + 1, -exponent - 1,
-                          rng.randrange(-exponent, exponent)):
-                    assert groups.pow_element(P, x, n) == ref_pow(P, x, n), (inst.label, x, n)
-                # x is rarely central; its part on the relation targets always is
-                on_targets = tuple(c if P.central[i] else 0 for i, c in enumerate(x))
-                for z in (x, on_targets, groups.mul(P, x, on_targets)):
-                    central = all(groups.mul(P, z, g) == groups.mul(P, g, z) for g in gens)
-                    assert groups.is_central_element(P, z) == central, (inst.label, z)
+                assert_closed_forms_match_collection(P, x, y, exponent,
+                                                     rng.randrange(-exponent, exponent),
+                                                     inst.label)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_agree_with_collection_on_drawn_presentations(self, data):
+        P = data.draw(class2_presentations())
+        x, y = data.draw(elements(P)), data.draw(elements(P))
+        order = groups.group_order(P)  # a multiple of the exponent
+        assert_closed_forms_match_collection(P, x, y, order,
+                                             data.draw(st.integers(-order**2, order**2)), P)
+        pairs = data.draw(st.lists(st.tuples(elements(P), elements(P)), min_size=1, max_size=8))
+        Z = groups.bulk_mul(P, np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+        assert [tuple(z) for z in Z.tolist()] == [groups.mul(P, a, b) for a, b in pairs]
 
 
 class TestStructure:
-    def test_abelian_presentation(self, abelian_p3):
-        assert groups.derived_subgroup(abelian_p3) == {abelian_p3.identity}
-        assert len(groups.center(abelian_p3)) == groups.group_order(abelian_p3)
-
-    def test_derived_subgroup_order_p(self, phi2_41_p3):
-        P = phi2_41_p3.presentation
-        derived = groups.derived_subgroup(P)
-        assert derived == {(0, 0, 0), (0, 0, 1), (0, 0, 2)}
-
-    def test_derived_subgroup_order_p2_and_abelian_quotient(self, phi4_221a_p3):
+    def test_abelian_quotient_needs_both_kernels(self, phi4_221a_p3):
         P = phi4_221a_p3.presentation
-        derived = groups.derived_subgroup(P)
-        assert len(derived) == 9
-        assert all(x[:3] == (0, 0, 0) for x in derived)
         assert groups.is_abelian_quotient(P, ["beta1", "beta2"])
         assert not groups.is_abelian_quotient(P, ["beta1"])
 
@@ -303,6 +319,29 @@ class TestValidator:
     def test_prime_context_values(self):
         ctx = PrimeContext.for_prime(7)
         assert ctx.nu == 3 and ctx.g == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rejects_relations_on_a_relation_target(self, data):
+        P = data.draw(class2_presentations())
+        gens = list(zip(P.names, P.order_exps))
+
+        def word(vec):
+            return {P.names[t]: c for t, c in enumerate(vec) if c}
+
+        tails = {P.names[i]: word(t) for i, t in enumerate(P.power_tails) if t is not None}
+        comms = {(P.names[j], P.names[i]): word(w) for j, i, w in P.comm}
+        assert make_presentation(P.ctx, gens, tails, comms) == P
+        targets = [name for name, hit in zip(P.names, P.central) if hit]
+        assume(targets)
+        t = data.draw(st.sampled_from(targets))
+        w = {data.draw(st.sampled_from(P.names)): 1}
+        if data.draw(st.booleans()):
+            tails[t] = w
+        else:
+            comms[(t, data.draw(st.sampled_from([n for n in P.names if n != t])))] = w
+        with pytest.raises(PresentationError, match="carries relation values"):
+            make_presentation(P.ctx, gens, tails, comms)
 
 
 def xy_commutator_z(z_exp):
