@@ -19,7 +19,7 @@ from importlib import resources
 from .arith import discrete_log_mod_p, mod_inverse
 from .arith import smallest_nonresidue, smallest_primitive_root  # re-exported API
 from .groups import PrimeContext, Presentation, make_presentation
-from .symbols import BrauerExpression, parse
+from .symbols import BrauerExpression, ExpressionError, parse
 
 __all__ = [
     "CatalogError",
@@ -568,7 +568,10 @@ def gold_row(inst: GroupInstance, gold_path: str | None = None) -> TableRow:
     order_exp, root_level, exprs = rows[label]
     if order_exp != inst.template.order_exp:
         raise CatalogError(f"gold row order mismatch for {label!r}")
-    parsed = tuple(parse(e, env=inst.env) for e in exprs)
+    try:
+        parsed = tuple(parse(e, env=inst.env) for e in exprs)
+    except ExpressionError as exc:
+        raise ExpressionError(f"{inst.label} p={inst.p}: {exc}") from exc
     return TableRow(
         independents=len(inst.preimages),
         root_level=root_level,

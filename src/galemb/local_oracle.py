@@ -21,9 +21,20 @@ The root basis symbol is pinned to valuation 0 and a unit of exact order p^N,
 which requires ell = 1 mod p^N.
 
 The checks evaluate all their assignments at once: each draws its assignment
-rows from one stdlib generator and computes the same tame symbols as int64
-arrays over F_ell.  The scalar `eval_symbol` / `eval_expression` /
-`eval_normal_form` are the reference the batch is tested against.
+rows from one stdlib generator and evaluates them as int64 arrays over F_ell.
+A row assigns units U_i; a product of symbols (x_f, y_f)^{w_f} takes its
+value from one power residue, whatever the number of factors:
+
+    prod_f c_f^{w_f (ell-1)/p^n} = prod_i U_i^{E_i} (-1)^{E_sign},
+    E_i    = (ell-1)/p^n (sum_f w_f (v(y_f) e_{x_f,i} - v(x_f) e_{y_f,i}) mod p^n),
+    E_sign = (ell-1)/p^n (sum_f w_f v(x_f) v(y_f) mod p^n),
+
+so a row costs one exponent vector, one modular power per unit and one for
+-1, and one discrete log.  The -1 rides in its own column; its exponent is a
+multiple of the even (ell-1)/p^n, as above.  The scalar `eval_symbol` /
+`eval_expression` / `eval_normal_form` evaluate each symbol on its own, with
+its own power residue and discrete log: they are the reference the batch is
+tested against.
 """
 
 from __future__ import annotations
@@ -221,61 +232,82 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """Elementwise base^exp mod `mod` (broadcast), for exp >= 0 and residues
     below MAX_ELL, by square-and-multiply over the bits of the largest exp."""
     out = np.ones(np.broadcast_shapes(base.shape, exp.shape, mod.shape), dtype=np.int64)
-    for bit in range(int(exp.max(initial=0)).bit_length()):
+    nbits = int(exp.max(initial=0)).bit_length()
+    shifts = np.arange(nbits).reshape((nbits,) + (1,) * exp.ndim)
+    bits = (exp >> shifts & 1).astype(bool)  # bits[b]: bit b of every exponent
+    for bit in range(nbits):
         if bit:
             base = base * base % mod
-        out = np.where(exp >> bit & 1, out * base % mod, out)
+        out = np.where(bits[bit], out * base % mod, out)
     return out
 
 
 @lru_cache(maxsize=64)
-def _mu_table(ell: int, torsion: int) -> tuple[np.ndarray, np.ndarray]:
-    """The powers zeta^j (j < torsion) of the order-p^n element, sorted, with
-    their exponents j: a discrete-log table of mu_{p^n} in F_ell^x."""
-    zeta = _element_of_order(ell, torsion)
-    powers = np.ones(1, dtype=np.int64)
-    while len(powers) < torsion:
-        powers = np.concatenate([powers, powers * pow(zeta, len(powers), ell) % ell])
-    order = np.argsort(powers[:torsion])
-    return powers[order], order
+def _mu_table(ells: tuple[int, ...], torsion: int) -> tuple[np.ndarray, np.ndarray]:
+    """A discrete-log table of mu_{p^n} in F_ell^x for every ell = ells[j]:
+    the keys zeta^e * len(ells) + j of the powers of its order-p^n element,
+    sorted, with their exponents e."""
+    keys, exps = [], []
+    for j, ell in enumerate(ells):
+        zeta = _element_of_order(ell, torsion)
+        powers = np.ones(1, dtype=np.int64)
+        while len(powers) < torsion:
+            powers = np.concatenate([powers, powers * pow(zeta, len(powers), ell) % ell])
+        keys.append(powers[:torsion] * len(ells) + j)
+        exps.append(np.arange(torsion))
+    keys, exps = np.concatenate(keys), np.concatenate(exps)
+    order = np.argsort(keys)
+    return keys[order], exps[order]
 
 
 def _discrete_log(t: np.ndarray, rows: _Rows, ells: tuple[int, ...], torsion: int) -> np.ndarray:
-    out = np.empty_like(t)
+    keys, exps = _mu_table(ells, torsion)
     n = len(ells)
-    for j, ell in enumerate(ells):
-        sel = slice((j - rows.start) % n, None, n)  # the rows over ells[j]
-        values, exps = _mu_table(ell, torsion)
-        pos = np.minimum(np.searchsorted(values, t[sel]), torsion - 1)
-        if not np.array_equal(values[pos], t[sel]):
-            raise OracleError("tame value outside the expected root-of-unity subgroup")
-        out[sel] = exps[pos]
-    return out
+    query = t * n + (rows.start + np.arange(len(t))) % n  # row i lives over ells[i % n]
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    if (keys[pos] != query).any():
+        raise OracleError("tame value outside the expected root-of-unity subgroup")
+    return exps[pos]
+
+
+def _exponents(weights: np.ndarray, monos: np.ndarray, val: np.ndarray,
+               torsion: int) -> np.ndarray:
+    """Per row, the exponents mod p^n of the units and then of -1 in
+    prod_f c_f^(w_f), c_f the tame symbol of (x_f, y_f):
+    sum_f w_f (v(y_f) e_(x_f) - v(x_f) e_(y_f)) and sum_f w_f v(x_f) v(y_f).
+
+    Weights, monomial exponents and valuations are reduced mod p^n before
+    they multiply, so for p^n <= (MAX_ELL-1)/2 each product is below
+    (p^n)^2 < 2^61; the matrix product adds `step` >= 3 of them at a time to
+    an accumulator below p^n, and the sign adds F residues below p^n: every
+    int64 intermediate stays below 2^63."""
+    F = len(weights)
+    monos = monos % torsion
+    signed = np.concatenate([weights, -weights]) % torsion
+    # v(y_f) then v(x_f); |val| <= 2, so each sum is below 2 p^n (t+1)
+    v = val @ np.concatenate([monos[F:], monos[:F]]).T % torsion
+    coef = v * signed % torsion  # v(y_f) w_f, then -v(x_f) w_f
+    units = 0
+    step = (2**63 - 1 - torsion) // (torsion - 1) ** 2
+    for s in range(0, 2 * F, step):
+        units = (units + coef[:, s:s + step] @ monos[s:s + step]) % torsion
+    sign = (coef[:, :F] * v[:, F:] % torsion).sum(axis=1) % torsion
+    return np.concatenate([units, sign[:, None]], axis=1)
 
 
 def _values(weights: np.ndarray, monos: np.ndarray, rows: _Rows, ells: tuple[int, ...],
             torsion: int) -> np.ndarray:
     """Value in Z/p^n of sum_f weights[f] * (x_f, y_f) on every row, where
-    monos stacks the exponent vectors of the x_f, then of the y_f."""
-    F = len(weights)
+    monos stacks the exponent vectors of the x_f, then of the y_f: one
+    power-residue of the whole product per row, one discrete log."""
     ell = rows.ell[:, None]
-    # monomial values: valuation V.e and unit prod U_i^e_i, together with
-    # its inverse prod (U_i^-1)^e_i from the per-row inverses U_i^(ell-2)
-    val = rows.val @ monos.T
-    units = np.stack([rows.unit, _pow_mod(rows.unit, ell - 2, ell)], axis=1)
-    parts = _pow_mod(units[:, :, None, :], monos, ell[:, :, None, None])
-    mono = parts[..., 0]
-    for i in range(1, parts.shape[-1]):
-        mono = mono * parts[..., i] % ell[:, :, None]
-    vx, vy = val[:, :F], val[:, F:]
-    # c = (-1)^(vx vy) x^vy y^-vx, a negative power taken of the inverse
-    base = np.concatenate([np.where(vy >= 0, mono[:, 0, :F], mono[:, 1, :F]),
-                           np.where(vx <= 0, mono[:, 0, F:], mono[:, 1, F:])], axis=1)
-    powers = _pow_mod(base, np.abs(np.concatenate([vy, vx], axis=1)), ell)
-    sign = np.where(vx & vy & 1, ell - 1, 1)
-    c = sign * powers[:, :F] % ell * powers[:, F:] % ell
-    t = _pow_mod(c, (ell - 1) // torsion, ell)
-    return _discrete_log(t, rows, ells, torsion) @ weights % torsion
+    units = np.concatenate([rows.unit, ell - 1], axis=1)  # the units, then -1
+    exps = _exponents(weights, monos, rows.val, torsion) * ((ell - 1) // torsion)
+    powers = _pow_mod(units, exps, ell)
+    t = powers[:, 0]
+    for i in range(1, powers.shape[1]):
+        t = t * powers[:, i] % rows.ell
+    return _discrete_log(t, rows, ells, torsion)
 
 
 def _expression_factors(expr: BrauerExpression, basis: SymbolBasis) -> list[tuple]:

@@ -187,13 +187,13 @@ def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[
         raise ObstructionError(f"no table {table_id}")
     out = []
     for inst in enumerate_instances(p, table=table_id):
+        row = gold_row(inst, gold_path)
+        result = obstruction_for_instance(inst, row.root_level)
+        basis = basis_for(result.data.spec)
         try:
-            row = gold_row(inst, gold_path)
-            result = obstruction_for_instance(inst, row.root_level)
-            basis = basis_for(result.data.spec)
             gold_nfs = frozenset(normalize(e, basis) for e in row.obstructions)
         except (ExpressionError, BasisError) as exc:
-            # a gold row that does not parse or fit the row's basis
+            # a gold row that does not fit the row's basis
             raise type(exc)(f"{inst.label} p={p}: {exc}") from exc
         out.append(
             RowResult(

@@ -175,7 +175,7 @@ def test_criterion_4_formula_cross_validation():
 def test_criterion_5_oracle_soundness():
     """Raw formula vs normal form agree on 200 seeded assignments over >= 3
     primes for every row at p in {3,5}; 1e4 bilinearity/antisymmetry cases;
-    a nontriviality witness within 500 trials per nonzero condition; < 120 s."""
+    a nontriviality witness within 500 trials per nonzero condition; < 10 s."""
     start = time.perf_counter()
     conditions = 0
     for p in (3, 5):
@@ -206,7 +206,7 @@ def test_criterion_5_oracle_soundness():
             lo.eval_symbol(x, y, asg, basis) + lo.eval_symbol(w, y, asg, basis)) % 3
         assert lo.eval_symbol(x, x, asg, basis) == 0
     elapsed = time.perf_counter() - start
-    _report("5 oracle-soundness", elapsed < 120.0,
+    _report("5 oracle-soundness", elapsed < 10.0,
             f"{conditions} row conditions, 10000 property cases, {elapsed:.1f}s")
 
 

@@ -52,6 +52,14 @@ class TestObstruct:
         assert code == 2
         assert "Phi2(41)" in err and "p=5" in err and "below the minimal level 3" in err
 
+    @pytest.mark.parametrize("argv", [("show", "Phi2(41)"), ("obstruct", "Phi2(41)"),
+                                      ("table", "1"), ("check-tables",)])
+    def test_unparsable_gold_row_names_group_and_prime(self, capsys, tmp_path, argv):
+        gold = _gold_with(tmp_path, "Phi2(41) | 5 | 3 | (a1, a2; z")
+        code, _, err = run(capsys, *argv, "--p", "3", "--gold", str(gold))
+        assert code == 2
+        assert err == "error: Phi2(41) p=3: expected ')' (at position 10)\n"
+
 
 class TestTable:
     def test_table6_csv_three_rows(self, capsys):

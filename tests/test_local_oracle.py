@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from galemb import local_oracle as lo
@@ -204,6 +205,72 @@ class TestBatch:
                            basis.torsion)
         assert list(batch) == [lo.eval_expression(expr, stream.assignment(rows, r), basis)
                                for r in range(30)]
+
+    def test_exponents_near_the_root_level(self):
+        # the first ell = 1 mod 3^17, torsion 3^12: label exponents and
+        # weights near p^N, and root slots far above p^n after resolution
+        basis = SymbolBasis(p=3, labels=("a1", "a2", "a3"), root_level=17, torsion_level=12)
+        ell = 258280327
+        assert lo.find_suitable_ell(3, 17, 1) == [ell]
+        big = 3**17
+        rng = random.Random(17)
+        names = basis.labels + ("z", "z5", "z17")
+
+        def mono():
+            return {name: rng.choice((1, -1)) * (big - rng.randint(0, 40))
+                    for name in rng.sample(names, 3)}
+
+        expr = one()
+        for _ in range(7):
+            expr = expr * symbol(mono(), mono(), basis.torsion_level,
+                                 rng.choice((1, -1)) * (big - rng.randint(1, 40)))
+        factors = lo._expression_factors(expr, basis)
+        assert len(factors) == 7
+        stream = lo._RowStream(basis, (ell,), seed=12)
+        rows = stream.draw(20)
+        batch = lo._values(*lo._arrays(factors), rows, (ell,), basis.torsion)
+        assert list(batch) == [lo.eval_expression(expr, stream.assignment(rows, r), basis)
+                               for r in range(20)]
+
+    def test_exponents_exact_at_the_largest_torsion(self):
+        # p^n up to (MAX_ELL-1)/2: int64 sums must not wrap
+        torsion = 3**19
+        assert torsion <= (lo.MAX_ELL - 1) // 2 and ((lo.MAX_ELL - 1) // 2) ** 2 < 2**61
+        rng = random.Random(19)
+        F, size, k = 32, 12, 16
+        # the largest residues (-1 mod p^n) at full valuation, and random ones
+        weights = [-1] * 4 + [rng.randrange(-2**40, 2**40) for _ in range(F - 4)]
+        monos = [[-1] * size] * 4 + [[rng.randrange(-2**40, 2**40) for _ in range(size)]
+                                     for _ in range(2 * F - 4)]
+        val = [[2] * size, [-2] * size] + [[rng.randint(-2, 2) for _ in range(size)]
+                                           for _ in range(k - 2)]
+        got = lo._exponents(np.array(weights, dtype=np.int64), np.array(monos, dtype=np.int64),
+                            np.array(val, dtype=np.int64), torsion)
+        for row, exps in zip(val, got.tolist()):
+            v = [sum(a * e for a, e in zip(row, m)) for m in monos]
+            vx, vy = v[:F], v[F:]
+            units = [sum(w * (vy[f] * monos[f][i] - vx[f] * monos[F + f][i])
+                         for f, w in enumerate(weights)) % torsion for i in range(size)]
+            sign = sum(w * vx[f] * vy[f] for f, w in enumerate(weights)) % torsion
+            assert exps == units + [sign]
+
+    @pytest.mark.parametrize("nfactors", [4, 8, 16])
+    def test_one_power_residue_per_row(self, monkeypatch, nfactors):
+        basis = SymbolBasis(p=5, labels=("a1", "a2", "a3"), root_level=2, torsion_level=2)
+        rng = random.Random(nfactors)
+        expr = one()
+        for _ in range(nfactors):
+            x, y = rng.sample(basis.labels + ("z2",), 2)
+            expr = expr * symbol({x: rng.randint(1, 4)}, {y: 1}, 2, rng.randint(1, 24))
+        factors = lo._expression_factors(expr, basis)
+        assert len(factors) == nfactors
+        ells = tuple(lo.find_suitable_ell(5, 2, 3))
+        rows = lo._RowStream(basis, ells, seed=0).draw(50)
+        calls = []
+        pow_mod = lo._pow_mod
+        monkeypatch.setattr(lo, "_pow_mod", lambda *args: calls.append(args) or pow_mod(*args))
+        lo._values(*lo._arrays(factors), rows, ells, basis.torsion)
+        assert len(calls) == 1
 
     def test_ell_above_int64_limit_raises(self):
         assert (lo.MAX_ELL - 1) ** 2 < 2**63 <= lo.MAX_ELL**2
