@@ -237,9 +237,11 @@ def cmd_selfcheck(args) -> int:
             if groups.group_order(P) <= ASSOC_EXHAUSTIVE_MAX_ORDER:
                 checks.append(("assoc-exhaustive", groups.associativity_exhaustive(P)))
             else:
-                checks.append(("assoc-random",
-                               groups.associativity_random(P, args.triples,
-                                                           seed=int(rng.integers(2**31)))))
+                try:
+                    ok = groups.associativity_random(P, args.triples, seed=int(rng.integers(2**31)))
+                except EnumerationBoundError as exc:
+                    raise EnumerationBoundError(f"{inst.label} p={p}: {exc}") from exc
+                checks.append(("assoc-random", ok))
             ok_kernels = all(
                 groups.is_central_element(P, P.generator(k))
                 and groups.element_order(P, P.generator(k)) == p**inst.kernel_level

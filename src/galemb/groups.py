@@ -396,20 +396,22 @@ class QuotientMap:
 # bulk (vectorized) operations, used by the consistency sweeps
 
 
-# triples per kernel call in associativity_random: the (k, chunk) int64
-# temporaries stay in cache (whole 100,000-column rows ran ~1.5x slower on a
-# 2-vCPU x86-64 host)
-_SWEEP_CHUNK = 8192
+# bytes per coordinate row of a kernel call in associativity_random: 8192
+# triples at int64, 32768 at int16.  The (k, chunk) temporaries stay in cache
+# (whole 100,000-column int64 rows ran ~1.5x slower on a 2-vCPU x86-64 host)
+_SWEEP_CHUNK = 65536
 
-# largest group cayley_table builds: its collection call holds (k, n, n) int64
-# arrays, about 26 MB each at n = 3^6, k = 6 (11.7 GB at an order-5^6 group)
+# largest group cayley_table builds: its collection call holds (k, n, n) arrays
+# in the dtype `_sweep_dtype` picks, int16 for every group of order <= 3^6:
+# about 6.4 MB each at n = 3^6, k = 6 (2.9 GB at an order-5^6 group, also int16)
 _CAYLEY_TABLE_MAX_ORDER = 3**6
 
 
 def _collect(P: Presentation, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Coordinate-major collection product of two int64 arrays of shape
+    """Coordinate-major collection product of two integer arrays of shape
     (k, ...) (broadcast against each other): row i holds coordinate i of
-    every element."""
+    every element.  On reduced inputs no value it computes exceeds
+    `_collect_bound(P)`, so any dtype that holds the bound computes exactly."""
     Z = X + Y
     for j, i, word in P.comm:
         c = X[j] * Y[i]
@@ -434,6 +436,40 @@ def _collect(P: Presentation, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return Z
 
 
+def _collect_bound(P: Presentation) -> int:
+    """Largest value `_collect` reaches on reduced inputs, attained at
+    x = y = (o_i - 1)_i.  Every value is non-negative, and each sum, product,
+    quotient and remainder the kernel forms is at most the final pre-reduction
+    value of some coordinate.  Coordinate t reaches 2(o_t - 1), plus
+    w (o_j - 1)(o_i - 1) for each commutator word [g_j, g_i] = ... g_t^w ...,
+    plus w q_i for each tail g_i^{o_i} = ... g_t^w ..., q_i being the largest
+    carry quotient of row i, taken in the kernel's carry order."""
+    bound = [2 * (o - 1) for o in P.orders]
+    for j, i, word in P.comm:
+        for t, w in enumerate(word):
+            bound[t] += w * (P.orders[j] - 1) * (P.orders[i] - 1)
+    for stage_central in (False, True):
+        for i, (o, tail) in enumerate(zip(P.orders, P.power_tails)):
+            if P.central[i] != stage_central or tail is None:
+                continue
+            q = bound[i] // o
+            for t, w in enumerate(tail):
+                bound[t] += w * q
+    return max(bound)
+
+
+def _sweep_dtype(P: Presentation) -> np.dtype:
+    """Narrowest of int16, int32, int64 that holds every value of the sweeps:
+    the kernel's `_collect_bound` and the element indices up to |G| - 1."""
+    n = group_order(P)
+    bound = max(_collect_bound(P), n - 1)
+    for dtype in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise EnumerationBoundError(
+        f"group order {P.p}^{sum(P.order_exps)} = {n}: sweep values up to {bound} exceed int64")
+
+
 def _radix_weights(P: Presentation) -> np.ndarray:
     """Mixed-radix weights: element x has index sum_i x_i * weights[i]
     (lexicographic coordinate order, as in enumerate_elements)."""
@@ -445,8 +481,8 @@ def _radix_weights(P: Presentation) -> np.ndarray:
 
 def _decode(P: Presentation, idx: np.ndarray) -> np.ndarray:
     """Coordinate-major (k, ...) normal forms of the elements with the given
-    indices, each in [0, |G|)."""
-    E = np.empty((P.ngens,) + idx.shape, dtype=np.int64)
+    indices, each in [0, |G|), in the dtype of idx."""
+    E = np.empty((P.ngens,) + idx.shape, dtype=idx.dtype)
     for i in range(P.ngens - 1, 0, -1):
         q = idx // P.orders[i]
         np.subtract(idx, q * P.orders[i], out=E[i])
@@ -469,7 +505,7 @@ def cayley_table(P: Presentation) -> np.ndarray:
     if n > _CAYLEY_TABLE_MAX_ORDER:
         raise EnumerationBoundError(
             f"group order {n} exceeds the Cayley table limit {_CAYLEY_TABLE_MAX_ORDER}")
-    E = _decode(P, np.arange(n, dtype=np.int64))
+    E = _decode(P, np.arange(n, dtype=_sweep_dtype(P)))
     return np.tensordot(_radix_weights(P), _collect(P, E[:, :, None], E[:, None, :]), axes=1)
 
 
@@ -508,10 +544,12 @@ def associativity_exhaustive(P: Presentation) -> bool:
 def associativity_random(P: Presentation, ntriples: int, seed: int = 0) -> bool:
     """Check (xy)z = x(yz) on ntriples triples of elements drawn uniformly
     (each as one uniform index in [0, |G|), decoded to its normal form)."""
+    dtype = _sweep_dtype(P)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, group_order(P), size=(3, ntriples), dtype=np.int64)
-    for start in range(0, ntriples, _SWEEP_CHUNK):
-        X, Y, Z = _decode(P, idx[:, start:start + _SWEEP_CHUNK]).swapaxes(0, 1)
+    idx = rng.integers(0, group_order(P), size=(3, ntriples), dtype=np.int64).astype(dtype)
+    chunk = _SWEEP_CHUNK // dtype.itemsize
+    for start in range(0, ntriples, chunk):
+        X, Y, Z = _decode(P, idx[:, start:start + chunk]).swapaxes(0, 1)
         left = _collect(P, _collect(P, X, Y), Z)
         right = _collect(P, X, _collect(P, Y, Z))
         if not np.array_equal(left, right):

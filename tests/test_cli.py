@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from galemb import groups
+from galemb import cli, groups
+from galemb.catalog import instantiate
 from galemb.cli import main
 from galemb.obstructions import compare_gold
 from galemb.symbols import parse
@@ -207,6 +208,14 @@ class TestMisc:
         code, out, _ = run(capsys, "selfcheck", "--p", "3", "--p", "5", "--triples", "2000")
         assert code == 2
         assert "p=3: selfcheck FAILED" in out and "p=5: selfcheck OK" in out
+
+    def test_selfcheck_past_int64_names_group_and_prime(self, capsys, monkeypatch):
+        # enumerating every instance at p = 1451 is slow: sweep the first one
+        inst = instantiate("Phi5(3111)", 1451)
+        monkeypatch.setattr(cli, "enumerate_instances", lambda p, order_exp: [inst])
+        code, out, err = run(capsys, "selfcheck", "--p", "1451", "--order", "6")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: Phi5(3111) p=1451: group order 1451^6 = {1451**6}: ")
 
     def test_bound_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -357,6 +357,42 @@ def associative_all_columns(T):
     return all(np.array_equal(T[T[:, a], :], T[:, T[a, :]]) for a in range(T.shape[0]))
 
 
+def collect_with_extremes(P, X, Y):
+    """groups._collect on (k, n) int64 inputs, with the least and the largest
+    value that any array operation inside it produced."""
+    seen = []
+
+    class Watched(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            def plain(a):
+                return a.view(np.ndarray) if isinstance(a, Watched) else a
+            inputs = tuple(plain(a) for a in inputs)
+            if "out" in kwargs:
+                kwargs["out"] = tuple(plain(a) for a in kwargs["out"])
+            result = getattr(ufunc, method)(*inputs, **kwargs)
+            seen.extend((int(result.min()), int(result.max())))
+            return result.view(Watched)
+
+    Z = groups._collect(P, X.view(Watched), Y.view(Watched)).view(np.ndarray)
+    return Z, min(seen), max(seen)
+
+
+def assert_narrow_collect_exact(P, rng, where, ncols=30):
+    """On random reduced columns plus the all-(o_i - 1) column, _collect in
+    _sweep_dtype(P) equals the int64 _collect and scalar mul, and the int64
+    run never leaves [0, _collect_bound(P)], reaching the bound exactly."""
+    orders = np.array(P.orders, dtype=np.int64)[:, None]
+    X = np.hstack([rng.integers(0, orders, (P.ngens, ncols)), orders - 1])
+    Y = np.hstack([rng.integers(0, orders, (P.ngens, ncols)), orders - 1])
+    wide, low, high = collect_with_extremes(P, X, Y)
+    assert low >= 0 and high == groups._collect_bound(P), where
+    dtype = groups._sweep_dtype(P)
+    narrow = groups._collect(P, X.astype(dtype), Y.astype(dtype))
+    assert narrow.dtype == dtype and np.array_equal(narrow, wide), where
+    for x, y, z in zip(X.T.tolist(), Y.T.tolist(), wide.T.tolist()):
+        assert groups.mul(P, tuple(x), tuple(y)) == tuple(z), where
+
+
 class TestBulkOps:
     def test_bulk_matches_scalar(self):
         rng = random.Random(1)
@@ -383,10 +419,66 @@ class TestBulkOps:
         assert groups.associativity_exhaustive(phi2_41_p3.presentation)
 
     def test_cayley_table_limit(self):
-        # |G| = 5^5, k = 3: each (k, |G|, |G|) collection array would take ~234 MB
+        # |G| = 5^5, k = 3: each (k, |G|, |G|) collection array would be int16
+        # (|G| - 1 = 3124 is the sweep bound) and take ~59 MB
         P = instantiate("Phi2(41)", 5).presentation
         with pytest.raises(EnumerationBoundError):
             groups.associativity_exhaustive(P)
+
+    @pytest.mark.parametrize("p, dtype6", [(3, np.int16), (5, np.int16), (7, np.int32)])
+    def test_narrow_collect_is_exact_on_every_instance(self, p, dtype6):
+        # the dtype follows |G| - 1: at most 7^5 - 1 < 2^15 for order p^5 here
+        rng = np.random.default_rng(p)
+        for inst in enumerate_instances(p):
+            P = inst.presentation
+            dtype = dtype6 if inst.id.order_exp == 6 else np.int16
+            assert groups._sweep_dtype(P) == dtype, inst.label
+            assert_narrow_collect_exact(P, rng, inst.label)
+
+    @settings(max_examples=100, deadline=None)
+    @given(P=class2_presentations(), seed=st.integers(0, 2**32 - 1))
+    def test_narrow_collect_is_exact_on_drawn_presentations(self, P, seed):
+        assert_narrow_collect_exact(P, np.random.default_rng(seed), P)
+
+    def test_narrow_collect_is_exact_on_an_inconsistent_presentation(self):
+        assert_narrow_collect_exact(xy_commutator_z(2), np.random.default_rng(0), "z_exp=2")
+
+    @pytest.mark.parametrize("bound, dtype", [
+        (2**15 - 1, np.int16), (2**15, np.int32),
+        (2**31 - 1, np.int32), (2**31, np.int64), (2**63 - 1, np.int64),
+    ])
+    def test_sweep_dtype_edges(self, monkeypatch, abelian_p3, bound, dtype):
+        # every presentation's bound is even (|G| - 1 at two or more
+        # generators, 2(|G| - 1) on a cyclic group), so the edges themselves
+        # are reached through the kernel bound
+        monkeypatch.setattr(groups, "_collect_bound", lambda P: bound)
+        assert groups._sweep_dtype(abelian_p3) == dtype
+
+    @pytest.mark.parametrize("q, dtype", [(16381, np.int16), (16411, np.int32)])
+    def test_kernel_bound_sets_the_dtype_of_a_cyclic_group(self, q, dtype):
+        # C_q: x + y reaches 2(q - 1), past the largest index q - 1
+        P = make_presentation(PrimeContext.for_prime(q), [("x", 1)])
+        assert groups._collect_bound(P) == 2 * (q - 1)
+        assert groups._sweep_dtype(P) == dtype
+        assert_narrow_collect_exact(P, np.random.default_rng(q), q)
+
+    def test_indices_set_the_dtype_of_a_large_abelian_group(self):
+        # 3^10 elements: the kernel stays below 5, the indices reach 59048
+        P = make_presentation(PrimeContext.for_prime(3), [(f"g{i}", 1) for i in range(10)])
+        assert groups._collect_bound(P) == 4
+        assert groups._sweep_dtype(P) == np.int32
+        idx = np.arange(3**10 - 50, 3**10)
+        expected = [list(x) for x in groups.enumerate_elements(P)[-50:]]
+        assert groups._decode(P, idx.astype(np.int32)).T.tolist() == expected
+        assert groups.associativity_random(P, 1_000)
+
+    def test_order_past_int64_is_a_bound_error(self):
+        # 1447^6 < 2^63 <= 1451^6: the largest index of an order-p^6 group
+        # leaves int64 from p = 1451 on
+        assert groups.associativity_random(instantiate("Phi5(3111)", 1447).presentation, 1_000)
+        P = instantiate("Phi5(3111)", 1451).presentation
+        with pytest.raises(EnumerationBoundError, match=rf"group order 1451\^6 = {1451**6}: "):
+            groups.associativity_random(P, 10)
 
     def test_random_associativity(self):
         P = instantiate("Phi14(321)", 3).presentation
