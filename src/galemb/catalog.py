@@ -30,6 +30,7 @@ __all__ = [
     "enumerate_instances",
     "gold_row",
     "instantiate",
+    "iter_instances",
     "lookup",
     "smallest_nonresidue",
     "smallest_primitive_root",
@@ -472,13 +473,16 @@ def instantiate(label_or_template, p: int, params: tuple[int, ...] | None = None
     return GroupInstance(id=gid, template=tpl, ctx=ctx, env=env, presentation=pres)
 
 
-def enumerate_instances(p: int, order_exp: int | None = None, table: int | None = None) -> list[GroupInstance]:
+def iter_instances(p: int, order_exp: int | None = None, table: int | None = None):
+    """The catalog instances at p in catalog order, each built when it is reached."""
     ctx = PrimeContext.for_prime(p)
-    out = []
     for tpl in templates(order_exp, table):
         for params in _param_values(tpl, ctx):
-            out.append(instantiate(tpl, p, params))
-    return out
+            yield instantiate(tpl, p, params)
+
+
+def enumerate_instances(p: int, order_exp: int | None = None, table: int | None = None) -> list[GroupInstance]:
+    return list(iter_instances(p, order_exp, table))
 
 
 _INSTANCE_RE = re.compile(r"^(?P<base>.*?)_(?:\{(?P<pair>\d+\s*,\s*\d+)\}|(?P<pair2>\d+\s*,\s*\d+)|(?P<single>\d+))$")

@@ -291,6 +291,35 @@ def group_order(P: Presentation) -> int:
     return n
 
 
+def is_consistent(P: Presentation) -> bool:
+    """True iff the presentation is consistent: its normal forms are pairwise
+    distinct elements, so |G| = prod o_i and collection is associative.
+
+    For the shape `make_presentation` enforces this is exact (Sims,
+    Computation with Finitely Presented Groups, 1994, ch. 9): P is consistent
+    iff every stored commutator word [g_j, g_i] = w has order dividing
+    p^min(e_i, e_j), i.e. each coordinate c_t of w has c_t p^min(e_i, e_j)
+    = 0 mod o_t.  Proof: let T be the relation targets and N the other
+    generators.  Targets have trivial tails and appear in no commutator, so
+    collection multiplies (a, x)(b, y) = (a + b + c(x, y) + beta(x, y), x + y)
+    on A x Q, A = prod_{t in T} Z/o_t and Q = prod_{i in N} Z/p^{e_i}, with
+    the carry term c(x, y) = sum_i floor((x_i + y_i) / o_i) tail_i and
+    beta(x, y) = sum_{j > i} x_j y_i w_ji on reduced coordinates.  This is
+    associative iff c + beta is a 2-cocycle of Q with values in A.  The carry
+    term always is one (floor((x + y) / o) is the cocycle of Z/o^2 over
+    Z/o, for any o).  If the criterion holds, beta is a well-defined
+    bilinear form on Q, hence a cocycle, so P is consistent.  Conversely, in
+    a consistent P every tail lies in the central subgroup A, so
+    [g_j, g_i^{p^e_i}] = [g_j, tail_i] = 1, and since w is central that is
+    w^{p^e_i}; likewise w^{p^e_j} = 1.  A is then the direct product of the
+    cyclic groups <g_t> of order o_t, which turns w^{p^min} = 1 into the
+    coordinate test.
+    """
+    e, p = P.order_exps, P.p
+    return all(c * p**min(e[i], e[j]) % o == 0
+               for j, i, word in P.comm for c, o in zip(word, P.orders))
+
+
 def enumerate_elements(P: Presentation, bound: int = DEFAULT_ENUMERATION_BOUND):
     """All elements in lexicographic coordinate order."""
     if group_order(P) > bound:
@@ -345,8 +374,15 @@ def kernel_indices(P: Presentation, kernel_names) -> frozenset[int]:
 
 
 def is_abelian_quotient(P: Presentation, kernel_names: list[str]) -> bool:
-    """True iff every commutator word lies in the subgroup spanned by the kernel generators."""
-    ker = kernel_indices(P, kernel_names)
+    """True iff every commutator word lies in the subgroup spanned by the
+    kernel generators.  Reads their coordinates straight from P.index without
+    the centrality and tail checks of `kernel_indices`, so a check can ask it
+    about a kernel that validation rejects."""
+    ker = set()
+    for name in kernel_names:
+        if name not in P.index:
+            raise ElementError(f"unknown kernel generator {name!r}")
+        ker.add(P.index[name])
     for _, _, word in P.comm:
         if any(c and i not in ker for i, c in enumerate(word)):
             return False
@@ -393,7 +429,9 @@ class QuotientMap:
 
 
 # ---------------------------------------------------------------------------
-# bulk (vectorized) operations, used by the consistency sweeps
+# bulk (vectorized) operations and the consistency sweeps.  `is_consistent`
+# decides consistency exactly; the sweeps stay as the reference the tests and
+# the benchmark check it and `mul` against, and no CLI path calls them.
 
 
 # bytes per coordinate row of a kernel call in associativity_random: 8192

@@ -6,14 +6,19 @@ from galemb.groups import PrimeContext, make_presentation
 
 
 @st.composite
-def class2_presentations(draw):
-    """Consistent class-2 presentations at p = 3 or 5: relative orders p or
-    p^2, and a central subset of generators, with trivial relations of their
-    own, receiving every power tail and commutator word of the others.
-    [g_j, g_i]^(p^e_i) = [g_j, tail_i] = 1, so each commutator word's
-    coefficients are scaled to order dividing p^min(e_i, e_j)."""
+def class2_presentations(draw, scaled=True, max_order=None):
+    """Class-2 presentations at p = 3 or 5: relative orders p or p^2, and a
+    central subset of generators, with trivial relations of their own,
+    receiving every power tail and commutator word of the others.
+
+    With scaled=True each commutator word's coefficients are scaled to order
+    dividing p^min(e_i, e_j), which makes the presentation consistent (the
+    criterion and its proof are in `groups.is_consistent`).  With
+    scaled=False the words are drawn unscaled, so some presentations are
+    inconsistent.  max_order bounds |G|."""
     p = draw(st.sampled_from([3, 5]))
-    exps = draw(st.lists(st.integers(1, 2), min_size=2, max_size=5))
+    exps = draw(st.lists(st.integers(1, 2), min_size=2, max_size=5)
+                .filter(lambda es: max_order is None or p**sum(es) <= max_order))
     k = len(exps)
     names = [f"g{i}" for i in range(k)]
     central = sorted(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 1)))
@@ -22,7 +27,9 @@ def class2_presentations(draw):
     def word(level):
         out = {}
         for t in central:
-            c = draw(st.integers(0, p**exps[t] - 1)) * p**max(0, exps[t] - level)
+            c = draw(st.integers(0, p**exps[t] - 1))
+            if scaled:
+                c *= p**max(0, exps[t] - level)
             if c % p**exps[t]:
                 out[names[t]] = c
         return out

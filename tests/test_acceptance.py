@@ -55,14 +55,16 @@ def test_criterion_2_worked_proof_fixtures():
 
 
 def test_criterion_3_group_engine_soundness():
-    """At p=3: labelled orders, associativity (exhaustive for order 243, 1e5
-    random triples otherwise), central kernels, abelian quotients; < 5 s."""
+    """At p=3: labelled orders, the exact consistency test, associativity
+    (exhaustive for order 243, 1e5 random triples otherwise), central kernels,
+    abelian quotients; < 5 s."""
     start = time.perf_counter()
     rng = np.random.default_rng(0)
     count = 0
     for inst in enumerate_instances(3):
         P = inst.presentation
         assert groups.group_order(P) == 3**inst.id.order_exp, inst.label
+        assert groups.is_consistent(P), inst.label
         if groups.group_order(P) <= 243:
             assert groups.associativity_exhaustive(P), inst.label
         else:

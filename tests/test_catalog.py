@@ -3,13 +3,14 @@ shipped reference rows."""
 
 import pytest
 
-from galemb import groups
+from galemb import catalog, groups
 from galemb.arith import discrete_log_mod_p, mod_inverse
 from galemb.catalog import (
     CatalogError,
     enumerate_instances,
     gold_row,
     instantiate,
+    iter_instances,
     lookup,
     smallest_nonresidue,
     smallest_primitive_root,
@@ -144,6 +145,15 @@ class TestEnumeration:
         a = [i.label for i in enumerate_instances(5)]
         b = [i.label for i in enumerate_instances(5)]
         assert a == b
+
+    def test_instances_are_built_when_reached(self, monkeypatch):
+        calls = []
+        original = catalog.instantiate
+        monkeypatch.setattr(catalog, "instantiate",
+                            lambda *args: calls.append(args) or original(*args))
+        instances = iter_instances(101, order_exp=6)
+        assert next(instances).label == "Phi2(51)" and len(calls) == 1
+        assert [i.label for i in enumerate_instances(5)] == [i.label for i in iter_instances(5)]
 
     def test_table_of(self):
         assert table_of(2, 5) == 1 and table_of(14, 6) == 6

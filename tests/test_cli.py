@@ -1,5 +1,6 @@
 """CLI behaviour: output shapes, exit codes, determinism."""
 
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from galemb import cli, groups
 from galemb.catalog import instantiate
 from galemb.cli import main
+from galemb.groups import make_presentation
 from galemb.obstructions import compare_gold
 from galemb.symbols import parse
 
@@ -189,8 +191,6 @@ class TestMisc:
     @pytest.mark.parametrize("argv", [
         ("eval", "(a1, a2; z)", "--p", "3", "--trials", "0"),
         ("eval", "(a1, a2; z)", "--p", "3", "--trials", "-5"),
-        ("selfcheck", "--p", "3", "--triples", "0"),
-        ("selfcheck", "--p", "3", "--triples", "-1"),
     ])
     def test_count_below_one_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -198,24 +198,47 @@ class TestMisc:
         assert exc.value.code == 1
 
     def test_selfcheck_small(self, capsys):
-        code, out, _ = run(capsys, "selfcheck", "--p", "3", "--order", "5", "--triples", "2000")
+        code, out, _ = run(capsys, "selfcheck", "--p", "3", "--order", "5")
         assert code == 0 and "OK" in out
 
     def test_selfcheck_verdict_is_per_prime(self, capsys, monkeypatch):
         original = groups.is_abelian_quotient
         monkeypatch.setattr(groups, "is_abelian_quotient",
                             lambda P, kernels: P.p != 3 and original(P, kernels))
-        code, out, _ = run(capsys, "selfcheck", "--p", "3", "--p", "5", "--triples", "2000")
+        code, out, _ = run(capsys, "selfcheck", "--p", "3", "--p", "5")
         assert code == 2
         assert "p=3: selfcheck FAILED" in out and "p=5: selfcheck OK" in out
 
-    def test_selfcheck_past_int64_names_group_and_prime(self, capsys, monkeypatch):
-        # enumerating every instance at p = 1451 is slow: sweep the first one
+    def test_selfcheck_runs_past_int64(self, capsys, monkeypatch):
+        # |G| = 1451^6 > 2^63: the consistency test needs no element indices.
+        # Every instance at p = 1451 is slow to build: check the first one
         inst = instantiate("Phi5(3111)", 1451)
-        monkeypatch.setattr(cli, "enumerate_instances", lambda p, order_exp: [inst])
+        monkeypatch.setattr(cli, "iter_instances", lambda p, order_exp: iter([inst]))
         code, out, err = run(capsys, "selfcheck", "--p", "1451", "--order", "6")
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: Phi5(3111) p=1451: group order 1451^6 = {1451**6}: ")
+        assert code == 0 and err == ""
+        assert out.startswith("p=1451: selfcheck OK (")
+
+    def test_selfcheck_reports_a_non_central_kernel(self, capsys, monkeypatch):
+        inst = instantiate("Phi2(41)", 3)
+        bad = dataclasses.replace(
+            inst, template=dataclasses.replace(inst.template, kernels=("alpha1",)))
+        monkeypatch.setattr(cli, "iter_instances", lambda p, order_exp: iter([bad]))
+        code, out, err = run(capsys, "selfcheck", "--p", "3", "--order", "5")
+        assert code == 2 and err == ""
+        assert out.startswith("FAIL Phi2(41) p=3: kernels-central, quotient-abelian\n"
+                              "p=3: selfcheck FAILED (")
+
+    def test_selfcheck_reports_an_inconsistent_presentation(self, capsys, monkeypatch):
+        # Phi14(222) with alpha2 of order p, alpha1 of order p^3: still order
+        # p^6, but [alpha1, alpha2] = beta of order p^2 makes it inconsistent
+        inst = instantiate("Phi14(222)", 3)
+        P = make_presentation(inst.ctx, [("alpha1", 3), ("alpha2", 1), ("beta", 2)],
+                              comms={("alpha1", "alpha2"): {"beta": 1}})
+        bad = dataclasses.replace(inst, presentation=P)
+        monkeypatch.setattr(cli, "iter_instances", lambda p, order_exp: iter([bad]))
+        code, out, err = run(capsys, "selfcheck", "--p", "3", "--order", "6")
+        assert code == 2 and err == ""
+        assert out.startswith("FAIL Phi14(222) p=3: consistent\np=3: selfcheck FAILED (")
 
     def test_bound_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -225,6 +248,8 @@ class TestMisc:
     @pytest.mark.parametrize("argv", [
         ("obstruct", "Phi2(41)", "--p", "5", "--format", "csv"),
         ("list", "--p", "3", "--trials", "5"),
+        ("selfcheck", "--p", "3", "--triples", "5"),
+        ("selfcheck", "--p", "3", "--seed", "1"),
     ])
     def test_option_the_subcommand_does_not_read_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -529,3 +529,40 @@ class TestBulkOps:
             assert verdict == associative_all_columns(T), (T, gens)
             verdicts.append(verdict)
         assert 50 < sum(verdicts) < len(verdicts) - 50
+
+
+class TestConsistency:
+    def test_agrees_with_light_test_on_unscaled_draws(self):
+        # unscaled commutator words: drawn presentations are consistent or not
+        # regardless of the criterion, and Light's test on the Cayley table
+        # decides which
+        verdicts = []
+
+        @settings(max_examples=300, derandomize=True, deadline=None)
+        @given(P=class2_presentations(scaled=False, max_order=3**6))
+        def agree(P):
+            verdict = groups.is_consistent(P)
+            assert verdict == groups.associativity_exhaustive(P), P
+            verdicts.append(verdict)
+
+        agree()
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_catalog_instance_is_consistent(self, p):
+        for inst in enumerate_instances(p):
+            assert groups.is_consistent(inst.presentation), inst.label
+
+    def test_xy_commutator_z(self):
+        assert groups.is_consistent(xy_commutator_z(1))
+        assert not groups.is_consistent(xy_commutator_z(2))
+
+    def test_order_p_generator_bounds_the_word_order(self):
+        # [y, x] = z with x of order p, y and z of order p^2: the smaller
+        # exponent bounds the order of z, so only z^p is a valid word
+        ctx = PrimeContext.for_prime(3)
+        for c, ok in ((1, False), (3, True)):
+            P = make_presentation(ctx, [("x", 1), ("y", 2), ("z", 2)],
+                                  comms={("y", "x"): {"z": c}})
+            assert groups.is_consistent(P) is ok
+            assert groups.associativity_exhaustive(P) is ok
