@@ -135,16 +135,20 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
         raise ExtensionError("quotient by the kernel product is not abelian")
     order_exp = sum(e for i, e in enumerate(P.order_exps) if i not in ker)
 
-    def level(x: Element) -> int:
-        e = 0
-        while any(c and i not in ker for i, c in enumerate(x)):
-            x = groups.pow_element(P, x, P.p)
+    def level(i: int) -> int:
+        # g_i^(p^e) is the lone coordinate p^e for e < e_i; past e_i it is the
+        # tail's multiple, read off generator_power
+        if i in ker:
+            return 0
+        e = P.order_exps[i]
+        while any(c and t not in ker for t, c in enumerate(groups.generator_power(P, i, P.p**e))):
             e += 1
             if e > order_exp:
                 raise ExtensionError("pre-image order computation diverged")
         return e
 
-    n = tuple(level(x) for x in spec.preimages)
+    pre = [P.index[name] for name in spec.preimage_names]
+    n = tuple(level(i) for i in pre)
     if sum(n) != order_exp:
         raise ExtensionError(
             "pre-images do not generate a direct decomposition: "
@@ -154,10 +158,14 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
     # theorem), so (c_i) -> prod s_i^{c_i} maps prod Z/p^{n_i} onto Q; both
     # sides have order prod p^{n_i} = |Q|, so the map is an isomorphism and the
     # images give a direct decomposition.  Q's relation rows are P's with the
-    # kernel columns dropped, and the kernel unit vectors span exactly those
-    # columns, so the F_p rank on Q is the rank on P less |K|.
-    units = [P.generator(name) for name in spec.kernel_names]
-    if _fp_rank(_frattini_relations(P) + units + list(spec.preimages), P.p) != P.ngens:
+    # kernel columns dropped, and the kernel and pre-image unit vectors span
+    # exactly their own columns: rank(R + unit vectors) = #units + rank(R on
+    # the remaining columns), so the images span Q/Phi(Q) iff the relation
+    # rows restricted to the columns outside K and the pre-images have full
+    # rank (on no columns, trivially).
+    rest = [i for i in range(P.ngens) if i not in ker and i not in pre]
+    rows = [[row[i] for i in rest] for row in _frattini_relations(P)]
+    if rest and _fp_rank(rows, P.p) != len(rest):
         raise ExtensionError("pre-image images are not independent generators of the quotient")
     return n
 
@@ -165,17 +173,28 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
 def extract_params(spec: EmbeddingProblemSpec, n: tuple[int, ...],
                    kernel_index: int) -> ExtensionParams:
     """m and d of the kernel_index projection, given the factor levels n; the
-    other kernel is quotiented away."""
+    other kernel is quotiented away.
+
+    Pre-images are generators, so both are read off the relation tables:
+    s_i^(p^n_i) is `generator_power` of the pre-image's index, and
+    [s_j, s_i] is the stored word [g_b, g_a] of their indices b > a, or its
+    inverse when b < a (the word is central with trivial tails, so inverting
+    negates its coordinates)."""
     P = spec.presentation
     modulus = P.p**spec.kernel_level
-    s = spec.preimages
-    m = tuple(spec.kernel_log(groups.pow_element(P, si, P.p**ni), kernel_index) % modulus
-              for si, ni in zip(s, n))
-    t = len(s)
+    pre = [P.index[name] for name in spec.preimage_names]
+    m = tuple(spec.kernel_log(groups.generator_power(P, a, P.p**ni), kernel_index) % modulus
+              for a, ni in zip(pre, n))
+    words = {(j, i): word for j, i, word in P.comm}
+    t = len(pre)
     d = [[0] * t for _ in range(t)]
-    for i in range(t):
+    for i, a in enumerate(pre):
         for j in range(i + 1, t):
-            d[i][j] = spec.kernel_log(groups.commutator(P, s[j], s[i]), kernel_index) % modulus
+            b = pre[j]
+            word = words.get((max(a, b), min(a, b)))
+            if word is not None:
+                c = spec.kernel_log(word, kernel_index)
+                d[i][j] = (c if b > a else -c) % modulus
     return ExtensionParams(n=n, m=m, d=tuple(tuple(row) for row in d), kernel_index=kernel_index)
 
 

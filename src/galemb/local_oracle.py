@@ -18,7 +18,10 @@ The sign is kept for the standard formula, but no check here can tell a wrong
 sign convention from the right one.
 
 The root basis symbol is pinned to valuation 0 and a unit of exact order p^N,
-which requires ell = 1 mod p^N.
+which requires ell = 1 mod p^N.  Labels are evaluated here, not through the
+normalizer's `SymbolBasis.resolve`, so a fault there shows as a disagreement:
+a label reads its own column of the assignment, a lower root zeta_{p^K} the
+root's value to the power p^(N-K).
 
 The checks evaluate all their assignments at once: each draws its assignment
 rows from one stdlib generator and evaluates them as int64 arrays over F_ell.
@@ -42,12 +45,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .arith import is_prime, smallest_primitive_root
-from .symbols import BrauerExpression, Monomial, NormalForm, SymbolBasis, bind_exponent
+from .symbols import BrauerExpression, Monomial, NormalForm, SymbolBasis
 
 # Largest ell with (ell - 1)^2 < 2^63: a product of two residues mod ell fits int64.
 MAX_ELL = math.isqrt(2**63 - 1) + 1
@@ -106,15 +110,37 @@ def _dlog_table(ell: int, base: int, order: int) -> dict[int, int]:
     return table
 
 
+def _bind(exp: int | Fraction, torsion: int) -> int:
+    """An exponent as a residue mod p^n; a fraction num/den is num * den^-1."""
+    if isinstance(exp, int):
+        return exp % torsion
+    if math.gcd(exp.denominator, torsion) != 1:
+        raise OracleError(f"exponent {exp} has no value mod {torsion}")
+    return exp.numerator * pow(exp.denominator, -1, torsion) % torsion
+
+
+def _slot(basis: SymbolBasis, label: str) -> tuple[int, int]:
+    """The assignment column a label reads, and the power of that column's
+    value it stands for: a label is its own column (a_i is column i in
+    every engine basis), and z_K = zeta_{p^K} is z^(p^(N-K)) on the root
+    column 0."""
+    if label in basis.labels:
+        return basis.labels.index(label) + 1, 1
+    level = label[1:] or "1"
+    if label[:1] != "z" or not level.isdigit() or int(level) > basis.root_level:
+        raise OracleError(f"label {label!r} has no value in an assignment for {basis}")
+    return 0, basis.p ** (basis.root_level - int(level))
+
+
 def _monomial_value(basis: SymbolBasis, assignment: LocalAssignment, mono: Monomial) -> tuple[int, int]:
-    vec = basis.resolve(mono)
     ell = assignment.ell
+    names = ("z",) + basis.labels
     val = 0
     unit = 1
-    for idx, e in enumerate(vec):
-        if not e:
-            continue
-        v, u = assignment.value_of(basis.base_name(idx) if idx else "z")
+    for label, exp in mono.items():
+        col, weight = _slot(basis, label)
+        e = _bind(exp, basis.torsion) * weight
+        v, u = assignment.value_of(names[col])
         val += e * v
         unit = unit * pow(u, e % (ell - 1), ell) % ell
     return val, unit
@@ -142,8 +168,7 @@ def eval_expression(expr: BrauerExpression, assignment: LocalAssignment,
                     basis: SymbolBasis) -> int:
     total = 0
     for f in expr.factors:
-        # fractional exponents bind mod p^n exactly as in normalization
-        w = bind_exponent(f.exponent, basis.torsion)
+        w = _bind(f.exponent, basis.torsion)
         total += w * eval_symbol(f.left_mono(), f.right_mono(), assignment, basis)
     return total % basis.torsion
 
@@ -310,14 +335,24 @@ def _values(weights: np.ndarray, monos: np.ndarray, rows: _Rows, ells: tuple[int
     return _discrete_log(t, rows, ells, torsion)
 
 
+def _vector(basis: SymbolBasis, pairs) -> list[int]:
+    """Exponents mod p^n over the assignment columns of a monomial's
+    (label, exponent) pairs."""
+    torsion = basis.torsion
+    vec = [0] * (len(basis.labels) + 1)
+    for label, exp in pairs:
+        col, weight = _slot(basis, label)
+        vec[col] = (vec[col] + _bind(exp, torsion) * weight) % torsion
+    return vec
+
+
 def _expression_factors(expr: BrauerExpression, basis: SymbolBasis) -> list[tuple]:
-    """(bound weight, resolved left, resolved right) per factor of nonzero weight."""
+    """(bound weight, left vector, right vector) per factor of nonzero weight."""
     out = []
     for f in expr.factors:
-        # fractional exponents bind mod p^n exactly as in normalization
-        w = bind_exponent(f.exponent, basis.torsion)
+        w = _bind(f.exponent, basis.torsion)
         if w:
-            out.append((w, basis.resolve(f.left_mono()), basis.resolve(f.right_mono())))
+            out.append((w, _vector(basis, f.left), _vector(basis, f.right)))
     return out
 
 

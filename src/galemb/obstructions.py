@@ -28,8 +28,8 @@ from .symbols import (
     ExpressionError,
     NormalForm,
     SymbolBasis,
+    SymbolFactor,
     normalize,
-    one,
     render,
     root_label,
     symbol,
@@ -86,16 +86,14 @@ def basis_for(spec: EmbeddingProblemSpec) -> SymbolBasis:
 
 def kernel_condition(spec: EmbeddingProblemSpec, params: ExtensionParams) -> Condition:
     """The kernel-formula condition of one kernel projection."""
-    raw = one()
-    for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1):
-        if mi:
-            raw = raw * symbol({f"a{i}": 1}, {root_label(ni): mi}, spec.kernel_level)
-    for i in range(params.t):
-        for j in range(i + 1, params.t):
-            dij = params.d[i][j]
-            if dij:
-                raw = raw * symbol({f"a{j + 1}": 1}, {f"a{i + 1}": 1}, spec.kernel_level,
-                                   exponent=dij)
+    level = spec.kernel_level
+    factors = [SymbolFactor(left=((f"a{i}", 1),), right=((root_label(ni), mi),), exponent=1,
+                            torsion_level=level)
+               for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1) if mi]
+    factors += [SymbolFactor(left=((f"a{j + 1}", 1),), right=((f"a{i + 1}", 1),),
+                             exponent=row[j], torsion_level=level)
+                for i, row in enumerate(params.d) for j in range(i + 1, params.t) if row[j]]
+    raw = BrauerExpression(tuple(factors))
     return Condition(raw=raw, normal=normalize(raw, basis_for(spec)),
                      origin=f"kernel {spec.kernel_names[params.kernel_index]}")
 

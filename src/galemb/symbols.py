@@ -16,6 +16,7 @@ admissible k.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,15 +72,18 @@ class SymbolBasis:
     def base_name(self, idx: int) -> str:
         return root_label(self.root_level) if idx == 0 else self.labels[idx - 1]
 
-    def resolve(self, mono: Monomial) -> tuple[int, ...]:
-        """Exponent vector over (z, a1..at); lower roots fold into the z slot.
+    def resolve(self, pairs: Iterable[tuple[str, int | Fraction]]) -> tuple[int, ...]:
+        """Exponent vector over (z, a1..at) of the (label, exponent) pairs of a
+        monomial, such as a factor's stored `left`/`right` or a `Monomial`'s
+        items(); lower roots fold into the z slot.
 
         Fractional exponents bind mod p^n here: a different representative
         shifts the slot by a p^n-th power, invisible at torsion p^n.
         """
         vec = [0] * self.size
-        for label, raw_exp in mono.items():
-            exp = bind_exponent(raw_exp, self.torsion)
+        torsion = self.torsion
+        for label, raw_exp in pairs:
+            exp = bind_exponent(raw_exp, torsion)
             if label.startswith("a"):
                 try:
                     idx = self.labels.index(label) + 1
@@ -176,22 +180,26 @@ class NormalForm:
 
 
 def bind_exponent(exp: int | Fraction, torsion: int) -> int:
-    if isinstance(exp, Fraction):
-        try:
-            return exp.numerator * mod_inverse(exp.denominator, torsion) % torsion
-        except ModularArithmeticError as exc:
-            raise ExpressionError(
-                f"exponent {exp} has no value mod {torsion}: its denominator is not invertible"
-            ) from exc
-    return exp % torsion
+    # int first: isinstance against Fraction goes through the numbers ABCs
+    if isinstance(exp, int):
+        return exp % torsion
+    try:
+        return exp.numerator * mod_inverse(exp.denominator, torsion) % torsion
+    except ModularArithmeticError as exc:
+        raise ExpressionError(
+            f"exponent {exp} has no value mod {torsion}: its denominator is not invertible"
+        ) from exc
 
 
 def normalize(expr: BrauerExpression, basis: SymbolBasis) -> NormalForm:
     """Fold bilinearity, the alternating rule, inversion, root rescaling and
-    exponent reduction mod p^n into the unique upper-triangular matrix."""
-    n = basis.size
+    exponent reduction mod p^n into the unique upper-triangular matrix.
+
+    A factor w * (L, R) adds w L[u] R[v] at (u, v) for u < v and subtracts
+    it at (v, u) for u > v, over the nonzero entries of L and R only."""
     torsion = basis.torsion
-    M = [[0] * n for _ in range(n)]
+    size = basis.size
+    M = [[0] * size for _ in range(size)]
     for f in expr.factors:
         if f.torsion_level != basis.torsion_level:
             raise BasisError(
@@ -200,14 +208,15 @@ def normalize(expr: BrauerExpression, basis: SymbolBasis) -> NormalForm:
         w = bind_exponent(f.exponent, torsion)
         if w == 0:
             continue
-        L = basis.resolve(f.left_mono())
-        R = basis.resolve(f.right_mono())
-        for u in range(n):
-            for v in range(u + 1, n):
-                c = L[u] * R[v] - L[v] * R[u]
-                if c:
-                    M[u][v] = (M[u][v] + w * c) % torsion
-    return NormalForm(basis=basis, matrix=tuple(tuple(row) for row in M))
+        right = [(v, c) for v, c in enumerate(basis.resolve(f.right)) if c]
+        for u, a in enumerate(basis.resolve(f.left)):
+            if a:
+                for v, c in right:
+                    if u < v:
+                        M[u][v] += w * a * c
+                    elif u > v:
+                        M[v][u] -= w * a * c
+    return NormalForm(basis=basis, matrix=tuple(tuple([c % torsion for c in row]) for row in M))
 
 
 def equal(e1: BrauerExpression, e2: BrauerExpression, basis: SymbolBasis) -> bool:

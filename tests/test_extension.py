@@ -168,18 +168,63 @@ def _reference_quotient_structure(P, kernel_names, preimage_names):
     return tuple(n)
 
 
-def _read_off(P, kernel_names, preimage_names):
-    """quotient_structure on P, or None when the spec or the read-off rejects
-    the problem.  The kernel level is taken from the first kernel generator's
-    order, so only a non-central or tail-leaving kernel fails the spec."""
+def _spec(P, kernel_names, preimage_names):
+    """The drawn problem's spec, or None when the spec rejects it.  The kernel
+    level is taken from the first kernel generator's order, so only a
+    non-central or tail-leaving kernel fails the spec."""
     order = groups.element_order(P, P.generator(kernel_names[0]))
     try:
-        spec = EmbeddingProblemSpec(presentation=P, kernel_names=tuple(kernel_names),
+        return EmbeddingProblemSpec(presentation=P, kernel_names=tuple(kernel_names),
                                     kernel_level=round(math.log(order, P.p)),
                                     preimage_names=tuple(preimage_names), root_level=1)
-        return extension.quotient_structure(spec)
     except ExtensionError:
         return None
+
+
+def _read_off(P, kernel_names, preimage_names):
+    """quotient_structure on P, or None when the spec or the read-off rejects
+    the problem."""
+    spec = _spec(P, kernel_names, preimage_names)
+    try:
+        return None if spec is None else extension.quotient_structure(spec)
+    except ExtensionError:
+        return None
+
+
+def _mul_power(P, x, k):
+    """x^k, k >= 0, by square-and-multiply with `groups.mul`."""
+    out = P.identity
+    while k:
+        if k & 1:
+            out = groups.mul(P, out, x)
+        x = groups.mul(P, x, x)
+        k >>= 1
+    return out
+
+
+def _collected_params(spec, n):
+    """(m, d) of every kernel projection by `groups.mul` alone, for the levels
+    n: s_i^(p^n_i) and [s_j, s_i] = s_j^-1 s_i^-1 s_j s_i, with x^-1 =
+    x^(|G|-1), read at the kernel coordinate."""
+    P = spec.presentation
+    s = spec.preimages
+    inverse = [_mul_power(P, x, groups.group_order(P) - 1) for x in s]
+    t = len(s)
+    powers = [_mul_power(P, x, P.p**ni) for x, ni in zip(s, n)]
+    comms = {(i, j): groups.mul(P, groups.mul(P, inverse[j], inverse[i]),
+                                groups.mul(P, s[j], s[i]))
+             for i in range(t) for j in range(i + 1, t)}
+    ker = set(spec.kernel_coords)
+    for x in powers + list(comms.values()):
+        assert all(c == 0 or i in ker for i, c in enumerate(x)), (spec.preimage_names, x)
+    modulus = P.p**spec.kernel_level
+    out = []
+    for col in spec.kernel_coords:
+        m = tuple(x[col] % modulus for x in powers)
+        d = tuple(tuple(comms[i, j][col] % modulus if j > i else 0 for j in range(t))
+                  for i in range(t))
+        out.append((m, d))
+    return out
 
 
 @st.composite
@@ -225,6 +270,45 @@ class TestKernelReadOff:
 
 
 class TestExtractParams:
+    def test_read_off_matches_collection_on_draws(self):
+        # every drawn problem the read-off accepts, including order-p^2
+        # kernels and pre-images listed against the generator order
+        seen = set()
+
+        @settings(max_examples=300, derandomize=True, deadline=None)
+        @given(problem=kernel_problems())
+        def agree(problem):
+            P, kernel, pre = problem
+            spec = _spec(P, kernel, pre)
+            try:
+                data = extension.embedding_data(spec) if spec else None
+            except ExtensionError:
+                data = None
+            if data is None:
+                return
+            got = [(params.m, params.d) for params in data.params]
+            assert got == _collected_params(spec, data.n), (P, kernel, pre)
+            seen.add(f"kernel level {spec.kernel_level}")
+            index = [P.index[name] for name in pre]
+            if any(row[j] and index[j] < index[i] for params in data.params
+                   for i, row in enumerate(params.d) for j in range(i + 1, len(pre))):
+                seen.add("nonzero d against generator order")
+
+        agree()
+        assert {"kernel level 1", "kernel level 2", "nonzero d against generator order"} <= seen
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_catalog_matches_collection(self, p):
+        pullbacks = family14 = 0
+        for inst in enumerate_instances(p):
+            spec = spec_for_instance(inst)
+            data = extension.embedding_data(spec)
+            got = [(params.m, params.d) for params in data.params]
+            assert got == _collected_params(spec, data.n), inst.label
+            pullbacks += len(inst.kernels) == 2
+            family14 += inst.label.startswith("Phi14")
+        assert pullbacks and family14
+
     def test_phi2_41_worked_values(self):
         params = extension.embedding_data(make_spec("Phi2(41)", 3)).params[0]
         assert params.n == (1, 3)

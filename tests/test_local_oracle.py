@@ -13,7 +13,9 @@ import pytest
 
 from galemb import local_oracle as lo
 from galemb.arith import is_prime
-from galemb.symbols import NormalForm, SymbolBasis, normalize, one, parse, symbol
+from galemb.obstructions import generate_table
+from galemb.symbols import (NormalForm, SymbolBasis, normalize, one, parse, root_label,
+                            root_level_of, symbol)
 
 B1 = SymbolBasis(p=3, labels=("a1", "a2"), root_level=1, torsion_level=1)
 B3 = SymbolBasis(p=3, labels=("a1", "a2"), root_level=3, torsion_level=1)
@@ -145,6 +147,25 @@ def test_fraction_exponents_evaluate_like_bound_residues():
     for i in range(30):
         asg = lo.random_assignment(B1, 7, seed=i)
         assert lo.eval_expression(e1, asg, B1) == lo.eval_expression(e2, asg, B1)
+
+
+def test_oracle_sees_a_resolve_fault(monkeypatch):
+    # the oracle evaluates labels itself: a resolve that folds each lower
+    # root z_K as z_(K+1) moves the engine's normal forms but not the
+    # oracle's value of the raw product
+    resolve = SymbolBasis.resolve
+
+    def one_level_short(self, pairs):
+        return resolve(self, [
+            (label, e) if label.startswith("a") or root_level_of(label) >= self.root_level
+            else (root_label(root_level_of(label) + 1), e)
+            for label, e in pairs])
+
+    monkeypatch.setattr(SymbolBasis, "resolve", one_level_short)
+    conditions = [c for table in range(1, 7) for row in generate_table(table, 3)
+                  for c in row.result.conditions]
+    assert any(not lo.check_raw_vs_normal(c.raw, c.normal, seed=k).equal
+               for k, c in enumerate(conditions))
 
 
 def _random_expression(rng: random.Random, basis: SymbolBasis):

@@ -218,6 +218,15 @@ class TestTables:
         assert rows == 118
         assert calls == {"is_central_element": 0, "make_presentation": rows}
 
+    def test_table_path_makes_no_collection_call(self, monkeypatch):
+        # (n, m, d) come from the relation tables, never from collection
+        def collection(*args, **kwargs):
+            raise AssertionError("collection call on the table path")
+        for name in ("mul", "commutator"):
+            monkeypatch.setattr(groups, name, collection)
+        rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
+        assert rows == 118
+
     def test_kernel_validated_once_per_row(self, monkeypatch):
         # the spec validates its kernel once; quotient_structure and every
         # kernel log read the coordinates it keeps

@@ -1,18 +1,23 @@
 """Expression grammar, normalization rules, and rendering round trips."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galemb.symbols import (
     BasisError,
+    BrauerExpression,
     ExpressionError,
     SymbolBasis,
+    SymbolFactor,
     equal,
     normalize,
     one,
     parse,
     render,
+    root_label,
     symbol,
 )
 
@@ -171,3 +176,61 @@ def test_torsion_power_vanishes(x, y):
 def test_render_roundtrip(x, y, e):
     nf = normalize(symbol(x, y, 1, exponent=e), B3)
     assert normalize(parse(render(nf)), B3) == nf
+
+
+def _dense_normalize(expr, basis):
+    """Reference normal form matrix: each slot resolved here, then the
+    O(size^2) fold of L[u] R[v] - L[v] R[u] over every pair u < v."""
+    p, N, torsion, size = basis.p, basis.root_level, basis.torsion, basis.size
+
+    def bind(e):
+        if isinstance(e, Fraction):
+            return e.numerator * pow(e.denominator, -1, torsion) % torsion
+        return e % torsion
+
+    def vector(pairs):
+        vec = [0] * size
+        for label, e in pairs:
+            if label in basis.labels:
+                vec[basis.labels.index(label) + 1] += bind(e)
+            else:
+                vec[0] += bind(e) * p ** (N - (int(label[1:]) if label != "z" else 1))
+        return vec
+
+    M = [[0] * size for _ in range(size)]
+    for f in expr.factors:
+        w = bind(f.exponent)
+        L, R = vector(f.left), vector(f.right)
+        for u in range(size):
+            for v in range(u + 1, size):
+                M[u][v] = (M[u][v] + w * (L[u] * R[v] - L[v] * R[u])) % torsion
+    return tuple(tuple(row) for row in M)
+
+
+@st.composite
+def raw_expressions(draw, basis):
+    """Products of factors whose slots list (label, exponent) pairs: several
+    labels, a label repeated, roots z..z_N, negative and fractional
+    exponents (denominators prime to p)."""
+    names = basis.labels + tuple(root_label(k) for k in range(1, basis.root_level + 1))
+    exponents = st.one_of(
+        st.integers(-30, 30),
+        st.builds(Fraction, st.integers(-12, 12), st.sampled_from([2, 4, 7])))
+    pairs = st.lists(st.tuples(st.sampled_from(names), exponents), min_size=1, max_size=5)
+    factors = draw(st.lists(st.tuples(pairs, pairs, exponents), max_size=5))
+    return BrauerExpression(tuple(
+        SymbolFactor(left=tuple(x), right=tuple(y), exponent=w, torsion_level=basis.torsion_level)
+        for x, y, w in factors))
+
+
+@pytest.mark.parametrize("basis", [
+    SymbolBasis(p=3, labels=("a1", "a2", "a3"), root_level=3, torsion_level=1),
+    SymbolBasis(p=3, labels=("a1", "a2", "a3"), root_level=3, torsion_level=2),
+    SymbolBasis(p=5, labels=("a1", "a2", "a3", "a4"), root_level=2, torsion_level=1),
+    SymbolBasis(p=5, labels=("a1", "a2"), root_level=2, torsion_level=2),
+], ids=lambda b: f"p{b.p}N{b.root_level}n{b.torsion_level}")
+@settings(max_examples=75, deadline=None)
+@given(data=st.data())
+def test_sparse_fold_equals_dense_reference(basis, data):
+    expr = data.draw(raw_expressions(basis))
+    assert normalize(expr, basis).matrix == _dense_normalize(expr, basis)
