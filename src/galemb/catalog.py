@@ -135,17 +135,17 @@ def _resolve_word(word: Word, env: dict[str, int], orders: dict[str, int]) -> di
 # ---------------------------------------------------------------------------
 # parameter expansion
 
-def _rs_shape(ctx: PrimeContext, r: int) -> tuple[int, int]:
-    """(n, max s) for the two-parameter family-15 groups; undefined for g = r^2."""
+def _rs_shape(ctx: PrimeContext, r: int) -> int:
+    """Max s for the two-parameter family-15 groups; undefined for g = r^2."""
     p = ctx.p
     if (ctx.g - r * r) % p == 0:
         raise CatalogError(f"instance undefined at p={p}: g = r^2 for r={r}")
     n = 2 + discrete_log_mod_p(ctx.g, (ctx.g - r * r) % p, p)
-    # 1 // (2 * n) is 0 for every n >= 2, so the last term vanishes: either dead
-    # arithmetic or a mis-transcribed non-integer term; the transcription is
-    # unverified against James (1980), the source of the Phi_k labelling.
-    m = (p - 3) // 2 + n - 2 * (1 // (2 * n))
-    return n, m
+    # printed as (p-3)/2 + n - 2*(1/(2n)), and kappa = g^(1/(2n) + s) in
+    # _env_for; both 1/(2n) terms are read as the floor 1 // (2n) = 0
+    # (n >= 2), a transcription unverified against James (1980), the source
+    # of the Phi_k labelling
+    return (p - 3) // 2 + n
 
 
 def _param_values(tpl: GroupTemplate, ctx: PrimeContext) -> list[tuple[int, ...] | None]:
@@ -163,8 +163,7 @@ def _param_values(tpl: GroupTemplate, ctx: PrimeContext) -> list[tuple[int, ...]
         for r in range(1, (p - 1) // 2 + 1):
             if (ctx.g - r * r) % p == 0:
                 continue
-            _, m = _rs_shape(ctx, r)
-            out.extend((r, s) for s in range(m + 1))
+            out.extend((r, s) for s in range(_rs_shape(ctx, r) + 1))
         return out
     raise CatalogError(f"unknown parameter kind {tpl.param!r}")
 
@@ -188,8 +187,7 @@ def _env_for(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | No
     else:
         raise CatalogError(f"unknown parameter kind {tpl.param!r}")
     if valid and tpl.param == "rs":
-        n, m = _rs_shape(ctx, r)
-        valid = 0 <= params[1] <= m
+        valid = 0 <= params[1] <= _rs_shape(ctx, r)
     if not valid:
         raise CatalogError(f"parameters {params} out of range for {tpl.label} at p={p}")
     env["r"] = r
@@ -204,9 +202,7 @@ def _env_for(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | No
     elif label == "Phi15(2211)b_{r,s}":
         s = params[1]
         env["s"] = s
-        # 1 // (2 * n) is 0 (n >= 2), as in _rs_shape; unverified against
-        # James (1980)
-        env["k"] = pow(ctx.g, (1 // (2 * n)) + s, p)
+        env["k"] = pow(ctx.g, s, p)  # see _rs_shape
     return env
 
 

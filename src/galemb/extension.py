@@ -56,8 +56,12 @@ class EmbeddingProblemSpec:
         if len(coords) != len(self.kernel_names):
             raise ExtensionError(f"kernel generator {self.kernel_names[0]!r} given twice")
         object.__setattr__(self, "kernel_coords", tuple(P.index[n] for n in self.kernel_names))
-        for name in self.kernel_names:
-            if groups.element_order(P, P.generator(name)) != P.p**self.kernel_level:
+        # a generator g has order p^L iff g^(p^L) = 1 != g^(p^(L-1)), both
+        # read off the power tails
+        L = self.kernel_level
+        for name, i in zip(self.kernel_names, self.kernel_coords):
+            if (groups.generator_power(P, i, P.p**L) != P.identity
+                    or groups.generator_power(P, i, P.p**(L - 1)) == P.identity):
                 raise ExtensionError(
                     f"kernel generator {name!r} does not have order p^{self.kernel_level}"
                 )

@@ -14,8 +14,7 @@ its normal form is a hard failure of the symbol engine.
 
 For odd p the sign (-1)^{v(x) v(y)} cannot change a value: ell - 1 is even
 and p^n odd, so (ell-1)/p^n is even and the power-residue map sends -1 to 1.
-The sign is kept for the standard formula, but no check here can tell a wrong
-sign convention from the right one.
+The scalar reference keeps the sign of the standard formula; the batch drops it.
 
 The root basis symbol is pinned to valuation 0 and a unit of exact order p^N,
 which requires ell = 1 mod p^N.  Labels are evaluated here, not through the
@@ -28,13 +27,12 @@ rows from one stdlib generator and evaluates them as int64 arrays over F_ell.
 A row assigns units U_i; a product of symbols (x_f, y_f)^{w_f} takes its
 value from one power residue, whatever the number of factors:
 
-    prod_f c_f^{w_f (ell-1)/p^n} = prod_i U_i^{E_i} (-1)^{E_sign},
-    E_i    = (ell-1)/p^n (sum_f w_f (v(y_f) e_{x_f,i} - v(x_f) e_{y_f,i}) mod p^n),
-    E_sign = (ell-1)/p^n (sum_f w_f v(x_f) v(y_f) mod p^n),
+    prod_f c_f^{w_f (ell-1)/p^n} = prod_i U_i^{E_i},
+    E_i = (ell-1)/p^n (sum_f w_f (v(y_f) e_{x_f,i} - v(x_f) e_{y_f,i}) mod p^n),
 
-so a row costs one exponent vector, one modular power per unit and one for
--1, and one discrete log.  The -1 rides in its own column; its exponent is a
-multiple of the even (ell-1)/p^n, as above.  The scalar `eval_symbol` /
+so a row costs one exponent vector, one modular power per unit and one
+discrete log.  The signs drop out, because their product is -1 raised to a
+multiple of the even (ell-1)/p^n.  The scalar `eval_symbol` /
 `eval_expression` / `eval_normal_form` evaluate each symbol on its own, with
 its own power residue and discrete log: they are the reference the batch is
 tested against.
@@ -64,8 +62,7 @@ class OracleError(ValueError):
 @dataclass(frozen=True)
 class LocalAssignment:
     ell: int
-    torsion_level: int
-    zeta_base: int  # multiplicative order p^torsion_level mod ell
+    zeta_base: int  # multiplicative order p^n mod ell, p^n the basis torsion
     values: tuple[tuple[str, tuple[int, int]], ...]  # label -> (valuation, unit)
 
     def value_of(self, label: str) -> tuple[int, int]:
@@ -75,19 +72,15 @@ class LocalAssignment:
         raise OracleError(f"assignment has no value for {label!r}")
 
 
-def find_suitable_ell(p: int, level: int, count: int, bound: int = MAX_ELL) -> list[int]:
-    """First `count` primes ell = 1 mod p^level (a fresh list on every call)."""
-    return list(_suitable_ells(p, level, count, bound))
-
-
 @lru_cache(maxsize=256)
-def _suitable_ells(p: int, level: int, count: int, bound: int) -> tuple[int, ...]:
+def find_suitable_ell(p: int, level: int, count: int) -> tuple[int, ...]:
+    """First `count` primes ell = 1 mod p^level, all below MAX_ELL."""
     modulus = p**level
     out = []
     ell = modulus + 1
     while len(out) < count:
-        if ell > bound:
-            raise OracleError(f"no prime = 1 mod {modulus} below {bound}")
+        if ell > MAX_ELL:
+            raise OracleError(f"no prime = 1 mod {modulus} below {MAX_ELL}")
         if is_prime(ell):
             out.append(ell)
         ell += modulus
@@ -249,8 +242,8 @@ class _RowStream:
         names = ("z",) + basis.labels
         values = tuple((name, (int(v), int(u)))
                        for name, v, u in zip(names, rows.val[r], rows.unit[r]))
-        return LocalAssignment(ell=ell, torsion_level=basis.torsion_level,
-                               zeta_base=_element_of_order(ell, basis.torsion), values=values)
+        return LocalAssignment(ell=ell, zeta_base=_element_of_order(ell, basis.torsion),
+                               values=values)
 
 
 def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -297,15 +290,14 @@ def _discrete_log(t: np.ndarray, rows: _Rows, ells: tuple[int, ...], torsion: in
 
 def _exponents(weights: np.ndarray, monos: np.ndarray, val: np.ndarray,
                torsion: int) -> np.ndarray:
-    """Per row, the exponents mod p^n of the units and then of -1 in
-    prod_f c_f^(w_f), c_f the tame symbol of (x_f, y_f):
-    sum_f w_f (v(y_f) e_(x_f) - v(x_f) e_(y_f)) and sum_f w_f v(x_f) v(y_f).
+    """The (k, t+1) exponents mod p^n of each row's units in prod_f c_f^(w_f),
+    c_f the tame symbol of (x_f, y_f) without its sign:
+    sum_f w_f (v(y_f) e_(x_f) - v(x_f) e_(y_f)).
 
     Weights, monomial exponents and valuations are reduced mod p^n before
     they multiply, so for p^n <= (MAX_ELL-1)/2 each product is below
     (p^n)^2 < 2^61; the matrix product adds `step` >= 3 of them at a time to
-    an accumulator below p^n, and the sign adds F residues below p^n: every
-    int64 intermediate stays below 2^63."""
+    an accumulator below p^n: every int64 intermediate stays below 2^63."""
     F = len(weights)
     monos = monos % torsion
     signed = np.concatenate([weights, -weights]) % torsion
@@ -316,8 +308,7 @@ def _exponents(weights: np.ndarray, monos: np.ndarray, val: np.ndarray,
     step = (2**63 - 1 - torsion) // (torsion - 1) ** 2
     for s in range(0, 2 * F, step):
         units = (units + coef[:, s:s + step] @ monos[s:s + step]) % torsion
-    sign = (coef[:, :F] * v[:, F:] % torsion).sum(axis=1) % torsion
-    return np.concatenate([units, sign[:, None]], axis=1)
+    return units
 
 
 def _values(weights: np.ndarray, monos: np.ndarray, rows: _Rows, ells: tuple[int, ...],
@@ -326,9 +317,8 @@ def _values(weights: np.ndarray, monos: np.ndarray, rows: _Rows, ells: tuple[int
     monos stacks the exponent vectors of the x_f, then of the y_f: one
     power-residue of the whole product per row, one discrete log."""
     ell = rows.ell[:, None]
-    units = np.concatenate([rows.unit, ell - 1], axis=1)  # the units, then -1
     exps = _exponents(weights, monos, rows.val, torsion) * ((ell - 1) // torsion)
-    powers = _pow_mod(units, exps, ell)
+    powers = _pow_mod(rows.unit, exps, ell)
     t = powers[:, 0]
     for i in range(1, powers.shape[1]):
         t = t * powers[:, i] % rows.ell
@@ -374,7 +364,7 @@ def _first_nonzero(factors: list[tuple], basis: SymbolBasis, trials: int, seed: 
     """Stream position and assignment of the first of `trials` rows on which
     the product of `factors` is nonzero.  Rows are evaluated in chunks that
     start at `chunk` rows and double."""
-    ells = tuple(find_suitable_ell(basis.p, basis.root_level, nells))
+    ells = find_suitable_ell(basis.p, basis.root_level, nells)
     stream = _RowStream(basis, ells, seed)
     if not factors:
         return None
@@ -407,9 +397,9 @@ def random_assignment(basis: SymbolBasis, ell: int, seed: int) -> LocalAssignmen
     return stream.assignment(stream.draw(1), 0)
 
 
-def _trial_assignments(basis: SymbolBasis, trials: int, seed: int, nells: int = 3):
-    """The rows a check with this seed evaluates, as assignments."""
-    stream = _RowStream(basis, find_suitable_ell(basis.p, basis.root_level, nells), seed)
+def _trial_assignments(basis: SymbolBasis, trials: int, seed: int):
+    """The rows an equivalence check with this seed evaluates, as assignments."""
+    stream = _RowStream(basis, find_suitable_ell(basis.p, basis.root_level, 3), seed)
     rows = stream.draw(trials)
     for r in range(trials):
         yield stream.assignment(rows, r)

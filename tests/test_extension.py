@@ -264,6 +264,25 @@ class TestKernelReadOff:
 
     @settings(max_examples=200, deadline=None)
     @given(problem=kernel_problems())
+    def test_kernel_order_read_off_matches_collection(self, problem):
+        # the spec reads each kernel generator's order off the power tails;
+        # element_order finds it by repeated powering
+        P, kernel, pre = problem
+        for level in (1, 2, 3):
+            try:
+                EmbeddingProblemSpec(presentation=P, kernel_names=tuple(kernel),
+                                     kernel_level=level, preimage_names=tuple(pre),
+                                     root_level=level)
+                accepted = True
+            except ExtensionError as exc:
+                if "does not have order" not in str(exc):
+                    continue  # rejected before the order check
+                accepted = False
+            assert accepted == all(groups.element_order(P, P.generator(k)) == P.p**level
+                                   for k in kernel), (kernel, level)
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=kernel_problems())
     def test_read_off_matches_explicit_quotient(self, problem):
         P, kernel, pre = problem
         assert _read_off(P, kernel, pre) == _reference_quotient_structure(P, kernel, pre)

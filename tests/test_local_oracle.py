@@ -21,7 +21,7 @@ B1 = SymbolBasis(p=3, labels=("a1", "a2"), root_level=1, torsion_level=1)
 B3 = SymbolBasis(p=3, labels=("a1", "a2"), root_level=3, torsion_level=1)
 
 ASG7 = lo.LocalAssignment(
-    ell=7, torsion_level=1, zeta_base=2,
+    ell=7, zeta_base=2,
     values=(("z", (0, 2)), ("a1", (1, 1)), ("a2", (0, 3))),
 )
 
@@ -29,7 +29,7 @@ ASG7 = lo.LocalAssignment(
 class TestEvalSymbol:
     def test_two_units_give_zero(self):
         asg = lo.LocalAssignment(
-            ell=7, torsion_level=1, zeta_base=2,
+            ell=7, zeta_base=2,
             values=(("z", (0, 2)), ("a1", (0, 3)), ("a2", (0, 5))),
         )
         assert lo.eval_symbol({"a1": 1}, {"a2": 1}, asg, B1) == 0
@@ -89,22 +89,24 @@ class TestEvalExpression:
 
 class TestHelpers:
     def test_find_suitable_ell_level1(self):
-        assert lo.find_suitable_ell(3, 1, 3) == [7, 13, 19]
+        assert lo.find_suitable_ell(3, 1, 3) == (7, 13, 19)
 
     def test_find_suitable_ell_level4(self):
-        assert lo.find_suitable_ell(3, 4, 1) == [163]
+        assert lo.find_suitable_ell(3, 4, 1) == (163,)
 
-    def test_find_suitable_ell_is_cached_but_never_shared(self, monkeypatch):
+    def test_find_suitable_ell_is_a_cached_tuple(self, monkeypatch):
         first = lo.find_suitable_ell(5, 2, 4)
-        first.append(0)  # the caller's list is its own
+        assert isinstance(first, tuple)  # immutable, so safe to share
         calls = []
         monkeypatch.setattr(lo, "is_prime", lambda n: calls.append(n) or True)
-        assert lo.find_suitable_ell(5, 2, 4) == first[:-1]
+        assert lo.find_suitable_ell(5, 2, 4) is first
         assert calls == []  # served from the cache, no primality tests
 
     def test_no_prime_below_bound(self):
+        # 3^20 + 1 > MAX_ELL: no candidate lies below the int64 bound
+        assert 3**20 + 1 > lo.MAX_ELL
         with pytest.raises(lo.OracleError):
-            lo.find_suitable_ell(3, 2, 1, bound=10)
+            lo.find_suitable_ell(3, 20, 1)
 
     def test_root_symbol_pinned(self):
         asg = lo.random_assignment(B3, 163, seed=0)
@@ -188,7 +190,7 @@ def _random_expression(rng: random.Random, basis: SymbolBasis):
 def _batch_values(factors, basis, trials, seed, nells=3):
     """Batch values of `factors` on the rows a check with `seed` draws, in two
     chunks: the second starts at a row whose ell is not ells[0]."""
-    ells = tuple(lo.find_suitable_ell(basis.p, basis.root_level, nells))
+    ells = lo.find_suitable_ell(basis.p, basis.root_level, nells)
     stream = lo._RowStream(basis, ells, seed)
     chunks = [stream.draw(7), stream.draw(trials - 7)]
     if not factors:
@@ -232,7 +234,7 @@ class TestBatch:
         # weights near p^N, and root slots far above p^n after resolution
         basis = SymbolBasis(p=3, labels=("a1", "a2", "a3"), root_level=17, torsion_level=12)
         ell = 258280327
-        assert lo.find_suitable_ell(3, 17, 1) == [ell]
+        assert lo.find_suitable_ell(3, 17, 1) == (ell,)
         big = 3**17
         rng = random.Random(17)
         names = basis.labels + ("z", "z5", "z17")
@@ -272,8 +274,27 @@ class TestBatch:
             vx, vy = v[:F], v[F:]
             units = [sum(w * (vy[f] * monos[f][i] - vx[f] * monos[F + f][i])
                          for f, w in enumerate(weights)) % torsion for i in range(size)]
-            sign = sum(w * vx[f] * vy[f] for f, w in enumerate(weights)) % torsion
-            assert exps == units + [sign]
+            assert exps == units
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("text", ["(a1, a2; z{n})", "(a1*z{n}, a2^-1; z{n})"])
+    def test_batch_drops_the_sign_on_odd_valuation_rows(self, p, n, text):
+        # where v(x) v(y) is odd the scalar reference multiplies by -1 and the
+        # batch does not: their agreement there is the sign dropping out
+        basis = SymbolBasis(p=p, labels=("a1", "a2"), root_level=n, torsion_level=n)
+        expr = parse(text.format(n=n if n > 1 else ""))
+        ells = lo.find_suitable_ell(p, n, 3)
+        stream = lo._RowStream(basis, ells, seed=p * 10 + n)
+        rows = stream.draw(200)
+        odd = [r for r in range(200) if rows.val[r, 1] * rows.val[r, 2] % 2]
+        assert len(odd) >= 20
+        batch = lo._values(*lo._arrays(lo._expression_factors(expr, basis)), rows, ells,
+                           basis.torsion)
+        (f,) = expr.factors
+        assert [int(batch[r]) for r in odd] == [
+            lo.eval_symbol(f.left_mono(), f.right_mono(), stream.assignment(rows, r), basis)
+            for r in odd]
 
     @pytest.mark.parametrize("nfactors", [4, 8, 16])
     def test_one_power_residue_per_row(self, monkeypatch, nfactors):
@@ -285,7 +306,7 @@ class TestBatch:
             expr = expr * symbol({x: rng.randint(1, 4)}, {y: 1}, 2, rng.randint(1, 24))
         factors = lo._expression_factors(expr, basis)
         assert len(factors) == nfactors
-        ells = tuple(lo.find_suitable_ell(5, 2, 3))
+        ells = lo.find_suitable_ell(5, 2, 3)
         rows = lo._RowStream(basis, ells, seed=0).draw(50)
         calls = []
         pow_mod = lo._pow_mod
@@ -323,8 +344,11 @@ class TestBatch:
         basis = SymbolBasis(p=3, labels=("a1", "a2"), root_level=1, torsion_level=1)
         expr = parse("(a1*a2, z; z)")
         firsts = []
+        ells = lo.find_suitable_ell(3, 1, 4)
         for seed in range(120):
-            rows = list(lo._trial_assignments(basis, 60, seed, nells=4))
+            stream = lo._RowStream(basis, ells, seed)
+            chunk = stream.draw(60)
+            rows = [stream.assignment(chunk, r) for r in range(60)]
             first = next(i for i, asg in enumerate(rows) if lo.eval_expression(expr, asg, basis))
             assert lo.witness_nontrivial(expr, basis, trials=60, seed=seed) == rows[first]
             firsts.append(first)

@@ -219,10 +219,11 @@ class TestTables:
         assert calls == {"is_central_element": 0, "make_presentation": rows}
 
     def test_table_path_makes_no_collection_call(self, monkeypatch):
-        # (n, m, d) come from the relation tables, never from collection
+        # (n, m, d) and the kernel order come from the relation tables, never
+        # from collection
         def collection(*args, **kwargs):
             raise AssertionError("collection call on the table path")
-        for name in ("mul", "commutator"):
+        for name in ("mul", "commutator", "pow_element", "element_order", "inv"):
             monkeypatch.setattr(groups, name, collection)
         rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
         assert rows == 118
