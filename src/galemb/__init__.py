@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .catalog import enumerate_instances, instantiate, lookup
 from .obstructions import (
     ObstructionResult,
-    compare_gold,
     generate_table,
     obstruction_for_instance,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "ObstructionResult",
     "SymbolBasis",
     "__version__",
-    "compare_gold",
     "enumerate_instances",
     "generate_table",
     "instantiate",

@@ -40,7 +40,7 @@ __all__ = [
 
 
 class CatalogError(ValueError):
-    """Unknown group id, parameter out of range, or undefined instance."""
+    """Unknown group id, parameter out of range, or unreadable reference table."""
 
 
 @dataclass(frozen=True)
@@ -135,61 +135,45 @@ def _resolve_word(word: Word, env: dict[str, int], orders: dict[str, int]) -> di
 # ---------------------------------------------------------------------------
 # parameter expansion
 
-def _rs_shape(ctx: PrimeContext, r: int) -> int:
-    """Max s for the two-parameter family-15 groups; undefined for g = r^2."""
+def _s_values(ctx: PrimeContext, r: int) -> range:
+    """The values of s for the two-parameter family-15 groups.  The primitive
+    root g is a non-residue, so g - r^2 is never 0 mod p."""
     p = ctx.p
-    if (ctx.g - r * r) % p == 0:
-        raise CatalogError(f"instance undefined at p={p}: g = r^2 for r={r}")
     n = 2 + discrete_log_mod_p(ctx.g, (ctx.g - r * r) % p, p)
-    # printed as (p-3)/2 + n - 2*(1/(2n)), and kappa = g^(1/(2n) + s) in
-    # _env_for; both 1/(2n) terms are read as the floor 1 // (2n) = 0
-    # (n >= 2), a transcription unverified against James (1980), the source
-    # of the Phi_k labelling
-    return (p - 3) // 2 + n
+    # the largest s is printed as (p-3)/2 + n - 2*(1/(2n)), and kappa =
+    # g^(1/(2n) + s) in _env_for; both 1/(2n) terms are read as the floor
+    # 1 // (2n) = 0 (n >= 2), a transcription unverified against James
+    # (1980), the source of the Phi_k labelling
+    return range((p - 3) // 2 + n + 1)
+
+
+def _r_values(ctx: PrimeContext, kind: str):
+    """The values of r of a template with parameter kind `kind`."""
+    half = range(1, (ctx.p - 1) // 2 + 1)
+    values = {"half": half, "rs": half, "full": range(1, ctx.p), "1nu": (1, ctx.nu)}
+    if kind not in values:
+        raise CatalogError(f"unknown parameter kind {kind!r}")
+    return values[kind]
 
 
 def _param_values(tpl: GroupTemplate, ctx: PrimeContext) -> list[tuple[int, ...] | None]:
-    p = ctx.p
     if tpl.param == "":
         return [None]
-    if tpl.param == "half":
-        return [(r,) for r in range(1, (p - 1) // 2 + 1)]
-    if tpl.param == "full":
-        return [(r,) for r in range(1, p)]
-    if tpl.param == "1nu":
-        return [(1,), (ctx.nu,)]
     if tpl.param == "rs":
-        out: list[tuple[int, ...] | None] = []
-        for r in range(1, (p - 1) // 2 + 1):
-            if (ctx.g - r * r) % p == 0:
-                continue
-            out.extend((r, s) for s in range(_rs_shape(ctx, r) + 1))
-        return out
-    raise CatalogError(f"unknown parameter kind {tpl.param!r}")
+        return [(r, s) for r in _r_values(ctx, "rs") for s in _s_values(ctx, r)]
+    return [(r,) for r in _r_values(ctx, tpl.param)]
 
 
 def _env_for(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | None) -> dict[str, int]:
     p = ctx.p
     env = {"p": p, "g": ctx.g, "v": ctx.nu}
-    if tpl.param == "":
-        if params is not None:
-            raise CatalogError(f"{tpl.label} takes no parameters")
+    if tpl.param == "" and params is None:
         return env
-    if params is None or len(params) != (2 if tpl.param == "rs" else 1):
-        raise CatalogError(f"{tpl.label} needs {'(r, s)' if tpl.param == 'rs' else 'r'}")
-    r = params[0]
-    if tpl.param == "full":
-        valid = 1 <= r < p
-    elif tpl.param == "1nu":
-        valid = r in (1, ctx.nu)
-    elif tpl.param in ("half", "rs"):
-        valid = 1 <= r <= (p - 1) // 2
-    else:
-        raise CatalogError(f"unknown parameter kind {tpl.param!r}")
-    if valid and tpl.param == "rs":
-        valid = 0 <= params[1] <= _rs_shape(ctx, r)
-    if not valid:
+    if (tpl.param == "" or params is None or len(params) != (2 if tpl.param == "rs" else 1)
+            or params[0] not in _r_values(ctx, tpl.param)
+            or (tpl.param == "rs" and params[1] not in _s_values(ctx, params[0]))):
         raise CatalogError(f"parameters {params} out of range for {tpl.label} at p={p}")
+    r = params[0]
     env["r"] = r
     label = tpl.label
     if label in ("Phi4(221)d_r", "Phi4(222)b_r", "Phi15(2211)d_r"):
@@ -202,7 +186,7 @@ def _env_for(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | No
     elif label == "Phi15(2211)b_{r,s}":
         s = params[1]
         env["s"] = s
-        env["k"] = pow(ctx.g, s, p)  # see _rs_shape
+        env["k"] = pow(ctx.g, s, p)  # see _s_values
     return env
 
 
@@ -481,7 +465,9 @@ def enumerate_instances(p: int, order_exp: int | None = None, table: int | None 
     return list(iter_instances(p, order_exp, table))
 
 
-_INSTANCE_RE = re.compile(r"^(?P<base>.*?)_(?:\{(?P<pair>\d+\s*,\s*\d+)\}|(?P<pair2>\d+\s*,\s*\d+)|(?P<single>\d+))$")
+# a subscript r, or r,s with or without braces; braces only around a pair
+_INSTANCE_RE = re.compile(
+    r"^(?P<base>.*?)_(?P<brace>\{(?=\d+\s*,))?(?P<params>\d+(?:\s*,\s*\d+)?)(?(brace)\})$")
 
 
 def lookup(label: str, p: int) -> GroupInstance:
@@ -494,17 +480,10 @@ def lookup(label: str, p: int) -> GroupInstance:
         return instantiate(tpl, p)
     m = _INSTANCE_RE.match(label)
     if m:
-        base = m.group("base")
-        if m.group("single") is not None:
-            params: tuple[int, ...] = (int(m.group("single")),)
-            candidates = (f"{base}_r",)
-        else:
-            pair = m.group("pair") or m.group("pair2")
-            params = tuple(int(x) for x in pair.split(","))
-            candidates = (f"{base}_{{r,s}}",)
-        for cand in candidates:
-            if cand in _BY_LABEL:
-                return instantiate(_BY_LABEL[cand], p, params)
+        params = tuple(int(x) for x in m["params"].split(","))
+        tpl = _BY_LABEL.get(m["base"] + ("_r" if len(params) == 1 else "_{r,s}"))
+        if tpl is not None:
+            return instantiate(tpl, p, params)
     raise CatalogError(f"unknown group {label!r}")
 
 
@@ -513,9 +492,12 @@ def lookup(label: str, p: int) -> GroupInstance:
 
 @dataclass(frozen=True)
 class TableRow:
-    independents: int
     root_level: int
     obstructions: tuple[BrauerExpression, ...]
+
+
+# inside a symbol a comma always comes before a label, never before "("
+_CONDITION_SEP = re.compile(r",\s*(?=\()")
 
 
 @lru_cache(maxsize=4)
@@ -523,8 +505,11 @@ def _load_gold(path: str | None) -> dict[str, tuple[int, int, tuple[str, ...]]]:
     if path is None:
         text = resources.files("galemb").joinpath("data/gold_tables.txt").read_text("utf-8")
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CatalogError(f"gold table {path}: {getattr(exc, 'strerror', None) or exc}") from None
     rows: dict[str, tuple[int, int, tuple[str, ...]]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -534,30 +519,16 @@ def _load_gold(path: str | None) -> dict[str, tuple[int, int, tuple[str, ...]]]:
         if len(parts) != 4:
             raise CatalogError(f"gold table line {lineno}: expected 4 columns")
         label, order_exp, root_level, exprs = parts
+        if label in rows:
+            raise CatalogError(f"gold table line {lineno}: a second row for {label!r}")
         try:
             order, root = int(order_exp), int(root_level)
         except ValueError:
             raise CatalogError(f"gold table line {lineno}: order {order_exp!r} and root level "
                                f"{root_level!r} must be integers") from None
-        rows[label] = (order, root, tuple(_split_conditions(exprs)))
+        conditions = (c.strip() for c in _CONDITION_SEP.split(exprs))
+        rows[label] = (order, root, tuple(c for c in conditions if c))
     return rows
-
-
-def _split_conditions(text: str) -> list[str]:
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur).strip())
-    return [c for c in out if c]
 
 
 def gold_row(inst: GroupInstance, gold_path: str | None = None) -> TableRow:
@@ -572,8 +543,4 @@ def gold_row(inst: GroupInstance, gold_path: str | None = None) -> TableRow:
         parsed = tuple(parse(e, env=inst.env) for e in exprs)
     except ExpressionError as exc:
         raise ExpressionError(f"{inst.label} p={inst.p}: {exc}") from exc
-    return TableRow(
-        independents=len(inst.preimages),
-        root_level=root_level,
-        obstructions=parsed,
-    )
+    return TableRow(root_level=root_level, obstructions=parsed)

@@ -39,7 +39,7 @@ class EmbeddingProblemSpec:
     kernel_level: int
     preimage_names: tuple[str, ...]
     root_level: int
-    # coordinate of each kernel generator, in kernel order, validated by
+    # coordinate of each kernel generator, in kernel order, from
     # groups.kernel_indices: dropping them is the quotient map
     kernel_coords: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -50,12 +50,9 @@ class EmbeddingProblemSpec:
         if len(self.kernel_names) == 2 and self.kernel_level != 1:
             raise ExtensionError("two-kernel problems require kernel level 1")
         try:
-            coords = groups.kernel_indices(P, self.kernel_names)
+            object.__setattr__(self, "kernel_coords", groups.kernel_indices(P, self.kernel_names))
         except groups.ElementError as exc:
             raise ExtensionError(str(exc)) from exc
-        if len(coords) != len(self.kernel_names):
-            raise ExtensionError(f"kernel generator {self.kernel_names[0]!r} given twice")
-        object.__setattr__(self, "kernel_coords", tuple(P.index[n] for n in self.kernel_names))
         # a generator g has order p^L iff g^(p^L) = 1 != g^(p^(L-1)), both
         # read off the power tails
         L = self.kernel_level

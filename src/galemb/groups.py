@@ -349,28 +349,32 @@ def subgroup_closure(P: Presentation, gens: list[Element]) -> set[Element]:
     return seen
 
 
-def kernel_indices(P: Presentation, kernel_names) -> frozenset[int]:
-    """Coordinates of the kernel generators, validated so that dropping them
-    is the quotient map onto G/K, K the subgroup they generate.
+def kernel_indices(P: Presentation, kernel_names) -> tuple[int, ...]:
+    """Coordinates of the kernel generators in the order named, validated so
+    that dropping them is the quotient map onto G/K, K the subgroup they
+    generate.
 
-    Each name must be a generator, each generator central (read off P.comm:
-    the commutator map is bilinear, so g_i is central iff no stored relation
-    involves i), and each power tail of a kernel generator must stay inside
-    the kernel coordinates; then K is exactly the elements supported there.
+    Each name must be a generator named once, each generator central (read
+    off P.comm: the commutator map is bilinear, so g_i is central iff no
+    stored relation involves i), and each power tail of a kernel generator
+    must stay inside the kernel coordinates; then K is exactly the elements
+    supported there.
     """
     involved = {t for j, i, _ in P.comm for t in (j, i)}
-    ker = set()
+    ker: list[int] = []
     for name in kernel_names:
         if name not in P.index:
             raise ElementError(f"unknown kernel generator {name!r}")
         if P.index[name] in involved:
             raise ElementError(f"kernel generator {name!r} is not central")
-        ker.add(P.index[name])
+        if P.index[name] in ker:
+            raise ElementError(f"kernel generator {name!r} given twice")
+        ker.append(P.index[name])
     for i in ker:
         tail = P.power_tails[i]
         if tail is not None and any(c and t not in ker for t, c in enumerate(tail)):
             raise ElementError(f"power tail of kernel generator {P.names[i]!r} leaves the kernel")
-    return frozenset(ker)
+    return tuple(ker)
 
 
 def is_abelian_quotient(P: Presentation, kernel_names: list[str]) -> bool:

@@ -87,24 +87,26 @@ def basis_for(spec: EmbeddingProblemSpec) -> SymbolBasis:
 def kernel_condition(spec: EmbeddingProblemSpec, params: ExtensionParams) -> Condition:
     """The kernel-formula condition of one kernel projection."""
     level = spec.kernel_level
-    factors = [SymbolFactor(left=((f"a{i}", 1),), right=((root_label(ni), mi),), exponent=1,
+    basis = basis_for(spec)
+    labels = basis.labels
+    factors = [SymbolFactor(left=((label, 1),), right=((root_label(ni), mi),), exponent=1,
                             torsion_level=level)
-               for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1) if mi]
-    factors += [SymbolFactor(left=((f"a{j + 1}", 1),), right=((f"a{i + 1}", 1),),
+               for label, ni, mi in zip(labels, params.n, params.m) if mi]
+    factors += [SymbolFactor(left=((labels[j], 1),), right=((labels[i], 1),),
                              exponent=row[j], torsion_level=level)
                 for i, row in enumerate(params.d) for j in range(i + 1, params.t) if row[j]]
     raw = BrauerExpression(tuple(factors))
-    return Condition(raw=raw, normal=normalize(raw, basis_for(spec)),
+    return Condition(raw=raw, normal=normalize(raw, basis),
                      origin=f"kernel {spec.kernel_names[params.kernel_index]}")
 
 
 def _realizability_conditions(n: tuple[int, ...], basis: SymbolBasis) -> list[Condition]:
     out = []
-    for i, ni in enumerate(n, start=1):
+    for label, ni in zip(basis.labels, n):
         if ni == basis.root_level + 1:
-            raw = symbol({f"a{i}": 1}, {root_label(basis.root_level): 1}, basis.torsion_level)
+            raw = symbol({label: 1}, {root_label(basis.root_level): 1}, basis.torsion_level)
             out.append(Condition(raw=raw, normal=normalize(raw, basis),
-                                 origin=f"cyclic-realizability a{i}"))
+                                 origin=f"cyclic-realizability {label}"))
     return out
 
 
@@ -178,6 +180,11 @@ class RowResult:
     def minimal_root_level(self) -> int:
         return self.result.data.minimal_root_level
 
+    @property
+    def ok(self) -> bool:
+        """The row's verdict: conditions and minimal root level both match gold."""
+        return self.match and self.minimal_root_level == self.gold_root_level
+
 
 def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[RowResult]:
     """Engine rows for one table at prime p, each compared against its gold row."""
@@ -203,25 +210,3 @@ def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[
             )
         )
     return out
-
-
-@dataclass(frozen=True)
-class TableDiff:
-    table_id: int
-    p: int
-    rows: tuple[RowResult, ...]
-
-    @property
-    def mismatches(self) -> tuple[RowResult, ...]:
-        """Rows whose conditions or minimal root level differ from the gold row."""
-        return tuple(r for r in self.rows
-                     if not (r.match and r.minimal_root_level == r.gold_root_level))
-
-
-def compare_gold(table_id: int, p: int, gold_path: str | None = None) -> TableDiff:
-    return TableDiff(table_id=table_id, p=p,
-                     rows=tuple(generate_table(table_id, p, gold_path)))
-
-
-def all_tables(p: int, gold_path: str | None = None) -> list[TableDiff]:
-    return [compare_gold(t, p, gold_path) for t in range(1, 7)]

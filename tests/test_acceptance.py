@@ -21,16 +21,18 @@ def _report(name, ok, detail=""):
 
 
 def test_criterion_1_table_reproduction():
-    """Tables 1-6 reproduce at p in {3,5,7} up to normal-form equality, < 30 s per prime."""
+    """Tables 1-6 reproduce at p in {3,5,7} up to normal-form equality, with the
+    gold minimal root level, < 30 s per prime."""
     worst = 0.0
     total = 0
     for p in (3, 5, 7):
         start = time.perf_counter()
-        for diff in ob.all_tables(p):
-            for row in diff.rows:
+        for table_id in range(1, 7):
+            for row in ob.generate_table(table_id, p):
                 total += 1
-                assert row.match, (
-                    f"p={p} table {diff.table_id} {row.label}: engine {row.result.texts()}"
+                assert row.ok, (
+                    f"p={p} table {table_id} {row.label}: engine {row.result.texts()}, "
+                    f"minimal root level {row.minimal_root_level}, gold {row.gold_root_level}"
                 )
         worst = max(worst, time.perf_counter() - start)
     _report("1 table-reproduction", worst < 30.0,

@@ -3,6 +3,7 @@ shipped reference rows."""
 
 import pytest
 
+import galemb
 from galemb import catalog, groups
 from galemb.arith import discrete_log_mod_p, mod_inverse
 from galemb.catalog import (
@@ -19,6 +20,11 @@ from galemb.catalog import (
 )
 from galemb.groups import PrimeContext
 from galemb.symbols import SymbolBasis, normalize
+
+
+@pytest.mark.parametrize("module", [galemb, catalog], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 class TestNumberTheory:
@@ -140,6 +146,7 @@ class TestEnumeration:
         gold = _load_gold(None)
         assert len(templates()) == len(gold) == 95
         assert set(t.label for t in templates()) == set(gold)
+        assert sum(len(conditions) for _, _, conditions in gold.values()) == 193
 
     def test_catalog_order_is_deterministic(self):
         a = [i.label for i in enumerate_instances(5)]
@@ -169,6 +176,13 @@ class TestLookup:
         assert lookup("Phi4(221)d_1", 5).id.params == (1,)
         assert lookup("Phi15(2211)b_{1,0}", 3).id.params == (1, 0)
         assert lookup("Phi15(2211)b_1,2", 3).id.params == (1, 2)
+        assert lookup("Phi15(2211)b_1, 2", 3).id.params == (1, 2)
+
+    @pytest.mark.parametrize("label", ["Phi15(2211)b_{1}", "Phi4(221)d_{1}",
+                                       "Phi15(2211)b_{1,0", "Phi15(2211)b_1,0}"])
+    def test_malformed_subscripts_are_rejected(self, label):
+        with pytest.raises(CatalogError, match="unknown group"):
+            lookup(label, 3)
 
     def test_fixed_subscript_labels_are_exact(self):
         assert lookup("Phi4(222)d_1", 3).template.label == "Phi4(222)d_1"
@@ -188,7 +202,7 @@ class TestGoldRows:
         inst = instantiate("Phi2(41)", 3)
         row = gold_row(inst)
         assert row.root_level == 3
-        assert row.independents == 2
+        assert len(inst.preimages) == 2
         assert len(row.obstructions) == 1
 
     def test_phi4_221a_row(self):
@@ -206,7 +220,7 @@ class TestGoldRows:
             row = gold_row(inst)
             basis = SymbolBasis(
                 p=p,
-                labels=tuple(f"a{i}" for i in range(1, row.independents + 1)),
+                labels=tuple(f"a{i}" for i in range(1, len(inst.preimages) + 1)),
                 root_level=row.root_level,
                 torsion_level=inst.kernel_level,
             )

@@ -11,7 +11,7 @@ from galemb import cli, groups
 from galemb.catalog import instantiate
 from galemb.cli import main
 from galemb.groups import make_presentation
-from galemb.obstructions import compare_gold
+from galemb.obstructions import generate_table
 from galemb.symbols import parse
 
 
@@ -62,6 +62,30 @@ class TestObstruct:
         code, _, err = run(capsys, *argv, "--p", "3", "--gold", str(gold))
         assert code == 2
         assert err == "error: Phi2(41) p=3: expected ')' (at position 10)\n"
+
+    @pytest.mark.parametrize("argv", [("show", "Phi2(41)"), ("obstruct", "Phi2(41)"),
+                                      ("table", "1"), ("check-tables",)])
+    @pytest.mark.parametrize("kind, reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("not-utf8", "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+    ])
+    def test_unreadable_gold_file_is_data_error(self, capsys, tmp_path, argv, kind, reason):
+        (tmp_path / "latin1.txt").write_bytes(b"Phi2(41) \xff")
+        gold = {"missing": tmp_path / "missing.txt", "directory": tmp_path,
+                "not-utf8": tmp_path / "latin1.txt"}[kind]
+        code, out, err = run(capsys, *argv, "--p", "3", "--gold", str(gold))
+        assert code == 2 and out == ""
+        assert err == f"error: gold table {gold}: {reason}\n"
+
+    def test_second_row_for_a_label_is_data_error(self, capsys, tmp_path):
+        gold = _gold_with(tmp_path, "Phi2(41) | 5 | 3 | (z3^-1*a1, a2; z)")
+        with open(gold, "a", encoding="utf-8") as fh:
+            fh.write("\nPhi2(41) | 5 | 4 | (z3^-1*a1, a2; z)\n")
+        lineno = len(gold.read_text(encoding="utf-8").splitlines())
+        code, _, err = run(capsys, "table", "1", "--p", "3", "--gold", str(gold))
+        assert code == 2
+        assert err == f"error: gold table line {lineno}: a second row for 'Phi2(41)'\n"
 
 
 class TestTable:
@@ -119,7 +143,7 @@ class TestCheckTables:
         code, out, _ = run(capsys, "check-tables", "--p", "3", "--gold", str(gold))
         assert code == 3
         assert "MISMATCH table 1 p=3 Phi2(41): minimal root level 3 != 4\n" in out
-        assert [r.label for r in compare_gold(1, 3, str(gold)).mismatches] == ["Phi2(41)"]
+        assert [r.label for r in generate_table(1, 3, str(gold)) if not r.ok] == ["Phi2(41)"]
 
 
 def _gold_with(tmp_path, row):

@@ -92,8 +92,8 @@ def xyk_presentation():
 
 
 # (presentation, kernel, kernel level, pre-images, error); quotient_by_central
-# rejects every case but the wrong order and the repeated name, which only the
-# spec knows about, and is_abelian_quotient only the unknown name
+# rejects every case but the wrong order, which only the spec knows about, and
+# is_abelian_quotient only the unknown name
 BAD_KERNELS = {
     "repeated": (xyk_presentation, ("k", "k"), 1, ("x", "y"), "'k' given twice"),
     "unknown": (phi2_41, ("gamma",), 1, ("alpha1", "alpha"), "unknown kernel generator"),
@@ -112,6 +112,7 @@ class TestKernelValidation:
                                  preimage_names=pre, root_level=1)
 
     @pytest.mark.parametrize("helper, case", [
+        (groups.quotient_by_central, "repeated"),
         (groups.quotient_by_central, "non-central"),
         (groups.quotient_by_central, "tail-leaves-kernel"),
         (groups.quotient_by_central, "unknown"),
@@ -121,6 +122,15 @@ class TestKernelValidation:
         make, kernel, _, _, message = BAD_KERNELS[case]
         with pytest.raises(ElementError, match=message):
             helper(make(), list(kernel))
+
+    def test_kernel_coordinates_in_the_order_named(self):
+        inst = instantiate("Phi4(221)a", 3)
+        P = inst.presentation
+        assert inst.kernels == ("beta2", "beta1")
+        want = (P.index["beta2"], P.index["beta1"])
+        assert groups.kernel_indices(P, inst.kernels) == want
+        assert groups.kernel_indices(P, inst.kernels[::-1]) == want[::-1]
+        assert spec_for_instance(inst).kernel_coords == want
 
     @pytest.mark.parametrize("case, abelian", [("non-central", False),
                                                ("tail-leaves-kernel", True)])
