@@ -476,7 +476,9 @@ def lookup(label: str, p: int) -> GroupInstance:
     if label in _BY_LABEL:
         tpl = _BY_LABEL[label]
         if tpl.param:
-            raise CatalogError(f"{label} is parameterized; pass subscripts, e.g. {label.rsplit('_', 1)[0]}_1")
+            example = "{1,0}" if tpl.param == "rs" else "1"
+            raise CatalogError(f"{label} is parameterized; pass subscripts, e.g. "
+                               f"{label.rsplit('_', 1)[0]}_{example}")
         return instantiate(tpl, p)
     m = _INSTANCE_RE.match(label)
     if m:

@@ -262,13 +262,11 @@ def cmd_eval(args) -> int:
                             root_level=root, torsion_level=expr.torsion_level or 1)
         nf = normalize(expr, basis)
         print(f"p={p} normal form: {render(nf)}")
-        values = []
-        ells = set()
-        for assignment in local_oracle._trial_assignments(basis, args.trials, args.seed):
-            ells.add(assignment.ell)
-            values.append(local_oracle.eval_expression(expr, assignment, basis))
+        values = [local_oracle.eval_expression(expr, assignment, basis)
+                  for assignment in local_oracle._trial_assignments(basis, args.trials, args.seed)]
         counts = {v: values.count(v) for v in sorted(set(values))}
-        print(f"{len(values)} assignments over ell in {sorted(ells)}; value counts: {counts}")
+        print(f"{len(values)} assignments over ell={local_oracle.find_suitable_ell(p, root)}; "
+              f"value counts: {counts}")
         verdict = local_oracle.check_raw_vs_normal(expr, nf, trials=args.trials, seed=args.seed)
         print(f"raw vs normal form: {'agree' if verdict.equal else 'DISAGREE'} "
               f"({verdict.trials} trials)")

@@ -22,20 +22,27 @@ normalizer's `SymbolBasis.resolve`, so a fault there shows as a disagreement:
 a label reads its own column of the assignment, a lower root zeta_{p^K} the
 root's value to the power p^(N-K).
 
+Every check evaluates over one prime, the least ell with v_p(ell-1) = N
+exactly.  There the root's power residue zeta^{(ell-1)/p^n} has full order
+p^n for every n <= N.  Where p^(N+1) divides ell - 1 it is a p-th power in
+mu_{p^n}, so a root entry (a, zeta_{p^N}) only takes values divisible by p:
+at torsion p it reads 0 on every row.
+
 The checks evaluate all their assignments at once: each draws its assignment
 rows from one stdlib generator and evaluates them as int64 arrays over F_ell.
 A row assigns units U_i; a product of symbols (x_f, y_f)^{w_f} takes its
 value from one power residue, whatever the number of factors:
 
-    prod_f c_f^{w_f (ell-1)/p^n} = prod_i U_i^{E_i},
+    t = prod_f c_f^{w_f (ell-1)/p^n} = prod_i U_i^{E_i},
     E_i = (ell-1)/p^n (sum_f w_f (v(y_f) e_{x_f,i} - v(x_f) e_{y_f,i}) mod p^n),
 
-so a row costs one exponent vector, one modular power per unit and one
-discrete log.  The signs drop out, because their product is -1 raised to a
-multiple of the even (ell-1)/p^n.  The scalar `eval_symbol` /
-`eval_expression` / `eval_normal_form` evaluate each symbol on its own, with
-its own power residue and discrete log: they are the reference the batch is
-tested against.
+so a row costs one exponent vector and one modular power per unit.  The
+signs drop out, because their product is -1 raised to a multiple of the even
+(ell-1)/p^n.  A check only asks whether a value is 0, so it tests t = 1 and
+takes no discrete log.  The scalar `eval_symbol` / `eval_expression` /
+`eval_normal_form` evaluate each symbol on its own, with its own power
+residue and discrete log: they are the reference the batch is tested
+against, through t = zeta_{p^n}^value.
 """
 
 from __future__ import annotations
@@ -73,18 +80,13 @@ class LocalAssignment:
 
 
 @lru_cache(maxsize=256)
-def find_suitable_ell(p: int, level: int, count: int) -> tuple[int, ...]:
-    """First `count` primes ell = 1 mod p^level, all below MAX_ELL."""
+def find_suitable_ell(p: int, level: int) -> int:
+    """The least prime ell <= MAX_ELL with v_p(ell - 1) = level exactly."""
     modulus = p**level
-    out = []
-    ell = modulus + 1
-    while len(out) < count:
-        if ell > MAX_ELL:
-            raise OracleError(f"no prime = 1 mod {modulus} below {MAX_ELL}")
-        if is_prime(ell):
-            out.append(ell)
-        ell += modulus
-    return tuple(out)
+    for ell in range(modulus + 1, MAX_ELL + 1, modulus):
+        if (ell - 1) // modulus % p and is_prime(ell):
+            return ell
+    raise OracleError(f"no prime ell with v_{p}(ell-1) = {level} below {MAX_ELL}")
 
 
 @lru_cache(maxsize=64)
@@ -191,65 +193,50 @@ _WORD_BYTES = 8
 _WORD_MASK = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """Consecutive assignment rows; column 0 is the root symbol, 1..t the labels."""
-
-    start: int  # stream position of the first row
-    ell: np.ndarray  # (k,)
-    val: np.ndarray  # (k, size) valuations
-    unit: np.ndarray  # (k, size) unit residues mod the row's ell
-
-
 class _RowStream:
-    """Assignment rows of one check, read row by row from one stdlib generator,
-    so the first k rows do not depend on how many are drawn.  Row i lives over
-    ells[i % len(ells)]: root symbol pinned to valuation 0 and a unit of exact
-    order p^N, labels with valuations in -2..2 and uniform unit residues."""
+    """Assignment rows of one check over the prime ell, read row by row from
+    one stdlib generator, so the first k rows do not depend on how many are
+    drawn: root symbol pinned to valuation 0 and a unit of exact order p^N,
+    labels with valuations in -2..2 and uniform unit residues.  A draw is a
+    (valuations, units) pair of (k, t+1) arrays; column 0 is the root symbol,
+    1..t the labels."""
 
-    def __init__(self, basis: SymbolBasis, ells, seed: int):
+    def __init__(self, basis: SymbolBasis, ell: int, seed: int):
         p, N = basis.p, basis.root_level
-        for ell in ells:
-            if ell > MAX_ELL:
-                raise OracleError(f"ell={ell} exceeds the int64 evaluation bound {MAX_ELL}")
-            if (ell - 1) % p**N != 0:
-                raise OracleError(f"ell={ell} does not admit a primitive p^{N}-th root of unity")
+        if ell > MAX_ELL:
+            raise OracleError(f"ell={ell} exceeds the int64 evaluation bound {MAX_ELL}")
+        if (ell - 1) % p**N != 0:
+            raise OracleError(f"ell={ell} does not admit a primitive p^{N}-th root of unity")
         self.basis = basis
-        self.ells = tuple(ells)
+        self.ell = ell
         self.drawn = 0
-        self._ell = np.array(self.ells, dtype=np.int64)
-        self._root = np.array([_element_of_order(ell, p**N) for ell in self.ells], dtype=np.int64)
+        self._root = _element_of_order(ell, p**N)
         self._rng = random.Random(seed)
 
-    def draw(self, k: int) -> _Rows:
+    def draw(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         t = len(self.basis.labels)
         raw = np.frombuffer(self._rng.randbytes(k * t * 2 * _WORD_BYTES), dtype="<i8")
         words = (raw & _WORD_MASK).reshape(k, t, 2)
-        which = (self.drawn + np.arange(k)) % len(self.ells)
-        ell = self._ell[which]
         val = np.zeros((k, t + 1), dtype=np.int64)
         val[:, 1:] = words[:, :, 0] % 5 - 2
         unit = np.empty((k, t + 1), dtype=np.int64)
-        unit[:, 0] = self._root[which]
-        unit[:, 1:] = words[:, :, 1] % (ell[:, None] - 1) + 1
-        rows = _Rows(start=self.drawn, ell=ell, val=val, unit=unit)
+        unit[:, 0] = self._root
+        unit[:, 1:] = words[:, :, 1] % (self.ell - 1) + 1
         self.drawn += k
-        return rows
+        return val, unit
 
-    def assignment(self, rows: _Rows, r: int) -> LocalAssignment:
-        basis = self.basis
-        ell = int(rows.ell[r])
-        names = ("z",) + basis.labels
-        values = tuple((name, (int(v), int(u)))
-                       for name, v, u in zip(names, rows.val[r], rows.unit[r]))
-        return LocalAssignment(ell=ell, zeta_base=_element_of_order(ell, basis.torsion),
-                               values=values)
+    def assignment(self, rows: tuple[np.ndarray, np.ndarray], r: int) -> LocalAssignment:
+        names = ("z",) + self.basis.labels
+        val, unit = rows
+        values = tuple((name, (int(v), int(u))) for name, v, u in zip(names, val[r], unit[r]))
+        return LocalAssignment(ell=self.ell, values=values,
+                               zeta_base=_element_of_order(self.ell, self.basis.torsion))
 
 
-def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Elementwise base^exp mod `mod` (broadcast), for exp >= 0 and residues
-    below MAX_ELL, by square-and-multiply over the bits of the largest exp."""
-    out = np.ones(np.broadcast_shapes(base.shape, exp.shape, mod.shape), dtype=np.int64)
+def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: int) -> np.ndarray:
+    """Elementwise base^exp mod `mod`, for exp >= 0 and residues below
+    MAX_ELL, by square-and-multiply over the bits of the largest exp."""
+    out = np.ones(exp.shape, dtype=np.int64)
     nbits = int(exp.max(initial=0)).bit_length()
     shifts = np.arange(nbits).reshape((nbits,) + (1,) * exp.ndim)
     bits = (exp >> shifts & 1).astype(bool)  # bits[b]: bit b of every exponent
@@ -258,34 +245,6 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
             base = base * base % mod
         out = np.where(bits[bit], out * base % mod, out)
     return out
-
-
-@lru_cache(maxsize=64)
-def _mu_table(ells: tuple[int, ...], torsion: int) -> tuple[np.ndarray, np.ndarray]:
-    """A discrete-log table of mu_{p^n} in F_ell^x for every ell = ells[j]:
-    the keys zeta^e * len(ells) + j of the powers of its order-p^n element,
-    sorted, with their exponents e."""
-    keys, exps = [], []
-    for j, ell in enumerate(ells):
-        zeta = _element_of_order(ell, torsion)
-        powers = np.ones(1, dtype=np.int64)
-        while len(powers) < torsion:
-            powers = np.concatenate([powers, powers * pow(zeta, len(powers), ell) % ell])
-        keys.append(powers[:torsion] * len(ells) + j)
-        exps.append(np.arange(torsion))
-    keys, exps = np.concatenate(keys), np.concatenate(exps)
-    order = np.argsort(keys)
-    return keys[order], exps[order]
-
-
-def _discrete_log(t: np.ndarray, rows: _Rows, ells: tuple[int, ...], torsion: int) -> np.ndarray:
-    keys, exps = _mu_table(ells, torsion)
-    n = len(ells)
-    query = t * n + (rows.start + np.arange(len(t))) % n  # row i lives over ells[i % n]
-    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    if (keys[pos] != query).any():
-        raise OracleError("tame value outside the expected root-of-unity subgroup")
-    return exps[pos]
 
 
 def _exponents(weights: np.ndarray, monos: np.ndarray, val: np.ndarray,
@@ -311,18 +270,17 @@ def _exponents(weights: np.ndarray, monos: np.ndarray, val: np.ndarray,
     return units
 
 
-def _values(weights: np.ndarray, monos: np.ndarray, rows: _Rows, ells: tuple[int, ...],
-            torsion: int) -> np.ndarray:
-    """Value in Z/p^n of sum_f weights[f] * (x_f, y_f) on every row, where
-    monos stacks the exponent vectors of the x_f, then of the y_f: one
-    power-residue of the whole product per row, one discrete log."""
-    ell = rows.ell[:, None]
-    exps = _exponents(weights, monos, rows.val, torsion) * ((ell - 1) // torsion)
-    powers = _pow_mod(rows.unit, exps, ell)
+def _residues(weights: np.ndarray, monos: np.ndarray, rows: tuple[np.ndarray, np.ndarray],
+              ell: int, torsion: int) -> np.ndarray:
+    """Power residue t in mu_{p^n} of sum_f weights[f] * (x_f, y_f) on every
+    row, where monos stacks the exponent vectors of the x_f, then of the y_f:
+    t = zeta_{p^n}^value, so t = 1 exactly where the value is 0."""
+    val, unit = rows
+    powers = _pow_mod(unit, _exponents(weights, monos, val, torsion) * ((ell - 1) // torsion), ell)
     t = powers[:, 0]
     for i in range(1, powers.shape[1]):
-        t = t * powers[:, i] % rows.ell
-    return _discrete_log(t, rows, ells, torsion)
+        t = t * powers[:, i] % ell
+    return t
 
 
 def _vector(basis: SymbolBasis, pairs) -> list[int]:
@@ -360,21 +318,22 @@ def _arrays(factors: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _first_nonzero(factors: list[tuple], basis: SymbolBasis, trials: int, seed: int,
-                   nells: int, chunk: int) -> tuple[int, LocalAssignment] | None:
+                   chunk: int) -> tuple[int, LocalAssignment] | None:
     """Stream position and assignment of the first of `trials` rows on which
     the product of `factors` is nonzero.  Rows are evaluated in chunks that
     start at `chunk` rows and double."""
-    ells = find_suitable_ell(basis.p, basis.root_level, nells)
-    stream = _RowStream(basis, ells, seed)
+    ell = find_suitable_ell(basis.p, basis.root_level)
+    stream = _RowStream(basis, ell, seed)
     if not factors:
         return None
     weights, monos = _arrays(factors)
     while stream.drawn < trials:
-        rows = stream.draw(min(chunk, trials - stream.drawn))
-        hits = np.flatnonzero(_values(weights, monos, rows, ells, basis.torsion))
+        start = stream.drawn
+        rows = stream.draw(min(chunk, trials - start))
+        hits = np.flatnonzero(_residues(weights, monos, rows, ell, basis.torsion) != 1)
         if hits.size:
             r = int(hits[0])
-            return rows.start + r, stream.assignment(rows, r)
+            return start + r, stream.assignment(rows, r)
         chunk *= 2
     return None
 
@@ -384,7 +343,7 @@ def _compare(lhs: list[tuple], rhs: list[tuple], basis: SymbolBasis, trials: int
     """Both sides on the same rows, as the one product lhs * rhs^-1."""
     torsion = basis.torsion
     diff = lhs + [(-w % torsion, x, y) for w, x, y in rhs]
-    hit = _first_nonzero(diff, basis, trials, seed, nells=3, chunk=trials)
+    hit = _first_nonzero(diff, basis, trials, seed, chunk=trials)
     if hit is None:
         return EquivalenceVerdict(equal=True, trials=trials)
     index, assignment = hit
@@ -392,14 +351,14 @@ def _compare(lhs: list[tuple], rhs: list[tuple], basis: SymbolBasis, trials: int
 
 
 def random_assignment(basis: SymbolBasis, ell: int, seed: int) -> LocalAssignment:
-    """The first row of the assignment stream of `seed` over the one prime ell."""
-    stream = _RowStream(basis, (ell,), seed)
+    """The first row of the assignment stream of `seed` over the prime ell."""
+    stream = _RowStream(basis, ell, seed)
     return stream.assignment(stream.draw(1), 0)
 
 
 def _trial_assignments(basis: SymbolBasis, trials: int, seed: int):
     """The rows an equivalence check with this seed evaluates, as assignments."""
-    stream = _RowStream(basis, find_suitable_ell(basis.p, basis.root_level, 3), seed)
+    stream = _RowStream(basis, find_suitable_ell(basis.p, basis.root_level), seed)
     rows = stream.draw(trials)
     for r in range(trials):
         yield stream.assignment(rows, r)
@@ -407,7 +366,7 @@ def _trial_assignments(basis: SymbolBasis, trials: int, seed: int):
 
 def check_equivalence(e1: BrauerExpression, e2: BrauerExpression, basis: SymbolBasis,
                       trials: int = 200, seed: int = 0) -> EquivalenceVerdict:
-    """Numeric comparison over `trials` seeded assignments spread over 3 primes."""
+    """Numeric comparison over `trials` seeded assignments over one prime."""
     return _compare(_expression_factors(e1, basis), _expression_factors(e2, basis),
                     basis, trials, seed)
 
@@ -420,7 +379,7 @@ def check_raw_vs_normal(expr: BrauerExpression, nf: NormalForm, trials: int = 20
 
 def witness_nontrivial(expr: BrauerExpression, basis: SymbolBasis, trials: int = 500,
                        seed: int = 0) -> LocalAssignment | None:
-    """First assignment, over 4 primes, with nonzero value; expected to exist
-    whenever the normal form is nonzero, since tame symbols realize all residues."""
-    hit = _first_nonzero(_expression_factors(expr, basis), basis, trials, seed, nells=4, chunk=4)
+    """First assignment with nonzero value; expected to exist whenever the
+    normal form is nonzero, since tame symbols realize all residues."""
+    hit = _first_nonzero(_expression_factors(expr, basis), basis, trials, seed, chunk=4)
     return None if hit is None else hit[1]

@@ -177,11 +177,12 @@ def test_criterion_4_formula_cross_validation():
 
 
 def test_criterion_5_oracle_soundness():
-    """Raw formula vs normal form agree on 200 seeded assignments over >= 3
-    primes for every row at p in {3,5}; 1e4 bilinearity/antisymmetry cases;
+    """Raw formula vs normal form agree on 200 seeded assignments over one
+    prime with v_p(l-1) = N for every row at p in {3,5}, and disagree once any
+    one normal-form entry is raised by 1; 1e4 bilinearity/antisymmetry cases;
     a nontriviality witness within 500 trials per nonzero condition; < 10 s."""
     start = time.perf_counter()
-    conditions = 0
+    conditions = perturbed = 0
     for p in (3, 5):
         for table in range(1, 7):
             for row in ob.generate_table(table, p):
@@ -193,12 +194,22 @@ def test_criterion_5_oracle_soundness():
                         wit = lo.witness_nontrivial(cond.raw, cond.normal.basis,
                                                     trials=500, seed=conditions)
                         assert wit is not None, (p, row.label, cond.origin)
+                    basis = cond.normal.basis
+                    for u in range(basis.size):
+                        for v in range(u + 1, basis.size):
+                            matrix = [list(r) for r in cond.normal.matrix]
+                            matrix[u][v] = (matrix[u][v] + 1) % basis.torsion
+                            bad = NormalForm(basis=basis, matrix=tuple(map(tuple, matrix)))
+                            assert not lo.check_raw_vs_normal(cond.raw, bad, trials=200,
+                                                              seed=conditions).equal, (
+                                p, row.label, cond.origin, (u, v))
+                            perturbed += 1
                     conditions += 1
 
     import random
 
     basis = SymbolBasis(p=3, labels=("a1", "a2", "a3"), root_level=2, torsion_level=1)
-    ells = lo.find_suitable_ell(3, 2, 3)
+    ells = (19, 37, 73)  # three primes = 1 mod 9
     rng = random.Random(99)
     for case in range(10_000):
         asg = lo.random_assignment(basis, ells[case % 3], seed=case)
@@ -211,7 +222,8 @@ def test_criterion_5_oracle_soundness():
         assert lo.eval_symbol(x, x, asg, basis) == 0
     elapsed = time.perf_counter() - start
     _report("5 oracle-soundness", elapsed < 10.0,
-            f"{conditions} row conditions, 10000 property cases, {elapsed:.1f}s")
+            f"{conditions} row conditions, {perturbed} perturbed normal forms caught, "
+            f"10000 property cases, {elapsed:.1f}s")
 
 
 def test_criterion_6_root_level_agreement():

@@ -196,6 +196,13 @@ class TestLookup:
         with pytest.raises(CatalogError):
             lookup("Phi4(221)d_r", 3)
 
+    @pytest.mark.parametrize("tpl", [t for t in templates() if t.param], ids=lambda t: t.label)
+    def test_hinted_label_resolves(self, tpl):
+        with pytest.raises(CatalogError, match="pass subscripts") as err:
+            lookup(tpl.label, 3)
+        hinted = str(err.value).rsplit("e.g. ", 1)[1]
+        assert lookup(hinted, 3).template is tpl
+
 
 class TestGoldRows:
     def test_phi2_41_row(self):

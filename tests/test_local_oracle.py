@@ -1,6 +1,7 @@
 """Tame-symbol evaluation: frozen worked values, structural properties, and
 agreement with the symbolic normal form."""
 
+import math
 import os
 import random
 import subprocess
@@ -89,24 +90,28 @@ class TestEvalExpression:
 
 class TestHelpers:
     def test_find_suitable_ell_level1(self):
-        assert lo.find_suitable_ell(3, 1, 3) == (7, 13, 19)
+        # 13 = 1 mod 3 is not needed: one prime per level
+        assert lo.find_suitable_ell(3, 1) == 7
 
     def test_find_suitable_ell_level4(self):
-        assert lo.find_suitable_ell(3, 4, 1) == (163,)
+        assert lo.find_suitable_ell(3, 4) == 163
 
-    def test_find_suitable_ell_is_a_cached_tuple(self, monkeypatch):
-        first = lo.find_suitable_ell(5, 2, 4)
-        assert isinstance(first, tuple)  # immutable, so safe to share
+    def test_find_suitable_ell_skips_a_deeper_valuation(self):
+        # 39367 = 2 * 3^9 + 1 is the least prime = 1 mod 3^8, but v_3(39366) = 9
+        assert is_prime(39367) and lo.find_suitable_ell(3, 8) == 52489 == 8 * 3**8 + 1
+
+    def test_find_suitable_ell_is_cached(self, monkeypatch):
+        first = lo.find_suitable_ell(5, 4)
         calls = []
         monkeypatch.setattr(lo, "is_prime", lambda n: calls.append(n) or True)
-        assert lo.find_suitable_ell(5, 2, 4) is first
+        assert lo.find_suitable_ell(5, 4) is first
         assert calls == []  # served from the cache, no primality tests
 
     def test_no_prime_below_bound(self):
         # 3^20 + 1 > MAX_ELL: no candidate lies below the int64 bound
         assert 3**20 + 1 > lo.MAX_ELL
         with pytest.raises(lo.OracleError):
-            lo.find_suitable_ell(3, 20, 1)
+            lo.find_suitable_ell(3, 20)
 
     def test_root_symbol_pinned(self):
         asg = lo.random_assignment(B3, 163, seed=0)
@@ -187,16 +192,22 @@ def _random_expression(rng: random.Random, basis: SymbolBasis):
     return expr
 
 
-def _batch_values(factors, basis, trials, seed, nells=3):
-    """Batch values of `factors` on the rows a check with `seed` draws, in two
-    chunks: the second starts at a row whose ell is not ells[0]."""
-    ells = lo.find_suitable_ell(basis.p, basis.root_level, nells)
-    stream = lo._RowStream(basis, ells, seed)
+def _batch_residues(factors, basis, trials, seed):
+    """Batch power residues of `factors` on the rows a check with `seed`
+    draws, in two chunks."""
+    ell = lo.find_suitable_ell(basis.p, basis.root_level)
+    stream = lo._RowStream(basis, ell, seed)
     chunks = [stream.draw(7), stream.draw(trials - 7)]
     if not factors:
-        return [0] * trials
-    return [v for rows in chunks
-            for v in lo._values(*lo._arrays(factors), rows, ells, basis.torsion)]
+        return [1] * trials
+    return [int(t) for rows in chunks
+            for t in lo._residues(*lo._arrays(factors), rows, ell, basis.torsion)]
+
+
+def _as_residues(values, assignments):
+    """zeta_{p^n}^value of each scalar value; injective on Z/p^n, so equal
+    residues mean equal values."""
+    return [pow(asg.zeta_base, v, asg.ell) for v, asg in zip(values, assignments)]
 
 
 BASES = [SymbolBasis(p=p, labels=("a1", "a2", "a3"), root_level=N, torsion_level=n)
@@ -210,11 +221,11 @@ class TestBatch:
         for case in range(4):
             expr = _random_expression(rng, basis)
             nf = normalize(expr, basis)
-            raw = _batch_values(lo._expression_factors(expr, basis), basis, 40, case)
-            normal = _batch_values(lo._normal_form_factors(nf), basis, 40, case)
+            raw = _batch_residues(lo._expression_factors(expr, basis), basis, 40, case)
+            normal = _batch_residues(lo._normal_form_factors(nf), basis, 40, case)
             rows = list(lo._trial_assignments(basis, 40, case))
-            assert raw == [lo.eval_expression(expr, asg, basis) for asg in rows]
-            assert normal == [lo.eval_normal_form(nf, asg) for asg in rows]
+            assert raw == _as_residues([lo.eval_expression(expr, asg, basis) for asg in rows], rows)
+            assert normal == _as_residues([lo.eval_normal_form(nf, asg) for asg in rows], rows)
             assert lo.check_raw_vs_normal(expr, nf, trials=40, seed=case).equal
 
     def test_largest_admissible_ell(self):
@@ -222,19 +233,20 @@ class TestBatch:
         basis = SymbolBasis(p=3, labels=("a1", "a2"), root_level=2, torsion_level=2)
         ell = next(e for e in range(lo.MAX_ELL - (lo.MAX_ELL - 1) % 9, 0, -9) if is_prime(e))
         expr = parse("(a1^2*z2, a2^-1; z2)(a2*z2^4, a1^7; z2)^-1/2")
-        stream = lo._RowStream(basis, (ell,), seed=4)
+        stream = lo._RowStream(basis, ell, seed=4)
         rows = stream.draw(30)
-        batch = lo._values(*lo._arrays(lo._expression_factors(expr, basis)), rows, (ell,),
-                           basis.torsion)
-        assert list(batch) == [lo.eval_expression(expr, stream.assignment(rows, r), basis)
-                               for r in range(30)]
+        batch = lo._residues(*lo._arrays(lo._expression_factors(expr, basis)), rows, ell,
+                             basis.torsion)
+        asgs = [stream.assignment(rows, r) for r in range(30)]
+        assert batch.tolist() == _as_residues(
+            [lo.eval_expression(expr, asg, basis) for asg in asgs], asgs)
 
     def test_exponents_near_the_root_level(self):
         # the first ell = 1 mod 3^17, torsion 3^12: label exponents and
         # weights near p^N, and root slots far above p^n after resolution
         basis = SymbolBasis(p=3, labels=("a1", "a2", "a3"), root_level=17, torsion_level=12)
         ell = 258280327
-        assert lo.find_suitable_ell(3, 17, 1) == (ell,)
+        assert lo.find_suitable_ell(3, 17) == ell
         big = 3**17
         rng = random.Random(17)
         names = basis.labels + ("z", "z5", "z17")
@@ -249,11 +261,12 @@ class TestBatch:
                                  rng.choice((1, -1)) * (big - rng.randint(1, 40)))
         factors = lo._expression_factors(expr, basis)
         assert len(factors) == 7
-        stream = lo._RowStream(basis, (ell,), seed=12)
+        stream = lo._RowStream(basis, ell, seed=12)
         rows = stream.draw(20)
-        batch = lo._values(*lo._arrays(factors), rows, (ell,), basis.torsion)
-        assert list(batch) == [lo.eval_expression(expr, stream.assignment(rows, r), basis)
-                               for r in range(20)]
+        batch = lo._residues(*lo._arrays(factors), rows, ell, basis.torsion)
+        asgs = [stream.assignment(rows, r) for r in range(20)]
+        assert batch.tolist() == _as_residues(
+            [lo.eval_expression(expr, asg, basis) for asg in asgs], asgs)
 
     def test_exponents_exact_at_the_largest_torsion(self):
         # p^n up to (MAX_ELL-1)/2: int64 sums must not wrap
@@ -284,17 +297,18 @@ class TestBatch:
         # batch does not: their agreement there is the sign dropping out
         basis = SymbolBasis(p=p, labels=("a1", "a2"), root_level=n, torsion_level=n)
         expr = parse(text.format(n=n if n > 1 else ""))
-        ells = lo.find_suitable_ell(p, n, 3)
-        stream = lo._RowStream(basis, ells, seed=p * 10 + n)
+        ell = lo.find_suitable_ell(p, n)
+        stream = lo._RowStream(basis, ell, seed=p * 10 + n)
         rows = stream.draw(200)
-        odd = [r for r in range(200) if rows.val[r, 1] * rows.val[r, 2] % 2]
+        val, _ = rows
+        odd = [r for r in range(200) if val[r, 1] * val[r, 2] % 2]
         assert len(odd) >= 20
-        batch = lo._values(*lo._arrays(lo._expression_factors(expr, basis)), rows, ells,
-                           basis.torsion)
+        batch = lo._residues(*lo._arrays(lo._expression_factors(expr, basis)), rows, ell,
+                             basis.torsion)
         (f,) = expr.factors
-        assert [int(batch[r]) for r in odd] == [
-            lo.eval_symbol(f.left_mono(), f.right_mono(), stream.assignment(rows, r), basis)
-            for r in odd]
+        asgs = [stream.assignment(rows, r) for r in odd]
+        assert [int(batch[r]) for r in odd] == _as_residues(
+            [lo.eval_symbol(f.left_mono(), f.right_mono(), asg, basis) for asg in asgs], asgs)
 
     @pytest.mark.parametrize("nfactors", [4, 8, 16])
     def test_one_power_residue_per_row(self, monkeypatch, nfactors):
@@ -306,12 +320,12 @@ class TestBatch:
             expr = expr * symbol({x: rng.randint(1, 4)}, {y: 1}, 2, rng.randint(1, 24))
         factors = lo._expression_factors(expr, basis)
         assert len(factors) == nfactors
-        ells = lo.find_suitable_ell(5, 2, 3)
-        rows = lo._RowStream(basis, ells, seed=0).draw(50)
+        ell = lo.find_suitable_ell(5, 2)
+        rows = lo._RowStream(basis, ell, seed=0).draw(50)
         calls = []
         pow_mod = lo._pow_mod
         monkeypatch.setattr(lo, "_pow_mod", lambda *args: calls.append(args) or pow_mod(*args))
-        lo._values(*lo._arrays(factors), rows, ells, basis.torsion)
+        lo._residues(*lo._arrays(factors), rows, ell, basis.torsion)
         assert len(calls) == 1
 
     def test_ell_above_int64_limit_raises(self):
@@ -344,9 +358,9 @@ class TestBatch:
         basis = SymbolBasis(p=3, labels=("a1", "a2"), root_level=1, torsion_level=1)
         expr = parse("(a1*a2, z; z)")
         firsts = []
-        ells = lo.find_suitable_ell(3, 1, 4)
+        ell = lo.find_suitable_ell(3, 1)
         for seed in range(120):
-            stream = lo._RowStream(basis, ells, seed)
+            stream = lo._RowStream(basis, ell, seed)
             chunk = stream.draw(60)
             rows = [stream.assignment(chunk, r) for r in range(60)]
             first = next(i for i, asg in enumerate(rows) if lo.eval_expression(expr, asg, basis))
@@ -358,12 +372,12 @@ class TestBatch:
         basis = SymbolBasis(p=5, labels=("a1", "a2", "a3"), root_level=2, torsion_level=1)
         long = list(lo._trial_assignments(basis, 200, seed=3))
         assert list(lo._trial_assignments(basis, 50, seed=3)) == long[:50]
-        ells = lo.find_suitable_ell(5, 2, 3)
-        stream = lo._RowStream(basis, ells, seed=3)
+        ell = lo.find_suitable_ell(5, 2)
+        stream = lo._RowStream(basis, ell, seed=3)
         chunks = [stream.draw(k) for k in (4, 8, 16, 172)]
         assert [stream.assignment(rows, r) for rows in chunks
-                for r in range(len(rows.ell))] == long
-        assert lo.random_assignment(basis, ells[0], seed=3) == long[0]
+                for r in range(len(rows[0]))] == long
+        assert lo.random_assignment(basis, ell, seed=3) == long[0]
 
     def test_no_numpy_random(self):
         # numpy.random adds ~5 MB of resident memory to every oracle run
@@ -385,14 +399,51 @@ class TestBatch:
         assert out.stdout.strip() == "False"
 
 
-def test_is_prime_matches_sieve():
-    n = 10**5
-    sieve = [True] * n
-    sieve[0] = sieve[1] = False
-    for i in range(2, int(n**0.5) + 1):
+def _primes_below(n: int) -> list[int]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i::i] = [False] * len(range(i * i, n, i))
-    assert [is_prime(k) for k in range(n)] == sieve
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    return [i for i in range(n) if sieve[i]]
+
+
+def _valuation(m: int, p: int) -> int:
+    v = 0
+    while m % p == 0:
+        m, v = m // p, v + 1
+    return v
+
+
+class TestNoBlindPrime:
+    """Every check runs over one prime ell with v_p(ell - 1) = N exactly.  Where
+    p^(N+1) divides ell - 1 the root's power residue is a p-th power, and at
+    torsion p every root entry (a, zeta_{p^N}) reads 0."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_least_prime_of_exact_valuation(self, p):
+        primes = _primes_below(700_000)
+        for N in range(1, 5):
+            ell = lo.find_suitable_ell(p, N)
+            assert ell == next(q for q in primes if _valuation(q - 1, p) == N), (p, N)
+            basis = SymbolBasis(p=p, labels=("a1",), root_level=N, torsion_level=1)
+            _, zeta = lo.random_assignment(basis, ell, seed=0).value_of("z")
+            for n in range(1, N + 1):
+                residue = pow(zeta, (ell - 1) // p**n, ell)
+                assert pow(residue, p**n, ell) == 1 and pow(residue, p**(n - 1), ell) != 1
+
+    @pytest.mark.parametrize("p,N", [(3, 1), (3, 3), (5, 2)])
+    def test_root_entry_is_never_blind(self, p, N):
+        basis = SymbolBasis(p=p, labels=("a1", "a2"), root_level=N, torsion_level=1)
+        expr = parse(f"(a1, {root_label(N)}; z)")
+        rows = [asg for asg in lo._trial_assignments(basis, 200, seed=0)
+                if asg.value_of("a1")[0] % p]
+        assert len(rows) >= 100
+        assert [asg for asg in rows if lo.eval_expression(expr, asg, basis) == 0] == []
+
+
+def test_is_prime_matches_sieve():
+    assert [k for k in range(10**5) if is_prime(k)] == _primes_below(10**5)
 
 
 def test_is_prime_rejects_strong_pseudoprimes():
