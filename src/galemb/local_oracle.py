@@ -28,21 +28,23 @@ p^n for every n <= N.  Where p^(N+1) divides ell - 1 it is a p-th power in
 mu_{p^n}, so a root entry (a, zeta_{p^N}) only takes values divisible by p:
 at torsion p it reads 0 on every row.
 
-The checks evaluate all their assignments at once: each draws its assignment
-rows from one stdlib generator and evaluates them as int64 arrays over F_ell.
-A row assigns units U_i; a product of symbols (x_f, y_f)^{w_f} takes its
-value from one power residue, whatever the number of factors:
+The checks evaluate all their assignments at once, in the log domain.  A row
+draws each label's valuation v_i and unit log L_i, its unit being g^(L_i) for
+the least primitive root g mod ell; the root column has v = 0 and log
+(ell-1)/p^N.  Against zeta_{p^n} = g^((ell-1)/p^n) the symbol (x, y) then
+reads v(y) L(x) - v(x) L(y) mod p^n, where v(x) = x.V and L(x) = x.L for
+x's exponent vector over the columns, so a product of symbols
+(x_f, y_f)^{w_f} is the alternating form
 
-    t = prod_f c_f^{w_f (ell-1)/p^n} = prod_i U_i^{E_i},
-    E_i = (ell-1)/p^n (sum_f w_f (v(y_f) e_{x_f,i} - v(x_f) e_{y_f,i}) mod p^n),
+    V^T M L,   M = sum_f w_f (y_f x_f^T - x_f y_f^T)  mod p^n,
 
-so a row costs one exponent vector and one modular power per unit.  The
-signs drop out, because their product is -1 raised to a multiple of the even
-(ell-1)/p^n.  A check only asks whether a value is 0, so it tests t = 1 and
-takes no discrete log.  The scalar `eval_symbol` / `eval_expression` /
-`eval_normal_form` evaluate each symbol on its own, with its own power
-residue and discrete log: they are the reference the batch is tested
-against, through t = zeta_{p^n}^value.
+one (t+1) x (t+1) matrix per check, however many factors the product has,
+and a row costs one matrix-vector product.  Two sides are compared through
+their difference form; where it is zero mod p^n every row would read 0, so
+the check decides equality without drawing a row.  The scalar `eval_symbol`
+/ `eval_expression` / `eval_normal_form` evaluate each symbol on its own,
+with its own power residue and discrete log: they are the reference the
+batch is tested against, row by row.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ class EquivalenceVerdict:
 # ---------------------------------------------------------------------------
 # batched evaluation
 
-# Valuations and units are reduced from 63-bit generator words; the modulo
+# Valuations and logs are reduced from 63-bit generator words; the modulo
 # bias is below 2^-31 for every ell <= MAX_ELL.
 _WORD_BYTES = 8
 _WORD_MASK = 2**63 - 1
@@ -196,21 +198,23 @@ _WORD_MASK = 2**63 - 1
 class _RowStream:
     """Assignment rows of one check over the prime ell, read row by row from
     one stdlib generator, so the first k rows do not depend on how many are
-    drawn: root symbol pinned to valuation 0 and a unit of exact order p^N,
-    labels with valuations in -2..2 and uniform unit residues.  A draw is a
-    (valuations, units) pair of (k, t+1) arrays; column 0 is the root symbol,
-    1..t the labels."""
+    drawn: root symbol pinned to valuation 0 and the unit g^((ell-1)/p^N) of
+    exact order p^N, labels with valuations in -2..2 and uniform units g^L,
+    g the least primitive root mod ell.  A draw is a (valuations, logs) pair
+    of (k, t+1) arrays; column 0 is the root symbol, 1..t the labels."""
 
     def __init__(self, basis: SymbolBasis, ell: int, seed: int):
         p, N = basis.p, basis.root_level
         if ell > MAX_ELL:
             raise OracleError(f"ell={ell} exceeds the int64 evaluation bound {MAX_ELL}")
+        if not is_prime(ell):
+            raise OracleError(f"ell={ell} is not prime")
         if (ell - 1) % p**N != 0:
             raise OracleError(f"ell={ell} does not admit a primitive p^{N}-th root of unity")
         self.basis = basis
         self.ell = ell
         self.drawn = 0
-        self._root = _element_of_order(ell, p**N)
+        self._root_log = (ell - 1) // p**N
         self._rng = random.Random(seed)
 
     def draw(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,118 +223,80 @@ class _RowStream:
         words = (raw & _WORD_MASK).reshape(k, t, 2)
         val = np.zeros((k, t + 1), dtype=np.int64)
         val[:, 1:] = words[:, :, 0] % 5 - 2
-        unit = np.empty((k, t + 1), dtype=np.int64)
-        unit[:, 0] = self._root
-        unit[:, 1:] = words[:, :, 1] % (self.ell - 1) + 1
+        log = np.empty((k, t + 1), dtype=np.int64)
+        log[:, 0] = self._root_log
+        log[:, 1:] = words[:, :, 1] % (self.ell - 1)
         self.drawn += k
-        return val, unit
+        return val, log
 
     def assignment(self, rows: tuple[np.ndarray, np.ndarray], r: int) -> LocalAssignment:
+        ell = self.ell
+        g = _element_of_order(ell, ell - 1)
         names = ("z",) + self.basis.labels
-        val, unit = rows
-        values = tuple((name, (int(v), int(u))) for name, v, u in zip(names, val[r], unit[r]))
-        return LocalAssignment(ell=self.ell, values=values,
-                               zeta_base=_element_of_order(self.ell, self.basis.torsion))
+        val, log = rows
+        values = tuple((name, (int(v), pow(g, int(L), ell)))
+                       for name, v, L in zip(names, val[r], log[r]))
+        return LocalAssignment(ell=ell, values=values,
+                               zeta_base=_element_of_order(ell, self.basis.torsion))
 
 
-def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: int) -> np.ndarray:
-    """Elementwise base^exp mod `mod`, for exp >= 0 and residues below
-    MAX_ELL, by square-and-multiply over the bits of the largest exp."""
-    out = np.ones(exp.shape, dtype=np.int64)
-    nbits = int(exp.max(initial=0)).bit_length()
-    shifts = np.arange(nbits).reshape((nbits,) + (1,) * exp.ndim)
-    bits = (exp >> shifts & 1).astype(bool)  # bits[b]: bit b of every exponent
-    for bit in range(nbits):
-        if bit:
-            base = base * base % mod
-        out = np.where(bits[bit], out * base % mod, out)
-    return out
-
-
-def _exponents(weights: np.ndarray, monos: np.ndarray, val: np.ndarray,
-               torsion: int) -> np.ndarray:
-    """The (k, t+1) exponents mod p^n of each row's units in prod_f c_f^(w_f),
-    c_f the tame symbol of (x_f, y_f) without its sign:
-    sum_f w_f (v(y_f) e_(x_f) - v(x_f) e_(y_f)).
-
-    Weights, monomial exponents and valuations are reduced mod p^n before
-    they multiply, so for p^n <= (MAX_ELL-1)/2 each product is below
-    (p^n)^2 < 2^61; the matrix product adds `step` >= 3 of them at a time to
-    an accumulator below p^n: every int64 intermediate stays below 2^63."""
-    F = len(weights)
-    monos = monos % torsion
-    signed = np.concatenate([weights, -weights]) % torsion
-    # v(y_f) then v(x_f); |val| <= 2, so each sum is below 2 p^n (t+1)
-    v = val @ np.concatenate([monos[F:], monos[:F]]).T % torsion
-    coef = v * signed % torsion  # v(y_f) w_f, then -v(x_f) w_f
-    units = 0
-    step = (2**63 - 1 - torsion) // (torsion - 1) ** 2
-    for s in range(0, 2 * F, step):
-        units = (units + coef[:, s:s + step] @ monos[s:s + step]) % torsion
-    return units
-
-
-def _residues(weights: np.ndarray, monos: np.ndarray, rows: tuple[np.ndarray, np.ndarray],
-              ell: int, torsion: int) -> np.ndarray:
-    """Power residue t in mu_{p^n} of sum_f weights[f] * (x_f, y_f) on every
-    row, where monos stacks the exponent vectors of the x_f, then of the y_f:
-    t = zeta_{p^n}^value, so t = 1 exactly where the value is 0."""
-    val, unit = rows
-    powers = _pow_mod(unit, _exponents(weights, monos, val, torsion) * ((ell - 1) // torsion), ell)
-    t = powers[:, 0]
-    for i in range(1, powers.shape[1]):
-        t = t * powers[:, i] % ell
-    return t
-
-
-def _vector(basis: SymbolBasis, pairs) -> list[int]:
-    """Exponents mod p^n over the assignment columns of a monomial's
-    (label, exponent) pairs."""
+def _vector(basis: SymbolBasis, pairs) -> dict[int, int]:
+    """Exponents mod p^n, by assignment column, of a monomial's (label,
+    exponent) pairs."""
     torsion = basis.torsion
-    vec = [0] * (len(basis.labels) + 1)
+    vec: dict[int, int] = {}
     for label, exp in pairs:
         col, weight = _slot(basis, label)
-        vec[col] = (vec[col] + _bind(exp, torsion) * weight) % torsion
+        vec[col] = (vec.get(col, 0) + _bind(exp, torsion) * weight) % torsion
     return vec
 
 
-def _expression_factors(expr: BrauerExpression, basis: SymbolBasis) -> list[tuple]:
-    """(bound weight, left vector, right vector) per factor of nonzero weight."""
-    out = []
+def _expression_form(expr: BrauerExpression, basis: SymbolBasis) -> np.ndarray:
+    """The alternating matrix M = sum_f w_f (y_f x_f^T - x_f y_f^T) mod p^n of
+    a product of symbols (x_f, y_f)^(w_f), over the assignment columns."""
+    torsion = basis.torsion
+    form = [[0] * basis.size for _ in range(basis.size)]
     for f in expr.factors:
-        w = _bind(f.exponent, basis.torsion)
-        if w:
-            out.append((w, _vector(basis, f.left), _vector(basis, f.right)))
-    return out
+        w = _bind(f.exponent, torsion)
+        x, y = _vector(basis, f.left), _vector(basis, f.right)
+        for i, yi in y.items():
+            for j, xj in x.items():
+                c = w * yi * xj
+                form[i][j] += c
+                form[j][i] -= c
+    return np.array([[e % torsion for e in row] for row in form], dtype=np.int64)
 
 
-def _normal_form_factors(nf: NormalForm) -> list[tuple]:
-    size = nf.basis.size
-    basis_vec = [tuple(int(i == j) for j in range(size)) for i in range(size)]
-    return [(e, basis_vec[u], basis_vec[v]) for u, v, e in nf.entries()]
+def _normal_form_form(nf: NormalForm) -> np.ndarray:
+    """M of a normal form: its upper triangle N holds the exponent of
+    (b_u, b_v), so M = N^T - N."""
+    upper = np.array(nf.matrix, dtype=np.int64)
+    return (upper.T - upper) % nf.basis.torsion
 
 
-def _arrays(factors: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """The weights, and the left then the right exponent vectors, of `factors`."""
-    weights = np.array([w for w, _, _ in factors], dtype=np.int64)
-    monos = np.array([x for _, x, _ in factors] + [y for _, _, y in factors], dtype=np.int64)
-    return weights, monos
+def _values(form: np.ndarray, rows: tuple[np.ndarray, np.ndarray], torsion: int) -> np.ndarray:
+    """V^T M L mod p^n on every row of valuations V and unit logs L.  V M is
+    reduced below p^n <= (ell-1)/2 before it meets a log below ell - 1, so
+    for ell <= MAX_ELL each product is below (MAX_ELL-1)^2 / 2 < 2^62, and
+    each is reduced before the sum."""
+    val, log = rows
+    return (val @ form % torsion * log % torsion).sum(1) % torsion
 
 
-def _first_nonzero(factors: list[tuple], basis: SymbolBasis, trials: int, seed: int,
+def _first_nonzero(form: np.ndarray, basis: SymbolBasis, trials: int, seed: int,
                    chunk: int) -> tuple[int, LocalAssignment] | None:
     """Stream position and assignment of the first of `trials` rows on which
-    the product of `factors` is nonzero.  Rows are evaluated in chunks that
-    start at `chunk` rows and double."""
+    the form M is nonzero.  A zero M reads 0 on every row, so none is drawn;
+    otherwise rows are evaluated in chunks that start at `chunk` rows and
+    double."""
     ell = find_suitable_ell(basis.p, basis.root_level)
-    stream = _RowStream(basis, ell, seed)
-    if not factors:
+    if not form.any():
         return None
-    weights, monos = _arrays(factors)
+    stream = _RowStream(basis, ell, seed)
     while stream.drawn < trials:
         start = stream.drawn
         rows = stream.draw(min(chunk, trials - start))
-        hits = np.flatnonzero(_residues(weights, monos, rows, ell, basis.torsion) != 1)
+        hits = np.flatnonzero(_values(form, rows, basis.torsion))
         if hits.size:
             r = int(hits[0])
             return start + r, stream.assignment(rows, r)
@@ -338,12 +304,10 @@ def _first_nonzero(factors: list[tuple], basis: SymbolBasis, trials: int, seed: 
     return None
 
 
-def _compare(lhs: list[tuple], rhs: list[tuple], basis: SymbolBasis, trials: int,
+def _compare(lhs: np.ndarray, rhs: np.ndarray, basis: SymbolBasis, trials: int,
              seed: int) -> EquivalenceVerdict:
-    """Both sides on the same rows, as the one product lhs * rhs^-1."""
-    torsion = basis.torsion
-    diff = lhs + [(-w % torsion, x, y) for w, x, y in rhs]
-    hit = _first_nonzero(diff, basis, trials, seed, chunk=trials)
+    """Both sides on the same rows, as the one difference form lhs - rhs."""
+    hit = _first_nonzero((lhs - rhs) % basis.torsion, basis, trials, seed, chunk=trials)
     if hit is None:
         return EquivalenceVerdict(equal=True, trials=trials)
     index, assignment = hit
@@ -367,13 +331,13 @@ def _trial_assignments(basis: SymbolBasis, trials: int, seed: int):
 def check_equivalence(e1: BrauerExpression, e2: BrauerExpression, basis: SymbolBasis,
                       trials: int = 200, seed: int = 0) -> EquivalenceVerdict:
     """Numeric comparison over `trials` seeded assignments over one prime."""
-    return _compare(_expression_factors(e1, basis), _expression_factors(e2, basis),
+    return _compare(_expression_form(e1, basis), _expression_form(e2, basis),
                     basis, trials, seed)
 
 
 def check_raw_vs_normal(expr: BrauerExpression, nf: NormalForm, trials: int = 200,
                         seed: int = 0) -> EquivalenceVerdict:
-    return _compare(_expression_factors(expr, nf.basis), _normal_form_factors(nf),
+    return _compare(_expression_form(expr, nf.basis), _normal_form_form(nf),
                     nf.basis, trials, seed)
 
 
@@ -381,5 +345,5 @@ def witness_nontrivial(expr: BrauerExpression, basis: SymbolBasis, trials: int =
                        seed: int = 0) -> LocalAssignment | None:
     """First assignment with nonzero value; expected to exist whenever the
     normal form is nonzero, since tame symbols realize all residues."""
-    hit = _first_nonzero(_expression_factors(expr, basis), basis, trials, seed, chunk=4)
+    hit = _first_nonzero(_expression_form(expr, basis), basis, trials, seed, chunk=4)
     return None if hit is None else hit[1]

@@ -179,8 +179,10 @@ def test_criterion_4_formula_cross_validation():
 def test_criterion_5_oracle_soundness():
     """Raw formula vs normal form agree on 200 seeded assignments over one
     prime with v_p(l-1) = N for every row at p in {3,5}, and disagree once any
-    one normal-form entry is raised by 1; 1e4 bilinearity/antisymmetry cases;
-    a nontriviality witness within 500 trials per nonzero condition; < 10 s."""
+    one normal-form entry is raised by 1, on a counterexample the scalar path
+    confirms; 1e4 bilinearity/antisymmetry cases; a nontriviality witness
+    within 500 trials per nonzero condition, nonzero under the scalar path;
+    < 5 s."""
     start = time.perf_counter()
     conditions = perturbed = 0
     for p in (3, 5):
@@ -194,15 +196,21 @@ def test_criterion_5_oracle_soundness():
                         wit = lo.witness_nontrivial(cond.raw, cond.normal.basis,
                                                     trials=500, seed=conditions)
                         assert wit is not None, (p, row.label, cond.origin)
+                        assert lo.eval_expression(cond.raw, wit, cond.normal.basis), (
+                            p, row.label, cond.origin)
                     basis = cond.normal.basis
                     for u in range(basis.size):
                         for v in range(u + 1, basis.size):
                             matrix = [list(r) for r in cond.normal.matrix]
                             matrix[u][v] = (matrix[u][v] + 1) % basis.torsion
                             bad = NormalForm(basis=basis, matrix=tuple(map(tuple, matrix)))
-                            assert not lo.check_raw_vs_normal(cond.raw, bad, trials=200,
-                                                              seed=conditions).equal, (
-                                p, row.label, cond.origin, (u, v))
+                            verdict = lo.check_raw_vs_normal(cond.raw, bad, trials=200,
+                                                             seed=conditions)
+                            where = (p, row.label, cond.origin, (u, v))
+                            assert not verdict.equal, where
+                            asg = verdict.counterexample
+                            assert (lo.eval_expression(cond.raw, asg, basis)
+                                    != lo.eval_normal_form(bad, asg)), where
                             perturbed += 1
                     conditions += 1
 
@@ -221,7 +229,7 @@ def test_criterion_5_oracle_soundness():
             lo.eval_symbol(x, y, asg, basis) + lo.eval_symbol(w, y, asg, basis)) % 3
         assert lo.eval_symbol(x, x, asg, basis) == 0
     elapsed = time.perf_counter() - start
-    _report("5 oracle-soundness", elapsed < 10.0,
+    _report("5 oracle-soundness", elapsed < 5.0,
             f"{conditions} row conditions, {perturbed} perturbed normal forms caught, "
             f"10000 property cases, {elapsed:.1f}s")
 

@@ -15,8 +15,8 @@ import pytest
 from galemb import local_oracle as lo
 from galemb.arith import is_prime
 from galemb.obstructions import generate_table
-from galemb.symbols import (NormalForm, SymbolBasis, normalize, one, parse, root_label,
-                            root_level_of, symbol)
+from galemb.symbols import (BrauerExpression, NormalForm, SymbolBasis, normalize, one, parse,
+                            root_label, root_level_of, symbol)
 
 B1 = SymbolBasis(p=3, labels=("a1", "a2"), root_level=1, torsion_level=1)
 B3 = SymbolBasis(p=3, labels=("a1", "a2"), root_level=3, torsion_level=1)
@@ -171,8 +171,24 @@ def test_oracle_sees_a_resolve_fault(monkeypatch):
     monkeypatch.setattr(SymbolBasis, "resolve", one_level_short)
     conditions = [c for table in range(1, 7) for row in generate_table(table, 3)
                   for c in row.result.conditions]
-    assert any(not lo.check_raw_vs_normal(c.raw, c.normal, seed=k).equal
-               for k, c in enumerate(conditions))
+    moved = [(k, c) for k, c in enumerate(conditions)
+             if (lo._expression_form(c.raw, c.normal.basis)
+                 - lo._normal_form_form(c.normal)).any()]
+    assert moved
+    verdicts = [(c, lo.check_raw_vs_normal(c.raw, c.normal, seed=k)) for k, c in moved]
+    caught = [(c, v.counterexample) for c, v in verdicts if not v.equal]
+    assert caught
+    # each counterexample reads differently on both sides under the scalar path too
+    for c, asg in caught:
+        assert lo.eval_expression(c.raw, asg, c.normal.basis) != lo.eval_normal_form(c.normal, asg)
+
+
+@pytest.mark.parametrize("p,ell", [(7, 15), (5, 561), (3, 1)])
+def test_composite_ell_is_rejected(p, ell):
+    # 15 = 1 mod 7, but mod 15 no unit has order 7: zeta_base would be wrong
+    basis = SymbolBasis(p=p, labels=("a1", "a2"), root_level=1, torsion_level=1)
+    with pytest.raises(lo.OracleError, match=f"ell={ell} is not prime"):
+        lo.random_assignment(basis, ell, seed=0)
 
 
 def _random_expression(rng: random.Random, basis: SymbolBasis):
@@ -192,22 +208,13 @@ def _random_expression(rng: random.Random, basis: SymbolBasis):
     return expr
 
 
-def _batch_residues(factors, basis, trials, seed):
-    """Batch power residues of `factors` on the rows a check with `seed`
-    draws, in two chunks."""
+def _batch_values(form, basis, trials, seed):
+    """Batch values of `form` on the rows a check with `seed` draws, in two
+    chunks."""
     ell = lo.find_suitable_ell(basis.p, basis.root_level)
     stream = lo._RowStream(basis, ell, seed)
     chunks = [stream.draw(7), stream.draw(trials - 7)]
-    if not factors:
-        return [1] * trials
-    return [int(t) for rows in chunks
-            for t in lo._residues(*lo._arrays(factors), rows, ell, basis.torsion)]
-
-
-def _as_residues(values, assignments):
-    """zeta_{p^n}^value of each scalar value; injective on Z/p^n, so equal
-    residues mean equal values."""
-    return [pow(asg.zeta_base, v, asg.ell) for v, asg in zip(values, assignments)]
+    return [int(v) for rows in chunks for v in lo._values(form, rows, basis.torsion)]
 
 
 BASES = [SymbolBasis(p=p, labels=("a1", "a2", "a3"), root_level=N, torsion_level=n)
@@ -221,25 +228,25 @@ class TestBatch:
         for case in range(4):
             expr = _random_expression(rng, basis)
             nf = normalize(expr, basis)
-            raw = _batch_residues(lo._expression_factors(expr, basis), basis, 40, case)
-            normal = _batch_residues(lo._normal_form_factors(nf), basis, 40, case)
+            raw = _batch_values(lo._expression_form(expr, basis), basis, 40, case)
+            normal = _batch_values(lo._normal_form_form(nf), basis, 40, case)
             rows = list(lo._trial_assignments(basis, 40, case))
-            assert raw == _as_residues([lo.eval_expression(expr, asg, basis) for asg in rows], rows)
-            assert normal == _as_residues([lo.eval_normal_form(nf, asg) for asg in rows], rows)
+            assert raw == [lo.eval_expression(expr, asg, basis) for asg in rows]
+            assert normal == [lo.eval_normal_form(nf, asg) for asg in rows]
             assert lo.check_raw_vs_normal(expr, nf, trials=40, seed=case).equal
 
     def test_largest_admissible_ell(self):
-        # residues near MAX_ELL: products of two residues come close to 2^63
+        # logs near MAX_ELL, above the int32 range: V M is reduced mod p^n
+        # before it multiplies them
         basis = SymbolBasis(p=3, labels=("a1", "a2"), root_level=2, torsion_level=2)
         ell = next(e for e in range(lo.MAX_ELL - (lo.MAX_ELL - 1) % 9, 0, -9) if is_prime(e))
         expr = parse("(a1^2*z2, a2^-1; z2)(a2*z2^4, a1^7; z2)^-1/2")
         stream = lo._RowStream(basis, ell, seed=4)
         rows = stream.draw(30)
-        batch = lo._residues(*lo._arrays(lo._expression_factors(expr, basis)), rows, ell,
-                             basis.torsion)
+        assert rows[1].max() > 2**31
+        batch = lo._values(lo._expression_form(expr, basis), rows, basis.torsion)
         asgs = [stream.assignment(rows, r) for r in range(30)]
-        assert batch.tolist() == _as_residues(
-            [lo.eval_expression(expr, asg, basis) for asg in asgs], asgs)
+        assert batch.tolist() == [lo.eval_expression(expr, asg, basis) for asg in asgs]
 
     def test_exponents_near_the_root_level(self):
         # the first ell = 1 mod 3^17, torsion 3^12: label exponents and
@@ -259,35 +266,38 @@ class TestBatch:
         for _ in range(7):
             expr = expr * symbol(mono(), mono(), basis.torsion_level,
                                  rng.choice((1, -1)) * (big - rng.randint(1, 40)))
-        factors = lo._expression_factors(expr, basis)
-        assert len(factors) == 7
+        assert len(expr.factors) == 7
+        assert all(lo._bind(f.exponent, basis.torsion) for f in expr.factors)
         stream = lo._RowStream(basis, ell, seed=12)
         rows = stream.draw(20)
-        batch = lo._residues(*lo._arrays(factors), rows, ell, basis.torsion)
+        batch = lo._values(lo._expression_form(expr, basis), rows, basis.torsion)
         asgs = [stream.assignment(rows, r) for r in range(20)]
-        assert batch.tolist() == _as_residues(
-            [lo.eval_expression(expr, asg, basis) for asg in asgs], asgs)
+        assert batch.tolist() == [lo.eval_expression(expr, asg, basis) for asg in asgs]
 
     def test_exponents_exact_at_the_largest_torsion(self):
-        # p^n up to (MAX_ELL-1)/2: int64 sums must not wrap
-        torsion = 3**19
-        assert torsion <= (lo.MAX_ELL - 1) // 2 and ((lo.MAX_ELL - 1) // 2) ** 2 < 2**61
+        # p^n up to (MAX_ELL-1)/2 and logs up to MAX_ELL-2: int64 products
+        # and sums must not wrap
+        half = (lo.MAX_ELL - 1) // 2
+        largest_prime = next(q for q in range(half, 0, -1) if is_prime(q))
+        assert (lo.MAX_ELL - 1) ** 2 < 2**63
         rng = random.Random(19)
-        F, size, k = 32, 12, 16
-        # the largest residues (-1 mod p^n) at full valuation, and random ones
-        weights = [-1] * 4 + [rng.randrange(-2**40, 2**40) for _ in range(F - 4)]
-        monos = [[-1] * size] * 4 + [[rng.randrange(-2**40, 2**40) for _ in range(size)]
-                                     for _ in range(2 * F - 4)]
-        val = [[2] * size, [-2] * size] + [[rng.randint(-2, 2) for _ in range(size)]
-                                           for _ in range(k - 2)]
-        got = lo._exponents(np.array(weights, dtype=np.int64), np.array(monos, dtype=np.int64),
-                            np.array(val, dtype=np.int64), torsion)
-        for row, exps in zip(val, got.tolist()):
-            v = [sum(a * e for a, e in zip(row, m)) for m in monos]
-            vx, vy = v[:F], v[F:]
-            units = [sum(w * (vy[f] * monos[f][i] - vx[f] * monos[F + f][i])
-                         for f, w in enumerate(weights)) % torsion for i in range(size)]
-            assert exps == units
+        size, k = 12, 16
+        top = lo.MAX_ELL - 2
+        for torsion in (3**19, largest_prime):
+            assert torsion <= half
+            # the largest entries (-1 mod p^n) and random ones
+            form = [[torsion - 1] * size] * 4 + [[rng.randrange(torsion) for _ in range(size)]
+                                                 for _ in range(size - 4)]
+            val = [[2] * size, [-2] * size] + [[rng.randint(-2, 2) for _ in range(size)]
+                                               for _ in range(k - 2)]
+            log = [[top] * size, [top - 1] * size] + [
+                [rng.randrange(top + 1) for _ in range(size)] for _ in range(k - 2)]
+            got = lo._values(np.array(form, dtype=np.int64),
+                             (np.array(val, dtype=np.int64), np.array(log, dtype=np.int64)),
+                             torsion)
+            assert got.tolist() == [
+                sum(v[i] * form[i][j] * L[j] for i in range(size) for j in range(size)) % torsion
+                for v, L in zip(val, log)], torsion
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("n", [1, 2])
@@ -303,30 +313,33 @@ class TestBatch:
         val, _ = rows
         odd = [r for r in range(200) if val[r, 1] * val[r, 2] % 2]
         assert len(odd) >= 20
-        batch = lo._residues(*lo._arrays(lo._expression_factors(expr, basis)), rows, ell,
-                             basis.torsion)
+        batch = lo._values(lo._expression_form(expr, basis), rows, basis.torsion)
         (f,) = expr.factors
         asgs = [stream.assignment(rows, r) for r in odd]
-        assert [int(batch[r]) for r in odd] == _as_residues(
-            [lo.eval_symbol(f.left_mono(), f.right_mono(), asg, basis) for asg in asgs], asgs)
+        assert [int(batch[r]) for r in odd] == [
+            lo.eval_symbol(f.left_mono(), f.right_mono(), asg, basis) for asg in asgs]
 
     @pytest.mark.parametrize("nfactors", [4, 8, 16])
-    def test_one_power_residue_per_row(self, monkeypatch, nfactors):
+    def test_one_form_per_product(self, nfactors):
+        # however many factors, a product compiles to one (t+1) x (t+1)
+        # alternating form, the sum of its factors' forms
         basis = SymbolBasis(p=5, labels=("a1", "a2", "a3"), root_level=2, torsion_level=2)
         rng = random.Random(nfactors)
         expr = one()
         for _ in range(nfactors):
             x, y = rng.sample(basis.labels + ("z2",), 2)
             expr = expr * symbol({x: rng.randint(1, 4)}, {y: 1}, 2, rng.randint(1, 24))
-        factors = lo._expression_factors(expr, basis)
-        assert len(factors) == nfactors
-        ell = lo.find_suitable_ell(5, 2)
-        rows = lo._RowStream(basis, ell, seed=0).draw(50)
-        calls = []
-        pow_mod = lo._pow_mod
-        monkeypatch.setattr(lo, "_pow_mod", lambda *args: calls.append(args) or pow_mod(*args))
-        lo._residues(*lo._arrays(factors), rows, ell, basis.torsion)
-        assert len(calls) == 1
+        assert len(expr.factors) == nfactors
+        form = lo._expression_form(expr, basis)
+        assert form.shape == (4, 4)
+        assert ((form + form.T) % basis.torsion == 0).all() and not form.diagonal().any()
+        parts = [lo._expression_form(BrauerExpression((f,)), basis) for f in expr.factors]
+        assert (sum(parts) % basis.torsion == form).all()
+        stream = lo._RowStream(basis, lo.find_suitable_ell(5, 2), seed=0)
+        rows = stream.draw(50)
+        asgs = [stream.assignment(rows, r) for r in range(50)]
+        assert lo._values(form, rows, basis.torsion).tolist() == [
+            lo.eval_expression(expr, asg, basis) for asg in asgs]
 
     def test_ell_above_int64_limit_raises(self):
         assert (lo.MAX_ELL - 1) ** 2 < 2**63 <= lo.MAX_ELL**2
@@ -397,6 +410,49 @@ class TestBatch:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=120, env=env)
         assert out.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def engine_conditions():
+    """Every engine condition of tables 1-6 at p = 3, 5, 7."""
+    return [c for p in (3, 5, 7) for table in range(1, 7) for row in generate_table(table, p)
+            for c in row.result.conditions]
+
+
+class TestZeroForm:
+    """A row's value is V^T M L, so a zero difference form M reads 0 on every
+    row: the check decides equality without drawing any."""
+
+    def test_every_engine_difference_form_is_zero(self, engine_conditions):
+        assert len(engine_conditions) == 725
+        for c in engine_conditions:
+            basis = c.normal.basis
+            diff = (lo._expression_form(c.raw, basis) - lo._normal_form_form(c.normal))
+            assert not (diff % basis.torsion).any(), c.origin
+
+    def test_zero_form_draws_no_rows(self, monkeypatch, engine_conditions):
+        calls = []
+        draw = lo._RowStream.draw
+        monkeypatch.setattr(lo._RowStream, "draw",
+                            lambda self, k: calls.append(k) or draw(self, k))
+        verdicts = [lo.check_raw_vs_normal(c.raw, c.normal, seed=k)
+                    for k, c in enumerate(engine_conditions)]
+        assert all(v.equal and v.trials == 200 for v in verdicts)
+        assert calls == []
+
+    def test_drawn_rows_read_zero_anyway(self, engine_conditions):
+        for k, c in enumerate(engine_conditions):
+            basis = c.normal.basis
+            stream = lo._RowStream(basis, lo.find_suitable_ell(basis.p, basis.root_level), k)
+            rows = stream.draw(200)
+            raw = lo._values(lo._expression_form(c.raw, basis), rows, basis.torsion)
+            normal = lo._values(lo._normal_form_form(c.normal), rows, basis.torsion)
+            assert (raw == normal).all(), c.origin
+            # and on the first rows under the scalar path
+            for r in range(2):
+                asg = stream.assignment(rows, r)
+                assert (lo.eval_expression(c.raw, asg, basis) == int(raw[r])
+                        == lo.eval_normal_form(c.normal, asg)), c.origin
 
 
 def _primes_below(n: int) -> list[int]:

@@ -1,6 +1,7 @@
 """The benchmark calls galemb by name: every function its traced run wraps
 must still resolve to a callable, or `perfbench/run.py --trace 1` fails, and
-its oracle workload must still run and verify through the keywords it passes."""
+its oracle workload must still run and verify, on every p = 3 operation,
+through the keywords it passes."""
 
 import importlib.util
 import sys
@@ -30,7 +31,7 @@ def test_traced_name_resolves_to_a_callable(qualname):
 
 
 def test_oracle_workload_runs_and_verifies():
-    workload = _load("workloads").OracleWorkload((3,), seed=1, limit=50)
-    assert len(workload.ops) == 50
+    workload = _load("workloads").OracleWorkload((3,), seed=1)
+    assert len(workload.ops) == 205  # every engine condition at p = 3
     assert [problem for op in workload.ops
             for problem in workload.verify(op, workload.run(op))] == []
