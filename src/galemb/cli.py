@@ -262,14 +262,17 @@ def cmd_eval(args) -> int:
                             root_level=root, torsion_level=expr.torsion_level or 1)
         nf = normalize(expr, basis)
         print(f"p={p} normal form: {render(nf)}")
-        values = [local_oracle.eval_expression(expr, assignment, basis)
-                  for assignment in local_oracle._trial_assignments(basis, args.trials, args.seed)]
+        form = local_oracle._expression_form(expr, basis)
+        ell = local_oracle.find_suitable_ell(p, root)
+        stream = local_oracle._RowStream(basis, ell, args.seed)
+        values = [local_oracle._value(form, stream.draw(), basis.torsion)
+                  for _ in range(args.trials)]
         counts = {v: values.count(v) for v in sorted(set(values))}
-        print(f"{len(values)} assignments over ell={local_oracle.find_suitable_ell(p, root)}; "
-              f"value counts: {counts}")
+        print(f"{len(values)} assignments over ell={ell}; value counts: {counts}")
         verdict = local_oracle.check_raw_vs_normal(expr, nf, trials=args.trials, seed=args.seed)
-        print(f"raw vs normal form: {'agree' if verdict.equal else 'DISAGREE'} "
-              f"({verdict.trials} trials)")
+        how = (f"{verdict.trials} trials" if verdict.trials
+               else f"difference form is zero mod {basis.torsion}")
+        print(f"raw vs normal form: {'agree' if verdict.equal else 'DISAGREE'} ({how})")
         if not verdict.equal:
             status = MISMATCH_ERROR
     return status

@@ -14,7 +14,7 @@ its normal form is a hard failure of the symbol engine.
 
 For odd p the sign (-1)^{v(x) v(y)} cannot change a value: ell - 1 is even
 and p^n odd, so (ell-1)/p^n is even and the power-residue map sends -1 to 1.
-The scalar reference keeps the sign of the standard formula; the batch drops it.
+The scalar reference keeps the sign of the standard formula; the form drops it.
 
 The root basis symbol is pinned to valuation 0 and a unit of exact order p^N,
 which requires ell = 1 mod p^N.  Labels are evaluated here, not through the
@@ -28,44 +28,43 @@ p^n for every n <= N.  Where p^(N+1) divides ell - 1 it is a p-th power in
 mu_{p^n}, so a root entry (a, zeta_{p^N}) only takes values divisible by p:
 at torsion p it reads 0 on every row.
 
-The checks evaluate all their assignments at once, in the log domain.  A row
-draws each label's valuation v_i and unit log L_i, its unit being g^(L_i) for
-the least primitive root g mod ell; the root column has v = 0 and log
-(ell-1)/p^N.  Against zeta_{p^n} = g^((ell-1)/p^n) the symbol (x, y) then
-reads v(y) L(x) - v(x) L(y) mod p^n, where v(x) = x.V and L(x) = x.L for
-x's exponent vector over the columns, so a product of symbols
-(x_f, y_f)^{w_f} is the alternating form
+The checks evaluate their assignments in the log domain, one row at a time,
+over Python ints.  A row draws each label's valuation v_i and unit log L_i,
+its unit being g^(L_i) for the least primitive root g mod ell; the root
+column has v = 0 and log (ell-1)/p^N.  Both are reduced from 63-bit
+generator words, with a modulo bias below ell/2^63; a value reads L only
+mod p^n, so its bias is below p^n/2^63.  Against zeta_{p^n} =
+g^((ell-1)/p^n) the symbol (x, y) reads v(y) L(x) - v(x) L(y) mod p^n,
+where v(x) = x.V and L(x) = x.L for x's exponent vector over the columns,
+so a product of symbols (x_f, y_f)^{w_f} is the alternating form
 
     V^T M L,   M = sum_f w_f (y_f x_f^T - x_f y_f^T)  mod p^n,
 
-one (t+1) x (t+1) matrix per check, however many factors the product has,
-and a row costs one matrix-vector product.  Two sides are compared through
-their difference form; where it is zero mod p^n every row would read 0, so
-the check decides equality without drawing a row.  The scalar `eval_symbol`
-/ `eval_expression` / `eval_normal_form` evaluate each symbol on its own,
-with its own power residue and discrete log: they are the reference the
-batch is tested against, row by row.
+one (t+1) x (t+1) matrix per check, however many factors the product has.
+Two sides are compared through their difference form; where it is zero mod
+p^n every row would read 0, so the check decides equality without picking
+ell or drawing a row.  The scalar `eval_symbol` / `eval_expression` /
+`eval_normal_form` evaluate each symbol on its own, with its own power
+residue and discrete log: they are the reference the form is tested
+against, row by row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .arith import is_prime, smallest_primitive_root
 from .symbols import BrauerExpression, Monomial, NormalForm, SymbolBasis
 
-# Largest ell with (ell - 1)^2 < 2^63: a product of two residues mod ell fits int64.
-MAX_ELL = math.isqrt(2**63 - 1) + 1
-
 
 class OracleError(ValueError):
-    """Degenerate assignment or no suitable evaluation prime."""
+    """Degenerate assignment, unbound label or unsuitable evaluation prime."""
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,14 @@ class LocalAssignment:
 
 @lru_cache(maxsize=256)
 def find_suitable_ell(p: int, level: int) -> int:
-    """The least prime ell <= MAX_ELL with v_p(ell - 1) = level exactly."""
+    """The least prime ell with v_p(ell - 1) = level exactly.  One exists by
+    Dirichlet's theorem, since such ell are the primes = 1 + p^level mod
+    p^(level+1).  `is_prime` is exact below 3.3 * 10^24 and a strong
+    probable-prime test above."""
     modulus = p**level
-    for ell in range(modulus + 1, MAX_ELL + 1, modulus):
+    for ell in itertools.count(modulus + 1, modulus):
         if (ell - 1) // modulus % p and is_prime(ell):
             return ell
-    raise OracleError(f"no prime ell with v_{p}(ell-1) = {level} below {MAX_ELL}")
 
 
 @lru_cache(maxsize=64)
@@ -182,60 +183,48 @@ def eval_normal_form(nf: NormalForm, assignment: LocalAssignment) -> int:
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     equal: bool
-    trials: int
+    trials: int  # rows drawn; 0 where a zero difference form decides equality
     counterexample: LocalAssignment | None = None
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation
+# form evaluation
 
-# Valuations and logs are reduced from 63-bit generator words; the modulo
-# bias is below 2^-31 for every ell <= MAX_ELL.
-_WORD_BYTES = 8
 _WORD_MASK = 2**63 - 1
 
 
 class _RowStream:
     """Assignment rows of one check over the prime ell, read row by row from
-    one stdlib generator, so the first k rows do not depend on how many are
-    drawn: root symbol pinned to valuation 0 and the unit g^((ell-1)/p^N) of
-    exact order p^N, labels with valuations in -2..2 and uniform units g^L,
-    g the least primitive root mod ell.  A draw is a (valuations, logs) pair
-    of (k, t+1) arrays; column 0 is the root symbol, 1..t the labels."""
+    one stdlib generator: root symbol pinned to valuation 0 and the unit
+    g^((ell-1)/p^N) of exact order p^N, labels with valuations in -2..2 and
+    uniform units g^L, g the least primitive root mod ell.  A row is a
+    (valuations, logs) pair of lists; column 0 is the root symbol, 1..t the
+    labels.  Each label reads two little-endian 64-bit words, masked to 63
+    bits: the valuation's, then the log's."""
 
     def __init__(self, basis: SymbolBasis, ell: int, seed: int):
         p, N = basis.p, basis.root_level
-        if ell > MAX_ELL:
-            raise OracleError(f"ell={ell} exceeds the int64 evaluation bound {MAX_ELL}")
         if not is_prime(ell):
             raise OracleError(f"ell={ell} is not prime")
         if (ell - 1) % p**N != 0:
             raise OracleError(f"ell={ell} does not admit a primitive p^{N}-th root of unity")
         self.basis = basis
         self.ell = ell
-        self.drawn = 0
         self._root_log = (ell - 1) // p**N
+        self._words = struct.Struct(f"<{2 * len(basis.labels)}Q")
         self._rng = random.Random(seed)
 
-    def draw(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        t = len(self.basis.labels)
-        raw = np.frombuffer(self._rng.randbytes(k * t * 2 * _WORD_BYTES), dtype="<i8")
-        words = (raw & _WORD_MASK).reshape(k, t, 2)
-        val = np.zeros((k, t + 1), dtype=np.int64)
-        val[:, 1:] = words[:, :, 0] % 5 - 2
-        log = np.empty((k, t + 1), dtype=np.int64)
-        log[:, 0] = self._root_log
-        log[:, 1:] = words[:, :, 1] % (self.ell - 1)
-        self.drawn += k
-        return val, log
+    def draw(self) -> tuple[list[int], list[int]]:
+        raw = self._words.unpack(self._rng.randbytes(self._words.size))
+        words = [w & _WORD_MASK for w in raw]
+        return ([0] + [w % 5 - 2 for w in words[0::2]],
+                [self._root_log] + [w % (self.ell - 1) for w in words[1::2]])
 
-    def assignment(self, rows: tuple[np.ndarray, np.ndarray], r: int) -> LocalAssignment:
+    def assignment(self, row: tuple[list[int], list[int]]) -> LocalAssignment:
         ell = self.ell
         g = _element_of_order(ell, ell - 1)
-        names = ("z",) + self.basis.labels
-        val, log = rows
-        values = tuple((name, (int(v), pow(g, int(L), ell)))
-                       for name, v, L in zip(names, val[r], log[r]))
+        values = tuple((name, (v, pow(g, L, ell)))
+                       for name, v, L in zip(("z",) + self.basis.labels, *row))
         return LocalAssignment(ell=ell, values=values,
                                zeta_base=_element_of_order(ell, self.basis.torsion))
 
@@ -251,7 +240,7 @@ def _vector(basis: SymbolBasis, pairs) -> dict[int, int]:
     return vec
 
 
-def _expression_form(expr: BrauerExpression, basis: SymbolBasis) -> np.ndarray:
+def _expression_form(expr: BrauerExpression, basis: SymbolBasis) -> list[list[int]]:
     """The alternating matrix M = sum_f w_f (y_f x_f^T - x_f y_f^T) mod p^n of
     a product of symbols (x_f, y_f)^(w_f), over the assignment columns."""
     torsion = basis.torsion
@@ -264,68 +253,53 @@ def _expression_form(expr: BrauerExpression, basis: SymbolBasis) -> np.ndarray:
                 c = w * yi * xj
                 form[i][j] += c
                 form[j][i] -= c
-    return np.array([[e % torsion for e in row] for row in form], dtype=np.int64)
+    return [[e % torsion for e in row] for row in form]
 
 
-def _normal_form_form(nf: NormalForm) -> np.ndarray:
+def _normal_form_form(nf: NormalForm) -> list[list[int]]:
     """M of a normal form: its upper triangle N holds the exponent of
     (b_u, b_v), so M = N^T - N."""
-    upper = np.array(nf.matrix, dtype=np.int64)
-    return (upper.T - upper) % nf.basis.torsion
+    torsion = nf.basis.torsion
+    return [[(a - b) % torsion for a, b in zip(col, row)]
+            for row, col in zip(nf.matrix, zip(*nf.matrix))]
 
 
-def _values(form: np.ndarray, rows: tuple[np.ndarray, np.ndarray], torsion: int) -> np.ndarray:
-    """V^T M L mod p^n on every row of valuations V and unit logs L.  V M is
-    reduced below p^n <= (ell-1)/2 before it meets a log below ell - 1, so
-    for ell <= MAX_ELL each product is below (MAX_ELL-1)^2 / 2 < 2^62, and
-    each is reduced before the sum."""
-    val, log = rows
-    return (val @ form % torsion * log % torsion).sum(1) % torsion
+def _value(form: list[list[int]], row: tuple[list[int], list[int]], torsion: int) -> int:
+    """V^T M L mod p^n on one row of valuations V and unit logs L."""
+    val, log = row
+    return sum(v * sum(m * L for m, L in zip(mrow, log))
+               for v, mrow in zip(val, form) if v) % torsion
 
 
-def _first_nonzero(form: np.ndarray, basis: SymbolBasis, trials: int, seed: int,
-                   chunk: int) -> tuple[int, LocalAssignment] | None:
-    """Stream position and assignment of the first of `trials` rows on which
-    the form M is nonzero.  A zero M reads 0 on every row, so none is drawn;
-    otherwise rows are evaluated in chunks that start at `chunk` rows and
-    double."""
-    ell = find_suitable_ell(basis.p, basis.root_level)
-    if not form.any():
-        return None
-    stream = _RowStream(basis, ell, seed)
-    while stream.drawn < trials:
-        start = stream.drawn
-        rows = stream.draw(min(chunk, trials - start))
-        hits = np.flatnonzero(_values(form, rows, basis.torsion))
-        if hits.size:
-            r = int(hits[0])
-            return start + r, stream.assignment(rows, r)
-        chunk *= 2
-    return None
+def _first_nonzero(form: list[list[int]], basis: SymbolBasis, trials: int,
+                   seed: int) -> tuple[int, LocalAssignment | None]:
+    """The rows drawn, and the assignment of the first of `trials` rows on
+    which the form M is nonzero (None if there is none).  A zero M reads 0
+    on every row, so none is drawn and no ell is picked."""
+    if not any(map(any, form)):
+        return 0, None
+    stream = _RowStream(basis, find_suitable_ell(basis.p, basis.root_level), seed)
+    for drawn in range(1, trials + 1):
+        row = stream.draw()
+        if _value(form, row, basis.torsion):
+            return drawn, stream.assignment(row)
+    return trials, None
 
 
-def _compare(lhs: np.ndarray, rhs: np.ndarray, basis: SymbolBasis, trials: int,
+def _compare(lhs: list[list[int]], rhs: list[list[int]], basis: SymbolBasis, trials: int,
              seed: int) -> EquivalenceVerdict:
-    """Both sides on the same rows, as the one difference form lhs - rhs."""
-    hit = _first_nonzero((lhs - rhs) % basis.torsion, basis, trials, seed, chunk=trials)
-    if hit is None:
-        return EquivalenceVerdict(equal=True, trials=trials)
-    index, assignment = hit
-    return EquivalenceVerdict(equal=False, trials=index + 1, counterexample=assignment)
+    """Both sides on the same rows, as the one difference form lhs - rhs;
+    both are reduced mod p^n, so it is zero mod p^n only where it is zero."""
+    diff = [[a - b for a, b in zip(lrow, rrow)] for lrow, rrow in zip(lhs, rhs)]
+    drawn, counterexample = _first_nonzero(diff, basis, trials, seed)
+    return EquivalenceVerdict(equal=counterexample is None, trials=drawn,
+                              counterexample=counterexample)
 
 
 def random_assignment(basis: SymbolBasis, ell: int, seed: int) -> LocalAssignment:
     """The first row of the assignment stream of `seed` over the prime ell."""
     stream = _RowStream(basis, ell, seed)
-    return stream.assignment(stream.draw(1), 0)
-
-
-def _trial_assignments(basis: SymbolBasis, trials: int, seed: int):
-    """The rows an equivalence check with this seed evaluates, as assignments."""
-    stream = _RowStream(basis, find_suitable_ell(basis.p, basis.root_level), seed)
-    rows = stream.draw(trials)
-    for r in range(trials):
-        yield stream.assignment(rows, r)
+    return stream.assignment(stream.draw())
 
 
 def check_equivalence(e1: BrauerExpression, e2: BrauerExpression, basis: SymbolBasis,
@@ -345,5 +319,4 @@ def witness_nontrivial(expr: BrauerExpression, basis: SymbolBasis, trials: int =
                        seed: int = 0) -> LocalAssignment | None:
     """First assignment with nonzero value; expected to exist whenever the
     normal form is nonzero, since tame symbols realize all residues."""
-    hit = _first_nonzero(_expression_form(expr, basis), basis, trials, seed, chunk=4)
-    return None if hit is None else hit[1]
+    return _first_nonzero(_expression_form(expr, basis), basis, trials, seed)[1]

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from galemb.catalog import instantiate
 from galemb.cli import main
 from galemb.groups import make_presentation
 from galemb.obstructions import generate_table
-from galemb.symbols import parse
+from galemb.symbols import normalize, parse
 
 
 def run(capsys, *argv):
@@ -179,14 +181,40 @@ class TestMisc:
         assert code == 0
         assert "p=3 normal form: (a1, z; z)(a1, a2; z)\n" in out
         assert "p=5 normal form: (a1, z; z)(a1, a2; z)\n" in out
-        assert out.count("raw vs normal form: agree (20 trials)") == 2
+        # every row would read 0 on a zero difference form, so none is drawn
+        assert "raw vs normal form: agree (difference form is zero mod 3)\n" in out
+        assert "raw vs normal form: agree (difference form is zero mod 5)\n" in out
 
     def test_eval_at_p101_root_level_3(self, capsys):
         # the first prime with v_101(ell - 1) = 3 is 30,909,031 = 30 * 101^3 + 1
         code, out, _ = run(capsys, "eval", "(a1, z3*a2; z)", "--p", "101", "--trials", "20",
                            "--seed", "1")
         assert code == 0
-        assert "20 assignments over ell=30909031;" in out and "agree (20 trials)" in out
+        assert "20 assignments over ell=30909031;" in out
+        assert "agree (difference form is zero mod 101)\n" in out
+
+    @pytest.mark.parametrize("expression,p,ell", [
+        ("(a1, z3*a2; z)", "2003", 78 * 2003**3 + 1),
+        ("(a1, z3*a2; z)", "10007", 12 * 10007**3 + 1),
+        ("(a1, a2; z)", "1000000007", 44 * 1000000007 + 1),
+    ])
+    def test_eval_at_large_primes(self, capsys, expression, p, ell):
+        # each least ell with v_p(ell - 1) = N has (ell - 1)^2 above 2^63, and
+        # no p^n-entry discrete-log table is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", expression, "--p", p)
+        assert (code, err) == (0, "")
+        assert f"200 assignments over ell={ell};" in out
+        assert f"raw vs normal form: agree (difference form is zero mod {p})\n" in out
+        assert time.perf_counter() - start < 2.0
+
+    def test_eval_reports_the_trials_a_nonzero_form_drew(self, capsys, monkeypatch):
+        # a normalizer that doubles every class leaves a nonzero difference
+        # form: rows are drawn up to the first that reads it, and counted
+        monkeypatch.setattr(cli, "normalize", lambda expr, basis: normalize(expr * expr, basis))
+        code, out, _ = run(capsys, "eval", "(a1, a2; z)", "--p", "3", "--trials", "20")
+        assert code == 3
+        assert re.search(r"raw vs normal form: DISAGREE \(([1-9]|1[0-9]|20) trials\)\n", out)
 
     @pytest.mark.parametrize("expression,message", [
         ("(a1, a2; z)^1/3", "exponent 1/3 has no value mod 3"),
