@@ -12,14 +12,14 @@ a1..at of the independent elements.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
 from .arith import discrete_log_mod_p, mod_inverse
 from .arith import smallest_nonresidue, smallest_primitive_root  # re-exported API
 from .groups import PrimeContext, Presentation, make_presentation
-from .symbols import BrauerExpression, ExpressionError, parse
+from .symbols import BrauerExpression, CompiledExpression, ExpressionError, compile_expression
 
 __all__ = [
     "CatalogError",
@@ -75,6 +75,16 @@ class GroupTemplate:
     kernel_level: int
     preimages: tuple[str, ...]
     param: str = ""  # "", "half", "full", "1nu", "rs"
+    # powers and comms with each word tokenized once, here; `instantiate`
+    # only binds their exponents at p
+    words: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        gens = {name for name, _ in self.gens}
+        object.__setattr__(self, "words", (
+            tuple((name, _tokenize_word(w, gens)) for name, w in self.powers),
+            tuple((x, y, _tokenize_word(w, gens)) for x, y, w in self.comms),
+        ))
 
     @property
     def table(self) -> int:
@@ -93,42 +103,46 @@ def table_of(family: int, order_exp: int) -> int:
 # ---------------------------------------------------------------------------
 # relation-word evaluation
 
-_FACTOR_RE = re.compile(r"([a-z][a-z0-9]*)(?:\^(-?\d+(?:/\d+)?|-?[a-z]+))?")
+_FACTOR_RE = re.compile(r"([a-z][a-z0-9]*)(?:\^(-?)(?:(\d+)(?:/(\d+))?|([a-z]+)))?")
+
+# one factor of a relation word: (generator, sign, value, denominator), where
+# value is an int or a placeholder name and the denominator is None or an int
+_WordFactor = tuple[str, int, int | str, int | None]
 
 
-def _resolve_exponent(token: str, env: dict[str, int], modulus: int) -> int:
-    sign = 1
-    if token.startswith("-"):
-        sign, token = -1, token[1:]
-    if "/" in token:
-        num, den = token.split("/")
-        value = int(num) * mod_inverse(int(den), modulus)
-    elif token.isdigit():
-        value = int(token)
-    else:
-        if token not in env:
-            raise CatalogError(f"unknown exponent placeholder {token!r}")
-        value = env[token]
-    return sign * value % modulus
-
-
-def _resolve_word(word: Word, env: dict[str, int], orders: dict[str, int]) -> dict[str, int]:
-    out: dict[str, int] = {}
+def _tokenize_word(word: Word, gens: set[str]) -> tuple[_WordFactor, ...]:
+    out = []
     pos = 0
     while pos < len(word):
         m = _FACTOR_RE.match(word, pos)
         if not m:
             raise CatalogError(f"bad relation word {word!r}")
-        name, exp = m.group(1), m.group(2)
-        if name not in orders:
+        name, minus, num, den, placeholder = m.groups()
+        if name not in gens:
             raise CatalogError(f"unknown generator {name!r} in word {word!r}")
-        e = 1 if exp is None else _resolve_exponent(exp, env, orders[name])
-        out[name] = (out.get(name, 0) + e) % orders[name]
+        out.append((name, -1 if minus else 1, placeholder or int(num or 1),
+                    None if den is None else int(den)))
         pos = m.end()
         if pos < len(word):
             if word[pos] != "*":
                 raise CatalogError(f"bad relation word {word!r}")
             pos += 1
+    return tuple(out)
+
+
+def _bind_word(word: tuple[_WordFactor, ...], env: dict[str, int],
+               orders: dict[str, int]) -> dict[str, int]:
+    """Exponents of a tokenized word, each reduced mod its generator's order."""
+    out: dict[str, int] = {}
+    for name, sign, value, den in word:
+        modulus = orders[name]
+        if type(value) is str:
+            if value not in env:
+                raise CatalogError(f"unknown exponent placeholder {value!r}")
+            value = env[value]
+        elif den is not None:
+            value *= mod_inverse(den, modulus)
+        out[name] = (out.get(name, 0) + sign * value % modulus) % modulus
     return out
 
 
@@ -164,15 +178,22 @@ def _param_values(tpl: GroupTemplate, ctx: PrimeContext) -> list[tuple[int, ...]
     return [(r,) for r in _r_values(ctx, tpl.param)]
 
 
-def _env_for(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | None) -> dict[str, int]:
-    p = ctx.p
-    env = {"p": p, "g": ctx.g, "v": ctx.nu}
+def _check_params(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | None) -> None:
+    """Raise unless params is one of the values `_param_values` lists."""
     if tpl.param == "" and params is None:
-        return env
+        return
     if (tpl.param == "" or params is None or len(params) != (2 if tpl.param == "rs" else 1)
             or params[0] not in _r_values(ctx, tpl.param)
             or (tpl.param == "rs" and params[1] not in _s_values(ctx, params[0]))):
-        raise CatalogError(f"parameters {params} out of range for {tpl.label} at p={p}")
+        raise CatalogError(f"parameters {params} out of range for {tpl.label} at p={ctx.p}")
+
+
+def _env_for(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | None) -> dict[str, int]:
+    """The placeholder values of an instance whose params `_check_params` accepts."""
+    p = ctx.p
+    env = {"p": p, "g": ctx.g, "v": ctx.nu}
+    if params is None:
+        return env
     r = params[0]
     env["r"] = r
     label = tpl.label
@@ -444,21 +465,30 @@ def instantiate(label_or_template, p: int, params: tuple[int, ...] | None = None
         if tpl is None:
             raise CatalogError(f"unknown group {label_or_template!r}")
     ctx = PrimeContext.for_prime(p)
+    _check_params(tpl, ctx, params)
+    return _build(tpl, ctx, params)
+
+
+def _build(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | None) -> GroupInstance:
+    """The instance of valid params: binds the template's tokenized words at p."""
     env = _env_for(tpl, ctx, params)
-    orders = {name: p**e for name, e in tpl.gens}
-    powers = {name: _resolve_word(w, env, orders) for name, w in tpl.powers}
-    comms = {(x, y): _resolve_word(w, env, orders) for x, y, w in tpl.comms}
+    orders = {name: ctx.p**e for name, e in tpl.gens}
+    power_words, comm_words = tpl.words
+    powers = {name: _bind_word(w, env, orders) for name, w in power_words}
+    comms = {(x, y): _bind_word(w, env, orders) for x, y, w in comm_words}
     pres = make_presentation(ctx, list(tpl.gens), powers, comms)
     gid = GroupId(family=tpl.family, james_label=tpl.label, order_exp=tpl.order_exp, params=params)
     return GroupInstance(id=gid, template=tpl, ctx=ctx, env=env, presentation=pres)
 
 
 def iter_instances(p: int, order_exp: int | None = None, table: int | None = None):
-    """The catalog instances at p in catalog order, each built when it is reached."""
+    """The catalog instances at p in catalog order, each built when it is
+    reached from the parameters `_param_values` generates, so none is
+    checked again."""
     ctx = PrimeContext.for_prime(p)
     for tpl in templates(order_exp, table):
         for params in _param_values(tpl, ctx):
-            yield instantiate(tpl, p, params)
+            yield _build(tpl, ctx, params)
 
 
 def enumerate_instances(p: int, order_exp: int | None = None, table: int | None = None) -> list[GroupInstance]:
@@ -503,7 +533,9 @@ _CONDITION_SEP = re.compile(r",\s*(?=\()")
 
 
 @lru_cache(maxsize=4)
-def _load_gold(path: str | None) -> dict[str, tuple[int, int, tuple[str, ...]]]:
+def _load_gold(path: str | None) -> dict[str, tuple[int, int, tuple[CompiledExpression, ...]]]:
+    """The rows of a reference file by label: order exponent, root level and
+    the conditions, each compiled here once with its placeholders unbound."""
     if path is None:
         text = resources.files("galemb").joinpath("data/gold_tables.txt").read_text("utf-8")
     else:
@@ -512,7 +544,7 @@ def _load_gold(path: str | None) -> dict[str, tuple[int, int, tuple[str, ...]]]:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise CatalogError(f"gold table {path}: {getattr(exc, 'strerror', None) or exc}") from None
-    rows: dict[str, tuple[int, int, tuple[str, ...]]] = {}
+    rows: dict[str, tuple[int, int, tuple[CompiledExpression, ...]]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -529,7 +561,11 @@ def _load_gold(path: str | None) -> dict[str, tuple[int, int, tuple[str, ...]]]:
             raise CatalogError(f"gold table line {lineno}: order {order_exp!r} and root level "
                                f"{root_level!r} must be integers") from None
         conditions = (c.strip() for c in _CONDITION_SEP.split(exprs))
-        rows[label] = (order, root, tuple(c for c in conditions if c))
+        try:
+            compiled = tuple(compile_expression(c) for c in conditions if c)
+        except ExpressionError as exc:
+            raise CatalogError(f"gold table line {lineno}: {label}: {exc}") from None
+        rows[label] = (order, root, compiled)
     return rows
 
 
@@ -538,11 +574,11 @@ def gold_row(inst: GroupInstance, gold_path: str | None = None) -> TableRow:
     label = inst.template.label
     if label not in rows:
         raise CatalogError(f"no gold row for {label!r}")
-    order_exp, root_level, exprs = rows[label]
+    order_exp, root_level, conditions = rows[label]
     if order_exp != inst.template.order_exp:
         raise CatalogError(f"gold row order mismatch for {label!r}")
     try:
-        parsed = tuple(parse(e, env=inst.env) for e in exprs)
+        bound = tuple(c.bind(inst.env) for c in conditions)
     except ExpressionError as exc:
         raise ExpressionError(f"{inst.label} p={inst.p}: {exc}") from exc
-    return TableRow(root_level=root_level, obstructions=parsed)
+    return TableRow(root_level=root_level, obstructions=bound)

@@ -6,7 +6,7 @@ as a direct product of cyclic factors, this module computes the cyclic factor
 levels n_i and, per kernel, the residues m_i (kernel component of
 s_i^{p^{n_i}}) and the strictly upper-triangular d with
 
-    d_ij = kernel_log([s_j, s_i], kernel)   for i < j,
+    d_ij = kernel_logs([s_j, s_i])[kernel]   for i < j,
 
 projected modulo the other kernel in the two-kernel (pullback) case.  That
 sign convention is the one under which the obstruction product
@@ -73,13 +73,14 @@ class EmbeddingProblemSpec:
     def labels(self) -> tuple[str, ...]:
         return tuple(f"a{i}" for i in range(1, len(self.preimage_names) + 1))
 
-    def kernel_log(self, x: Element, kernel_index: int) -> int:
-        """Exponent of kernel generator kernel_index in x, an element of the
-        kernel product, modulo the other kernel generator (the pullback
-        projection): a coordinate read-off after a support check."""
+    def kernel_logs(self, x: Element) -> tuple[int, ...]:
+        """Exponent of each kernel generator in x, an element of the kernel
+        product, in kernel order: entry k is the projection onto kernel k
+        modulo the other one (the pullback projection).  Coordinate read-offs
+        after one support check."""
         if any(c and i not in self.kernel_coords for i, c in enumerate(x)):
             raise ExtensionError(f"element {x} lies outside the kernel {self.kernel_names}")
-        return x[self.kernel_coords[kernel_index]]
+        return tuple(x[i] for i in self.kernel_coords)
 
 
 @dataclass(frozen=True)
@@ -171,32 +172,36 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
     return n
 
 
-def extract_params(spec: EmbeddingProblemSpec, n: tuple[int, ...],
-                   kernel_index: int) -> ExtensionParams:
-    """m and d of the kernel_index projection, given the factor levels n; the
-    other kernel is quotiented away.
+def extract_params(spec: EmbeddingProblemSpec,
+                   n: tuple[int, ...]) -> tuple[ExtensionParams, ...]:
+    """m and d of every kernel projection, in kernel order, given the factor
+    levels n; in each, the other kernel is quotiented away.
 
-    Pre-images are generators, so both are read off the relation tables:
-    s_i^(p^n_i) is `generator_power` of the pre-image's index, and
-    [s_j, s_i] is the stored word [g_b, g_a] of their indices b > a, or its
-    inverse when b < a (the word is central with trivial tails, so inverting
-    negates its coordinates)."""
+    Pre-images are generators, so both are read off the relation tables, each
+    relation once for every kernel: s_i^(p^n_i) is `generator_power` of the
+    pre-image's index, and [s_j, s_i] is the stored word [g_b, g_a] of their
+    indices b > a, or its inverse when b < a (the word is central with
+    trivial tails, so inverting negates its coordinates)."""
     P = spec.presentation
     modulus = P.p**spec.kernel_level
+    kernels = range(len(spec.kernel_names))
     pre = [P.index[name] for name in spec.preimage_names]
-    m = tuple(spec.kernel_log(groups.generator_power(P, a, P.p**ni), kernel_index) % modulus
-              for a, ni in zip(pre, n))
+    # m[i][k], d[k][i][j]: kernel k's projections
+    m = [[c % modulus for c in spec.kernel_logs(groups.generator_power(P, a, P.p**ni))]
+         for a, ni in zip(pre, n)]
     words = {(j, i): word for j, i, word in P.comm}
     t = len(pre)
-    d = [[0] * t for _ in range(t)]
+    d = [[[0] * t for _ in range(t)] for _ in kernels]
     for i, a in enumerate(pre):
         for j in range(i + 1, t):
             b = pre[j]
             word = words.get((max(a, b), min(a, b)))
             if word is not None:
-                c = spec.kernel_log(word, kernel_index)
-                d[i][j] = (c if b > a else -c) % modulus
-    return ExtensionParams(n=n, m=m, d=tuple(tuple(row) for row in d), kernel_index=kernel_index)
+                for k, c in enumerate(spec.kernel_logs(word)):
+                    d[k][i][j] = (c if b > a else -c) % modulus
+    return tuple(ExtensionParams(n=n, m=tuple(mi[k] for mi in m),
+                                 d=tuple(tuple(row) for row in d[k]), kernel_index=k)
+                 for k in kernels)
 
 
 @dataclass(frozen=True)
@@ -220,7 +225,7 @@ def embedding_data(spec: EmbeddingProblemSpec) -> EmbeddingData:
     kernel residue, but at least max n_i - 1 (cyclic realizability) and the
     kernel level itself."""
     n = quotient_structure(spec)
-    params = tuple(extract_params(spec, n, k) for k in range(len(spec.kernel_names)))
+    params = extract_params(spec, n)
     level = max(1, spec.kernel_level, max(n) - 1,
                 *(ni for prm in params for ni, mi in zip(n, prm.m) if mi))
     proper = spec.kernel_level == 1 or frattini_contains_kernel(spec.presentation,

@@ -229,10 +229,19 @@ def mul(P: Presentation, x: Element, y: Element) -> Element:
 
 
 def generator_power(P: Presentation, i: int, n: int) -> Element:
-    """Normal form of g_i^n for any integer n."""
-    z = [0] * P.ngens
-    z[i] = n
-    return _carry(P, z)
+    """Normal form of g_i^n for any integer n, in closed form:
+    g_i^(q p^e_i + r) = g_i^r tail_i^q, each tail coordinate reduced mod its
+    order.  Tails land only on central generators with trivial tails
+    (`make_presentation` enforces it), so nothing carries further; `_carry`
+    is the reference."""
+    q, r = divmod(n, P.orders[i])
+    tail = P.power_tails[i]
+    if tail is None or not q:
+        z = [0] * P.ngens
+    else:
+        z = [c * q % o for c, o in zip(tail, P.orders)]
+    z[i] = r
+    return tuple(z)
 
 
 def _relation_sum(P: Presentation, coeffs: list[int]) -> list[int]:

@@ -17,7 +17,7 @@ shape of product at torsion p^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import extension
 from .catalog import GroupInstance, enumerate_instances, gold_row
@@ -55,6 +55,7 @@ class Condition:
 class ObstructionResult:
     conditions: tuple[Condition, ...]
     data: EmbeddingData
+    basis: SymbolBasis  # every condition's, and the one a gold row normalizes against
 
     @property
     def root_level(self) -> int:
@@ -84,10 +85,10 @@ def basis_for(spec: EmbeddingProblemSpec) -> SymbolBasis:
     )
 
 
-def kernel_condition(spec: EmbeddingProblemSpec, params: ExtensionParams) -> Condition:
-    """The kernel-formula condition of one kernel projection."""
+def kernel_condition(spec: EmbeddingProblemSpec, params: ExtensionParams,
+                     basis: SymbolBasis) -> Condition:
+    """The kernel-formula condition of one kernel projection, in the spec's basis."""
     level = spec.kernel_level
-    basis = basis_for(spec)
     labels = basis.labels
     factors = [SymbolFactor(left=((label, 1),), right=((root_label(ni), mi),), exponent=1,
                             torsion_level=level)
@@ -121,23 +122,30 @@ def _dedupe(conditions: list[Condition]) -> tuple[Condition, ...]:
     return tuple(out)
 
 
-def obstruction(spec: EmbeddingProblemSpec) -> ObstructionResult:
+def obstruction(spec: EmbeddingProblemSpec, lift_root_level: bool = False) -> ObstructionResult:
     """Conditions of any catalog shape: one kernel condition per projection,
     plus cyclic realizability for order-p kernels.  A kernel mu_{p^n}, n >= 2,
-    needs a homocyclic quotient (C_{p^n})^t."""
+    needs a homocyclic quotient (C_{p^n})^t.
+
+    A root level below the minimal one is an error, or with lift_root_level
+    the conditions are computed at the minimal level instead."""
     data = extension.embedding_data(spec)
     if spec.kernel_level >= 2 and any(ni != spec.kernel_level for ni in data.n):
         raise ObstructionError(
             f"quotient is not homocyclic of exponent p^{spec.kernel_level}: levels {data.n}"
         )
     if spec.root_level < data.minimal_root_level:
-        raise ObstructionError(
-            f"root level {spec.root_level} below the minimal level {data.minimal_root_level}"
-        )
-    conditions = [kernel_condition(spec, params) for params in data.params]
+        if not lift_root_level:
+            raise ObstructionError(
+                f"root level {spec.root_level} below the minimal level {data.minimal_root_level}"
+            )
+        spec = replace(spec, root_level=data.minimal_root_level)
+        data = replace(data, spec=spec)
+    basis = basis_for(spec)
+    conditions = [kernel_condition(spec, params, basis) for params in data.params]
     if spec.kernel_level == 1:
-        conditions += _realizability_conditions(data.n, basis_for(spec))
-    return ObstructionResult(conditions=_dedupe(conditions), data=data)
+        conditions += _realizability_conditions(data.n, basis)
+    return ObstructionResult(conditions=_dedupe(conditions), data=data, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +164,11 @@ def spec_for_instance(inst: GroupInstance, root_level: int | None = None) -> Emb
     )
 
 
-def obstruction_for_instance(inst: GroupInstance, root_level: int | None = None) -> ObstructionResult:
+def obstruction_for_instance(inst: GroupInstance, root_level: int | None = None,
+                             lift_root_level: bool = False) -> ObstructionResult:
     """`obstruction` of a catalog instance; errors name the instance and p."""
     try:
-        return obstruction(spec_for_instance(inst, root_level))
+        return obstruction(spec_for_instance(inst, root_level), lift_root_level)
     except (extension.ExtensionError, ObstructionError) as exc:
         raise type(exc)(f"{inst.label} p={inst.p}: {exc}") from exc
 
@@ -187,16 +196,19 @@ class RowResult:
 
 
 def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[RowResult]:
-    """Engine rows for one table at prime p, each compared against its gold row."""
+    """Engine rows for one table at prime p, each compared against its gold row.
+
+    A row is computed at its gold root level, or at the minimal level where
+    the gold level lies below it: that row's verdict fails, and the rows
+    after it are still computed."""
     if table_id not in range(1, 7):
         raise ObstructionError(f"no table {table_id}")
     out = []
     for inst in enumerate_instances(p, table=table_id):
         row = gold_row(inst, gold_path)
-        result = obstruction_for_instance(inst, row.root_level)
-        basis = basis_for(result.data.spec)
+        result = obstruction_for_instance(inst, row.root_level, lift_root_level=True)
         try:
-            gold_nfs = frozenset(normalize(e, basis) for e in row.obstructions)
+            gold_nfs = frozenset(normalize(e, result.basis) for e in row.obstructions)
         except (ExpressionError, BasisError) as exc:
             # a gold row that does not fit the row's basis
             raise type(exc)(f"{inst.label} p={p}: {exc}") from exc

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import ModularArithmeticError, mod_inverse
@@ -51,6 +51,11 @@ class SymbolBasis:
     labels: tuple[str, ...]
     root_level: int  # N
     torsion_level: int  # n
+    # derived once here, not per resolved monomial: p^n, the number of slots
+    # (index 0 is the root symbol, 1..t the labels) and each label's slot
+    torsion: int = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    _slots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.root_level >= self.torsion_level >= 1):
@@ -59,18 +64,25 @@ class SymbolBasis:
             raise BasisError("odd p only: the alternating rule needs -1 to be a p^n-th power")
         if len(self.labels) < 1:
             raise BasisError("at least one independent label required")
-
-    @property
-    def torsion(self) -> int:
-        return self.p**self.torsion_level
-
-    @property
-    def size(self) -> int:
-        # index 0 is the root symbol, 1..t the labels
-        return len(self.labels) + 1
+        slots: dict[str, int] = {}
+        for idx, label in enumerate(self.labels, start=1):
+            if label.startswith("a"):
+                slots.setdefault(label, idx)
+        object.__setattr__(self, "torsion", self.p**self.torsion_level)
+        object.__setattr__(self, "size", len(self.labels) + 1)
+        object.__setattr__(self, "_slots", slots)
 
     def base_name(self, idx: int) -> str:
         return root_label(self.root_level) if idx == 0 else self.labels[idx - 1]
+
+    def _root_weight(self, label: str) -> int:
+        """The power of the basis root z = z_N that the root z_K is: p^(N-K)."""
+        if label.startswith("a"):
+            raise BasisError(f"unknown label {label!r} for basis {self.labels}")
+        level = root_level_of(label)
+        if level > self.root_level:
+            raise BasisError(f"root {label!r} exceeds the basis root level {self.root_level}")
+        return self.p ** (self.root_level - level)
 
     def resolve(self, pairs: Iterable[tuple[str, int | Fraction]]) -> tuple[int, ...]:
         """Exponent vector over (z, a1..at) of the (label, exponent) pairs of a
@@ -82,21 +94,14 @@ class SymbolBasis:
         """
         vec = [0] * self.size
         torsion = self.torsion
+        slots = self._slots
         for label, raw_exp in pairs:
-            exp = bind_exponent(raw_exp, torsion)
-            if label.startswith("a"):
-                try:
-                    idx = self.labels.index(label) + 1
-                except ValueError:
-                    raise BasisError(f"unknown label {label!r} for basis {self.labels}")
-                vec[idx] += exp
+            exp = raw_exp % torsion if type(raw_exp) is int else bind_exponent(raw_exp, torsion)
+            idx = slots.get(label)
+            if idx is None:
+                vec[0] += exp * self._root_weight(label)
             else:
-                level = root_level_of(label)
-                if level > self.root_level:
-                    raise BasisError(
-                        f"root {label!r} exceeds the basis root level {self.root_level}"
-                    )
-                vec[0] += exp * self.p ** (self.root_level - level)
+                vec[idx] += exp
         return tuple(vec)
 
 
@@ -205,7 +210,8 @@ def normalize(expr: BrauerExpression, basis: SymbolBasis) -> NormalForm:
             raise BasisError(
                 f"factor at torsion level {f.torsion_level} in a level-{basis.torsion_level} basis"
             )
-        w = bind_exponent(f.exponent, torsion)
+        w = f.exponent
+        w = w % torsion if type(w) is int else bind_exponent(w, torsion)
         if w == 0:
             continue
         right = [(v, c) for v, c in enumerate(basis.resolve(f.right)) if c]
@@ -227,7 +233,64 @@ def equal(e1: BrauerExpression, e2: BrauerExpression, basis: SymbolBasis) -> boo
 # parsing
 
 
-def _parse_exponent(text: str, pos: int, env: dict[str, int] | None) -> tuple[int | Fraction, int]:
+@dataclass(frozen=True)
+class _Placeholder:
+    """A named exponent such as k or -g, left unbound by `compile_expression`."""
+
+    name: str
+    sign: int
+    pos: int
+
+
+_Exponent = int | Fraction | _Placeholder
+# a monomial as its (label, exponent) terms in text order, repeats not yet summed
+_Terms = tuple[tuple[str, _Exponent], ...]
+
+
+def _bind(exp: _Exponent, env: dict[str, int] | None) -> int | Fraction:
+    if type(exp) is not _Placeholder:
+        return exp
+    if env is None or exp.name not in env:
+        raise ExpressionError(f"unbound exponent placeholder {exp.name!r}", exp.pos)
+    return exp.sign * env[exp.name]
+
+
+def _bind_monomial(terms: _Terms, env: dict[str, int] | None) -> tuple[tuple[str, int], ...]:
+    mono: Monomial = {}
+    for label, exp in terms:
+        mono[label] = mono.get(label, 0) + _bind(exp, env)
+    return tuple(sorted(mono.items()))
+
+
+@dataclass(frozen=True)
+class CompiledExpression:
+    """An expression parsed once, with its placeholder exponents (k, g, v, r,
+    s) unbound; `bind` substitutes them.  Each factor is (left terms, right
+    terms, exponent, torsion level)."""
+
+    factors: tuple[tuple[_Terms, _Terms, _Exponent, int], ...]
+    # the bound expression of a text without placeholders, built once
+    constant: BrauerExpression | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        exps = [exp for _, _, exp, _ in self.factors]
+        exps += [exp for left, right, _, _ in self.factors for _, exp in left + right]
+        constant = None if any(type(e) is _Placeholder for e in exps) else self._substitute(None)
+        object.__setattr__(self, "constant", constant)
+
+    def bind(self, env: dict[str, int] | None = None) -> BrauerExpression:
+        """The expression with env's values substituted; a placeholder that env
+        does not bind raises, naming its position in the text."""
+        return self._substitute(env) if self.constant is None else self.constant
+
+    def _substitute(self, env: dict[str, int] | None) -> BrauerExpression:
+        return BrauerExpression(tuple(
+            SymbolFactor(left=_bind_monomial(left, env), right=_bind_monomial(right, env),
+                         exponent=_bind(exp, env), torsion_level=level)
+            for left, right, exp, level in self.factors))
+
+
+def _parse_exponent(text: str, pos: int) -> tuple[_Exponent, int]:
     m = _NUM_EXP_RE.match(text, pos)
     if m:
         tok = m.group(0)
@@ -241,10 +304,7 @@ def _parse_exponent(text: str, pos: int, env: dict[str, int] | None) -> tuple[in
     if m:
         tok = m.group(0)
         sign = -1 if tok.startswith("-") else 1
-        name = tok.lstrip("-")
-        if env is None or name not in env:
-            raise ExpressionError(f"unbound exponent placeholder {name!r}", pos)
-        return sign * env[name], m.end()
+        return _Placeholder(tok.lstrip("-"), sign, pos), m.end()
     raise ExpressionError("expected an exponent", pos)
 
 
@@ -254,8 +314,8 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_monomial(text: str, pos: int, stop: str, env) -> tuple[Monomial, int]:
-    mono: Monomial = {}
+def _parse_monomial(text: str, pos: int, stop: str) -> tuple[_Terms, int]:
+    terms: list[tuple[str, _Exponent]] = []
     while True:
         pos = _skip_ws(text, pos)
         m = _LABEL_RE.match(text, pos)
@@ -263,30 +323,31 @@ def _parse_monomial(text: str, pos: int, stop: str, env) -> tuple[Monomial, int]
             raise ExpressionError("expected a basis label (aN or z / zK)", pos)
         label = m.group(0)
         pos = m.end()
-        exp: int | Fraction = 1
+        exp: _Exponent = 1
         if pos < len(text) and text[pos] == "^":
-            exp, pos = _parse_exponent(text, pos + 1, env)
-        mono[label] = mono.get(label, 0) + exp
+            exp, pos = _parse_exponent(text, pos + 1)
+        terms.append((label, exp))
         pos = _skip_ws(text, pos)
         if pos < len(text) and text[pos] == "*":
             pos += 1
             continue
         if pos < len(text) and text[pos] in stop:
-            return mono, pos
+            return tuple(terms), pos
         raise ExpressionError(f"expected '*' or one of {stop!r}", pos)
 
 
-def parse(text: str, env: dict[str, int] | None = None) -> BrauerExpression:
+def compile_expression(text: str) -> CompiledExpression:
     """Parse the ASCII grammar: expr := \"1\" | term+ ;
     term := "(" mono "," mono ";" root ")" ["^" exp].
 
-    Placeholder exponents (k, g, v, r) are substituted from env; fractional
-    exponents like ^-1/4 stay symbolic until normalization binds them mod p^n.
+    Placeholder exponents (k, g, v, r, s) stay unbound until `bind`;
+    fractional exponents like ^-1/4 stay symbolic until normalization binds
+    them mod p^n.
     """
     s = text.strip()
     if s == "1":
-        return one()
-    factors: list[SymbolFactor] = []
+        return CompiledExpression(())
+    factors = []
     pos = 0
     level = None
     while True:
@@ -295,8 +356,8 @@ def parse(text: str, env: dict[str, int] | None = None) -> BrauerExpression:
             break
         if s[pos] != "(":
             raise ExpressionError("expected '('", pos)
-        left, pos = _parse_monomial(s, pos + 1, ",", env)
-        right, pos = _parse_monomial(s, pos + 1, ";", env)
+        left, pos = _parse_monomial(s, pos + 1, ",")
+        right, pos = _parse_monomial(s, pos + 1, ";")
         pos = _skip_ws(s, pos + 1)
         m = _LABEL_RE.match(s, pos)
         if not m or not m.group(0).startswith("z"):
@@ -306,24 +367,23 @@ def parse(text: str, env: dict[str, int] | None = None) -> BrauerExpression:
         if pos >= len(s) or s[pos] != ")":
             raise ExpressionError("expected ')'", pos)
         pos += 1
-        exp: int | Fraction = 1
+        exp: _Exponent = 1
         if pos < len(s) and s[pos] == "^":
-            exp, pos = _parse_exponent(s, pos + 1, env)
+            exp, pos = _parse_exponent(s, pos + 1)
         if level is None:
             level = term_level
         elif level != term_level:
             raise ExpressionError("torsion mismatch between factors", pos)
-        factors.append(
-            SymbolFactor(
-                left=tuple(sorted(left.items())),
-                right=tuple(sorted(right.items())),
-                exponent=exp,
-                torsion_level=term_level,
-            )
-        )
+        factors.append((left, right, exp, term_level))
     if not factors:
         raise ExpressionError("empty expression", 0)
-    return BrauerExpression(tuple(factors))
+    return CompiledExpression(tuple(factors))
+
+
+def parse(text: str, env: dict[str, int] | None = None) -> BrauerExpression:
+    """`compile_expression` then `bind`: placeholder exponents (k, g, v, r, s)
+    are substituted from env."""
+    return compile_expression(text).bind(env)
 
 
 # ---------------------------------------------------------------------------

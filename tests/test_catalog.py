@@ -155,12 +155,25 @@ class TestEnumeration:
 
     def test_instances_are_built_when_reached(self, monkeypatch):
         calls = []
-        original = catalog.instantiate
-        monkeypatch.setattr(catalog, "instantiate",
+        original = catalog._build
+        monkeypatch.setattr(catalog, "_build",
                             lambda *args: calls.append(args) or original(*args))
         instances = iter_instances(101, order_exp=6)
         assert next(instances).label == "Phi2(51)" and len(calls) == 1
         assert [i.label for i in enumerate_instances(5)] == [i.label for i in iter_instances(5)]
+
+    def test_enumeration_checks_no_parameter_again(self, monkeypatch):
+        # family 15's s range costs a discrete log per r; enumeration builds
+        # from the parameters it generated, so it takes one per r, not one per
+        # (r, s) instance
+        calls = []
+        monkeypatch.setattr(catalog, "discrete_log_mod_p",
+                            lambda *args: calls.append(args) or discrete_log_mod_p(*args))
+        p = 101
+        enumerate_instances(p)
+        assert 0 < len(calls) <= (p - 1) // 2
+        with pytest.raises(CatalogError, match="out of range"):
+            lookup("Phi15(2211)b_{1,99}", 5)
 
     def test_table_of(self):
         assert table_of(2, 5) == 1 and table_of(14, 6) == 6
@@ -220,6 +233,14 @@ class TestGoldRows:
         row = gold_row(instantiate("Phi14(222)", 3))
         assert row.root_level == 2 and len(row.obstructions) == 1
         assert row.obstructions[0].torsion_level == 2
+
+    def test_gold_placeholders_bind_per_instance(self):
+        # Phi4(221)d_r's row holds z^k, k = g^r: the two instances share one
+        # compiled row and bind it each to its own k
+        d1, d2 = (gold_row(lookup(f"Phi4(221)d_{r}", 5)) for r in (1, 2))
+        assert d1.obstructions[0] == d2.obstructions[0]
+        assert d1.obstructions[1] != d2.obstructions[1]
+        assert gold_row(lookup("Phi4(221)d_1", 5)) == d1
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_every_gold_row_parses_and_normalizes(self, p):

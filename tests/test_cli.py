@@ -59,11 +59,15 @@ class TestObstruct:
 
     @pytest.mark.parametrize("argv", [("show", "Phi2(41)"), ("obstruct", "Phi2(41)"),
                                       ("table", "1"), ("check-tables",)])
-    def test_unparsable_gold_row_names_group_and_prime(self, capsys, tmp_path, argv):
+    def test_unparsable_gold_row_names_line_and_group(self, capsys, tmp_path, argv):
+        # conditions are compiled when the file loads, so the error names the
+        # line and the row's label, whichever group the command asks for
         gold = _gold_with(tmp_path, "Phi2(41) | 5 | 3 | (a1, a2; z")
+        lineno = next(n for n, line in enumerate(gold.read_text(encoding="utf-8").splitlines(), 1)
+                      if line.startswith("Phi2(41) |"))
         code, _, err = run(capsys, *argv, "--p", "3", "--gold", str(gold))
         assert code == 2
-        assert err == "error: Phi2(41) p=3: expected ')' (at position 10)\n"
+        assert err == f"error: gold table line {lineno}: Phi2(41): expected ')' (at position 10)\n"
 
     @pytest.mark.parametrize("argv", [("show", "Phi2(41)"), ("obstruct", "Phi2(41)"),
                                       ("table", "1"), ("check-tables",)])
@@ -146,6 +150,25 @@ class TestCheckTables:
         assert code == 3
         assert "MISMATCH table 1 p=3 Phi2(41): minimal root level 3 != 4\n" in out
         assert [r.label for r in generate_table(1, 3, str(gold)) if not r.ok] == ["Phi2(41)"]
+
+    def test_root_level_below_the_minimum_is_a_mismatch(self, capsys, tmp_path):
+        # the row is computed at the minimal level, and every later row is checked
+        gold = _gold_with(tmp_path, "Phi2(41) | 5 | 2 | (z3^-1*a1, a2; z)")
+        code, out, _ = run(capsys, "check-tables", "--p", "3", "--gold", str(gold))
+        assert code == 3
+        assert out.startswith("MISMATCH table 1 p=3 Phi2(41): minimal root level 3 != 2\n"
+                              "  engine: (z3^-1*a1, a2; z)\n"
+                              "p=3: 101 rows, 1 mismatches (")
+        code, out, _ = run(capsys, "table", "1", "--p", "3", "--gold", str(gold))
+        assert code == 0 and "  Phi2(41)                   | a1,a2             | z3  |" in out
+        code, _, err = run(capsys, "obstruct", "Phi2(41)", "--p", "3", "--root-level", "2")
+        assert code == 2 and err == "error: Phi2(41) p=3: root level 2 below the minimal level 3\n"
+
+    def test_unbound_gold_placeholder_names_group_and_position(self, capsys, tmp_path):
+        gold = _gold_with(tmp_path, "Phi2(41) | 5 | 3 | (z3^x*a1, a2; z)")
+        code, _, err = run(capsys, "check-tables", "--p", "3", "--gold", str(gold))
+        assert code == 2
+        assert err == "error: Phi2(41) p=3: unbound exponent placeholder 'x' (at position 4)\n"
 
 
 def _gold_with(tmp_path, row):

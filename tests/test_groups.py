@@ -226,6 +226,41 @@ class TestClosedForms:
         assert [tuple(z) for z in Z.tolist()] == [groups.mul(P, a, b) for a, b in pairs]
 
 
+def carried_power(P, i, n):
+    """g_i^n by `_carry`, the reference for the closed-form generator_power."""
+    z = [0] * P.ngens
+    z[i] = n
+    return groups._carry(P, z)
+
+
+def power_exponents(P, i):
+    """0, negative n, and every multiple k p^e_i (and its neighbours) up to
+    p^(e_i+2) in absolute value."""
+    o, p = P.orders[i], P.p
+    return sorted({k * o + r for k in range(-p * p, p * p + 1) for r in (-1, 0, 1)}
+                  | {o // p, -(o // p), 2 * o + p, -3 * o - p})
+
+
+class TestGeneratorPower:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_closed_form_equals_carry_on_every_instance(self, p):
+        for inst in enumerate_instances(p):
+            P = inst.presentation
+            for i in range(P.ngens):
+                for n in power_exponents(P, i):
+                    assert groups.generator_power(P, i, n) == carried_power(P, i, n), \
+                        (inst.label, P.names[i], n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_equals_carry_on_drawn_presentations(self, data):
+        P = data.draw(class2_presentations())
+        i = data.draw(st.integers(0, P.ngens - 1))
+        bound = P.orders[i] * P.p**2
+        for n in power_exponents(P, i) + [data.draw(st.integers(-bound, bound))]:
+            assert groups.generator_power(P, i, n) == carried_power(P, i, n), (P, i, n)
+
+
 class TestStructure:
     def test_abelian_quotient_needs_both_kernels(self, phi4_221a_p3):
         P = phi4_221a_p3.presentation
@@ -246,28 +281,28 @@ class TestStructure:
 
 
 class TestCentralLog:
-    """The log of a central element, read by `EmbeddingProblemSpec.kernel_log`."""
+    """The log of a central element, read by `EmbeddingProblemSpec.kernel_logs`."""
 
     def test_identity(self, phi2_41_p3):
         spec = spec_for_instance(phi2_41_p3)
         assert spec.kernel_names == ("alpha2",)
-        assert spec.kernel_log(phi2_41_p3.presentation.identity, 0) == 0
+        assert spec.kernel_logs(phi2_41_p3.presentation.identity) == (0,)
 
     def test_power_tail(self, phi2_41_p3):
         P = phi2_41_p3.presentation
         x = groups.pow_element(P, P.generator("alpha"), 27)
-        assert spec_for_instance(phi2_41_p3).kernel_log(x, 0) == 1
+        assert spec_for_instance(phi2_41_p3).kernel_logs(x) == (1,)
 
     def test_projection_modulo_complement(self, phi4_221a_p3):
         P = phi4_221a_p3.presentation
         spec = spec_for_instance(phi4_221a_p3)
         c = groups.commutator(P, P.generator("alpha"), P.generator("alpha1"))
-        assert spec.kernel_log(c, spec.kernel_names.index("beta1")) == 2
+        assert spec.kernel_logs(c)[spec.kernel_names.index("beta1")] == 2
 
     def test_rejects_support_outside_subgroup(self, phi4_221a_p3):
         P = phi4_221a_p3.presentation
         with pytest.raises(ExtensionError, match="outside the kernel"):
-            spec_for_instance(phi4_221a_p3).kernel_log(P.generator("alpha"), 0)
+            spec_for_instance(phi4_221a_p3).kernel_logs(P.generator("alpha"))
 
 
 class TestEnumerate:

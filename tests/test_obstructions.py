@@ -1,8 +1,11 @@
 """Obstruction formulas against the worked examples and the reference tables."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from galemb import catalog, extension, groups, obstructions as ob
+from galemb import catalog, extension, groups, obstructions as ob, symbols
 from galemb.catalog import instantiate
 from galemb.extension import EmbeddingProblemSpec, ExtensionError
 from galemb.groups import PrimeContext, make_presentation
@@ -82,7 +85,7 @@ class TestPullback:
             spec = spec_for_instance(instantiate(label, 3))
             result = ob.obstruction(spec)
             for params in result.data.params:
-                cond = ob.kernel_condition(spec, params)
+                cond = ob.kernel_condition(spec, params, ob.basis_for(spec))
                 kernel = spec.kernel_names[params.kernel_index]
                 from_result = [c for c in result.conditions if c.origin == f"kernel {kernel}"]
                 if cond.normal.is_zero():
@@ -190,18 +193,18 @@ class TestTables:
             ob.generate_table(7, 3)
 
     def test_one_embedding_pass_per_row(self, monkeypatch):
-        calls = {"quotient_structure": 0, "extract_params": 0}
+        # one pass reads every kernel's projection, and one basis serves the
+        # kernel conditions, the realizability conditions and the gold row
+        calls = {"quotient_structure": 0, "extract_params": 0, "basis_for": 0}
         for name in calls:
-            def counted(*args, _original=getattr(extension, name), _name=name, **kwargs):
+            module = ob if name == "basis_for" else extension
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(extension, name, counted)
-        rows = kernels = 0
-        for table in range(1, 7):
-            for row in ob.generate_table(table, 5):
-                rows += 1
-                kernels += len(row.instance.kernels)
-        assert calls == {"quotient_structure": rows, "extract_params": kernels}
+            monkeypatch.setattr(module, name, counted)
+        rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
+        assert rows == 118
+        assert calls == {"quotient_structure": rows, "extract_params": rows, "basis_for": rows}
 
     def test_quotient_read_off_presentation(self, monkeypatch):
         # G/K is read off each row's own presentation: no centrality check by
@@ -217,6 +220,20 @@ class TestTables:
         rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
         assert rows == 118
         assert calls == {"is_central_element": 0, "make_presentation": rows}
+
+    def test_table_path_parses_nothing(self, monkeypatch):
+        # gold conditions are compiled when the file loads and relation words
+        # when the templates are built; a row only binds placeholders
+        catalog._load_gold(None)
+
+        def parser(*args, **kwargs):
+            raise AssertionError("parser call on the table path")
+        for name in ("compile_expression", "parse", "_parse_monomial", "_parse_exponent"):
+            monkeypatch.setattr(symbols, name, parser)
+        for name in ("compile_expression", "_tokenize_word"):
+            monkeypatch.setattr(catalog, name, parser)
+        rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
+        assert rows == 118
 
     def test_table_path_makes_no_collection_call(self, monkeypatch):
         # (n, m, d) and the kernel order come from the relation tables, never
@@ -240,6 +257,23 @@ class TestTables:
         rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
         assert rows == 118
         assert calls == {"kernel_indices": rows, "is_abelian_quotient": 0}
+
+
+SNAPSHOT = Path(__file__).resolve().parents[1] / "perfbench" / "snapshot.json"
+
+
+class TestBenchmarkSnapshot:
+    """The benchmark's output check: every recorded (p, table) pair of the
+    table workloads, row by row as (label, root level, kind, texts)."""
+
+    def test_rows_match_the_snapshot(self):
+        recorded = json.loads(SNAPSHOT.read_text(encoding="utf-8"))["tables"]
+        pairs = [(int(p), int(t)) for p, by_table in recorded.items() for t in by_table]
+        assert len(pairs) == 48 and {p for p, _ in pairs} == {3, 5, 7, 11, 13, 17, 19, 23}
+        for p, t in pairs:
+            got = [[r.label, r.result.root_level, r.result.solvability_kind, r.result.texts()]
+                   for r in ob.generate_table(t, p)]
+            assert got == recorded[str(p)][str(t)], (p, t)
 
 
 class TestErrors:

@@ -12,6 +12,7 @@ from galemb.symbols import (
     ExpressionError,
     SymbolBasis,
     SymbolFactor,
+    compile_expression,
     equal,
     normalize,
     one,
@@ -104,6 +105,24 @@ class TestParse:
     def test_unbound_placeholder(self):
         with pytest.raises(ExpressionError):
             parse("(a1, z^k; z)")
+
+    def test_placeholder_binds_per_env(self):
+        # one compiled text, two envs: each binding is its own expression and
+        # the first is unchanged by the second
+        compiled = compile_expression("(a1, z^k*a3; z)(a2, a3; z)^-k")
+        two, four = compiled.bind({"k": 2}), compiled.bind({"k": 4})
+        assert two != four
+        assert two == parse("(a1, z^2*a3; z)(a2, a3; z)^-2")
+        assert four == parse("(a1, z^4*a3; z)(a2, a3; z)^-4")
+        assert compiled.bind({"k": 2}) == two
+
+    def test_unbound_placeholder_raises_at_bind(self):
+        text = "(a1, a2; z)(a1, z^k; z)"
+        compiled = compile_expression(text)
+        with pytest.raises(ExpressionError) as err:
+            compiled.bind({"g": 2})
+        assert str(err.value) == f"unbound exponent placeholder 'k' (at position {text.index('k')})"
+        assert err.value.pos == text.index("k")
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(ExpressionError) as err:
