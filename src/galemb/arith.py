@@ -54,8 +54,11 @@ def smallest_nonresidue(p: int) -> int:
     raise ModularArithmeticError(f"no quadratic non-residue mod {p}")
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
+def _prime_factors(n: int, known: tuple[int, ...] = ()) -> list[int]:
+    out = [q for q in known if n % q == 0]
+    for q in out:
+        while n % q == 0:
+            n //= q
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -68,9 +71,12 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def smallest_primitive_root(p: int) -> int:
-    """Least positive primitive root mod an odd prime p."""
-    qs = _prime_factors(p - 1)
+def smallest_primitive_root(p: int, known: tuple[int, ...] = ()) -> int:
+    """Least positive primitive root mod an odd prime p.  The primes in
+    `known` are divided out of p - 1 before trial division, which then runs
+    up to the square root of the cofactor only: for p = 1 + k q^N with q
+    known, sqrt(k) steps instead of up to q."""
+    qs = _prime_factors(p - 1, known)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
             return g

@@ -22,6 +22,7 @@ from .symbols import (
     BasisError,
     ExpressionError,
     SymbolBasis,
+    _balanced,
     normalize,
     parse,
     render,
@@ -39,20 +40,8 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
-
-
 _OPTIONS = {
     "--order": dict(choices=["5", "6", "both"], default="both"),
-    "--seed": dict(type=int, default=0),
-    "--trials": dict(type=_positive_int, default=200),
     "--root-level": dict(type=int, default=None),
     "--gold": dict(default=None, help="override path of the reference table file"),
 }
@@ -89,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("check-tables", "diff every generated row against the reference data", "--gold")
     command("selfcheck", "exact class-2 consistency test and kernel checks", "--order")
 
-    sub = command("eval", "numeric tame-symbol values of an expression", "--seed", "--trials")
+    sub = command("eval", "numeric tame-symbol values of an expression")
     sub.add_argument("expression")
 
     return parser
@@ -250,6 +239,13 @@ def cmd_selfcheck(args) -> int:
     return status
 
 
+def _witness_text(asg: local_oracle.LocalAssignment) -> str:
+    """The evaluation prime of a witness row and each label that is not 1:
+    a_i = ell, or a_j = g the least primitive root mod ell."""
+    return f"ell={asg.ell}" + "".join(f", {name}={'ell' if v else u}"
+                                      for name, (v, u) in asg.values[1:] if (v, u) != (0, 1))
+
+
 def cmd_eval(args) -> int:
     expr = parse(args.expression)
     labels = sorted({lbl for f in expr.factors for lbl, _ in f.left + f.right
@@ -260,20 +256,28 @@ def cmd_eval(args) -> int:
     for p in _primes(args):
         basis = SymbolBasis(p=p, labels=tuple(labels) or ("a1",),
                             root_level=root, torsion_level=expr.torsion_level or 1)
+        torsion = basis.torsion
         nf = normalize(expr, basis)
-        print(f"p={p} normal form: {render(nf)}")
+        print(f"p={p}")
+        print(f"  normal form: {render(nf)}")
+        # no line grows with p: entries and values print balanced mod p^n
         form = local_oracle._expression_form(expr, basis)
-        ell = local_oracle.find_suitable_ell(p, root)
-        stream = local_oracle._RowStream(basis, ell, args.seed)
-        values = [local_oracle._value(form, stream.draw(), basis.torsion)
-                  for _ in range(args.trials)]
-        counts = {v: values.count(v) for v in sorted(set(values))}
-        print(f"{len(values)} assignments over ell={ell}; value counts: {counts}")
-        verdict = local_oracle.check_raw_vs_normal(expr, nf, trials=args.trials, seed=args.seed)
-        how = (f"{verdict.trials} trials" if verdict.trials
-               else f"difference form is zero mod {basis.torsion}")
-        print(f"raw vs normal form: {'agree' if verdict.equal else 'DISAGREE'} ({how})")
-        if not verdict.equal:
+        entries = [f"M[{basis.base_name(u)},{basis.base_name(v)}]={_balanced(form[u][v], torsion)}"
+                   for u in range(basis.size) for v in range(u + 1, basis.size) if form[u][v]]
+        print(f"  raw form: {' '.join(entries) or '0'}")
+        found = local_oracle._witness_row(form, basis)
+        if found is None:
+            print("  witness: none")
+        else:
+            ell, row = found
+            value = _balanced(local_oracle._value(form, row, torsion), torsion)
+            print(f"  witness: {_witness_text(local_oracle._assignment(basis, ell, row))}; "
+                  f"value {value}")
+        verdict = local_oracle.check_raw_vs_normal(expr, nf)
+        if verdict.equal:
+            print("  raw vs normal form: agree (difference form is zero mod p^n)")
+        else:
+            print(f"  raw vs normal form: DISAGREE on {_witness_text(verdict.counterexample)}")
             status = MISMATCH_ERROR
     return status
 

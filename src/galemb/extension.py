@@ -53,12 +53,8 @@ class EmbeddingProblemSpec:
             object.__setattr__(self, "kernel_coords", groups.kernel_indices(P, self.kernel_names))
         except groups.ElementError as exc:
             raise ExtensionError(str(exc)) from exc
-        # a generator g has order p^L iff g^(p^L) = 1 != g^(p^(L-1)), both
-        # read off the power tails
-        L = self.kernel_level
         for name, i in zip(self.kernel_names, self.kernel_coords):
-            if (groups.generator_power(P, i, P.p**L) != P.identity
-                    or groups.generator_power(P, i, P.p**(L - 1)) == P.identity):
+            if groups.generator_order_exp(P, i) != self.kernel_level:
                 raise ExtensionError(
                     f"kernel generator {name!r} does not have order p^{self.kernel_level}"
                 )
@@ -137,20 +133,8 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
         raise ExtensionError("quotient by the kernel product is not abelian")
     order_exp = sum(e for i, e in enumerate(P.order_exps) if i not in ker)
 
-    def level(i: int) -> int:
-        # g_i^(p^e) is the lone coordinate p^e for e < e_i; past e_i it is the
-        # tail's multiple, read off generator_power
-        if i in ker:
-            return 0
-        e = P.order_exps[i]
-        while any(c and t not in ker for t, c in enumerate(groups.generator_power(P, i, P.p**e))):
-            e += 1
-            if e > order_exp:
-                raise ExtensionError("pre-image order computation diverged")
-        return e
-
     pre = [P.index[name] for name in spec.preimage_names]
-    n = tuple(level(i) for i in pre)
+    n = tuple(0 if i in ker else groups.generator_order_exp(P, i, ker) for i in pre)
     if sum(n) != order_exp:
         raise ExtensionError(
             "pre-images do not generate a direct decomposition: "

@@ -244,6 +244,23 @@ def generator_power(P: Presentation, i: int, n: int) -> Element:
     return tuple(z)
 
 
+def generator_order_exp(P: Presentation, i: int, skip: tuple[int, ...] = ()) -> int:
+    """log_p of the order of g_i, read off its power tail in one step:
+    g_i^(p^e_i) = tail_i, whose coordinates c_t lie on central generators
+    with trivial tails, so tail_i^m has coordinates c_t m mod p^E_t and
+    order max_t p^(E_t - v_p(c_t)).  Coordinates in `skip` are dropped: for
+    i outside the kernel coordinates, skipping them gives the order of g_i's
+    image in G/K."""
+    levels = [0]
+    for t, c in enumerate(P.power_tails[i] or ()):
+        if c and t not in skip:
+            level = P.order_exps[t]
+            while c % P.p == 0:
+                c, level = c // P.p, level - 1
+            levels.append(level)
+    return P.order_exps[i] + max(levels)
+
+
 def _relation_sum(P: Presentation, coeffs: list[int]) -> list[int]:
     """Uncarried coordinates of prod [g_j, g_i]^{c}, one coefficient c per
     stored commutator relation (j, i) in P.comm order."""

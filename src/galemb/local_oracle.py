@@ -28,12 +28,10 @@ p^n for every n <= N.  Where p^(N+1) divides ell - 1 it is a p-th power in
 mu_{p^n}, so a root entry (a, zeta_{p^N}) only takes values divisible by p:
 at torsion p it reads 0 on every row.
 
-The checks evaluate their assignments in the log domain, one row at a time,
-over Python ints.  A row draws each label's valuation v_i and unit log L_i,
-its unit being g^(L_i) for the least primitive root g mod ell; the root
-column has v = 0 and log (ell-1)/p^N.  Both are reduced from 63-bit
-generator words, with a modulo bias below ell/2^63; a value reads L only
-mod p^n, so its bias is below p^n/2^63.  Against zeta_{p^n} =
+The checks read assignments in the log domain, over Python ints.  A row
+gives each label a valuation v_i and a unit log L_i, its unit being g^(L_i)
+for the least primitive root g mod ell; the root column has v = 0 and log
+r = (ell-1)/p^N, a unit mod p since v_p(ell-1) = N.  Against zeta_{p^n} =
 g^((ell-1)/p^n) the symbol (x, y) reads v(y) L(x) - v(x) L(y) mod p^n,
 where v(x) = x.V and L(x) = x.L for x's exponent vector over the columns,
 so a product of symbols (x_f, y_f)^{w_f} is the alternating form
@@ -41,12 +39,16 @@ so a product of symbols (x_f, y_f)^{w_f} is the alternating form
     V^T M L,   M = sum_f w_f (y_f x_f^T - x_f y_f^T)  mod p^n,
 
 one (t+1) x (t+1) matrix per check, however many factors the product has.
-Two sides are compared through their difference form; where it is zero mod
-p^n every row would read 0, so the check decides equality without picking
-ell or drawing a row.  The scalar `eval_symbol` / `eval_expression` /
-`eval_normal_form` evaluate each symbol on its own, with its own power
-residue and discrete log: they are the reference the form is tested
-against, row by row.
+Two sides are compared through their difference form: it is zero mod p^n
+iff every row reads 0, so the check decides equality from M alone.  A
+nonzero M has a witness row read off it in closed form, over the least
+ell: with a_i = ell (v = 1, L = 0) and every other label 1 (v = 0, L = 0)
+the row reads M[i][0] r, nonzero wherever M[i][0] is, since r is a unit;
+where the root column of M is zero, a_j = g (L = 1) as well makes it read
+M[i][j].  A zero M has no witness, and no ell is picked.  The scalar
+`eval_symbol` / `eval_expression` / `eval_normal_form` evaluate each symbol
+on its own, with its own power residue and discrete log: they are the
+reference the form and its witnesses are tested against.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -93,9 +94,11 @@ def find_suitable_ell(p: int, level: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _element_of_order(ell: int, order: int) -> int:
-    g = smallest_primitive_root(ell)
-    return pow(g, (ell - 1) // order, ell)
+def _primitive_root(ell: int, p: int) -> int:
+    """The least primitive root mod a prime ell = 1 mod p, p divided out of
+    ell - 1 first: for the least ell = 1 + k p^N, k is small, and trial
+    division up to p would take ~p steps once N >= 2."""
+    return smallest_primitive_root(ell, known=(p,))
 
 
 @lru_cache(maxsize=64)
@@ -183,50 +186,13 @@ def eval_normal_form(nf: NormalForm, assignment: LocalAssignment) -> int:
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     equal: bool
-    trials: int  # rows drawn; 0 where a zero difference form decides equality
     counterexample: LocalAssignment | None = None
 
 
 # ---------------------------------------------------------------------------
 # form evaluation
 
-_WORD_MASK = 2**63 - 1
-
-
-class _RowStream:
-    """Assignment rows of one check over the prime ell, read row by row from
-    one stdlib generator: root symbol pinned to valuation 0 and the unit
-    g^((ell-1)/p^N) of exact order p^N, labels with valuations in -2..2 and
-    uniform units g^L, g the least primitive root mod ell.  A row is a
-    (valuations, logs) pair of lists; column 0 is the root symbol, 1..t the
-    labels.  Each label reads two little-endian 64-bit words, masked to 63
-    bits: the valuation's, then the log's."""
-
-    def __init__(self, basis: SymbolBasis, ell: int, seed: int):
-        p, N = basis.p, basis.root_level
-        if not is_prime(ell):
-            raise OracleError(f"ell={ell} is not prime")
-        if (ell - 1) % p**N != 0:
-            raise OracleError(f"ell={ell} does not admit a primitive p^{N}-th root of unity")
-        self.basis = basis
-        self.ell = ell
-        self._root_log = (ell - 1) // p**N
-        self._words = struct.Struct(f"<{2 * len(basis.labels)}Q")
-        self._rng = random.Random(seed)
-
-    def draw(self) -> tuple[list[int], list[int]]:
-        raw = self._words.unpack(self._rng.randbytes(self._words.size))
-        words = [w & _WORD_MASK for w in raw]
-        return ([0] + [w % 5 - 2 for w in words[0::2]],
-                [self._root_log] + [w % (self.ell - 1) for w in words[1::2]])
-
-    def assignment(self, row: tuple[list[int], list[int]]) -> LocalAssignment:
-        ell = self.ell
-        g = _element_of_order(ell, ell - 1)
-        values = tuple((name, (v, pow(g, L, ell)))
-                       for name, v, L in zip(("z",) + self.basis.labels, *row))
-        return LocalAssignment(ell=ell, values=values,
-                               zeta_base=_element_of_order(ell, self.basis.torsion))
+_Row = tuple[list[int], list[int]]  # valuations V and unit logs L, by column
 
 
 def _vector(basis: SymbolBasis, pairs) -> dict[int, int]:
@@ -264,59 +230,81 @@ def _normal_form_form(nf: NormalForm) -> list[list[int]]:
             for row, col in zip(nf.matrix, zip(*nf.matrix))]
 
 
-def _value(form: list[list[int]], row: tuple[list[int], list[int]], torsion: int) -> int:
+def _value(form: list[list[int]], row: _Row, torsion: int) -> int:
     """V^T M L mod p^n on one row of valuations V and unit logs L."""
     val, log = row
     return sum(v * sum(m * L for m, L in zip(mrow, log))
                for v, mrow in zip(val, form) if v) % torsion
 
 
-def _first_nonzero(form: list[list[int]], basis: SymbolBasis, trials: int,
-                   seed: int) -> tuple[int, LocalAssignment | None]:
-    """The rows drawn, and the assignment of the first of `trials` rows on
-    which the form M is nonzero (None if there is none).  A zero M reads 0
-    on every row, so none is drawn and no ell is picked."""
-    if not any(map(any, form)):
-        return 0, None
-    stream = _RowStream(basis, find_suitable_ell(basis.p, basis.root_level), seed)
-    for drawn in range(1, trials + 1):
-        row = stream.draw()
-        if _value(form, row, basis.torsion):
-            return drawn, stream.assignment(row)
-    return trials, None
+def _assignment(basis: SymbolBasis, ell: int, row: _Row) -> LocalAssignment:
+    """The assignment over the prime ell of a row of valuations V and unit
+    logs L, column 0 the root symbol and 1..t the labels: each unit is g^L,
+    g the least primitive root mod ell."""
+    g = _primitive_root(ell, basis.p)
+    values = tuple((name, (v, pow(g, L, ell)))
+                   for name, v, L in zip(("z",) + basis.labels, *row))
+    return LocalAssignment(ell=ell, values=values,
+                           zeta_base=pow(g, (ell - 1) // basis.torsion, ell))
 
 
-def _compare(lhs: list[list[int]], rhs: list[list[int]], basis: SymbolBasis, trials: int,
-             seed: int) -> EquivalenceVerdict:
-    """Both sides on the same rows, as the one difference form lhs - rhs;
-    both are reduced mod p^n, so it is zero mod p^n only where it is zero."""
-    diff = [[a - b for a, b in zip(lrow, rrow)] for lrow, rrow in zip(lhs, rhs)]
-    drawn, counterexample = _first_nonzero(diff, basis, trials, seed)
-    return EquivalenceVerdict(equal=counterexample is None, trials=drawn,
-                              counterexample=counterexample)
+def _witness_row(form: list[list[int]], basis: SymbolBasis) -> tuple[int, _Row] | None:
+    """(ell, row) of a row on which the form M reads nonzero, or None where M
+    is zero.  For the first nonzero column j of M and the first row i
+    nonzero there, the row is a_i = ell, a_j = g where j > 0, every other
+    label 1: it reads M[i][0] r, r = (ell-1)/p^N a unit mod p, where j = 0,
+    and M[i][j] where the root column is zero."""
+    size = basis.size
+    pick = next(((i, j) for j in range(size) for i in range(size) if form[i][j]), None)
+    if pick is None:
+        return None
+    i, j = pick
+    ell = find_suitable_ell(basis.p, basis.root_level)
+    return ell, ([int(c == i) for c in range(size)],
+                 [(ell - 1) // basis.p**basis.root_level] + [int(c == j) for c in range(1, size)])
+
+
+def _witness(form: list[list[int]], basis: SymbolBasis) -> LocalAssignment | None:
+    found = _witness_row(form, basis)
+    return None if found is None else _assignment(basis, *found)
+
+
+def _random_row(basis: SymbolBasis, ell: int, rng: random.Random) -> _Row:
+    """A row drawn from rng: root symbol pinned to valuation 0 and log
+    (ell-1)/p^N, labels with valuations in -2..2 and logs uniform mod ell-1."""
+    labels = range(len(basis.labels))
+    return ([0] + [rng.randint(-2, 2) for _ in labels],
+            [(ell - 1) // basis.p**basis.root_level] + [rng.randrange(ell - 1) for _ in labels])
 
 
 def random_assignment(basis: SymbolBasis, ell: int, seed: int) -> LocalAssignment:
-    """The first row of the assignment stream of `seed` over the prime ell."""
-    stream = _RowStream(basis, ell, seed)
-    return stream.assignment(stream.draw())
-
-
-def check_equivalence(e1: BrauerExpression, e2: BrauerExpression, basis: SymbolBasis,
-                      trials: int = 200, seed: int = 0) -> EquivalenceVerdict:
-    """Numeric comparison over `trials` seeded assignments over one prime."""
-    return _compare(_expression_form(e1, basis), _expression_form(e2, basis),
-                    basis, trials, seed)
+    """The assignment of the row `_random_row` draws from `seed` over the
+    prime ell: the tests' seeded source of rows for the scalar path."""
+    N = basis.root_level
+    if not is_prime(ell):
+        raise OracleError(f"ell={ell} is not prime")
+    if (ell - 1) % basis.p**N != 0:
+        raise OracleError(f"ell={ell} does not admit a primitive p^{N}-th root of unity")
+    return _assignment(basis, ell, _random_row(basis, ell, random.Random(seed)))
 
 
 def check_raw_vs_normal(expr: BrauerExpression, nf: NormalForm, trials: int = 200,
                         seed: int = 0) -> EquivalenceVerdict:
-    return _compare(_expression_form(expr, nf.basis), _normal_form_form(nf),
-                    nf.basis, trials, seed)
+    """Exact comparison of a raw product with its normal form, through their
+    difference form; where it is nonzero, the counterexample is its witness
+    row.  `trials` and `seed` are accepted and unused: the check reads no
+    drawn rows, and the benchmark's oracle workload still passes them."""
+    lhs, rhs = _expression_form(expr, nf.basis), _normal_form_form(nf)
+    # both sides are reduced mod p^n, so the difference is zero mod p^n only
+    # where it is zero
+    counterexample = _witness([[a - b for a, b in zip(lrow, rrow)]
+                               for lrow, rrow in zip(lhs, rhs)], nf.basis)
+    return EquivalenceVerdict(equal=counterexample is None, counterexample=counterexample)
 
 
 def witness_nontrivial(expr: BrauerExpression, basis: SymbolBasis, trials: int = 500,
                        seed: int = 0) -> LocalAssignment | None:
-    """First assignment with nonzero value; expected to exist whenever the
-    normal form is nonzero, since tame symbols realize all residues."""
-    return _first_nonzero(_expression_form(expr, basis), basis, trials, seed)[1]
+    """An assignment on which the product reads nonzero, or None where its
+    form is zero, read off the form in closed form.  `trials` and `seed` are
+    accepted and unused, as in `check_raw_vs_normal`."""
+    return _witness(_expression_form(expr, basis), basis)

@@ -1,5 +1,6 @@
 """CLI behaviour: output shapes, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import json
 import re
@@ -194,50 +195,75 @@ class TestMisc:
         assert "[alpha2, alpha1]" in out
 
     def test_eval(self, capsys):
-        code, out, _ = run(capsys, "eval", "(a1, a2; z)(a2, a1; z)", "--p", "3", "--trials", "20")
+        code, out, _ = run(capsys, "eval", "(a1, a2; z)(a2, a1; z)", "--p", "3")
         assert code == 0
-        assert "normal form: 1" in out
+        assert out == ("p=3\n"
+                       "  normal form: 1\n"
+                       "  raw form: 0\n"
+                       "  witness: none\n"
+                       "  raw vs normal form: agree (difference form is zero mod p^n)\n")
 
     def test_eval_at_every_prime(self, capsys):
-        code, out, _ = run(capsys, "eval", "(a1, z*a2; z)", "--p", "3", "--p", "5",
-                           "--trials", "20")
+        # M[z][a1] != 0: the witness a1 = ell reads M[a1][z] (ell-1)/p, balanced
+        code, out, _ = run(capsys, "eval", "(a1, z*a2; z)", "--p", "3", "--p", "5")
         assert code == 0
-        assert "p=3 normal form: (a1, z; z)(a1, a2; z)\n" in out
-        assert "p=5 normal form: (a1, z; z)(a1, a2; z)\n" in out
-        # every row would read 0 on a zero difference form, so none is drawn
-        assert "raw vs normal form: agree (difference form is zero mod 3)\n" in out
-        assert "raw vs normal form: agree (difference form is zero mod 5)\n" in out
+        assert out == ("p=3\n"
+                       "  normal form: (a1, z; z)(a1, a2; z)\n"
+                       "  raw form: M[z,a1]=1 M[a1,a2]=-1\n"
+                       "  witness: ell=7, a1=ell; value 1\n"
+                       "  raw vs normal form: agree (difference form is zero mod p^n)\n"
+                       "p=5\n"
+                       "  normal form: (a1, z; z)(a1, a2; z)\n"
+                       "  raw form: M[z,a1]=1 M[a1,a2]=-1\n"
+                       "  witness: ell=11, a1=ell; value -2\n"
+                       "  raw vs normal form: agree (difference form is zero mod p^n)\n")
+
+    def test_eval_labels_only_witness(self, capsys):
+        # the root column of M is zero: a2 = ell and a1 = g = 3 mod 7
+        code, out, _ = run(capsys, "eval", "(a1, a2; z)", "--p", "3")
+        assert code == 0
+        assert "  witness: ell=7, a1=3, a2=ell; value 1\n" in out
 
     def test_eval_at_p101_root_level_3(self, capsys):
         # the first prime with v_101(ell - 1) = 3 is 30,909,031 = 30 * 101^3 + 1
-        code, out, _ = run(capsys, "eval", "(a1, z3*a2; z)", "--p", "101", "--trials", "20",
-                           "--seed", "1")
+        code, out, _ = run(capsys, "eval", "(a1, z3*a2; z)", "--p", "101")
         assert code == 0
-        assert "20 assignments over ell=30909031;" in out
-        assert "agree (difference form is zero mod 101)\n" in out
+        assert "  witness: ell=30909031, a1=ell; value " in out
+        assert "agree (difference form is zero mod p^n)\n" in out
 
     @pytest.mark.parametrize("expression,p,ell", [
         ("(a1, z3*a2; z)", "2003", 78 * 2003**3 + 1),
         ("(a1, z3*a2; z)", "10007", 12 * 10007**3 + 1),
+        ("(a1, z3*a2; z)", "1000000007", 62 * 1000000007**3 + 1),
         ("(a1, a2; z)", "1000000007", 44 * 1000000007 + 1),
     ])
     def test_eval_at_large_primes(self, capsys, expression, p, ell):
-        # each least ell with v_p(ell - 1) = N has (ell - 1)^2 above 2^63, and
-        # no p^n-entry discrete-log table is built
+        # each least ell with v_p(ell - 1) = N has (ell - 1)^2 above 2^63, no
+        # p^n-entry discrete-log table is built, and the primitive root mod
+        # ell takes no trial division up to p
         start = time.perf_counter()
         code, out, err = run(capsys, "eval", expression, "--p", p)
         assert (code, err) == (0, "")
-        assert f"200 assignments over ell={ell};" in out
-        assert f"raw vs normal form: agree (difference form is zero mod {p})\n" in out
+        assert f"  witness: ell={ell}, " in out
+        assert "  raw vs normal form: agree (difference form is zero mod p^n)\n" in out
         assert time.perf_counter() - start < 2.0
 
-    def test_eval_reports_the_trials_a_nonzero_form_drew(self, capsys, monkeypatch):
+    def test_eval_output_does_not_grow_with_p(self, capsys):
+        # the output's size depends on the basis, not on p
+        expression = "(a1, z*a2; z)(a2^2, a3; z)"
+        outs = [run(capsys, "eval", expression, "--p", p)[1] for p in ("3", "3", "1000000007")]
+        assert outs[0] == outs[1]
+        assert (max(map(len, outs[2].splitlines()))
+                <= max(map(len, outs[0].splitlines())))
+        assert len(outs[2].splitlines()) == len(outs[0].splitlines()) == 5
+
+    def test_eval_reports_the_counterexample(self, capsys, monkeypatch):
         # a normalizer that doubles every class leaves a nonzero difference
-        # form: rows are drawn up to the first that reads it, and counted
+        # form: its witness row is the counterexample
         monkeypatch.setattr(cli, "normalize", lambda expr, basis: normalize(expr * expr, basis))
-        code, out, _ = run(capsys, "eval", "(a1, a2; z)", "--p", "3", "--trials", "20")
+        code, out, _ = run(capsys, "eval", "(a1, a2; z)", "--p", "3")
         assert code == 3
-        assert re.search(r"raw vs normal form: DISAGREE \(([1-9]|1[0-9]|20) trials\)\n", out)
+        assert out.endswith("  raw vs normal form: DISAGREE on ell=7, a1=3, a2=ell\n")
 
     @pytest.mark.parametrize("expression,message", [
         ("(a1, a2; z)^1/3", "exponent 1/3 has no value mod 3"),
@@ -245,7 +271,7 @@ class TestMisc:
         ("(a1, a2; z)^1/0", "zero denominator in exponent (at position 12)"),
     ])
     def test_bad_fractional_exponent_is_data_error(self, capsys, expression, message):
-        code, _, err = run(capsys, "eval", expression, "--p", "3", "--trials", "5")
+        code, _, err = run(capsys, "eval", expression, "--p", "3")
         assert code == 2
         assert err.startswith("error: ") and message in err
 
@@ -264,10 +290,10 @@ class TestMisc:
         assert code == 2 and err == f"error: {p} is not prime\n"
 
     @pytest.mark.parametrize("argv", [
-        ("eval", "(a1, a2; z)", "--p", "3", "--trials", "0"),
-        ("eval", "(a1, a2; z)", "--p", "3", "--trials", "-5"),
+        ("eval", "(a1, a2; z)", "--p", "3", "--trials", "20"),
+        ("eval", "(a1, a2; z)", "--p", "3", "--seed", "1"),
     ])
-    def test_count_below_one_is_usage_error(self, capsys, argv):
+    def test_seed_and_trials_are_gone(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run(capsys, *argv)
         assert exc.value.code == 1
@@ -330,6 +356,25 @@ class TestMisc:
         with pytest.raises(SystemExit) as exc:
             run(capsys, *argv)
         assert exc.value.code == 1
+
+
+def test_each_subcommand_reads_exactly_its_options():
+    # every settable value, pinned: a new option does not land unnoticed
+    (subs,) = [a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    options = {name: sorted(flag for action in sub._actions if action.dest != "help"
+                            for flag in action.option_strings)
+               for name, sub in subs.choices.items()}
+    assert options == {
+        "list": ["--format", "--order", "--p"],
+        "show": ["--gold", "--p"],
+        "obstruct": ["--format", "--gold", "--p", "--root-level"],
+        "table": ["--format", "--gold", "--p"],
+        "check-tables": ["--gold", "--p"],
+        "selfcheck": ["--order", "--p"],
+        "eval": ["--p"],
+    }
+    assert sum(map(len, options.values())) == 17
 
 
 def _readme_block(heading, language):

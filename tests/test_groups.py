@@ -261,6 +261,50 @@ class TestGeneratorPower:
             assert groups.generator_power(P, i, n) == carried_power(P, i, n), (P, i, n)
 
 
+def order_exp_by_collection(P, x):
+    """log_p of the order of x, each p-th power by p-fold collection."""
+    e = 0
+    while x != P.identity:
+        x = fold_mul(P, x, P.p)
+        e += 1
+    return e
+
+
+def assert_generator_orders(P, kernel, where):
+    """generator_order_exp of every generator against element_order and
+    collection in G, and, skipping the kernel coordinates, of every other
+    generator against collection in G/K."""
+    ker = groups.kernel_indices(P, kernel)
+    image = groups.quotient_by_central(P, list(kernel))[1]
+    for i in range(P.ngens):
+        g = tuple(int(t == i) for t in range(P.ngens))
+        e = order_exp_by_collection(P, g)
+        assert groups.generator_order_exp(P, i) == e, (where, P.names[i])
+        assert groups.element_order(P, g) == P.p**e, (where, P.names[i])
+        if i not in ker:
+            assert (groups.generator_order_exp(P, i, ker)
+                    == order_exp_by_collection(image.quotient, image(g))), (where, P.names[i])
+
+
+class TestGeneratorOrder:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_on_every_instance(self, p):
+        for inst in enumerate_instances(p):
+            assert_generator_orders(inst.presentation, inst.kernels, inst.label)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_on_drawn_presentations(self, data):
+        # any generator with a trivial tail and no commutator relation can
+        # be a kernel generator
+        P = data.draw(class2_presentations())
+        involved = {t for j, i, _ in P.comm for t in (j, i)}
+        free = [P.names[t] for t in range(P.ngens)
+                if P.power_tails[t] is None and t not in involved]
+        kernel = data.draw(st.lists(st.sampled_from(free), unique=True, max_size=2)) if free else []
+        assert_generator_orders(P, kernel, P)
+
+
 class TestStructure:
     def test_abelian_quotient_needs_both_kernels(self, phi4_221a_p3):
         P = phi4_221a_p3.presentation

@@ -11,11 +11,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galemb import local_oracle as lo
-from galemb.arith import is_prime
+from galemb.arith import is_prime, smallest_primitive_root
 from galemb.catalog import instantiate
 from galemb.obstructions import generate_table, obstruction_for_instance
 from galemb.symbols import (BrauerExpression, NormalForm, SymbolBasis, normalize, one, parse,
@@ -81,14 +82,15 @@ class TestEvalExpression:
         e2 = parse("(a1, a2; z)(a2, z3; z)")
         for p in (3, 5):
             basis = SymbolBasis(p=p, labels=("a1", "a2"), root_level=3, torsion_level=1)
-            verdict = lo.check_equivalence(e1, e2, basis, trials=200, seed=7)
-            assert verdict.equal
+            assert lo._expression_form(e1, basis) == lo._expression_form(e2, basis)
+            for asg in _assignments(basis, 50, seed=7):
+                assert lo.eval_expression(e1, asg, basis) == lo.eval_expression(e2, asg, basis)
 
     def test_normal_form_evaluation(self):
         e = parse("(a1, z*a2; z)")
         nf = normalize(e, B1)
-        verdict = lo.check_raw_vs_normal(e, nf, trials=100, seed=3)
-        assert verdict.equal
+        verdict = lo.check_raw_vs_normal(e, nf)
+        assert verdict.equal and verdict.counterexample is None
 
 
 class TestHelpers:
@@ -124,6 +126,13 @@ class TestHelpers:
         assert prime(ell)
         assert not any(prime(k * 3**20 + 1) for k in range(1, 26) if k % 3)
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_primitive_root_with_p_divided_out(self, p):
+        # dividing the known p out of ell - 1 first changes no root
+        for N in range(1, 4):
+            ell = lo.find_suitable_ell(p, N)
+            assert lo._primitive_root(ell, p) == smallest_primitive_root(ell)
+
     def test_root_symbol_pinned(self):
         asg = lo.random_assignment(B3, 163, seed=0)
         val, unit = asg.value_of("z")
@@ -137,26 +146,16 @@ class TestHelpers:
         c = lo.random_assignment(B1, 13, seed=6)
         assert a == b and a != c
 
-    def test_verdict_determinism(self):
-        e1, e2 = parse("(a1, a2; z)"), parse("(a2, a1; z)")
-        v1 = lo.check_equivalence(e1, e2, B1, trials=50, seed=9)
-        v2 = lo.check_equivalence(e1, e2, B1, trials=50, seed=9)
-        assert (v1.equal, v1.trials) == (v2.equal, v2.trials)
-        assert not v1.equal  # a swap is numerically visible
-
-    def test_witness_found_quickly(self):
-        wit = lo.witness_nontrivial(parse("(a1, a2; z)"), B1, trials=10, seed=0)
-        assert wit is not None
-
     def test_witness_absent_for_trivial_class(self):
-        assert lo.witness_nontrivial(parse("(a1, a1; z)"), B1, trials=30, seed=0) is None
+        assert lo.witness_nontrivial(parse("(a1, a1; z)"), B1) is None
 
-    def test_distinguishes_inequivalent_expressions(self):
-        # soundness has teeth: a genuinely different class is detected
-        e1 = parse("(a1, a2; z)")
-        e2 = parse("(a1, a2; z)^2")
-        verdict = lo.check_equivalence(e1, e2, B1, trials=100, seed=0)
-        assert not verdict.equal
+    @pytest.mark.parametrize("other", ["(a1, a2; z)^2", "(a2, a1; z)"])
+    def test_distinguishes_inequivalent_expressions(self, other):
+        # soundness has teeth: a genuinely different class, a swap included,
+        # is detected on a counterexample the scalar path confirms
+        expr, bad = parse("(a1, a2; z)"), normalize(parse(other), B1)
+        asg = lo.check_raw_vs_normal(expr, bad).counterexample
+        assert lo.eval_expression(expr, asg, B1) != lo.eval_normal_form(bad, asg)
 
 
 def test_fraction_exponents_evaluate_like_bound_residues():
@@ -185,11 +184,12 @@ def test_oracle_sees_a_resolve_fault(monkeypatch):
     moved = [(k, c) for k, c in enumerate(conditions)
              if lo._expression_form(c.raw, c.normal.basis) != lo._normal_form_form(c.normal)]
     assert moved
-    verdicts = [(c, lo.check_raw_vs_normal(c.raw, c.normal, seed=k)) for k, c in moved]
-    caught = [(c, v.counterexample) for c, v in verdicts if not v.equal]
-    assert caught
-    # each counterexample reads differently on both sides under the scalar path too
-    for c, asg in caught:
+    # every moved form is caught, on a counterexample that reads differently
+    # on both sides under the scalar path too
+    for k, c in moved:
+        verdict = lo.check_raw_vs_normal(c.raw, c.normal)
+        assert not verdict.equal, k
+        asg = verdict.counterexample
         assert lo.eval_expression(c.raw, asg, c.normal.basis) != lo.eval_normal_form(c.normal, asg)
 
 
@@ -218,16 +218,18 @@ def _random_expression(rng: random.Random, basis: SymbolBasis):
     return expr
 
 
-def _rows(basis, trials, seed, ell=None):
-    """The row stream a check with `seed` reads, and its first `trials` rows."""
-    stream = lo._RowStream(basis, ell or lo.find_suitable_ell(basis.p, basis.root_level), seed)
-    return stream, [stream.draw() for _ in range(trials)]
+def _rows(basis, count, seed, ell=None):
+    """The evaluation prime (by default the least ell with v_p(ell-1) = N)
+    and `count` rows drawn from one generator seeded with `seed`."""
+    ell = ell or lo.find_suitable_ell(basis.p, basis.root_level)
+    rng = random.Random(seed)
+    return ell, [lo._random_row(basis, ell, rng) for _ in range(count)]
 
 
-def _assignments(basis, trials, seed, ell=None):
-    """The first `trials` rows a check with `seed` reads, as assignments."""
-    stream, rows = _rows(basis, trials, seed, ell)
-    return [stream.assignment(row) for row in rows]
+def _assignments(basis, count, seed, ell=None):
+    """The rows of `_rows`, as assignments."""
+    ell, rows = _rows(basis, count, seed, ell)
+    return [lo._assignment(basis, ell, row) for row in rows]
 
 
 def _near_root_expression(rng, basis, names, factors):
@@ -248,13 +250,13 @@ def _near_root_expression(rng, basis, names, factors):
     return expr
 
 
-def _form_equals_scalar(expr, basis, trials, seed, ell=None):
+def _form_equals_scalar(expr, basis, count, seed, ell=None):
     """The form's value on each of the first rows equals the scalar
     `eval_expression` on the same row."""
-    stream, rows = _rows(basis, trials, seed, ell)
+    ell, rows = _rows(basis, count, seed, ell)
     form = lo._expression_form(expr, basis)
     assert [lo._value(form, row, basis.torsion) for row in rows] == [
-        lo.eval_expression(expr, stream.assignment(row), basis) for row in rows]
+        lo.eval_expression(expr, lo._assignment(basis, ell, row), basis) for row in rows]
     return rows
 
 
@@ -269,14 +271,14 @@ class TestBatch:
         for case in range(4):
             expr = _random_expression(rng, basis)
             nf = normalize(expr, basis)
-            stream, rows = _rows(basis, 40, case)
-            asgs = [stream.assignment(row) for row in rows]
+            ell, rows = _rows(basis, 40, case)
+            asgs = [lo._assignment(basis, ell, row) for row in rows]
             raw, normal = lo._expression_form(expr, basis), lo._normal_form_form(nf)
             assert [lo._value(raw, row, basis.torsion) for row in rows] == [
                 lo.eval_expression(expr, asg, basis) for asg in asgs]
             assert [lo._value(normal, row, basis.torsion) for row in rows] == [
                 lo.eval_normal_form(nf, asg) for asg in asgs]
-            assert lo.check_raw_vs_normal(expr, nf, trials=40, seed=case).equal
+            assert lo.check_raw_vs_normal(expr, nf).equal
 
     def test_ell_above_2_64(self):
         # no ell is too large: over the least ell = 1 mod 3^40, above 2^64,
@@ -329,13 +331,13 @@ class TestBatch:
         # form does not: their agreement there is the sign dropping out
         basis = SymbolBasis(p=p, labels=("a1", "a2"), root_level=n, torsion_level=n)
         expr = parse(text.format(n=n if n > 1 else ""))
-        stream, rows = _rows(basis, 200, seed=p * 10 + n)
+        ell, rows = _rows(basis, 200, seed=p * 10 + n)
         odd = [row for row in rows if row[0][1] * row[0][2] % 2]
         assert len(odd) >= 20
         form = lo._expression_form(expr, basis)
         (f,) = expr.factors
         assert [lo._value(form, row, basis.torsion) for row in odd] == [
-            lo.eval_symbol(f.left_mono(), f.right_mono(), stream.assignment(row), basis)
+            lo.eval_symbol(f.left_mono(), f.right_mono(), lo._assignment(basis, ell, row), basis)
             for row in odd]
 
     @pytest.mark.parametrize("nfactors", [4, 8, 16])
@@ -368,7 +370,7 @@ class TestBatch:
         nf = normalize(expr, deep)
         assert not nf.is_zero()
         verdict = lo.check_raw_vs_normal(expr, nf)
-        assert verdict.equal and verdict.trials == 0
+        assert verdict.equal and verdict.counterexample is None
         wit = lo.witness_nontrivial(expr, deep)
         assert wit.ell == 26 * 3**20 + 1
         assert lo.eval_expression(expr, wit, deep) != 0
@@ -381,43 +383,15 @@ class TestBatch:
             matrix = [list(row) for row in nf.matrix]
             matrix[u][v] = (matrix[u][v] + 1) % basis.torsion
             bad = NormalForm(basis=basis, matrix=tuple(tuple(row) for row in matrix))
-            verdict = lo.check_raw_vs_normal(expr, bad, trials=200, seed=u + v)
+            verdict = lo.check_raw_vs_normal(expr, bad)
             assert not verdict.equal
-            rows = _assignments(basis, verdict.trials, seed=u + v)
-            # the counterexample is the first disagreeing row, also under the scalar path
-            assert rows[-1] == verdict.counterexample
-            assert lo.eval_expression(expr, rows[-1], basis) != lo.eval_normal_form(bad, rows[-1])
-            assert all(lo.eval_expression(expr, asg, basis) == lo.eval_normal_form(bad, asg)
-                       for asg in rows[:-1])
-
-    def test_witness_is_first_nonzero_row(self):
-        basis = SymbolBasis(p=3, labels=("a1", "a2"), root_level=1, torsion_level=1)
-        expr = parse("(a1*a2, z; z)")
-        firsts = []
-        for seed in range(120):
-            rows = _assignments(basis, 60, seed)
-            first = next(i for i, asg in enumerate(rows) if lo.eval_expression(expr, asg, basis))
-            assert lo.witness_nontrivial(expr, basis, trials=60, seed=seed) == rows[first]
-            firsts.append(first)
-        assert max(firsts) >= 4  # some witnesses lie several rows into the stream
-
-    def test_prefix_property(self):
-        basis = SymbolBasis(p=5, labels=("a1", "a2", "a3"), root_level=2, torsion_level=1)
-        long = _assignments(basis, 200, seed=3)
-        assert _assignments(basis, 50, seed=3) == long[:50]
-        assert lo.random_assignment(basis, lo.find_suitable_ell(5, 2), seed=3) == long[0]
-
-    def test_rows_decode_the_generator_words(self):
-        # a row reads 2t little-endian 64-bit words masked to 63 bits, the
-        # same bytes an int64 array decode of the generator reads: rows,
-        # witnesses and counterexamples do not depend on the decoder
-        basis = SymbolBasis(p=5, labels=("a1", "a2", "a3"), root_level=2, torsion_level=1)
-        ell = lo.find_suitable_ell(5, 2)
-        _, rows = _rows(basis, 50, seed=3)
-        raw = np.frombuffer(random.Random(3).randbytes(50 * 3 * 16), dtype="<i8")
-        words = (raw & (2**63 - 1)).reshape(50, 3, 2)
-        assert rows == [([0] + (w[:, 0] % 5 - 2).tolist(),
-                         [(ell - 1) // 25] + (w[:, 1] % (ell - 1)).tolist()) for w in words]
+            # the counterexample is the difference form's witness, confirmed
+            # by the scalar path
+            diff = [[a - b for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(lo._expression_form(expr, basis), lo._normal_form_form(bad))]
+            assert verdict.counterexample == lo._witness(diff, basis)
+            asg = verdict.counterexample
+            assert lo.eval_expression(expr, asg, basis) != lo.eval_normal_form(bad, asg)
 
     def test_no_numpy_random(self):
         # numpy.random adds ~5 MB of resident memory to every oracle run
@@ -483,37 +457,104 @@ class TestZeroForm:
             assert lo._expression_form(c.raw, c.normal.basis) == lo._normal_form_form(c.normal), \
                 c.origin
 
-    def test_zero_form_draws_no_rows(self, monkeypatch, engine_conditions):
-        calls = []
-        draw = lo._RowStream.draw
-        monkeypatch.setattr(lo._RowStream, "draw", lambda self: calls.append(1) or draw(self))
-        verdicts = [lo.check_raw_vs_normal(c.raw, c.normal, seed=k)
-                    for k, c in enumerate(engine_conditions)]
-        assert all(v.equal and v.trials == 0 for v in verdicts)
-        assert calls == []
+    def test_zero_form_picks_no_ell(self, monkeypatch, engine_conditions):
+        def no_ell(p, level):
+            raise AssertionError("a zero form picked an evaluation prime")
 
-    def test_nonzero_form_counts_the_rows_it_read(self):
-        # (a1, a2; z) against 1 reads 0 on a row where both valuations are 0:
-        # over such first rows the check agrees, and says how many it read
-        expr = parse("(a1, a2; z)")
-        seed = next(s for s in range(500) if _rows(B1, 1, s)[1][0][0] == [0, 0, 0])
-        verdict = lo.check_equivalence(expr, one(), B1, trials=1, seed=seed)
-        assert verdict.equal and verdict.trials == 1
-        verdict = lo.check_equivalence(expr, one(), B1, trials=200, seed=seed)
-        assert not verdict.equal and 1 < verdict.trials <= 200
+        monkeypatch.setattr(lo, "find_suitable_ell", no_ell)
+        for c in engine_conditions:
+            verdict = lo.check_raw_vs_normal(c.raw, c.normal)
+            assert verdict.equal and verdict.counterexample is None, c.origin
+        trivial = parse("(a1, z*a2; z)(a2, a1; z)(z, a1; z)")
+        assert lo.witness_nontrivial(trivial, B1) is None
+        assert lo.witness_nontrivial(one(), B3) is None
 
     def test_drawn_rows_read_zero_anyway(self, engine_conditions):
         for k, c in enumerate(engine_conditions):
             basis = c.normal.basis
-            stream, rows = _rows(basis, 200, k)
+            ell, rows = _rows(basis, 200, k)
             raw_form, normal_form = lo._expression_form(c.raw, basis), lo._normal_form_form(c.normal)
             raw = [lo._value(raw_form, row, basis.torsion) for row in rows]
             assert raw == [lo._value(normal_form, row, basis.torsion) for row in rows], c.origin
             # and on the first rows under the scalar path
             for r in range(2):
-                asg = stream.assignment(rows[r])
+                asg = lo._assignment(basis, ell, rows[r])
                 assert (lo.eval_expression(c.raw, asg, basis) == raw[r]
                         == lo.eval_normal_form(c.normal, asg)), c.origin
+
+
+@st.composite
+def _products(draw, basis):
+    """A product of one to four symbols with integer exponents and weights,
+    of one of three kinds: over the labels alone (the root column of its
+    form is zero), over labels and roots, or zero by construction, each
+    factor followed by its swap, (x, y)^w (y, x)^w = 1."""
+    kind = draw(st.sampled_from(["labels", "roots", "zero"]))
+    names = basis.labels
+    if kind != "labels":
+        names += tuple(root_label(k) for k in range(1, basis.root_level + 1))
+    mono = st.dictionaries(st.sampled_from(names), st.integers(-4, 4), min_size=1, max_size=3)
+    factors = draw(st.lists(st.tuples(mono, mono, st.integers(-basis.torsion, basis.torsion)),
+                            min_size=1, max_size=4))
+    if kind == "zero":
+        factors += [(y, x, w) for x, y, w in factors]
+    expr = one()
+    for x, y, w in factors:
+        expr = expr * symbol(x, y, basis.torsion_level, w)
+    return expr
+
+
+class TestWitness:
+    """The witness is read off the form M in closed form: a_i = ell and, where
+    the root column of M is zero, a_j = g; every other label is 1."""
+
+    @pytest.mark.parametrize("basis", BASES, ids=lambda b: f"p{b.p}N{b.root_level}n{b.torsion_level}")
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_nonzero_form_is_witnessed_and_zero_form_is_not(self, basis, data):
+        expr = data.draw(_products(basis))
+        form = lo._expression_form(expr, basis)
+        wit = lo.witness_nontrivial(expr, basis)
+        if not any(map(any, form)):
+            assert wit is None
+            return
+        ell, row = lo._witness_row(form, basis)
+        assert wit == lo._assignment(basis, ell, row)
+        value = lo.eval_expression(expr, wit, basis)
+        assert value != 0 and value == lo._value(form, row, basis.torsion)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_root_entry_witness(self, p):
+        # M[a1][z] != 0: a1 = ell alone reads M[a1][z] r, r = (ell-1)/p^N a unit
+        basis = SymbolBasis(p=p, labels=("a1", "a2"), root_level=2, torsion_level=1)
+        expr = parse("(a1, z2; z)(a1, a2; z)")
+        wit = lo.witness_nontrivial(expr, basis)
+        ell = lo.find_suitable_ell(p, 2)
+        g = lo._primitive_root(ell, p)
+        assert wit.values == (("z", (0, pow(g, (ell - 1) // p**2, ell))),
+                              ("a1", (1, 1)), ("a2", (0, 1)))
+        assert lo.eval_expression(expr, wit, basis) != 0
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_labels_only_witness(self, p):
+        # the root column is zero: a2 = ell, a1 = g read M[a2][a1] = 1
+        basis = SymbolBasis(p=p, labels=("a1", "a2", "a3"), root_level=1, torsion_level=1)
+        expr = parse("(a1, a2; z)")
+        wit = lo.witness_nontrivial(expr, basis)
+        ell = lo.find_suitable_ell(p, 1)
+        g = lo._primitive_root(ell, p)
+        assert wit.values[1:] == (("a1", (0, g)), ("a2", (1, 1)), ("a3", (0, 1)))
+        assert lo.eval_expression(expr, wit, basis) == 1
+
+    def test_every_engine_condition_is_equal_and_witnessed(self, engine_conditions):
+        for c in engine_conditions:
+            basis = c.normal.basis
+            assert lo.check_raw_vs_normal(c.raw, c.normal).equal, c.origin
+            wit = lo.witness_nontrivial(c.raw, basis)
+            if c.normal.is_zero():
+                assert wit is None, c.origin
+            else:
+                assert lo.eval_expression(c.raw, wit, basis) != 0, c.origin
 
 
 def _primes_below(n: int) -> list[int]:
