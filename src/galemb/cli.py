@@ -22,7 +22,7 @@ from .symbols import (
     BasisError,
     ExpressionError,
     SymbolBasis,
-    _balanced,
+    balanced,
     normalize,
     parse,
     render,
@@ -261,18 +261,15 @@ def cmd_eval(args) -> int:
         print(f"p={p}")
         print(f"  normal form: {render(nf)}")
         # no line grows with p: entries and values print balanced mod p^n
-        form = local_oracle._expression_form(expr, basis)
-        entries = [f"M[{basis.base_name(u)},{basis.base_name(v)}]={_balanced(form[u][v], torsion)}"
-                   for u in range(basis.size) for v in range(u + 1, basis.size) if form[u][v]]
+        reading = local_oracle.read_form(expr, basis)
+        entries = [f"M[{basis.base_name(u)},{basis.base_name(v)}]={balanced(c, torsion)}"
+                   for u, v, c in reading.entries]
         print(f"  raw form: {' '.join(entries) or '0'}")
-        found = local_oracle._witness_row(form, basis)
-        if found is None:
+        if reading.witness is None:
             print("  witness: none")
         else:
-            ell, row = found
-            value = _balanced(local_oracle._value(form, row, torsion), torsion)
-            print(f"  witness: {_witness_text(local_oracle._assignment(basis, ell, row))}; "
-                  f"value {value}")
+            print(f"  witness: {_witness_text(reading.witness)}; "
+                  f"value {balanced(reading.value, torsion)}")
         verdict = local_oracle.check_raw_vs_normal(expr, nf)
         if verdict.equal:
             print("  raw vs normal form: agree (difference form is zero mod p^n)")

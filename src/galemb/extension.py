@@ -40,8 +40,10 @@ class EmbeddingProblemSpec:
     preimage_names: tuple[str, ...]
     root_level: int
     # coordinate of each kernel generator, in kernel order, from
-    # groups.kernel_indices: dropping them is the quotient map
+    # groups.kernel_indices, and every other coordinate: dropping the kernel
+    # ones is the quotient map
     kernel_coords: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    other_coords: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = self.presentation
@@ -53,6 +55,8 @@ class EmbeddingProblemSpec:
             object.__setattr__(self, "kernel_coords", groups.kernel_indices(P, self.kernel_names))
         except groups.ElementError as exc:
             raise ExtensionError(str(exc)) from exc
+        object.__setattr__(self, "other_coords", tuple(
+            i for i in range(P.ngens) if i not in self.kernel_coords))
         for name, i in zip(self.kernel_names, self.kernel_coords):
             if groups.generator_order_exp(P, i) != self.kernel_level:
                 raise ExtensionError(
@@ -74,7 +78,7 @@ class EmbeddingProblemSpec:
         product, in kernel order: entry k is the projection onto kernel k
         modulo the other one (the pullback projection).  Coordinate read-offs
         after one support check."""
-        if any(c and i not in self.kernel_coords for i, c in enumerate(x)):
+        if any(x[i] for i in self.other_coords):
             raise ExtensionError(f"element {x} lies outside the kernel {self.kernel_names}")
         return tuple(x[i] for i in self.kernel_coords)
 
@@ -128,10 +132,10 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
     the quotient map (`spec.kernel_coords`), so an image is trivial iff its
     support lies in the kernel and |Q| = p^(sum of the other e_i)."""
     P = spec.presentation
-    ker = spec.kernel_coords
-    if any(c and i not in ker for _, _, word in P.comm for i, c in enumerate(word)):
+    ker, other = spec.kernel_coords, spec.other_coords
+    if any(word[i] for _, _, word in P.comm for i in other):
         raise ExtensionError("quotient by the kernel product is not abelian")
-    order_exp = sum(e for i, e in enumerate(P.order_exps) if i not in ker)
+    order_exp = sum(P.order_exps[i] for i in other)
 
     pre = [P.index[name] for name in spec.preimage_names]
     n = tuple(0 if i in ker else groups.generator_order_exp(P, i, ker) for i in pre)
@@ -149,7 +153,7 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
     # the remaining columns), so the images span Q/Phi(Q) iff the relation
     # rows restricted to the columns outside K and the pre-images have full
     # rank (on no columns, trivially).
-    rest = [i for i in range(P.ngens) if i not in ker and i not in pre]
+    rest = [i for i in other if i not in pre]
     rows = [[row[i] for i in rest] for row in _frattini_relations(P)]
     if rest and _fp_rank(rows, P.p) != len(rest):
         raise ExtensionError("pre-image images are not independent generators of the quotient")
@@ -165,14 +169,17 @@ def extract_params(spec: EmbeddingProblemSpec,
     relation once for every kernel: s_i^(p^n_i) is `generator_power` of the
     pre-image's index, and [s_j, s_i] is the stored word [g_b, g_a] of their
     indices b > a, or its inverse when b < a (the word is central with
-    trivial tails, so inverting negates its coordinates)."""
+    trivial tails, so inverting negates its coordinates).  Both lie in the
+    kernel product where n are `quotient_structure`'s levels, which checks
+    every commutator word's support, so the kernel columns are read directly."""
     P = spec.presentation
     modulus = P.p**spec.kernel_level
-    kernels = range(len(spec.kernel_names))
+    ker = spec.kernel_coords
+    kernels = range(len(ker))
     pre = [P.index[name] for name in spec.preimage_names]
     # m[i][k], d[k][i][j]: kernel k's projections
-    m = [[c % modulus for c in spec.kernel_logs(groups.generator_power(P, a, P.p**ni))]
-         for a, ni in zip(pre, n)]
+    m = [[power[c] % modulus for c in ker]
+         for power in (groups.generator_power(P, a, P.p**ni) for a, ni in zip(pre, n))]
     words = {(j, i): word for j, i, word in P.comm}
     t = len(pre)
     d = [[[0] * t for _ in range(t)] for _ in kernels]
@@ -181,8 +188,8 @@ def extract_params(spec: EmbeddingProblemSpec,
             b = pre[j]
             word = words.get((max(a, b), min(a, b)))
             if word is not None:
-                for k, c in enumerate(spec.kernel_logs(word)):
-                    d[k][i][j] = (c if b > a else -c) % modulus
+                for k, c in enumerate(ker):
+                    d[k][i][j] = (word[c] if b > a else -word[c]) % modulus
     return tuple(ExtensionParams(n=n, m=tuple(mi[k] for mi in m),
                                  d=tuple(tuple(row) for row in d[k]), kernel_index=k)
                  for k in kernels)

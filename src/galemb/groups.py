@@ -167,12 +167,13 @@ def make_presentation(
             continue
         support.update(i for i, c in enumerate(vec) if c)
     central = tuple(i in support for i in range(k))
+    in_comm = {g for pair in comm_entries for g in pair}
     for i in support:
         if tails[i] is not None:
             raise PresentationError(
                 f"generator {names[i]!r} carries relation values but has a nontrivial power tail"
             )
-        if any(j == i or ii == i for j, ii in comm_entries):
+        if i in in_comm:
             raise PresentationError(
                 f"generator {names[i]!r} carries relation values but appears in a commutator"
             )

@@ -269,6 +269,28 @@ def _witness(form: list[list[int]], basis: SymbolBasis) -> LocalAssignment | Non
     return None if found is None else _assignment(basis, *found)
 
 
+@dataclass(frozen=True)
+class FormReading:
+    """A product's form M and the row it is witnessed on."""
+
+    entries: tuple[tuple[int, int, int], ...]  # (u, v, M[u][v]) with u < v and M[u][v] != 0
+    witness: LocalAssignment | None  # None where M is zero
+    value: int | None  # V^T M L mod p^n on the witness row
+
+
+def read_form(expr: BrauerExpression, basis: SymbolBasis) -> FormReading:
+    """The nonzero entries of a product's form M, its closed-form witness
+    row and the value M reads there."""
+    form = _expression_form(expr, basis)
+    entries = tuple((u, v, form[u][v]) for u in range(basis.size)
+                    for v in range(u + 1, basis.size) if form[u][v])
+    found = _witness_row(form, basis)
+    if found is None:
+        return FormReading(entries, None, None)
+    ell, row = found
+    return FormReading(entries, _assignment(basis, ell, row), _value(form, row, basis.torsion))
+
+
 def _random_row(basis: SymbolBasis, ell: int, rng: random.Random) -> _Row:
     """A row drawn from rng: root symbol pinned to valuation 0 and log
     (ell-1)/p^N, labels with valuations in -2..2 and logs uniform mod ell-1."""

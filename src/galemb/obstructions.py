@@ -7,9 +7,11 @@ product
 
     prod_i (a_i, zeta_{p^{n_i}}^{m_i}; zeta) * prod_{i<j} (a_j, a_i; zeta)^{d_ij},
 
-normalized against the assumed root level N (sub-level root factors vanish
-under that normalization), plus one cyclic-realizability condition
-(a_i, zeta_{p^N}; zeta) for each quotient factor with n_i = N + 1.  Pullback
+in normal form against the assumed root level N (sub-level root factors
+vanish there), plus one cyclic-realizability condition (a_i, zeta_{p^N}; zeta)
+for each quotient factor with n_i = N + 1.  Each normal form is written
+straight from (n, m, d); the raw product is built only when a check asks for
+`Condition.raw`, and `normalize` serves the gold rows alone.  Pullback
 problems (two disjoint order-p kernels) take the union of their two kernel
 projections; homocyclic problems with kernel mu_{p^n}, n >= 2, give the same
 shape of product at torsion p^n.
@@ -18,6 +20,7 @@ shape of product at torsion p^n.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import extension
 from .catalog import GroupInstance, enumerate_instances, gold_row
@@ -43,9 +46,28 @@ class ObstructionError(ValueError):
 
 @dataclass(frozen=True)
 class Condition:
-    raw: BrauerExpression
     normal: NormalForm
     origin: str
+    # what `raw` is built from: a kernel projection's (n, m, d), or the label
+    # of a cyclic-realizability condition
+    source: ExtensionParams | str
+
+    @cached_property
+    def raw(self) -> BrauerExpression:
+        """The unnormalized product that `normal` stands for, built on first
+        access: the row path reads the normal form only."""
+        basis = self.normal.basis
+        if isinstance(self.source, str):
+            return symbol({self.source: 1}, {root_label(basis.root_level): 1},
+                          basis.torsion_level)
+        params, level, labels = self.source, basis.torsion_level, basis.labels
+        factors = [SymbolFactor(left=((label, 1),), right=((root_label(ni), mi),), exponent=1,
+                                torsion_level=level)
+                   for label, ni, mi in zip(labels, params.n, params.m) if mi]
+        factors += [SymbolFactor(left=((labels[j], 1),), right=((labels[i], 1),),
+                                 exponent=row[j], torsion_level=level)
+                    for i, row in enumerate(params.d) for j in range(i + 1, params.t) if row[j]]
+        return BrauerExpression(tuple(factors))
 
     def text(self) -> str:
         return render(self.normal)
@@ -87,27 +109,30 @@ def basis_for(spec: EmbeddingProblemSpec) -> SymbolBasis:
 
 def kernel_condition(spec: EmbeddingProblemSpec, params: ExtensionParams,
                      basis: SymbolBasis) -> Condition:
-    """The kernel-formula condition of one kernel projection, in the spec's basis."""
-    level = spec.kernel_level
-    labels = basis.labels
-    factors = [SymbolFactor(left=((label, 1),), right=((root_label(ni), mi),), exponent=1,
-                            torsion_level=level)
-               for label, ni, mi in zip(labels, params.n, params.m) if mi]
-    factors += [SymbolFactor(left=((labels[j], 1),), right=((labels[i], 1),),
-                             exponent=row[j], torsion_level=level)
-                for i, row in enumerate(params.d) for j in range(i + 1, params.t) if row[j]]
-    raw = BrauerExpression(tuple(factors))
-    return Condition(raw=raw, normal=normalize(raw, basis),
-                     origin=f"kernel {spec.kernel_names[params.kernel_index]}")
+    """The kernel-formula condition of one kernel projection, in the spec's
+    basis, written straight from (n, m, d): (a_i, zeta_{p^{n_i}}^{m_i}) is
+    -m_i p^(N-n_i) at (z, a_i), the root weight read through the basis, and
+    (a_j, a_i)^{d_ij} is -d_ij at (a_i, a_j)."""
+    torsion = basis.torsion
+    matrix = [[0] * basis.size for _ in range(basis.size)]
+    for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1):
+        if mi:
+            matrix[0][i] = -basis.resolve(((root_label(ni), mi),)).get(0, 0) % torsion
+    for i, row in enumerate(params.d, start=1):
+        matrix[i][i + 1:] = [-c % torsion for c in row[i:]]
+    return Condition(normal=NormalForm(basis, tuple(map(tuple, matrix))),
+                     origin=f"kernel {spec.kernel_names[params.kernel_index]}", source=params)
 
 
 def _realizability_conditions(n: tuple[int, ...], basis: SymbolBasis) -> list[Condition]:
+    """(a_i, zeta_{p^N}; zeta), -1 at (z, a_i), for each factor with n_i = N + 1."""
     out = []
-    for label, ni in zip(basis.labels, n):
+    for i, (label, ni) in enumerate(zip(basis.labels, n), start=1):
         if ni == basis.root_level + 1:
-            raw = symbol({label: 1}, {root_label(basis.root_level): 1}, basis.torsion_level)
-            out.append(Condition(raw=raw, normal=normalize(raw, basis),
-                                 origin=f"cyclic-realizability {label}"))
+            matrix = [[0] * basis.size for _ in range(basis.size)]
+            matrix[0][i] = basis.torsion - 1
+            out.append(Condition(normal=NormalForm(basis, tuple(map(tuple, matrix))),
+                                 origin=f"cyclic-realizability {label}", source=label))
     return out
 
 

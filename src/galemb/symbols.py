@@ -84,25 +84,24 @@ class SymbolBasis:
             raise BasisError(f"root {label!r} exceeds the basis root level {self.root_level}")
         return self.p ** (self.root_level - level)
 
-    def resolve(self, pairs: Iterable[tuple[str, int | Fraction]]) -> tuple[int, ...]:
-        """Exponent vector over (z, a1..at) of the (label, exponent) pairs of a
-        monomial, such as a factor's stored `left`/`right` or a `Monomial`'s
-        items(); lower roots fold into the z slot.
+    def resolve(self, pairs: Iterable[tuple[str, int | Fraction]]) -> dict[int, int]:
+        """Nonzero exponents mod p^n, by slot over (z, a1..at), of the (label,
+        exponent) pairs of a monomial, such as a factor's stored `left`/`right`
+        or a `Monomial`'s items(); lower roots fold into the z slot.
 
         Fractional exponents bind mod p^n here: a different representative
         shifts the slot by a p^n-th power, invisible at torsion p^n.
         """
-        vec = [0] * self.size
+        vec: dict[int, int] = {}
         torsion = self.torsion
         slots = self._slots
         for label, raw_exp in pairs:
             exp = raw_exp % torsion if type(raw_exp) is int else bind_exponent(raw_exp, torsion)
             idx = slots.get(label)
             if idx is None:
-                vec[0] += exp * self._root_weight(label)
-            else:
-                vec[idx] += exp
-        return tuple(vec)
+                idx, exp = 0, exp * self._root_weight(label)
+            vec[idx] = (vec.get(idx, 0) + exp) % torsion
+        return {idx: exp for idx, exp in vec.items() if exp}
 
 
 def root_label(level: int) -> str:
@@ -214,14 +213,13 @@ def normalize(expr: BrauerExpression, basis: SymbolBasis) -> NormalForm:
         w = w % torsion if type(w) is int else bind_exponent(w, torsion)
         if w == 0:
             continue
-        right = [(v, c) for v, c in enumerate(basis.resolve(f.right)) if c]
-        for u, a in enumerate(basis.resolve(f.left)):
-            if a:
-                for v, c in right:
-                    if u < v:
-                        M[u][v] += w * a * c
-                    elif u > v:
-                        M[v][u] -= w * a * c
+        right = basis.resolve(f.right).items()
+        for u, a in basis.resolve(f.left).items():
+            for v, c in right:
+                if u < v:
+                    M[u][v] += w * a * c
+                elif u > v:
+                    M[v][u] -= w * a * c
     return NormalForm(basis=basis, matrix=tuple(tuple([c % torsion for c in row]) for row in M))
 
 
@@ -390,7 +388,8 @@ def parse(text: str, env: dict[str, int] | None = None) -> BrauerExpression:
 # rendering
 
 
-def _balanced(e: int, torsion: int) -> int:
+def balanced(e: int, torsion: int) -> int:
+    """The residue of e mod an odd torsion p^n nearest 0, in -(p^n-1)/2..(p^n-1)/2."""
     e %= torsion
     return e - torsion if e > torsion // 2 else e
 
@@ -414,10 +413,10 @@ def render(nf: NormalForm) -> str:
         vname = basis.base_name(v)
         if len(col) == 1 and col[0][0] == 0:
             # only the root pairs with this label: render as (a, z^-e)
-            e = _balanced(-col[0][1], torsion)
+            e = balanced(-col[0][1], torsion)
             parts.append(f"({vname}, {_render_power(root_label(basis.root_level), e)}; "
                          f"{root_label(basis.torsion_level)})")
             continue
-        factors = [_render_power(basis.base_name(u), _balanced(c, torsion)) for u, c in col]
+        factors = [_render_power(basis.base_name(u), balanced(c, torsion)) for u, c in col]
         parts.append(f"({'*'.join(factors)}, {vname}; {root_label(basis.torsion_level)})")
     return "".join(parts) if parts else "1"

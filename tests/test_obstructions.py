@@ -1,11 +1,12 @@
 """Obstruction formulas against the worked examples and the reference tables."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from galemb import catalog, extension, groups, obstructions as ob, symbols
+from galemb import catalog, extension, groups, local_oracle as lo, obstructions as ob, symbols
 from galemb.catalog import instantiate
 from galemb.extension import EmbeddingProblemSpec, ExtensionError
 from galemb.groups import PrimeContext, make_presentation
@@ -257,6 +258,69 @@ class TestTables:
         rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
         assert rows == 118
         assert calls == {"kernel_indices": rows, "is_abelian_quotient": 0}
+
+
+class TestClosedForm:
+    """Normal forms written straight from (n, m, d), against `normalize` of
+    the raw products they stand for."""
+
+    PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+    def test_every_condition_is_its_raw_product(self):
+        # every condition of every row, torsion-p^2 and two-kernel rows too
+        conditions = 0
+        for p in self.PRIMES:
+            for table in range(1, 7):
+                for row in ob.generate_table(table, p):
+                    for c in row.result.conditions:
+                        where = (p, row.label, c.origin)
+                        assert normalize(c.raw, c.normal.basis) == c.normal, where
+                        assert lo.check_raw_vs_normal(c.raw, c.normal).equal, where
+                        conditions += 1
+        assert conditions == 3810
+
+    def test_table_path_builds_no_raw_product(self, monkeypatch):
+        # normalize serves the gold rows only, one call per gold condition
+        calls = 0
+
+        def counted(expr, basis):
+            nonlocal calls
+            calls += 1
+            return normalize(expr, basis)
+        monkeypatch.setattr(ob, "normalize", counted)
+        rows = [row for table in range(1, 7) for row in ob.generate_table(table, 5)]
+        assert calls == sum(len(catalog.gold_row(row.instance).obstructions) for row in rows)
+        assert not any("raw" in vars(c) for row in rows for c in row.result.conditions)
+
+    def test_gold_sees_a_resolve_fault(self, monkeypatch):
+        # the engine's forms do not go through resolve's label slots, so a
+        # resolve that negates a2 moves every gold row away from the engine
+        resolve = symbols.SymbolBasis.resolve
+
+        def negate_a2(self, pairs):
+            return resolve(self, [(label, -e if label == "a2" else e) for label, e in pairs])
+        monkeypatch.setattr(symbols.SymbolBasis, "resolve", negate_a2)
+        rows = [row for table in range(1, 7) for row in ob.generate_table(table, 3)]
+        assert len(rows) == 101
+        assert not any(row.ok for row in rows)
+
+    def test_root_above_the_basis_level_raises(self):
+        # a nonzero residue at a level n_i above the basis root level N is
+        # a BasisError, not a root weight p^(N - n_i) < 1
+        spec = spec_for_instance(instantiate("Phi2(41)", 3), 2)
+        params = extension.embedding_data(spec).params[0]
+        assert any(ni > 2 and mi for ni, mi in zip(params.n, params.m))
+        with pytest.raises(symbols.BasisError, match="exceeds the basis root level 2"):
+            ob.kernel_condition(spec, params, ob.basis_for(spec))
+
+    def test_catalog_at_p101(self):
+        # cost per row stays flat in p: the whole catalog at p = 101 is cheap
+        start = time.perf_counter()
+        rows = [row for table in range(1, 7) for row in ob.generate_table(table, 101)]
+        elapsed = time.perf_counter() - start
+        assert len(rows) == 5690
+        assert all(row.ok for row in rows)
+        assert elapsed < 6.0, f"{elapsed:.2f} s"
 
 
 SNAPSHOT = Path(__file__).resolve().parents[1] / "perfbench" / "snapshot.json"
