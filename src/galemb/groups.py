@@ -612,10 +612,11 @@ def associativity_exhaustive(P: Presentation) -> bool:
 
 def associativity_random(P: Presentation, ntriples: int, seed: int = 0) -> bool:
     """Check (xy)z = x(yz) on ntriples triples of elements drawn uniformly
-    (each as one uniform index in [0, |G|), decoded to its normal form)."""
+    (each as one uniform index in [0, |G|), drawn in the kernel dtype and
+    decoded to its normal form)."""
     dtype = _sweep_dtype(P)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, group_order(P), size=(3, ntriples), dtype=np.int64).astype(dtype)
+    idx = rng.integers(0, group_order(P), size=(3, ntriples), dtype=dtype)
     chunk = _SWEEP_CHUNK // dtype.itemsize
     for start in range(0, ntriples, chunk):
         X, Y, Z = _decode(P, idx[:, start:start + chunk]).swapaxes(0, 1)

@@ -38,17 +38,20 @@ so a product of symbols (x_f, y_f)^{w_f} is the alternating form
 
     V^T M L,   M = sum_f w_f (y_f x_f^T - x_f y_f^T)  mod p^n,
 
-one (t+1) x (t+1) matrix per check, however many factors the product has.
-Two sides are compared through their difference form: it is zero mod p^n
-iff every row reads 0, so the check decides equality from M alone.  A
-nonzero M has a witness row read off it in closed form, over the least
-ell: with a_i = ell (v = 1, L = 0) and every other label 1 (v = 0, L = 0)
-the row reads M[i][0] r, nonzero wherever M[i][0] is, since r is a unit;
-where the root column of M is zero, a_j = g (L = 1) as well makes it read
-M[i][j].  A zero M has no witness, and no ell is picked.  The scalar
+however many factors the product has.  M is alternating, so a check keeps
+only its nonzero upper entries {(u, v): M[u][v]}, u < v, and reads a row as
+sum c (V_u L_v - V_v L_u) over them.  Two sides are compared through their
+difference form: it is zero mod p^n iff every row reads 0, so the check
+decides equality from M alone.  A nonzero M has a witness row read off it
+in closed form, over the least ell: for the least key (j, i), a_i = ell
+(v = 1, L = 0), a_j = g (L = 1) where j is a label column, and every other
+label 1 (v = 0, L = 0).  The row reads M[i][0] r = -M[0][i] r where j = 0,
+nonzero since r is a unit, and M[i][j] = -M[j][i] where no key holds the
+root column.  A zero M has no witness, and no ell is picked.  The scalar
 `eval_symbol` / `eval_expression` / `eval_normal_form` evaluate each symbol
-on its own, with its own power residue and discrete log: they are the
-reference the form and its witnesses are tested against.
+on its own, with its own power residue and a Pohlig-Hellman discrete log in
+mu_{p^n}: they are the reference the form and its witnesses are tested
+against.
 """
 
 from __future__ import annotations
@@ -102,13 +105,40 @@ def _primitive_root(ell: int, p: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _dlog_table(ell: int, base: int, order: int) -> dict[int, int]:
-    table = {}
+def _baby_steps(ell: int, base: int, p: int) -> tuple[dict[int, int], int]:
+    """{base^j: j} for j < m = ceil(sqrt(p)), and base^-m mod ell, for a base
+    of order p.  Every assignment over ell has base g^((ell-1)/p), so this
+    is one table per (ell, p)."""
+    m = math.isqrt(p - 1) + 1
+    steps = {}
     acc = 1
-    for k in range(order):
-        table[acc] = k
+    for j in range(m):
+        steps[acc] = j
         acc = acc * base % ell
-    return table
+    return steps, pow(acc, -1, ell)
+
+
+def _dlog(t: int, zeta: int, ell: int, p: int, n: int) -> int:
+    """k in [0, p^n) with zeta^k = t mod ell, for zeta of order p^n and t in
+    mu_{p^n}: Pohlig-Hellman, each base-p digit by baby-step giant-step in
+    mu_p against the order-p base zeta^(p^(n-1))."""
+    base = pow(zeta, p ** (n - 1), ell)
+    if base == 1 or pow(base, p, ell) != 1:
+        raise OracleError(f"zeta_base {zeta} does not have order {p}^{n} mod {ell}")
+    steps, giant = _baby_steps(ell, base, p)
+    inverse = pow(zeta, -1, ell)
+    k = 0
+    for i in range(n):
+        # t zeta^-k lies in mu_{p^(n-i)}: its p^(n-1-i)-th power is base^digit
+        h = pow(t * pow(inverse, k, ell) % ell, p ** (n - 1 - i), ell)
+        for q in range(len(steps)):
+            if h in steps:
+                break
+            h = h * giant % ell
+        else:
+            raise OracleError("tame value outside the expected root-of-unity subgroup")
+        k += (q * len(steps) + steps[h]) * p**i
+    return k
 
 
 def _bind(exp: int | Fraction, torsion: int) -> int:
@@ -159,10 +189,9 @@ def eval_symbol(left: Monomial, right: Monomial, assignment: LocalAssignment,
     c = sign * pow(ux, vy % (ell - 1), ell) * pow(uy, (-vx) % (ell - 1), ell) % ell
     torsion = basis.torsion
     t = pow(c, (ell - 1) // torsion, ell)
-    table = _dlog_table(ell, assignment.zeta_base, torsion)
-    if t not in table:
+    if pow(t, torsion, ell) != 1:
         raise OracleError("tame value outside the expected root-of-unity subgroup")
-    return table[t]
+    return _dlog(t, assignment.zeta_base, ell, basis.p, basis.torsion_level)
 
 
 def eval_expression(expr: BrauerExpression, assignment: LocalAssignment,
@@ -193,6 +222,7 @@ class EquivalenceVerdict:
 # form evaluation
 
 _Row = tuple[list[int], list[int]]  # valuations V and unit logs L, by column
+_Form = dict[tuple[int, int], int]  # M[u][v] by (u, v) with u < v; M[v][u] = -M[u][v]
 
 
 def _vector(basis: SymbolBasis, pairs) -> dict[int, int]:
@@ -206,35 +236,29 @@ def _vector(basis: SymbolBasis, pairs) -> dict[int, int]:
     return vec
 
 
-def _expression_form(expr: BrauerExpression, basis: SymbolBasis) -> list[list[int]]:
-    """The alternating matrix M = sum_f w_f (y_f x_f^T - x_f y_f^T) mod p^n of
-    a product of symbols (x_f, y_f)^(w_f), over the assignment columns."""
+def _expression_form(expr: BrauerExpression, basis: SymbolBasis, start=()) -> _Form:
+    """The nonzero upper entries mod p^n of the alternating matrix
+    M = sum_f w_f (y_f x_f^T - x_f y_f^T) of a product of symbols
+    (x_f, y_f)^(w_f), over the assignment columns, plus the upper entries
+    (u, v, c) of `start`."""
     torsion = basis.torsion
-    form = [[0] * basis.size for _ in range(basis.size)]
+    form = {(u, v): c for u, v, c in start}
     for f in expr.factors:
         w = _bind(f.exponent, torsion)
-        x, y = _vector(basis, f.left), _vector(basis, f.right)
-        for i, yi in y.items():
+        x = _vector(basis, f.left)
+        for i, yi in _vector(basis, f.right).items():
             for j, xj in x.items():
-                c = w * yi * xj
-                form[i][j] += c
-                form[j][i] -= c
-    return [[e % torsion for e in row] for row in form]
+                if i < j:
+                    form[i, j] = form.get((i, j), 0) + w * yi * xj
+                elif i > j:
+                    form[j, i] = form.get((j, i), 0) - w * yi * xj
+    return {key: c % torsion for key, c in form.items() if c % torsion}
 
 
-def _normal_form_form(nf: NormalForm) -> list[list[int]]:
-    """M of a normal form: its upper triangle N holds the exponent of
-    (b_u, b_v), so M = N^T - N."""
-    torsion = nf.basis.torsion
-    return [[(a - b) % torsion for a, b in zip(col, row)]
-            for row, col in zip(nf.matrix, zip(*nf.matrix))]
-
-
-def _value(form: list[list[int]], row: _Row, torsion: int) -> int:
+def _value(form: _Form, row: _Row, torsion: int) -> int:
     """V^T M L mod p^n on one row of valuations V and unit logs L."""
     val, log = row
-    return sum(v * sum(m * L for m, L in zip(mrow, log))
-               for v, mrow in zip(val, form) if v) % torsion
+    return sum(c * (val[u] * log[v] - val[v] * log[u]) for (u, v), c in form.items()) % torsion
 
 
 def _assignment(basis: SymbolBasis, ell: int, row: _Row) -> LocalAssignment:
@@ -248,23 +272,23 @@ def _assignment(basis: SymbolBasis, ell: int, row: _Row) -> LocalAssignment:
                            zeta_base=pow(g, (ell - 1) // basis.torsion, ell))
 
 
-def _witness_row(form: list[list[int]], basis: SymbolBasis) -> tuple[int, _Row] | None:
+def _witness_row(form: _Form, basis: SymbolBasis) -> tuple[int, _Row] | None:
     """(ell, row) of a row on which the form M reads nonzero, or None where M
-    is zero.  For the first nonzero column j of M and the first row i
-    nonzero there, the row is a_i = ell, a_j = g where j > 0, every other
-    label 1: it reads M[i][0] r, r = (ell-1)/p^N a unit mod p, where j = 0,
-    and M[i][j] where the root column is zero."""
-    size = basis.size
-    pick = next(((i, j) for j in range(size) for i in range(size) if form[i][j]), None)
-    if pick is None:
+    is zero.  For the least key (j, i), the row is a_i = ell, a_j = g where
+    j > 0, every other label 1: it reads -M[j][i] r, r = (ell-1)/p^N a unit
+    mod p, where j = 0, and -M[j][i] where no key holds the root column.
+    This is the first nonzero entry M[i][j] of the full M, column by column:
+    j is the least index in any key, and no key (i, j) with i < j exists."""
+    if not form:
         return None
-    i, j = pick
+    j, i = min(form)
     ell = find_suitable_ell(basis.p, basis.root_level)
+    size = basis.size
     return ell, ([int(c == i) for c in range(size)],
                  [(ell - 1) // basis.p**basis.root_level] + [int(c == j) for c in range(1, size)])
 
 
-def _witness(form: list[list[int]], basis: SymbolBasis) -> LocalAssignment | None:
+def _witness(form: _Form, basis: SymbolBasis) -> LocalAssignment | None:
     found = _witness_row(form, basis)
     return None if found is None else _assignment(basis, *found)
 
@@ -282,8 +306,7 @@ def read_form(expr: BrauerExpression, basis: SymbolBasis) -> FormReading:
     """The nonzero entries of a product's form M, its closed-form witness
     row and the value M reads there."""
     form = _expression_form(expr, basis)
-    entries = tuple((u, v, form[u][v]) for u in range(basis.size)
-                    for v in range(u + 1, basis.size) if form[u][v])
+    entries = tuple(sorted((u, v, c) for (u, v), c in form.items()))
     found = _witness_row(form, basis)
     if found is None:
         return FormReading(entries, None, None)
@@ -316,11 +339,11 @@ def check_raw_vs_normal(expr: BrauerExpression, nf: NormalForm, trials: int = 20
     difference form; where it is nonzero, the counterexample is its witness
     row.  `trials` and `seed` are accepted and unused: the check reads no
     drawn rows, and the benchmark's oracle workload still passes them."""
-    lhs, rhs = _expression_form(expr, nf.basis), _normal_form_form(nf)
-    # both sides are reduced mod p^n, so the difference is zero mod p^n only
-    # where it is zero
-    counterexample = _witness([[a - b for a, b in zip(lrow, rrow)]
-                               for lrow, rrow in zip(lhs, rhs)], nf.basis)
+    basis = nf.basis
+    # the normal form's upper triangle N holds the exponent of (b_u, b_v), so
+    # its M is N^T - N: the difference form's upper entries are the raw
+    # product's plus N
+    counterexample = _witness(_expression_form(expr, basis, nf.entries()), basis)
     return EquivalenceVerdict(equal=counterexample is None, counterexample=counterexample)
 
 

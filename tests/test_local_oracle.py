@@ -158,6 +158,63 @@ class TestHelpers:
         assert lo.eval_expression(expr, asg, B1) != lo.eval_normal_form(bad, asg)
 
 
+class TestDiscreteLog:
+    """The scalar path's discrete log in mu_{p^n}: Pohlig-Hellman, each
+    base-p digit by baby-step giant-step in mu_p, with no p^n-entry table."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_a_full_table(self, p, n):
+        # over the least ell with v_p(ell-1) = n, and one with p^(n+1) | ell-1
+        for ell in (lo.find_suitable_ell(p, n), lo.find_suitable_ell(p, n + 1)):
+            g = lo._primitive_root(ell, p)
+            zeta = pow(g, (ell - 1) // p**n, ell)
+            table, acc = {}, 1
+            for k in range(p**n):
+                table[acc] = k
+                acc = acc * zeta % ell
+            assert len(table) == p**n and acc == 1
+            assert {t: lo._dlog(t, zeta, ell, p, n) for t in table} == table
+
+    def test_value_outside_mu_pn_is_rejected(self, monkeypatch):
+        # over the composite 91 = 7 * 13 the unit 46 = 2^-1 gives c = 2 and
+        # t = 2^30, whose cube 2^90 is 12 mod 13: eval_symbol rejects t by
+        # testing t^(p^n) = 1 itself, before any discrete log is taken
+        def no_dlog(*args):
+            raise AssertionError("a discrete log was taken")
+
+        monkeypatch.setattr(lo, "_dlog", no_dlog)
+        asg = lo.LocalAssignment(ell=91, zeta_base=9,
+                                 values=(("z", (0, 9)), ("a1", (1, 1)), ("a2", (0, 46))))
+        assert pow(pow(2, 30, 91), 3, 91) != 1
+        with pytest.raises(lo.OracleError, match="outside the expected root-of-unity subgroup"):
+            lo.eval_symbol({"a1": 1}, {"a2": 1}, asg, B1)
+
+    @pytest.mark.parametrize("zeta", [1, 4])
+    def test_zeta_base_of_wrong_order_is_rejected(self, zeta):
+        # 1 has order 1 and 4 order 9 mod 19, not p^n = 3
+        basis = SymbolBasis(p=3, labels=("a1", "a2"), root_level=2, torsion_level=1)
+        asg = lo.LocalAssignment(ell=19, zeta_base=zeta,
+                                 values=(("z", (0, 4)), ("a1", (1, 1)), ("a2", (0, 2))))
+        with pytest.raises(lo.OracleError, match="does not have order 3"):
+            lo.eval_symbol({"a1": 1}, {"a2": 1}, asg, basis)
+
+    @pytest.mark.parametrize("weight", [1, -1, 123_456_789])
+    def test_labels_only_witness_at_p_1e9_plus_7(self, weight):
+        # the witness row of (a1, a2)^weight reads M[a2][a1] = weight mod p;
+        # a p^n-entry table would hold 10^9 entries, the baby steps 31,623
+        p = 1_000_000_007
+        basis = SymbolBasis(p=p, labels=("a1", "a2"), root_level=1, torsion_level=1)
+        form = lo._expression_form(parse(f"(a1, a2; z)^{weight}"), basis)
+        ell, row = lo._witness_row(form, basis)
+        asg = lo._assignment(basis, ell, row)
+        lo._baby_steps.cache_clear()
+        start = time.perf_counter()
+        value = lo.eval_symbol({"a1": weight}, {"a2": 1}, asg, basis)
+        assert time.perf_counter() - start < 1.0
+        assert value == lo._value(form, row, basis.torsion) == weight % p
+
+
 def test_fraction_exponents_evaluate_like_bound_residues():
     e1 = parse("(a1, z^-1/4; z)")
     e2 = symbol({"a1": 1}, {"z": 2}, 1)  # -1/4 = 2 mod 3
@@ -182,7 +239,7 @@ def test_oracle_sees_a_resolve_fault(monkeypatch):
     conditions = [c for table in range(1, 7) for row in generate_table(table, 3)
                   for c in row.result.conditions]
     moved = [(k, c) for k, c in enumerate(conditions)
-             if lo._expression_form(c.raw, c.normal.basis) != lo._normal_form_form(c.normal)]
+             if lo._expression_form(c.raw, c.normal.basis) != _normal_upper(c.normal)]
     assert moved
     # every moved form is caught, on a counterexample that reads differently
     # on both sides under the scalar path too
@@ -250,6 +307,39 @@ def _near_root_expression(rng, basis, names, factors):
     return expr
 
 
+def _dense_form(expr, basis):
+    """The full alternating matrix M = sum_f w_f (y_f x_f^T - x_f y_f^T) mod
+    p^n, built from each factor's column vectors over the assignment
+    columns: the reference the oracle's sparse form is checked against."""
+    size, torsion = basis.size, basis.torsion
+    M = [[0] * size for _ in range(size)]
+    for f in expr.factors:
+        w = lo._bind(f.exponent, torsion)
+        x, y = lo._vector(basis, f.left), lo._vector(basis, f.right)
+        x, y = [x.get(c, 0) for c in range(size)], [y.get(c, 0) for c in range(size)]
+        for i in range(size):
+            for j in range(size):
+                M[i][j] += w * (y[i] * x[j] - x[i] * y[j])
+    return [[c % torsion for c in row] for row in M]
+
+
+def _dense_normal(nf):
+    """M = N^T - N of a normal form whose upper triangle N holds the exponent
+    of (b_u, b_v)."""
+    N, size = nf.matrix, nf.basis.size
+    return [[(N[j][i] - N[i][j]) % nf.basis.torsion for j in range(size)] for i in range(size)]
+
+
+def _upper(M, torsion):
+    """The nonzero upper entries {(u, v): M[u][v] mod p^n}, u < v, of a dense M."""
+    return {(u, v): M[u][v] % torsion for u in range(len(M)) for v in range(u + 1, len(M))
+            if M[u][v] % torsion}
+
+
+def _normal_upper(nf):
+    return _upper(_dense_normal(nf), nf.basis.torsion)
+
+
 def _form_equals_scalar(expr, basis, count, seed, ell=None):
     """The form's value on each of the first rows equals the scalar
     `eval_expression` on the same row."""
@@ -273,7 +363,8 @@ class TestBatch:
             nf = normalize(expr, basis)
             ell, rows = _rows(basis, 40, case)
             asgs = [lo._assignment(basis, ell, row) for row in rows]
-            raw, normal = lo._expression_form(expr, basis), lo._normal_form_form(nf)
+            raw, normal = lo._expression_form(expr, basis), _normal_upper(nf)
+            assert raw == _upper(_dense_form(expr, basis), basis.torsion)
             assert [lo._value(raw, row, basis.torsion) for row in rows] == [
                 lo.eval_expression(expr, asg, basis) for asg in asgs]
             assert [lo._value(normal, row, basis.torsion) for row in rows] == [
@@ -308,14 +399,20 @@ class TestBatch:
         above = next(q for q in range(2**64 + 1, top, 2) if is_prime(q))
         for torsion in (3**41, above):
             assert torsion > 2**63
-            # the largest entries (-1 mod p^n) and random ones
-            form = [[torsion - 1] * size] * 4 + [[rng.randrange(torsion) for _ in range(size)]
-                                                 for _ in range(size - 4)]
+            # an arbitrary upper-entry form: the largest entries (-1 mod p^n)
+            # and random ones
+            upper = [[torsion - 1] * size] * 4 + [[rng.randrange(torsion) for _ in range(size)]
+                                                  for _ in range(size - 4)]
+            form = {(u, v): upper[u][v] for u in range(size) for v in range(u + 1, size)
+                    if upper[u][v]}
+            assert len(form) > size * (size - 1) // 2 - 2
+            M = [[form.get((i, j), 0) - form.get((j, i), 0) for j in range(size)]
+                 for i in range(size)]
             rows = [([2] * size, [top] * size), ([-2] * size, [top - 1] * size)] + [
                 ([rng.randint(-2, 2) for _ in range(size)],
                  [rng.randrange(top + 1) for _ in range(size)]) for _ in range(k - 2)]
             assert [lo._value(form, row, torsion) for row in rows] == [
-                sum(v[i] * form[i][j] * L[j] for i in range(size) for j in range(size)) % torsion
+                sum(v[i] * M[i][j] * L[j] for i in range(size) for j in range(size)) % torsion
                 for v, L in rows], torsion
         # and equal to the scalar path over an ell above 2^64, root level 41
         basis = SymbolBasis(p=3, labels=("a1", "a2", "a3"), root_level=41, torsion_level=10)
@@ -342,8 +439,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("nfactors", [4, 8, 16])
     def test_one_form_per_product(self, nfactors):
-        # however many factors, a product compiles to one (t+1) x (t+1)
-        # alternating form, the sum of its factors' forms
+        # however many factors, a product compiles to one alternating form,
+        # kept as its nonzero upper entries: the sum of its factors' forms
         basis = SymbolBasis(p=5, labels=("a1", "a2", "a3"), root_level=2, torsion_level=2)
         torsion = basis.torsion
         rng = random.Random(nfactors)
@@ -353,12 +450,12 @@ class TestBatch:
             expr = expr * symbol({x: rng.randint(1, 4)}, {y: 1}, 2, rng.randint(1, 24))
         assert len(expr.factors) == nfactors
         form = lo._expression_form(expr, basis)
-        assert [len(row) for row in form] == [4] * 4
-        assert all((form[i][j] + form[j][i]) % torsion == 0 for i in range(4) for j in range(4))
-        assert not any(form[i][i] for i in range(4))
+        assert form and all(0 <= u < v < 4 and 0 < c < torsion for (u, v), c in form.items())
         parts = [lo._expression_form(BrauerExpression((f,)), basis) for f in expr.factors]
-        assert [[sum(part[i][j] for part in parts) % torsion for j in range(4)]
-                for i in range(4)] == form
+        keys = set(form).union(*parts)
+        assert {key: sum(part.get(key, 0) for part in parts) % torsion for key in keys} == {
+            key: form.get(key, 0) for key in keys}
+        assert form == _upper(_dense_form(expr, basis), torsion)
         _form_equals_scalar(expr, basis, 50, 0)
 
     def test_root_level_20_is_equal_and_witnessed(self):
@@ -388,8 +485,8 @@ class TestBatch:
             # the counterexample is the difference form's witness, confirmed
             # by the scalar path
             diff = [[a - b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(lo._expression_form(expr, basis), lo._normal_form_form(bad))]
-            assert verdict.counterexample == lo._witness(diff, basis)
+                    for r1, r2 in zip(_dense_form(expr, basis), _dense_normal(bad))]
+            assert verdict.counterexample == lo._witness(_upper(diff, basis.torsion), basis)
             asg = verdict.counterexample
             assert lo.eval_expression(expr, asg, basis) != lo.eval_normal_form(bad, asg)
 
@@ -454,8 +551,13 @@ class TestZeroForm:
     def test_every_engine_difference_form_is_zero(self, engine_conditions):
         assert len(engine_conditions) == 725
         for c in engine_conditions:
-            assert lo._expression_form(c.raw, c.normal.basis) == lo._normal_form_form(c.normal), \
-                c.origin
+            assert lo._expression_form(c.raw, c.normal.basis) == _normal_upper(c.normal), c.origin
+
+    def test_sparse_form_equals_dense_reference(self, engine_conditions):
+        for c in engine_conditions:
+            basis = c.normal.basis
+            assert lo._expression_form(c.raw, basis) == _upper(_dense_form(c.raw, basis),
+                                                               basis.torsion), c.origin
 
     def test_zero_form_picks_no_ell(self, monkeypatch, engine_conditions):
         def no_ell(p, level):
@@ -473,7 +575,7 @@ class TestZeroForm:
         for k, c in enumerate(engine_conditions):
             basis = c.normal.basis
             ell, rows = _rows(basis, 200, k)
-            raw_form, normal_form = lo._expression_form(c.raw, basis), lo._normal_form_form(c.normal)
+            raw_form, normal_form = lo._expression_form(c.raw, basis), _normal_upper(c.normal)
             raw = [lo._value(raw_form, row, basis.torsion) for row in rows]
             assert raw == [lo._value(normal_form, row, basis.torsion) for row in rows], c.origin
             # and on the first rows under the scalar path
@@ -481,6 +583,25 @@ class TestZeroForm:
                 asg = lo._assignment(basis, ell, rows[r])
                 assert (lo.eval_expression(c.raw, asg, basis) == raw[r]
                         == lo.eval_normal_form(c.normal, asg)), c.origin
+
+
+def test_oracle_budget_at_p101():
+    # every condition of tables 1-6 at p = 101 is equal to its normal form
+    # and, where nonzero, witnessed; the oracle calls alone take well under 2 s
+    conditions = [c for table in range(1, 7) for row in generate_table(table, 101)
+                  for c in row.result.conditions]
+    assert len(conditions) == 11_481
+    start = time.perf_counter()
+    verdicts = [lo.check_raw_vs_normal(c.raw, c.normal) for c in conditions]
+    witnesses = [lo.witness_nontrivial(c.raw, c.normal.basis) for c in conditions]
+    elapsed = time.perf_counter() - start
+    assert all(v.equal and v.counterexample is None for v in verdicts)
+    assert [w is None for w in witnesses] == [c.normal.is_zero() for c in conditions]
+    # a sample of the witnesses, confirmed under the scalar path
+    for c, wit in list(zip(conditions, witnesses))[::97]:
+        if wit is not None:
+            assert lo.eval_expression(c.raw, wit, c.normal.basis) != 0, c.origin
+    assert elapsed < 2.0
 
 
 @st.composite
@@ -505,8 +626,9 @@ def _products(draw, basis):
 
 
 class TestWitness:
-    """The witness is read off the form M in closed form: a_i = ell and, where
-    the root column of M is zero, a_j = g; every other label is 1."""
+    """The witness is read off the form M in closed form: for the first
+    nonzero entry M[i][j] of the full M, column by column, a_i = ell and,
+    where the root column of M is zero, a_j = g; every other label is 1."""
 
     @pytest.mark.parametrize("basis", BASES, ids=lambda b: f"p{b.p}N{b.root_level}n{b.torsion_level}")
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -514,12 +636,18 @@ class TestWitness:
     def test_nonzero_form_is_witnessed_and_zero_form_is_not(self, basis, data):
         expr = data.draw(_products(basis))
         form = lo._expression_form(expr, basis)
+        dense = _dense_form(expr, basis)
+        assert form == _upper(dense, basis.torsion)
         wit = lo.witness_nontrivial(expr, basis)
-        if not any(map(any, form)):
-            assert wit is None
+        if not any(map(any, dense)):
+            assert not form and wit is None
             return
         ell, row = lo._witness_row(form, basis)
         assert wit == lo._assignment(basis, ell, row)
+        size = basis.size
+        i, j = next((i, j) for j in range(size) for i in range(size) if dense[i][j])
+        assert row[0] == [int(c == i) for c in range(size)]
+        assert row[1][1:] == [int(c == j) for c in range(1, size)]
         value = lo.eval_expression(expr, wit, basis)
         assert value != 0 and value == lo._value(form, row, basis.torsion)
 
