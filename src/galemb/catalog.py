@@ -533,9 +533,10 @@ _CONDITION_SEP = re.compile(r",\s*(?=\()")
 
 
 @lru_cache(maxsize=4)
-def _load_gold(path: str | None) -> dict[str, tuple[int, int, tuple[CompiledExpression, ...]]]:
-    """The rows of a reference file by label: order exponent, root level and
-    the conditions, each compiled here once with its placeholders unbound."""
+def _load_gold(path: str | None) -> dict[str, tuple[int, int, int, tuple[CompiledExpression, ...]]]:
+    """The rows of a reference file by label: line number, order exponent,
+    root level and the conditions, each compiled here once with its
+    placeholders unbound."""
     if path is None:
         text = resources.files("galemb").joinpath("data/gold_tables.txt").read_text("utf-8")
     else:
@@ -544,7 +545,7 @@ def _load_gold(path: str | None) -> dict[str, tuple[int, int, tuple[CompiledExpr
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise CatalogError(f"gold table {path}: {getattr(exc, 'strerror', None) or exc}") from None
-    rows: dict[str, tuple[int, int, tuple[CompiledExpression, ...]]] = {}
+    rows: dict[str, tuple[int, int, int, tuple[CompiledExpression, ...]]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -565,7 +566,7 @@ def _load_gold(path: str | None) -> dict[str, tuple[int, int, tuple[CompiledExpr
             compiled = tuple(compile_expression(c) for c in conditions if c)
         except ExpressionError as exc:
             raise CatalogError(f"gold table line {lineno}: {label}: {exc}") from None
-        rows[label] = (order, root, compiled)
+        rows[label] = (lineno, order, root, compiled)
     return rows
 
 
@@ -574,9 +575,10 @@ def gold_row(inst: GroupInstance, gold_path: str | None = None) -> TableRow:
     label = inst.template.label
     if label not in rows:
         raise CatalogError(f"no gold row for {label!r}")
-    order_exp, root_level, conditions = rows[label]
+    lineno, order_exp, root_level, conditions = rows[label]
     if order_exp != inst.template.order_exp:
-        raise CatalogError(f"gold row order mismatch for {label!r}")
+        raise CatalogError(f"gold table line {lineno}: {label}: order exponent {order_exp}, "
+                           f"but the group has order p^{inst.template.order_exp}")
     try:
         bound = tuple(c.bind(inst.env) for c in conditions)
     except ExpressionError as exc:

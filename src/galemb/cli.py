@@ -249,7 +249,7 @@ def _witness_text(asg: local_oracle.LocalAssignment) -> str:
 def cmd_eval(args) -> int:
     expr = parse(args.expression)
     labels = sorted({lbl for f in expr.factors for lbl, _ in f.left + f.right
-                     if lbl.startswith("a")})
+                     if lbl.startswith("a")}, key=lambda lbl: (int(lbl[1:]), lbl))
     root = max([root_level_of(lbl) for f in expr.factors for lbl, _ in f.left + f.right
                 if lbl.startswith("z")] + [expr.torsion_level or 1])
     status = 0

@@ -206,7 +206,7 @@ def eval_expression(expr: BrauerExpression, assignment: LocalAssignment,
 def eval_normal_form(nf: NormalForm, assignment: LocalAssignment) -> int:
     basis = nf.basis
     total = 0
-    for u, v, e in nf.entries():
+    for u, v, e in nf.entries:
         total += e * eval_symbol({basis.base_name(u): 1}, {basis.base_name(v): 1},
                                  assignment, basis)
     return total % basis.torsion
@@ -340,10 +340,10 @@ def check_raw_vs_normal(expr: BrauerExpression, nf: NormalForm, trials: int = 20
     row.  `trials` and `seed` are accepted and unused: the check reads no
     drawn rows, and the benchmark's oracle workload still passes them."""
     basis = nf.basis
-    # the normal form's upper triangle N holds the exponent of (b_u, b_v), so
-    # its M is N^T - N: the difference form's upper entries are the raw
-    # product's plus N
-    counterexample = _witness(_expression_form(expr, basis, nf.entries()), basis)
+    # the normal form's entries N hold the exponent of (b_u, b_v), so its M
+    # is N^T - N, -N above the diagonal: the difference form's upper entries
+    # are the raw product's plus N
+    counterexample = _witness(_expression_form(expr, basis, nf.entries), basis)
     return EquivalenceVerdict(equal=counterexample is None, counterexample=counterexample)
 
 

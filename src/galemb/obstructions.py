@@ -114,26 +114,23 @@ def kernel_condition(spec: EmbeddingProblemSpec, params: ExtensionParams,
     -m_i p^(N-n_i) at (z, a_i), the root weight read through the basis, and
     (a_j, a_i)^{d_ij} is -d_ij at (a_i, a_j)."""
     torsion = basis.torsion
-    matrix = [[0] * basis.size for _ in range(basis.size)]
-    for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1):
-        if mi:
-            matrix[0][i] = -basis.resolve(((root_label(ni), mi),)).get(0, 0) % torsion
+    # resolve keeps the root slot only where the root power is nonzero mod p^n
+    entries = [(0, i, -c % torsion)
+               for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1) if mi
+               for c in basis.resolve(((root_label(ni), mi),)).values()]
     for i, row in enumerate(params.d, start=1):
-        matrix[i][i + 1:] = [-c % torsion for c in row[i:]]
-    return Condition(normal=NormalForm(basis, tuple(map(tuple, matrix))),
+        entries += [(i, j, -d % torsion) for j, d in enumerate(row[i:], start=i + 1)
+                    if d % torsion]
+    return Condition(normal=NormalForm(basis, tuple(entries)),
                      origin=f"kernel {spec.kernel_names[params.kernel_index]}", source=params)
 
 
 def _realizability_conditions(n: tuple[int, ...], basis: SymbolBasis) -> list[Condition]:
     """(a_i, zeta_{p^N}; zeta), -1 at (z, a_i), for each factor with n_i = N + 1."""
-    out = []
-    for i, (label, ni) in enumerate(zip(basis.labels, n), start=1):
-        if ni == basis.root_level + 1:
-            matrix = [[0] * basis.size for _ in range(basis.size)]
-            matrix[0][i] = basis.torsion - 1
-            out.append(Condition(normal=NormalForm(basis, tuple(map(tuple, matrix))),
-                                 origin=f"cyclic-realizability {label}", source=label))
-    return out
+    return [Condition(normal=NormalForm(basis, ((0, i, basis.torsion - 1),)),
+                      origin=f"cyclic-realizability {label}", source=label)
+            for i, (label, ni) in enumerate(zip(basis.labels, n), start=1)
+            if ni == basis.root_level + 1]
 
 
 def _dedupe(conditions: list[Condition]) -> tuple[Condition, ...]:

@@ -2,11 +2,11 @@
 
 Symbols are bilinear and alternating in their two slots (valid for odd p, where
 -1 is a p^n-th power), so a product of symbols over a finite monomial basis
-normalizes to a strictly upper-triangular exponent matrix over Z/p^n.  The
-basis consists of one root symbol z = zeta_{p^N} plus independent labels
-a1..at; lower roots zeta_{p^K} (K < N) are powers z^{p^(N-K)} of the basis
-root, which is what makes the vanishing of sub-level root factors a plain
-mod-p^n reduction.
+normalizes to the nonzero exponents c of its basis symbols (b_u, b_v), u < v,
+over Z/p^n.  The basis consists of one root symbol z = zeta_{p^N} plus
+independent labels a1..at; lower roots zeta_{p^K} (K < N) are powers
+z^{p^(N-K)} of the basis root, which is what makes the vanishing of sub-level
+root factors a plain mod-p^n reduction.
 
 Formal equality is coarser than Brauer-group equality (no Steinberg or norm
 relations) but sound: formally equal expressions are equal in Br(k) for every
@@ -165,22 +165,15 @@ def one() -> BrauerExpression:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Strictly upper-triangular matrix over Z/p^n indexed by (z, a1..at)."""
+    """A product of symbols as its nonzero upper entries over Z/p^n, indexed
+    by (z, a1..at): the sorted (u, v, c) with u < v and 0 < c < p^n, c the
+    exponent of (b_u, b_v).  Equal classes have equal entries."""
 
     basis: SymbolBasis
-    matrix: tuple[tuple[int, ...], ...]
-
-    def entry(self, u: int, v: int) -> int:
-        return self.matrix[u][v]
+    entries: tuple[tuple[int, int, int], ...]
 
     def is_zero(self) -> bool:
-        return all(all(c == 0 for c in row) for row in self.matrix)
-
-    def entries(self):
-        for u in range(self.basis.size):
-            for v in range(u + 1, self.basis.size):
-                if self.matrix[u][v]:
-                    yield u, v, self.matrix[u][v]
+        return not self.entries
 
 
 def bind_exponent(exp: int | Fraction, torsion: int) -> int:
@@ -197,13 +190,12 @@ def bind_exponent(exp: int | Fraction, torsion: int) -> int:
 
 def normalize(expr: BrauerExpression, basis: SymbolBasis) -> NormalForm:
     """Fold bilinearity, the alternating rule, inversion, root rescaling and
-    exponent reduction mod p^n into the unique upper-triangular matrix.
+    exponent reduction mod p^n into the unique nonzero upper entries.
 
     A factor w * (L, R) adds w L[u] R[v] at (u, v) for u < v and subtracts
     it at (v, u) for u > v, over the nonzero entries of L and R only."""
     torsion = basis.torsion
-    size = basis.size
-    M = [[0] * size for _ in range(size)]
+    form: dict[tuple[int, int], int] = {}
     for f in expr.factors:
         if f.torsion_level != basis.torsion_level:
             raise BasisError(
@@ -217,14 +209,11 @@ def normalize(expr: BrauerExpression, basis: SymbolBasis) -> NormalForm:
         for u, a in basis.resolve(f.left).items():
             for v, c in right:
                 if u < v:
-                    M[u][v] += w * a * c
+                    form[u, v] = form.get((u, v), 0) + w * a * c
                 elif u > v:
-                    M[v][u] -= w * a * c
-    return NormalForm(basis=basis, matrix=tuple(tuple([c % torsion for c in row]) for row in M))
-
-
-def equal(e1: BrauerExpression, e2: BrauerExpression, basis: SymbolBasis) -> bool:
-    return normalize(e1, basis) == normalize(e2, basis)
+                    form[v, u] = form.get((v, u), 0) - w * a * c
+    return NormalForm(basis, tuple(sorted((u, v, c % torsion)
+                                          for (u, v), c in form.items() if c % torsion)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +394,11 @@ def render(nf: NormalForm) -> str:
     to nf."""
     basis = nf.basis
     torsion = basis.torsion
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for u, v, c in nf.entries:  # sorted by u, so each column lists u ascending
+        columns.setdefault(v, []).append((u, c))
     parts = []
-    for v in range(1, basis.size):
-        col = [(u, nf.matrix[u][v]) for u in range(v) if nf.matrix[u][v]]
-        if not col:
-            continue
+    for v, col in sorted(columns.items()):
         vname = basis.base_name(v)
         if len(col) == 1 and col[0][0] == 0:
             # only the root pairs with this label: render as (a, z^-e)

@@ -12,7 +12,8 @@ import numpy as np
 from galemb import extension, groups, local_oracle as lo, obstructions as ob
 from galemb.catalog import enumerate_instances, instantiate
 from galemb.obstructions import spec_for_instance
-from galemb.symbols import NormalForm, SymbolBasis
+from galemb.symbols import SymbolBasis
+from dense_forms import from_dense, raised
 
 
 def _report(name, ok, detail=""):
@@ -147,8 +148,7 @@ def _expected_normal_forms(spec, n, per_kernel):
             M = [[0] * (t + 1) for _ in range(t + 1)]
             M[0][i + 1] = -1
             matrices.append(M)
-    forms = {NormalForm(basis, tuple(tuple(c % p for c in row) for row in M))
-             for M in matrices}
+    forms = {from_dense(basis, M) for M in matrices}
     return {nf for nf in forms if not nf.is_zero()}
 
 
@@ -199,9 +199,7 @@ def test_criterion_5_oracle_soundness():
                     basis = cond.normal.basis
                     for u in range(basis.size):
                         for v in range(u + 1, basis.size):
-                            matrix = [list(r) for r in cond.normal.matrix]
-                            matrix[u][v] = (matrix[u][v] + 1) % basis.torsion
-                            bad = NormalForm(basis=basis, matrix=tuple(map(tuple, matrix)))
+                            bad = raised(cond.normal, u, v)
                             verdict = lo.check_raw_vs_normal(cond.raw, bad)
                             where = (p, row.label, cond.origin, (u, v))
                             assert not verdict.equal, where

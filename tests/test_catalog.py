@@ -146,7 +146,7 @@ class TestEnumeration:
         gold = _load_gold(None)
         assert len(templates()) == len(gold) == 95
         assert set(t.label for t in templates()) == set(gold)
-        assert sum(len(conditions) for _, _, conditions in gold.values()) == 193
+        assert sum(len(conditions) for *_, conditions in gold.values()) == 193
 
     def test_catalog_order_is_deterministic(self):
         a = [i.label for i in enumerate_instances(5)]

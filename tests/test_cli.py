@@ -94,6 +94,19 @@ class TestObstruct:
         assert code == 2
         assert err == f"error: gold table line {lineno}: a second row for 'Phi2(41)'\n"
 
+    @pytest.mark.parametrize("argv", [("obstruct", "Phi13(2211)b"), ("check-tables",)])
+    def test_gold_order_mismatch_names_the_line(self, capsys, tmp_path, argv):
+        # the order column is checked when a row is reached, not when the
+        # file loads, and the error still names the row's line
+        gold = _gold_with(tmp_path, "Phi13(2211)b | 7 | 1 | (z^-1*a1, a3; z)(a2, a4; z), "
+                                    "(a1, z*a2; z)")
+        lineno = next(n for n, line in enumerate(gold.read_text(encoding="utf-8").splitlines(), 1)
+                      if line.startswith("Phi13(2211)b |"))
+        code, _, err = run(capsys, *argv, "--p", "3", "--gold", str(gold))
+        assert code == 2
+        assert err == (f"error: gold table line {lineno}: Phi13(2211)b: order exponent 7, "
+                       "but the group has order p^6\n")
+
 
 class TestTable:
     def test_table6_csv_three_rows(self, capsys):
@@ -217,6 +230,15 @@ class TestMisc:
                        "  raw form: M[z,a1]=1 M[a1,a2]=-1\n"
                        "  witness: ell=11, a1=ell; value -2\n"
                        "  raw vs normal form: agree (difference form is zero mod p^n)\n")
+
+    def test_eval_orders_labels_numerically(self, capsys):
+        # a10 after a2: the basis is (z, a1, a2, a10), so (a2, a10)(a1, a2)
+        # collects in the a2 and a10 columns, not as (a1*a10^-1, a2; z)
+        code, out, _ = run(capsys, "eval", "(a2, a10; z)(a1, a2; z)", "--p", "3")
+        assert code == 0
+        assert out.startswith("p=3\n"
+                              "  normal form: (a1, a2; z)(a2, a10; z)\n"
+                              "  raw form: M[a1,a2]=-1 M[a2,a10]=-1\n")
 
     def test_eval_labels_only_witness(self, capsys):
         # the root column of M is zero: a2 = ell and a1 = g = 3 mod 7

@@ -1,0 +1,96 @@
+"""Cost ceilings read from exact counts: Python calls into galemb per unit of
+work.
+
+`sys.setprofile` sees every Python-level call.  The number of `call` events
+whose frame runs code of the galemb package, over a warm pass, is exact and
+repeats from run to run, so a ceiling a few per cent above today's count
+catches a regression that the wall-time budgets cannot.  Counts miss work
+done inside C calls (big-int arithmetic, `pow`), and they depend on the
+CPython version: the ceilings are keyed by (major, minor), and on a version
+without a key every test here skips, saying so.  A change that lowers a
+count lowers its ceiling with it.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+import galemb
+from galemb import local_oracle as lo
+from galemb.catalog import enumerate_instances
+from galemb.obstructions import generate_table
+
+PACKAGE = str(Path(galemb.__file__).resolve().parent) + os.sep
+
+# calls per table row over tables 1-6, per condition of an oracle check plus
+# witness, and per enumerated instance; measured with CPython 3.11.7 at
+# 239.3, 259.1, 60.5 and 77.5
+CEILINGS = {
+    (3, 11): {"row p=5": 246, "row p=13": 267, "condition p=23": 62.5, "instance p=101": 80},
+}
+CEILING = CEILINGS.get(sys.version_info[:2])
+
+pytestmark = pytest.mark.skipif(
+    CEILING is None, reason=f"no call-count ceilings for Python {sys.version_info[0]}."
+    f"{sys.version_info[1]}: counts depend on the CPython version; measure and add a key")
+
+
+def _calls(work) -> int:
+    """The `call` events in galemb frames over one pass of work, after a warm
+    pass that fills every cache the work reads."""
+    work()
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
+            count += 1
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        work()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def _calls_per_row(p: int) -> float:
+    rows = []
+
+    def tables():
+        rows[:] = [row for table in range(1, 7) for row in generate_table(table, p)]
+    return _calls(tables) / len(rows)
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_calls_per_table_row(p):
+    per_row = _calls_per_row(p)
+    assert per_row <= CEILING[f"row p={p}"], f"{per_row:.1f} calls per row at p={p}"
+
+
+def test_calls_per_oracle_condition():
+    conditions = [c for table in range(1, 7) for row in generate_table(table, 23)
+                  for c in row.result.conditions]
+    assert len(conditions) == 887
+
+    def oracle():
+        for c in conditions:
+            lo.check_raw_vs_normal(c.raw, c.normal)
+            lo.witness_nontrivial(c.raw, c.normal.basis)
+    per_condition = _calls(oracle) / len(conditions)
+    assert per_condition <= CEILING["condition p=23"], f"{per_condition:.1f} calls per condition"
+
+
+def test_calls_per_enumerated_instance():
+    count = len(enumerate_instances(101))
+    assert count == 5690
+    per_instance = _calls(lambda: enumerate_instances(101)) / count
+    assert per_instance <= CEILING["instance p=101"], f"{per_instance:.1f} calls per instance"
+
+
+def test_calls_per_row_flat_in_p():
+    # cost per row should grow with the number of rows, not with p
+    ratio = _calls_per_row(31) / _calls_per_row(3)
+    assert ratio <= 1.20, f"calls per row at p=31 are {ratio:.3f} x those at p=3"

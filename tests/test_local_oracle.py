@@ -19,8 +19,9 @@ from galemb import local_oracle as lo
 from galemb.arith import is_prime, smallest_primitive_root
 from galemb.catalog import instantiate
 from galemb.obstructions import generate_table, obstruction_for_instance
-from galemb.symbols import (BrauerExpression, NormalForm, SymbolBasis, normalize, one, parse,
-                            root_label, root_level_of, symbol)
+from galemb.symbols import (BrauerExpression, SymbolBasis, normalize, one, parse, root_label,
+                            root_level_of, symbol)
+from dense_forms import raised, to_dense
 
 B1 = SymbolBasis(p=3, labels=("a1", "a2"), root_level=1, torsion_level=1)
 B3 = SymbolBasis(p=3, labels=("a1", "a2"), root_level=3, torsion_level=1)
@@ -324,9 +325,9 @@ def _dense_form(expr, basis):
 
 
 def _dense_normal(nf):
-    """M = N^T - N of a normal form whose upper triangle N holds the exponent
-    of (b_u, b_v)."""
-    N, size = nf.matrix, nf.basis.size
+    """M = N^T - N of a normal form whose entries N hold the exponent of
+    (b_u, b_v), from its dense upper-triangular N."""
+    N, size = to_dense(nf), nf.basis.size
     return [[(N[j][i] - N[i][j]) % nf.basis.torsion for j in range(size)] for i in range(size)]
 
 
@@ -477,9 +478,7 @@ class TestBatch:
         expr = parse("(z2^-1*a1, a2; z)(a1, z2^3; z)")
         nf = normalize(expr, basis)
         for u, v in ((0, 1), (1, 2), (0, 2)):
-            matrix = [list(row) for row in nf.matrix]
-            matrix[u][v] = (matrix[u][v] + 1) % basis.torsion
-            bad = NormalForm(basis=basis, matrix=tuple(tuple(row) for row in matrix))
+            bad = raised(nf, u, v)
             verdict = lo.check_raw_vs_normal(expr, bad)
             assert not verdict.equal
             # the counterexample is the difference form's witness, confirmed

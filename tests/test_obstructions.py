@@ -12,6 +12,7 @@ from galemb.extension import EmbeddingProblemSpec, ExtensionError
 from galemb.groups import PrimeContext, make_presentation
 from galemb.obstructions import ObstructionError, spec_for_instance
 from galemb.symbols import normalize, parse
+from dense_forms import is_canonical
 
 
 def nfs(result):
@@ -262,7 +263,8 @@ class TestTables:
 
 class TestClosedForm:
     """Normal forms written straight from (n, m, d), against `normalize` of
-    the raw products they stand for."""
+    the raw products they stand for: each a sorted tuple of nonzero upper
+    entries."""
 
     PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -274,6 +276,7 @@ class TestClosedForm:
                 for row in ob.generate_table(table, p):
                     for c in row.result.conditions:
                         where = (p, row.label, c.origin)
+                        assert is_canonical(c.normal), where
                         assert normalize(c.raw, c.normal.basis) == c.normal, where
                         assert lo.check_raw_vs_normal(c.raw, c.normal).equal, where
                         conditions += 1
