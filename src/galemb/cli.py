@@ -1,8 +1,12 @@
 """Command-line front end: list and inspect catalog groups, compute obstruction
-condition sets, regenerate and diff the reference tables, and run the
-verification suites.  `selfcheck` decides consistency with the exact class-2
-test `groups.is_consistent`; the numpy sweeps in `groups` are the test and
-benchmark reference, and no command calls them.
+condition sets, regenerate the reference tables and check the catalog against
+them.  `check-tables` checks every catalog instance once: its presentation's
+order and the exact class-2 consistency test `groups.is_consistent`, then its
+conditions and minimal root level against the gold row.  A failed check is a
+MISMATCH line for the row; a kernel generator that is not central or not of
+order p^level, or a quotient that is not abelian, is a data error.  The numpy
+sweeps in `groups` are the test and benchmark reference, and no command calls
+them.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 table/oracle mismatch.
 """
@@ -75,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
                   formats=["text", "csv", "machine"])
     sub.add_argument("table_id", type=int, choices=range(1, 7))
 
-    command("check-tables", "diff every generated row against the reference data", "--gold")
-    command("selfcheck", "exact class-2 consistency test and kernel checks", "--order")
+    command("check-tables", "check every catalog instance and diff its row against the "
+            "reference data", "--gold")
 
     sub = command("eval", "numeric tame-symbol values of an expression")
     sub.add_argument("expression")
@@ -86,15 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _primes(args, default=(3,)) -> list[int]:
     return list(args.p) if args.p else list(default)
-
-
-def _orders(args) -> list[int]:
-    return {"5": [5], "6": [6], "both": [5, 6]}[args.order]
-
-
-def _instances(args, p):
-    for order_exp in _orders(args):
-        yield from iter_instances(p, order_exp=order_exp)
 
 
 def _machine_row(inst, result):
@@ -111,8 +106,9 @@ def _machine_row(inst, result):
 
 
 def cmd_list(args) -> int:
+    order_exp = None if args.order == "both" else int(args.order)
     for p in _primes(args):
-        for inst in _instances(args, p):
+        for inst in iter_instances(p, order_exp=order_exp):
             if args.format == "machine":
                 print(json.dumps({"label": inst.label, "p": p, "order_exp": inst.id.order_exp,
                                   "family": inst.id.family, "table": inst.template.table}))
@@ -183,6 +179,15 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _presentation_faults(inst) -> list[str]:
+    """The catalog checks an instance's presentation fails: its order is
+    p^order_exp, and it passes the exact class-2 consistency test."""
+    P = inst.presentation
+    checks = (("order", groups.group_order(P) == inst.p**inst.id.order_exp),
+              ("consistent", groups.is_consistent(P)))
+    return [name for name, ok in checks if not ok]
+
+
 def cmd_check_tables(args) -> int:
     status = 0
     for p in _primes(args, default=(3, 5, 7)):
@@ -193,14 +198,14 @@ def cmd_check_tables(args) -> int:
             rows = obstructions.generate_table(table_id, p, args.gold)
             nrows += len(rows)
             for r in rows:
-                if r.ok:
-                    continue
-                kind = []
+                kind = _presentation_faults(r.instance)
                 if not r.match:
                     kind.append("conditions differ")
                 if r.minimal_root_level != r.gold_root_level:
                     kind.append(
                         f"minimal root level {r.minimal_root_level} != {r.gold_root_level}")
+                if not kind:
+                    continue
                 bad += 1
                 print(f"MISMATCH table {table_id} p={p} {r.label}: {'; '.join(kind)}")
                 print(f"  engine: {', '.join(r.result.texts())}")
@@ -209,33 +214,6 @@ def cmd_check_tables(args) -> int:
         print(f"p={p}: {nrows} rows, {verdict} ({elapsed:.2f}s)")
         if bad:
             status = MISMATCH_ERROR
-    return status
-
-
-def cmd_selfcheck(args) -> int:
-    status = 0
-    for p in _primes(args):
-        start = time.perf_counter()
-        failures = 0
-        for inst in _instances(args, p):
-            P = inst.presentation
-            checks = []
-            checks.append(("order", groups.group_order(P) == p**inst.id.order_exp))
-            checks.append(("consistent", groups.is_consistent(P)))
-            ok_kernels = all(
-                groups.is_central_element(P, P.generator(k))
-                and groups.element_order(P, P.generator(k)) == p**inst.kernel_level
-                for k in inst.kernels)
-            checks.append(("kernels-central", ok_kernels))
-            checks.append(("quotient-abelian", groups.is_abelian_quotient(P, list(inst.kernels))))
-            bad = [name for name, ok in checks if not ok]
-            if bad:
-                failures += 1
-                print(f"FAIL {inst.label} p={p}: {', '.join(bad)}")
-        elapsed = time.perf_counter() - start
-        print(f"p={p}: selfcheck {'OK' if not failures else 'FAILED'} ({elapsed:.2f}s)")
-        if failures:
-            status = DATA_ERROR
     return status
 
 
@@ -285,7 +263,6 @@ _COMMANDS = {
     "obstruct": cmd_obstruct,
     "table": cmd_table,
     "check-tables": cmd_check_tables,
-    "selfcheck": cmd_selfcheck,
     "eval": cmd_eval,
 }
 

@@ -24,7 +24,8 @@ from .arith import ModularArithmeticError, mod_inverse
 
 Monomial = dict[str, int | Fraction]
 
-_LABEL_RE = re.compile(r"(a\d+|z\d*)")
+# a label index starts at 1 with no leading zero: a01 is not a second name for a1
+_LABEL_RE = re.compile(r"(a[1-9]\d*|z(?:[1-9]\d*)?)(?!\d)")
 _NUM_EXP_RE = re.compile(r"-?\d+(?:/\d+)?")
 _NAME_EXP_RE = re.compile(r"-?[a-z][a-z0-9]*")
 
@@ -307,7 +308,8 @@ def _parse_monomial(text: str, pos: int, stop: str) -> tuple[_Terms, int]:
         pos = _skip_ws(text, pos)
         m = _LABEL_RE.match(text, pos)
         if not m:
-            raise ExpressionError("expected a basis label (aN or z / zK)", pos)
+            raise ExpressionError(
+                "expected a basis label (aN or z / zK, N and K from 1, no leading zero)", pos)
         label = m.group(0)
         pos = m.end()
         exp: _Exponent = 1

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from galemb import cli, groups
+from galemb import cli, groups, obstructions
 from galemb.catalog import instantiate
 from galemb.cli import main
 from galemb.groups import make_presentation
@@ -185,6 +185,71 @@ class TestCheckTables:
         assert err == "error: Phi2(41) p=3: unbound exponent placeholder 'x' (at position 4)\n"
 
 
+class TestCheckTablesCatalogChecks:
+    """The presentation checks check-tables makes on every row, beside the
+    gold comparison: a failed one is a MISMATCH line, a bad kernel or
+    quotient is a data error."""
+
+    @staticmethod
+    def only(monkeypatch, inst):
+        """Run check-tables on the one row of `inst`."""
+        monkeypatch.setattr(obstructions, "enumerate_instances",
+                            lambda p, table: [inst] if table == inst.template.table else [])
+
+    def test_verdict_is_per_prime(self, capsys, monkeypatch):
+        original = groups.is_consistent
+        monkeypatch.setattr(groups, "is_consistent", lambda P: P.p != 3 and original(P))
+        code, out, _ = run(capsys, "check-tables", "--p", "3", "--p", "5")
+        assert code == 3
+        assert out.startswith("MISMATCH table 1 p=3 Phi2(41): consistent\n"
+                              "  engine: (z3^-1*a1, a2; z)\n")
+        assert "MISMATCH" not in out.split("p=3: 101 rows, 101 mismatches (", 1)[1]
+        assert "\np=5: 118 rows, OK (" in out
+
+    def test_runs_past_int64(self, capsys, monkeypatch):
+        # |G| = 1451^6 > 2^63: the checks need no element indices.  Every
+        # instance at p = 1451 is slow to build: check one
+        self.only(monkeypatch, instantiate("Phi5(3111)", 1451))
+        code, out, err = run(capsys, "check-tables", "--p", "1451")
+        assert code == 0 and err == ""
+        assert out.startswith("p=1451: 1 rows, OK (")
+
+    def test_non_central_kernel_is_data_error(self, capsys, monkeypatch):
+        inst = instantiate("Phi2(41)", 3)
+        self.only(monkeypatch, dataclasses.replace(
+            inst, template=dataclasses.replace(inst.template, kernels=("alpha1",))))
+        code, out, err = run(capsys, "check-tables", "--p", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: Phi2(41) p=3: kernel generator 'alpha1' is not central\n"
+
+    def test_inconsistent_presentation_is_a_mismatch(self, capsys, monkeypatch):
+        # Phi14(222) with alpha_i of order p and alpha_i^p = c_i: still order
+        # p^6, and its conditions match gold, but [alpha1, alpha2] = beta of
+        # order p^2 makes it inconsistent
+        inst = instantiate("Phi14(222)", 3)
+        P = make_presentation(inst.ctx, [("alpha1", 1), ("alpha2", 1), ("c1", 1), ("c2", 1),
+                                         ("beta", 2)],
+                              power_tails={"alpha1": {"c1": 1}, "alpha2": {"c2": 1}},
+                              comms={("alpha1", "alpha2"): {"beta": 1}})
+        self.only(monkeypatch, dataclasses.replace(inst, presentation=P))
+        code, out, err = run(capsys, "check-tables", "--p", "3")
+        assert code == 3 and err == ""
+        assert out.startswith("MISMATCH table 6 p=3 Phi14(222): consistent\n"
+                              "  engine: (a1, a2; z2)\n"
+                              "p=3: 1 rows, 1 mismatches (")
+
+    def test_order_mismatch_is_a_mismatch(self, capsys, monkeypatch):
+        # the presentation has order p^5, the instance claims p^6
+        inst = instantiate("Phi2(41)", 3)
+        self.only(monkeypatch, dataclasses.replace(
+            inst, id=dataclasses.replace(inst.id, order_exp=6)))
+        code, out, err = run(capsys, "check-tables", "--p", "3")
+        assert code == 3 and err == ""
+        assert out.startswith("MISMATCH table 1 p=3 Phi2(41): order\n"
+                              "  engine: (z3^-1*a1, a2; z)\n"
+                              "p=3: 1 rows, 1 mismatches (")
+
+
 def _gold_with(tmp_path, row):
     """The packaged reference file with the row of the same label replaced."""
     from importlib import resources
@@ -297,6 +362,19 @@ class TestMisc:
         assert code == 2
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("expression,message", [
+        ("(a01, a1; z)", "expected a basis label (aN or z / zK, N and K from 1, no leading zero) "
+                         "(at position 1)"),
+        ("(a0, a1; z)", "expected a basis label (aN or z / zK, N and K from 1, no leading zero) "
+                        "(at position 1)"),
+        ("(a1, a2; z01)", "expected a root label after ';' (at position 9)"),
+        ("(a1, a2; z0)", "expected a root label after ';' (at position 9)"),
+    ])
+    def test_label_index_zero_or_leading_zero_is_data_error(self, capsys, expression, message):
+        # a01 is not a second label beside a1, and z01 does not read as z
+        code, out, err = run(capsys, "eval", expression, "--p", "3")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "obstruct")  # missing group argument
@@ -320,59 +398,16 @@ class TestMisc:
             run(capsys, *argv)
         assert exc.value.code == 1
 
-    def test_selfcheck_small(self, capsys):
-        code, out, _ = run(capsys, "selfcheck", "--p", "3", "--order", "5")
-        assert code == 0 and "OK" in out
-
-    def test_selfcheck_verdict_is_per_prime(self, capsys, monkeypatch):
-        original = groups.is_abelian_quotient
-        monkeypatch.setattr(groups, "is_abelian_quotient",
-                            lambda P, kernels: P.p != 3 and original(P, kernels))
-        code, out, _ = run(capsys, "selfcheck", "--p", "3", "--p", "5")
-        assert code == 2
-        assert "p=3: selfcheck FAILED" in out and "p=5: selfcheck OK" in out
-
-    def test_selfcheck_runs_past_int64(self, capsys, monkeypatch):
-        # |G| = 1451^6 > 2^63: the consistency test needs no element indices.
-        # Every instance at p = 1451 is slow to build: check the first one
-        inst = instantiate("Phi5(3111)", 1451)
-        monkeypatch.setattr(cli, "iter_instances", lambda p, order_exp: iter([inst]))
-        code, out, err = run(capsys, "selfcheck", "--p", "1451", "--order", "6")
-        assert code == 0 and err == ""
-        assert out.startswith("p=1451: selfcheck OK (")
-
-    def test_selfcheck_reports_a_non_central_kernel(self, capsys, monkeypatch):
-        inst = instantiate("Phi2(41)", 3)
-        bad = dataclasses.replace(
-            inst, template=dataclasses.replace(inst.template, kernels=("alpha1",)))
-        monkeypatch.setattr(cli, "iter_instances", lambda p, order_exp: iter([bad]))
-        code, out, err = run(capsys, "selfcheck", "--p", "3", "--order", "5")
-        assert code == 2 and err == ""
-        assert out.startswith("FAIL Phi2(41) p=3: kernels-central, quotient-abelian\n"
-                              "p=3: selfcheck FAILED (")
-
-    def test_selfcheck_reports_an_inconsistent_presentation(self, capsys, monkeypatch):
-        # Phi14(222) with alpha2 of order p, alpha1 of order p^3: still order
-        # p^6, but [alpha1, alpha2] = beta of order p^2 makes it inconsistent
-        inst = instantiate("Phi14(222)", 3)
-        P = make_presentation(inst.ctx, [("alpha1", 3), ("alpha2", 1), ("beta", 2)],
-                              comms={("alpha1", "alpha2"): {"beta": 1}})
-        bad = dataclasses.replace(inst, presentation=P)
-        monkeypatch.setattr(cli, "iter_instances", lambda p, order_exp: iter([bad]))
-        code, out, err = run(capsys, "selfcheck", "--p", "3", "--order", "6")
-        assert code == 2 and err == ""
-        assert out.startswith("FAIL Phi14(222) p=3: consistent\np=3: selfcheck FAILED (")
-
-    def test_bound_option_is_gone(self, capsys):
+    def test_selfcheck_is_gone(self, capsys):
+        # check-tables checks every catalog instance
         with pytest.raises(SystemExit) as exc:
-            run(capsys, "selfcheck", "--p", "3", "--bound", "100")
+            run(capsys, "selfcheck", "--p", "3")
         assert exc.value.code == 1
 
     @pytest.mark.parametrize("argv", [
         ("obstruct", "Phi2(41)", "--p", "5", "--format", "csv"),
         ("list", "--p", "3", "--trials", "5"),
-        ("selfcheck", "--p", "3", "--triples", "5"),
-        ("selfcheck", "--p", "3", "--seed", "1"),
+        ("check-tables", "--p", "3", "--order", "5"),
     ])
     def test_option_the_subcommand_does_not_read_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -393,10 +428,9 @@ def test_each_subcommand_reads_exactly_its_options():
         "obstruct": ["--format", "--gold", "--p", "--root-level"],
         "table": ["--format", "--gold", "--p"],
         "check-tables": ["--gold", "--p"],
-        "selfcheck": ["--order", "--p"],
         "eval": ["--p"],
     }
-    assert sum(map(len, options.values())) == 17
+    assert sum(map(len, options.values())) == 15
 
 
 def _readme_block(heading, language):

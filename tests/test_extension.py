@@ -135,8 +135,9 @@ class TestKernelValidation:
     @pytest.mark.parametrize("case, abelian", [("non-central", False),
                                                ("tail-leaves-kernel", True)])
     def test_abelian_quotient_does_not_validate_the_kernel(self, case, abelian):
-        # selfcheck reports a bad kernel through both checks, so the
-        # abelian-quotient test answers for kernels that validation rejects
+        # the collection reference answers for kernels that the spec
+        # rejects; check-tables reports a bad kernel as the spec's data
+        # error, never through this test
         make, kernel, _, _, _ = BAD_KERNELS[case]
         assert groups.is_abelian_quotient(make(), list(kernel)) is abelian
 

@@ -129,6 +129,25 @@ class TestParse:
             parse("(a1, a2; z")
         assert err.value.pos is not None
 
+    @pytest.mark.parametrize("text,pos", [
+        ("(a0, a1; z)", 1),
+        ("(a01, a1; z)", 1),
+        ("(a1, z0*a2; z)", 5),
+        ("(a1, z01*a2; z)", 5),
+        ("(a1, a2; z0)", 9),
+        ("(a1, a2; z01)", 9),
+    ])
+    def test_label_index_zero_or_leading_zero_is_rejected(self, text, pos):
+        # a01 would be a second label beside a1, and z01 would read as z
+        with pytest.raises(ExpressionError) as err:
+            compile_expression(text)
+        assert err.value.pos == pos
+
+    def test_label_index_with_inner_zero_parses(self):
+        (factor,) = parse("(a10, z10*a20; z10)").factors
+        assert [lbl for lbl, _ in factor.left + factor.right] == ["a10", "a20", "z10"]
+        assert factor.torsion_level == 10
+
     def test_term_exponent(self):
         assert (normalize(parse("(a1, a2; z)^2"), B1)
                 == normalize(parse("(a1, a2; z)(a1, a2; z)"), B1))
