@@ -8,17 +8,20 @@ order p^level, or a quotient that is not abelian, is a data error.  The numpy
 sweeps in `groups` are the test and benchmark reference, and no command calls
 them.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 table/oracle mismatch.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 table/oracle mismatch,
+141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import os
 import sys
 import time
 
-from . import __version__, extension, groups, local_oracle, obstructions
+from . import __version__, arith, extension, groups, local_oracle, obstructions
 from .catalog import CatalogError, gold_row, iter_instances, lookup
 from .groups import PresentationError
 from .obstructions import ObstructionError
@@ -35,6 +38,7 @@ from .symbols import (
 )
 
 USAGE_ERROR, DATA_ERROR, MISMATCH_ERROR = 1, 2, 3
+PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +102,7 @@ def _machine_row(inst, result):
         "p": inst.p,
         "params": list(inst.id.params) if inst.id.params else None,
         "root_level": result.root_level,
-        "minimal_root_level": result.data.minimal_root_level,
+        "minimal_root_level": result.spec.minimal_root_level,
         "torsion_level": result.torsion_level,
         "conditions": result.texts(),
         "solvability": result.solvability_kind,
@@ -162,18 +166,20 @@ def cmd_table(args) -> int:
     for p in _primes(args):
         rows = obstructions.generate_table(args.table_id, p, args.gold)
         if args.format == "csv":
-            print("label,p,independents,root_level,solvability,conditions")
-            for r in rows:
-                conds = " ".join(r.result.texts())
-                print(f"{r.label},{p},{len(r.instance.preimages)},{r.result.root_level},"
-                      f"{r.result.solvability_kind},{conds}")
+            # labels such as Phi15(2211)b_{1,0} and two-slot conditions hold commas
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(["label", "p", "independents", "root_level", "solvability",
+                             "conditions"])
+            writer.writerows([r.label, p, len(r.instance.preimages), r.result.root_level,
+                              r.result.solvability_kind, " ".join(r.result.texts())]
+                             for r in rows)
         elif args.format == "machine":
             for r in rows:
                 print(json.dumps(_machine_row(r.instance, r.result)))
         else:
             print(f"table {args.table_id}, p={p}")
             for r in rows:
-                labels = ",".join(r.result.data.spec.labels())
+                labels = ",".join(r.result.spec.labels())
                 conds = ", ".join(r.result.texts()) or "1"
                 print(f"  {r.label:26s} | {labels:17s} | {root_label(r.result.root_level):3s} | {conds}")
     return 0
@@ -269,17 +275,26 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for p in args.p or []:
+        if p == 2:
+            print("error: p must be an odd prime", file=sys.stderr)
+            return USAGE_ERROR
+        if not arith.is_prime(p):
+            print(f"error: {p} is not prime", file=sys.stderr)
+            return DATA_ERROR
     try:
-        for p in args.p or []:
-            if p == 2:
-                print("error: p must be an odd prime", file=sys.stderr)
-                return USAGE_ERROR
-            groups.PrimeContext.for_prime(p)  # a data error unless p is prime
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
     except (CatalogError, PresentationError, ObstructionError, ExpressionError, BasisError,
             extension.ExtensionError, local_oracle.OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_CLOSED
 
 
 if __name__ == "__main__":

@@ -12,9 +12,11 @@ projected modulo the other kernel in the two-kernel (pullback) case.  That
 sign convention is the one under which the obstruction product
 prod_{i<j} (a_j, a_i; zeta)^{d_ij} reproduces the reference tables.
 
-`embedding_data` computes these data once per problem, together with the
-minimal root level and the solvability verdict, into one `EmbeddingData`
-record that the obstruction formulas read.
+An `EmbeddingProblemSpec` computes these data once, when it is built,
+together with the minimal root level and the solvability verdict: they
+depend on the problem alone.  The root level N of the assumed zeta_{p^N}
+only fixes the basis the conditions are written in, and the obstruction
+takes it as an argument.
 """
 
 from __future__ import annotations
@@ -32,18 +34,27 @@ class ExtensionError(ValueError):
 @dataclass(frozen=True)
 class EmbeddingProblemSpec:
     """A central embedding problem: kernel(s) of order p^n inside G with a
-    designated ordered set of pre-images generating the abelian quotient."""
+    designated ordered set of pre-images generating the abelian quotient.
+
+    Building one checks the data and computes everything the obstruction
+    reads off the problem."""
 
     presentation: Presentation
     kernel_names: tuple[str, ...]
     kernel_level: int
     preimage_names: tuple[str, ...]
-    root_level: int
     # coordinate of each kernel generator, in kernel order, from
     # groups.kernel_indices, and every other coordinate: dropping the kernel
     # ones is the quotient map
     kernel_coords: tuple[int, ...] = field(init=False, repr=False, compare=False)
     other_coords: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    n: tuple[int, ...] = field(init=False, compare=False)  # quotient_structure's levels
+    # one per kernel projection, in kernel order
+    params: tuple[ExtensionParams, ...] = field(init=False, repr=False, compare=False)
+    minimal_root_level: int = field(init=False, compare=False)
+    # weak solvability implies proper solvability: always for order-p
+    # kernels, and for larger kernels iff they lie in Phi(G)
+    proper: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         P = self.presentation
@@ -65,6 +76,17 @@ class EmbeddingProblemSpec:
         for name in self.preimage_names:
             if name not in P.index:
                 raise ExtensionError(f"unknown pre-image generator {name!r}")
+        n = quotient_structure(self)
+        params = extract_params(self, n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "params", params)
+        # the largest factor level carrying a nonzero kernel residue, but at
+        # least max n_i - 1 (cyclic realizability) and the kernel level itself
+        object.__setattr__(self, "minimal_root_level", max(
+            1, self.kernel_level, max(n) - 1,
+            *(ni for prm in params for ni, mi in zip(n, prm.m) if mi)))
+        object.__setattr__(self, "proper", self.kernel_level == 1
+                           or frattini_contains_kernel(P, self.kernel_names))
 
     @property
     def preimages(self) -> tuple[Element, ...]:
@@ -195,38 +217,9 @@ def extract_params(spec: EmbeddingProblemSpec,
                  for k in kernels)
 
 
-@dataclass(frozen=True)
-class EmbeddingData:
-    """Everything the obstruction reads off one embedding problem."""
-
-    spec: EmbeddingProblemSpec
-    n: tuple[int, ...]
-    params: tuple[ExtensionParams, ...]  # one per kernel projection, in kernel order
-    minimal_root_level: int
-    # weak solvability implies proper solvability: always for order-p
-    # kernels, and for larger kernels iff they lie in Phi(G)
-    proper: bool
-
-
-def embedding_data(spec: EmbeddingProblemSpec) -> EmbeddingData:
-    """The levels n_i, every kernel projection's (m, d), the minimal root level
-    and the solvability verdict of one problem, computed once.
-
-    The minimal root level N is the largest factor level carrying a nonzero
-    kernel residue, but at least max n_i - 1 (cyclic realizability) and the
-    kernel level itself."""
-    n = quotient_structure(spec)
-    params = extract_params(spec, n)
-    level = max(1, spec.kernel_level, max(n) - 1,
-                *(ni for prm in params for ni, mi in zip(n, prm.m) if mi))
-    proper = spec.kernel_level == 1 or frattini_contains_kernel(spec.presentation,
-                                                                spec.kernel_names)
-    return EmbeddingData(spec=spec, n=n, params=params, minimal_root_level=level, proper=proper)
-
-
 def minimal_root_level(spec: EmbeddingProblemSpec) -> int:
     """Smallest root-of-unity level at which a complete condition set exists."""
-    return embedding_data(spec).minimal_root_level
+    return spec.minimal_root_level
 
 
 def frattini_contains_kernel(P: Presentation, kernel_names: tuple[str, ...] | list[str]) -> bool:

@@ -1,15 +1,17 @@
 """Obstruction condition sets for the catalog's central embedding problems.
 
-One path serves every problem shape.  It reads the problem's `EmbeddingData`
-record (levels n_i, per-kernel residues m_i and commutator logs d_ij, minimal
-root level, solvability verdict) and turns each kernel projection into the
-product
+One path serves every problem shape.  It reads the data that the problem's
+`EmbeddingProblemSpec` computed when it was built (levels n_i, per-kernel
+residues m_i and commutator logs d_ij, minimal root level, solvability
+verdict) and turns each kernel projection into the product
 
     prod_i (a_i, zeta_{p^{n_i}}^{m_i}; zeta) * prod_{i<j} (a_j, a_i; zeta)^{d_ij},
 
 in normal form against the assumed root level N (sub-level root factors
 vanish there), plus one cyclic-realizability condition (a_i, zeta_{p^N}; zeta)
-for each quotient factor with n_i = N + 1.  Each normal form is written
+for each quotient factor with n_i = N + 1.  N only fixes the basis: the
+caller passes it to `obstruction`, and a catalog row's defaults to its gold
+root level.  Each normal form is written
 straight from (n, m, d); the raw product is built only when a check asks for
 `Condition.raw`, and `normalize` serves the gold rows alone.  Pullback
 problems (two disjoint order-p kernels) take the union of their two kernel
@@ -19,12 +21,12 @@ shape of product at torsion p^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import extension
 from .catalog import GroupInstance, enumerate_instances, gold_row
-from .extension import EmbeddingData, EmbeddingProblemSpec, ExtensionParams
+from .extension import EmbeddingProblemSpec, ExtensionParams
 from .symbols import (
     BasisError,
     BrauerExpression,
@@ -76,20 +78,20 @@ class Condition:
 @dataclass(frozen=True)
 class ObstructionResult:
     conditions: tuple[Condition, ...]
-    data: EmbeddingData
+    spec: EmbeddingProblemSpec
     basis: SymbolBasis  # every condition's, and the one a gold row normalizes against
 
     @property
     def root_level(self) -> int:
-        return self.data.spec.root_level
+        return self.basis.root_level
 
     @property
     def torsion_level(self) -> int:
-        return self.data.spec.kernel_level
+        return self.basis.torsion_level
 
     @property
     def solvability_kind(self) -> str:
-        return "proper" if self.data.proper else "weak"
+        return "proper" if self.spec.proper else "weak"
 
     def texts(self) -> list[str]:
         return [c.text() for c in self.conditions]
@@ -98,11 +100,11 @@ class ObstructionResult:
         return {c.normal for c in self.conditions}
 
 
-def basis_for(spec: EmbeddingProblemSpec) -> SymbolBasis:
+def basis_for(spec: EmbeddingProblemSpec, root_level: int) -> SymbolBasis:
     return SymbolBasis(
         p=spec.presentation.p,
         labels=spec.labels(),
-        root_level=spec.root_level,
+        root_level=root_level,
         torsion_level=spec.kernel_level,
     )
 
@@ -144,53 +146,50 @@ def _dedupe(conditions: list[Condition]) -> tuple[Condition, ...]:
     return tuple(out)
 
 
-def obstruction(spec: EmbeddingProblemSpec, lift_root_level: bool = False) -> ObstructionResult:
-    """Conditions of any catalog shape: one kernel condition per projection,
-    plus cyclic realizability for order-p kernels.  A kernel mu_{p^n}, n >= 2,
-    needs a homocyclic quotient (C_{p^n})^t.
+def obstruction(spec: EmbeddingProblemSpec, root_level: int,
+                lift_root_level: bool = False) -> ObstructionResult:
+    """Conditions of any catalog shape at the assumed root level: one kernel
+    condition per projection, plus cyclic realizability for order-p kernels.
+    A kernel mu_{p^n}, n >= 2, needs a homocyclic quotient (C_{p^n})^t.
 
     A root level below the minimal one is an error, or with lift_root_level
     the conditions are computed at the minimal level instead."""
-    data = extension.embedding_data(spec)
-    if spec.kernel_level >= 2 and any(ni != spec.kernel_level for ni in data.n):
+    if spec.kernel_level >= 2 and any(ni != spec.kernel_level for ni in spec.n):
         raise ObstructionError(
-            f"quotient is not homocyclic of exponent p^{spec.kernel_level}: levels {data.n}"
+            f"quotient is not homocyclic of exponent p^{spec.kernel_level}: levels {spec.n}"
         )
-    if spec.root_level < data.minimal_root_level:
-        if not lift_root_level:
-            raise ObstructionError(
-                f"root level {spec.root_level} below the minimal level {data.minimal_root_level}"
-            )
-        spec = replace(spec, root_level=data.minimal_root_level)
-        data = replace(data, spec=spec)
-    basis = basis_for(spec)
-    conditions = [kernel_condition(spec, params, basis) for params in data.params]
+    if root_level < spec.minimal_root_level and not lift_root_level:
+        raise ObstructionError(
+            f"root level {root_level} below the minimal level {spec.minimal_root_level}"
+        )
+    basis = basis_for(spec, max(root_level, spec.minimal_root_level))
+    conditions = [kernel_condition(spec, params, basis) for params in spec.params]
     if spec.kernel_level == 1:
-        conditions += _realizability_conditions(data.n, basis)
-    return ObstructionResult(conditions=_dedupe(conditions), data=data, basis=basis)
+        conditions += _realizability_conditions(spec.n, basis)
+    return ObstructionResult(conditions=_dedupe(conditions), spec=spec, basis=basis)
 
 
 # ---------------------------------------------------------------------------
 # catalog-level drivers
 
 
-def spec_for_instance(inst: GroupInstance, root_level: int | None = None) -> EmbeddingProblemSpec:
-    if root_level is None:
-        root_level = gold_row(inst).root_level
+def spec_for_instance(inst: GroupInstance) -> EmbeddingProblemSpec:
     return EmbeddingProblemSpec(
         presentation=inst.presentation,
         kernel_names=inst.kernels,
         kernel_level=inst.kernel_level,
         preimage_names=inst.preimages,
-        root_level=root_level,
     )
 
 
 def obstruction_for_instance(inst: GroupInstance, root_level: int | None = None,
                              lift_root_level: bool = False) -> ObstructionResult:
-    """`obstruction` of a catalog instance; errors name the instance and p."""
+    """`obstruction` of a catalog instance at root_level, by default its gold
+    row's; errors name the instance and p."""
+    if root_level is None:
+        root_level = gold_row(inst).root_level
     try:
-        return obstruction(spec_for_instance(inst, root_level), lift_root_level)
+        return obstruction(spec_for_instance(inst), root_level, lift_root_level)
     except (extension.ExtensionError, ObstructionError) as exc:
         raise type(exc)(f"{inst.label} p={inst.p}: {exc}") from exc
 
@@ -209,7 +208,7 @@ class RowResult:
 
     @property
     def minimal_root_level(self) -> int:
-        return self.result.data.minimal_root_level
+        return self.result.spec.minimal_root_level
 
     @property
     def ok(self) -> bool:

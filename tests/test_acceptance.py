@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from galemb import extension, groups, local_oracle as lo, obstructions as ob
-from galemb.catalog import enumerate_instances, instantiate
+from galemb.catalog import enumerate_instances, gold_row, instantiate
 from galemb.obstructions import spec_for_instance
 from galemb.symbols import SymbolBasis
 from dense_forms import from_dense, raised
@@ -43,13 +43,11 @@ def test_criterion_1_table_reproduction():
 def test_criterion_2_worked_proof_fixtures():
     """Extracted parameters match the two worked proofs for p in {3,5,7,11}."""
     for p in (3, 5, 7, 11):
-        spec = spec_for_instance(instantiate("Phi2(41)", p), 3)
-        params = extension.embedding_data(spec).params[0]
+        params = spec_for_instance(instantiate("Phi2(41)", p)).params[0]
         assert params.n == (1, 3) and params.m == (0, 1), (p, params)
         assert params.d[0][1] == p - 1, (p, params.d)
 
-        spec = spec_for_instance(instantiate("Phi4(221)a", p), 1)
-        beta2, beta1 = extension.embedding_data(spec).params
+        beta2, beta1 = spec_for_instance(instantiate("Phi4(221)a", p)).params
         assert beta2.t == 3 and beta2.m == (0, 0, 1), (p, beta2)
         assert beta2.d[1][2] == p - 1 and beta2.d[0][2] == 0, (p, beta2.d)
         assert max(i + 1 for i, mi in enumerate(beta2.m) if mi) == 3  # r = 3
@@ -126,12 +124,12 @@ def _collected_data(spec):
     return tuple(n), out
 
 
-def _expected_normal_forms(spec, n, per_kernel):
+def _expected_normal_forms(spec, N, n, per_kernel):
     """The obstruction's normal forms written straight from collected data, at
     root level N and torsion p, over the basis (z, a1..at): per kernel,
     entry (z, a_i) = -m_i * p^(N - n_i) and entry (a_i, a_j) = -d_ij; one
     form with entry (z, a_i) = -1 per n_i = N + 1; mod p, zero forms dropped."""
-    p, N, t = spec.presentation.p, spec.root_level, len(n)
+    p, t = spec.presentation.p, len(n)
     basis = SymbolBasis(p=p, labels=spec.labels(), root_level=N, torsion_level=1)
     matrices = []
     for m, d in per_kernel:
@@ -162,14 +160,14 @@ def test_criterion_4_formula_cross_validation():
             if inst.kernel_level != 1:
                 continue
             spec = spec_for_instance(inst)
-            data = extension.embedding_data(spec)
             n, per_kernel = _collected_data(spec)
-            assert data.n == n, inst.label
-            for params, (m, d) in zip(data.params, per_kernel, strict=True):
+            assert spec.n == n, inst.label
+            for params, (m, d) in zip(spec.params, per_kernel, strict=True):
                 assert (params.m, params.d) == (m, d), (inst.label, params.kernel_index)
                 collected += 1
-            expected = _expected_normal_forms(spec, n, per_kernel)
-            assert ob.obstruction(spec).normal_forms() == expected, inst.label
+            N = gold_row(inst).root_level
+            expected = _expected_normal_forms(spec, N, n, per_kernel)
+            assert ob.obstruction(spec, N).normal_forms() == expected, inst.label
             instances += 1
     _report("4 formula-cross-validation", (collected, instances) == (378, 213),
             f"{collected} kernel projections by collection, "
@@ -245,7 +243,7 @@ def test_criterion_6_root_level_agreement():
         "Phi14(222)": 2,
     }
     for label, level in spot.items():
-        spec = spec_for_instance(instantiate(label, 3), 4)
+        spec = spec_for_instance(instantiate(label, 3))
         assert extension.minimal_root_level(spec) == level, label
     _report("6 root-level-agreement", True, f"{checked} rows at p=3,5,7")
 

@@ -1,15 +1,21 @@
 """CLI behaviour: output shapes, exit codes, determinism."""
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import galemb
 from galemb import cli, groups, obstructions
 from galemb.catalog import instantiate
 from galemb.cli import main
@@ -114,6 +120,18 @@ class TestTable:
         assert code == 0
         lines = [l for l in out.splitlines() if l and not l.startswith("label")]
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("table", range(1, 7))
+    def test_csv_reads_back_six_fields(self, capsys, table, p):
+        # labels such as Phi15(2211)b_{1,0} and two-slot conditions hold commas
+        code, out, _ = run(capsys, "table", str(table), "--p", str(p), "--format", "csv")
+        assert code == 0
+        header, *records = csv.reader(io.StringIO(out))
+        assert header == ["label", "p", "independents", "root_level", "solvability",
+                          "conditions"]
+        assert all(len(record) == 6 for record in records)
+        assert [record[0] for record in records] == [r.label for r in generate_table(table, p)]
 
     def test_list_order5_p3(self, capsys):
         code, out, _ = run(capsys, "list", "--order", "5", "--p", "3")
@@ -323,6 +341,7 @@ class TestMisc:
         ("(a1, z3*a2; z)", "10007", 12 * 10007**3 + 1),
         ("(a1, z3*a2; z)", "1000000007", 62 * 1000000007**3 + 1),
         ("(a1, a2; z)", "1000000007", 44 * 1000000007 + 1),
+        ("(a1, a2; z)", "4611686018427394499", 150 * 4611686018427394499 + 1),
     ])
     def test_eval_at_large_primes(self, capsys, expression, p, ell):
         # each least ell with v_p(ell - 1) = N has (ell - 1)^2 above 2^63, no
@@ -388,6 +407,19 @@ class TestMisc:
     def test_non_prime_is_data_error(self, capsys, p):
         code, _, err = run(capsys, "eval", "(a1, a2; z)", "--p", p)
         assert code == 2 and err == f"error: {p} is not prime\n"
+
+    def test_closed_stdout_ends_quietly_with_141(self):
+        # 5,690 records at p = 101 outrun any pipe buffer: the reader takes
+        # one line and closes the pipe while the command still writes
+        env = dict(os.environ, PYTHONPATH=str(Path(galemb.__file__).resolve().parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "galemb.cli", "list", "--p", "101",
+                                 "--format", "machine"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert json.loads(proc.stdout.readline())["label"] == "Phi2(41)"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
     @pytest.mark.parametrize("argv", [
         ("eval", "(a1, a2; z)", "--p", "3", "--trials", "20"),

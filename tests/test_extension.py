@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galemb import extension, groups
@@ -15,9 +15,8 @@ from galemb.obstructions import spec_for_instance
 from strategies import class2_presentations
 
 
-def make_spec(label, p, root_level=None):
-    inst = instantiate(label, p)
-    return spec_for_instance(inst, root_level)
+def make_spec(label, p):
+    return spec_for_instance(instantiate(label, p))
 
 
 class TestQuotientStructure:
@@ -37,12 +36,11 @@ class TestQuotientStructure:
     def test_rejects_dependent_preimages(self):
         ctx = PrimeContext.for_prime(3)
         P = make_presentation(ctx, [("x", 1), ("k", 1)])
-        spec = EmbeddingProblemSpec(
-            presentation=P, kernel_names=("k",), kernel_level=1,
-            preimage_names=("x", "x"), root_level=1,
-        )
         with pytest.raises(ExtensionError):
-            extension.quotient_structure(spec)
+            EmbeddingProblemSpec(
+                presentation=P, kernel_names=("k",), kernel_level=1,
+                preimage_names=("x", "x"),
+            )
 
     @pytest.mark.parametrize("e", [1, 2])
     def test_rejects_preimages_dependent_through_power_tail(self, e):
@@ -52,26 +50,24 @@ class TestQuotientStructure:
         ctx = PrimeContext.for_prime(3)
         P = make_presentation(ctx, [("x", e), ("y", 1), ("c", 1), ("k", 1)],
                               power_tails={"x": {"c": 1}})
-        spec = EmbeddingProblemSpec(
-            presentation=P, kernel_names=("k",), kernel_level=1,
-            preimage_names=("x", "c"), root_level=e + 1,
-        )
         with pytest.raises(ExtensionError, match="not independent"):
-            extension.quotient_structure(spec)
+            EmbeddingProblemSpec(
+                presentation=P, kernel_names=("k",), kernel_level=1,
+                preimage_names=("x", "c"),
+            )
         ok = EmbeddingProblemSpec(
             presentation=P, kernel_names=("k",), kernel_level=1,
-            preimage_names=("x", "y"), root_level=e + 1,
+            preimage_names=("x", "y"),
         )
-        assert extension.quotient_structure(ok) == (e + 1, 1)
+        assert extension.quotient_structure(ok) == ok.n == (e + 1, 1)
 
     def test_rejects_nonabelian_quotient(self):
-        spec = EmbeddingProblemSpec(
-            presentation=instantiate("Phi4(221)a", 3).presentation,
-            kernel_names=("beta1",), kernel_level=1,
-            preimage_names=("alpha1", "alpha2", "alpha"), root_level=1,
-        )
         with pytest.raises(ExtensionError):
-            extension.quotient_structure(spec)
+            EmbeddingProblemSpec(
+                presentation=instantiate("Phi4(221)a", 3).presentation,
+                kernel_names=("beta1",), kernel_level=1,
+                preimage_names=("alpha1", "alpha2", "alpha"),
+            )
 
 
 def c9_presentation():
@@ -109,7 +105,7 @@ class TestKernelValidation:
         make, kernel, level, pre, message = BAD_KERNELS[case]
         with pytest.raises(ExtensionError, match=message):
             EmbeddingProblemSpec(presentation=make(), kernel_names=kernel, kernel_level=level,
-                                 preimage_names=pre, root_level=1)
+                                 preimage_names=pre)
 
     @pytest.mark.parametrize("helper, case", [
         (groups.quotient_by_central, "repeated"),
@@ -182,12 +178,13 @@ def _reference_quotient_structure(P, kernel_names, preimage_names):
 def _spec(P, kernel_names, preimage_names):
     """The drawn problem's spec, or None when the spec rejects it.  The kernel
     level is taken from the first kernel generator's order, so only a
-    non-central or tail-leaving kernel fails the spec."""
+    non-central or tail-leaving kernel, or pre-images that do not decompose
+    the quotient, fail the spec."""
     order = groups.element_order(P, P.generator(kernel_names[0]))
     try:
         return EmbeddingProblemSpec(presentation=P, kernel_names=tuple(kernel_names),
                                     kernel_level=round(math.log(order, P.p)),
-                                    preimage_names=tuple(preimage_names), root_level=1)
+                                    preimage_names=tuple(preimage_names))
     except ExtensionError:
         return None
 
@@ -196,10 +193,7 @@ def _read_off(P, kernel_names, preimage_names):
     """quotient_structure on P, or None when the spec or the read-off rejects
     the problem."""
     spec = _spec(P, kernel_names, preimage_names)
-    try:
-        return None if spec is None else extension.quotient_structure(spec)
-    except ExtensionError:
-        return None
+    return None if spec is None else extension.quotient_structure(spec)
 
 
 def _mul_power(P, x, k):
@@ -282,13 +276,15 @@ class TestKernelReadOff:
         for level in (1, 2, 3):
             try:
                 EmbeddingProblemSpec(presentation=P, kernel_names=tuple(kernel),
-                                     kernel_level=level, preimage_names=tuple(pre),
-                                     root_level=level)
+                                     kernel_level=level, preimage_names=tuple(pre))
                 accepted = True
             except ExtensionError as exc:
-                if "does not have order" not in str(exc):
+                if "does not have order" in str(exc):
+                    accepted = False
+                elif "pre-image" in str(exc) or "quotient" in str(exc):
+                    accepted = True  # rejected by the quotient, after the order check
+                else:
                     continue  # rejected before the order check
-                accepted = False
             assert accepted == all(groups.element_order(P, P.generator(k)) == P.p**level
                                    for k in kernel), (kernel, level)
 
@@ -305,22 +301,22 @@ class TestExtractParams:
         # kernels and pre-images listed against the generator order
         seen = set()
 
+        # the derandomized draws follow agree's source text and reach a nonzero
+        # d against the generator order only a few times in 300: the example
+        # makes sure that case runs
+        @example(problem=(xyk_presentation(), ["k"], ["y", "x"]))
         @settings(max_examples=300, derandomize=True, deadline=None)
         @given(problem=kernel_problems())
         def agree(problem):
             P, kernel, pre = problem
             spec = _spec(P, kernel, pre)
-            try:
-                data = extension.embedding_data(spec) if spec else None
-            except ExtensionError:
-                data = None
-            if data is None:
+            if spec is None:
                 return
-            got = [(params.m, params.d) for params in data.params]
-            assert got == _collected_params(spec, data.n), (P, kernel, pre)
+            got = [(params.m, params.d) for params in spec.params]
+            assert got == _collected_params(spec, spec.n), (P, kernel, pre)
             seen.add(f"kernel level {spec.kernel_level}")
             index = [P.index[name] for name in pre]
-            if any(row[j] and index[j] < index[i] for params in data.params
+            if any(row[j] and index[j] < index[i] for params in spec.params
                    for i, row in enumerate(params.d) for j in range(i + 1, len(pre))):
                 seen.add("nonzero d against generator order")
 
@@ -332,15 +328,14 @@ class TestExtractParams:
         pullbacks = family14 = 0
         for inst in enumerate_instances(p):
             spec = spec_for_instance(inst)
-            data = extension.embedding_data(spec)
-            got = [(params.m, params.d) for params in data.params]
-            assert got == _collected_params(spec, data.n), inst.label
+            got = [(params.m, params.d) for params in spec.params]
+            assert got == _collected_params(spec, spec.n), inst.label
             pullbacks += len(inst.kernels) == 2
             family14 += inst.label.startswith("Phi14")
         assert pullbacks and family14
 
     def test_phi2_41_worked_values(self):
-        params = extension.embedding_data(make_spec("Phi2(41)", 3)).params[0]
+        params = make_spec("Phi2(41)", 3).params[0]
         assert params.n == (1, 3)
         assert params.m == (0, 1)
         assert params.d[0][1] == 2  # p - 1
@@ -350,19 +345,19 @@ class TestExtractParams:
         P = make_presentation(ctx, [("x", 1), ("y", 1), ("k", 1)])
         spec = EmbeddingProblemSpec(
             presentation=P, kernel_names=("k",), kernel_level=1,
-            preimage_names=("x", "y"), root_level=1,
+            preimage_names=("x", "y"),
         )
-        params = extension.embedding_data(spec).params[0]
+        params = spec.params[0]
         assert params.m == (0, 0)
         assert all(all(c == 0 for c in row) for row in params.d)
 
     def test_phi4_221a_both_projections(self):
-        beta2, beta1 = extension.embedding_data(make_spec("Phi4(221)a", 3)).params
+        beta2, beta1 = make_spec("Phi4(221)a", 3).params
         assert beta2.m == (0, 0, 1) and beta2.d[1][2] == 2 and beta2.d[0][2] == 0
         assert beta1.m == (1, 0, 0) and beta1.d[0][2] == 2 and beta1.d[1][2] == 0
 
     def test_phi14_level2_values(self):
-        params = extension.embedding_data(make_spec("Phi14(42)", 3)).params[0]
+        params = make_spec("Phi14(42)", 3).params[0]
         assert params.m == (1, 0)
         assert params.d[0][1] == 8  # p^2 - 1
 
@@ -370,9 +365,8 @@ class TestExtractParams:
         # replacing s_i by s_i * kernel element leaves m and d unchanged
         rng = random.Random(0)
         for label in ("Phi2(41)", "Phi4(221)a", "Phi5(2111)"):
-            inst = instantiate(label, 3)
-            spec = spec_for_instance(inst, 4)
-            base = extension.embedding_data(spec).params
+            spec = make_spec(label, 3)
+            base = spec.params
             P = spec.presentation
             for _ in range(10):
                 perturbed = []
@@ -429,18 +423,18 @@ class TestMinimalRootLevel:
         ("Phi4(221)a", 1),
     ])
     def test_examples(self, label, expected):
-        assert extension.minimal_root_level(make_spec(label, 3, root_level=4)) == expected
+        assert extension.minimal_root_level(make_spec(label, 3)) == expected
 
 
-class TestEmbeddingData:
+class TestSolvability:
     def test_frattini_test_runs_only_above_kernel_level_1(self, monkeypatch):
         calls = []
         original = extension.frattini_contains_kernel
         monkeypatch.setattr(extension, "frattini_contains_kernel",
                             lambda P, names: calls.append(names) or original(P, names))
-        assert extension.embedding_data(make_spec("Phi2(41)", 3)).proper
+        assert make_spec("Phi2(41)", 3).proper
         assert calls == []
-        assert extension.embedding_data(make_spec("Phi14(42)", 3)).proper
+        assert make_spec("Phi14(42)", 3).proper
         assert calls == [("beta",)]
 
 

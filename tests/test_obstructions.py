@@ -25,17 +25,17 @@ def gold_nfs(texts, basis, env=None):
 
 class TestAbelian:
     def test_phi2_41(self):
-        spec = spec_for_instance(instantiate("Phi2(41)", 3), 3)
-        result = ob.obstruction(spec)
-        basis = ob.basis_for(spec)
+        spec = spec_for_instance(instantiate("Phi2(41)", 3))
+        result = ob.obstruction(spec, 3)
+        basis = ob.basis_for(spec, 3)
         assert nfs(result) == gold_nfs(["(z3^-1*a1, a2; z)"], basis)
         assert result.solvability_kind == "proper"
 
     def test_phi2_32a2_kernel_term_vanishes(self):
         # at root level 2 the (a1, z; z) kernel factor is a p-th power
-        spec = spec_for_instance(instantiate("Phi2(32)a2", 5), 2)
-        result = ob.obstruction(spec)
-        basis = ob.basis_for(spec)
+        spec = spec_for_instance(instantiate("Phi2(32)a2", 5))
+        result = ob.obstruction(spec, 2)
+        basis = ob.basis_for(spec, 2)
         assert nfs(result) == gold_nfs(["(a2, z2; z)", "(a1, a2; z)"], basis)
 
     def test_trivial_problem_has_no_conditions(self):
@@ -43,32 +43,32 @@ class TestAbelian:
         P = make_presentation(ctx, [("x", 1), ("k", 1)])
         spec = EmbeddingProblemSpec(
             presentation=P, kernel_names=("k",), kernel_level=1,
-            preimage_names=("x",), root_level=1,
+            preimage_names=("x",),
         )
-        assert ob.obstruction(spec).conditions == ()
+        assert ob.obstruction(spec, 1).conditions == ()
 
     def test_root_level_too_small(self):
         with pytest.raises(ObstructionError):
-            ob.obstruction(spec_for_instance(instantiate("Phi2(41)", 3), 2))
+            ob.obstruction(spec_for_instance(instantiate("Phi2(41)", 3)), 2)
 
     def test_realizability_terms_added_per_factor(self):
-        spec = spec_for_instance(instantiate("Phi2(221)d", 3), 1)
-        result = ob.obstruction(spec)
+        spec = spec_for_instance(instantiate("Phi2(221)d", 3))
+        result = ob.obstruction(spec, 1)
         origins = [c.origin for c in result.conditions]
         assert origins == ["kernel alpha2", "cyclic-realizability a1", "cyclic-realizability a2"]
 
 
 class TestPullback:
     def test_phi4_221a(self):
-        spec = spec_for_instance(instantiate("Phi4(221)a", 3), 1)
-        result = ob.obstruction(spec)
-        basis = ob.basis_for(spec)
+        spec = spec_for_instance(instantiate("Phi4(221)a", 3))
+        result = ob.obstruction(spec, 1)
+        basis = ob.basis_for(spec, 1)
         assert nfs(result) == gold_nfs(["(z^-1*a2, a3; z)", "(a1, z*a3; z)"], basis)
 
     def test_phi4_1five(self):
-        spec = spec_for_instance(instantiate("Phi4(1^5)", 5), 1)
-        result = ob.obstruction(spec)
-        basis = ob.basis_for(spec)
+        spec = spec_for_instance(instantiate("Phi4(1^5)", 5))
+        result = ob.obstruction(spec, 1)
+        basis = ob.basis_for(spec, 1)
         assert nfs(result) == gold_nfs(["(a2, a3; z)", "(a1, a3; z)"], basis)
 
     def test_trivial_pullback(self):
@@ -76,18 +76,18 @@ class TestPullback:
         P = make_presentation(ctx, [("x", 1), ("k1", 1), ("k2", 1)])
         spec = EmbeddingProblemSpec(
             presentation=P, kernel_names=("k1", "k2"), kernel_level=1,
-            preimage_names=("x",), root_level=1,
+            preimage_names=("x",),
         )
-        assert ob.obstruction(spec).conditions == ()
+        assert ob.obstruction(spec, 1).conditions == ()
 
     def test_projection_matches_single_kernel_condition(self):
         # restricting the pullback conditions to one kernel reproduces that
         # kernel's own formula
         for label in ("Phi4(221)b", "Phi12(2211)h", "Phi13(2211)d", "Phi15(21^4)"):
-            spec = spec_for_instance(instantiate(label, 3))
-            result = ob.obstruction(spec)
-            for params in result.data.params:
-                cond = ob.kernel_condition(spec, params, ob.basis_for(spec))
+            result = ob.obstruction_for_instance(instantiate(label, 3))
+            spec = result.spec
+            for params in spec.params:
+                cond = ob.kernel_condition(spec, params, ob.basis_for(spec, result.root_level))
                 kernel = spec.kernel_names[params.kernel_index]
                 from_result = [c for c in result.conditions if c.origin == f"kernel {kernel}"]
                 if cond.normal.is_zero():
@@ -98,17 +98,17 @@ class TestPullback:
 
 class TestMuPn:
     def test_phi14_42(self):
-        spec = spec_for_instance(instantiate("Phi14(42)", 3), 2)
-        result = ob.obstruction(spec)
-        basis = ob.basis_for(spec)
+        spec = spec_for_instance(instantiate("Phi14(42)", 3))
+        result = ob.obstruction(spec, 2)
+        basis = ob.basis_for(spec, 2)
         assert nfs(result) == gold_nfs(["(a1, z2*a2; z2)"], basis)
         assert result.solvability_kind == "proper"
 
     def test_phi14_321_j_equals_p(self):
-        spec = spec_for_instance(instantiate("Phi14(321)", 5), 2)
-        result = ob.obstruction(spec)
-        assert result.data.params[0].m == (5, 0)
-        basis = ob.basis_for(spec)
+        spec = spec_for_instance(instantiate("Phi14(321)", 5))
+        result = ob.obstruction(spec, 2)
+        assert spec.params[0].m == (5, 0)
+        basis = ob.basis_for(spec, 2)
         assert nfs(result) == gold_nfs(["(a1, z*a2; z2)"], basis)
 
     def test_zero_data_gives_no_conditions(self):
@@ -116,9 +116,9 @@ class TestMuPn:
         P = make_presentation(ctx, [("x", 2), ("k", 2)])
         spec = EmbeddingProblemSpec(
             presentation=P, kernel_names=("k",), kernel_level=2,
-            preimage_names=("x",), root_level=2,
+            preimage_names=("x",),
         )
-        result = ob.obstruction(spec)
+        result = ob.obstruction(spec, 2)
         assert result.conditions == ()
         # k is a free generator, outside Phi(G): only weak solvability
         assert result.solvability_kind == "weak"
@@ -128,17 +128,17 @@ class TestMuPn:
         P = make_presentation(ctx, [("x", 2), ("y", 1), ("k", 2)])
         spec = EmbeddingProblemSpec(
             presentation=P, kernel_names=("k",), kernel_level=2,
-            preimage_names=("x", "y"), root_level=2,
+            preimage_names=("x", "y"),
         )
         with pytest.raises(ObstructionError, match="not homocyclic"):
-            ob.obstruction(spec)
+            ob.obstruction(spec, 2)
 
 
 class TestElementaryAbelian:
     def test_phi5_1five(self):
-        spec = spec_for_instance(instantiate("Phi5(1^5)", 3), 1)
-        result = ob.obstruction(spec)
-        basis = ob.basis_for(spec)
+        spec = spec_for_instance(instantiate("Phi5(1^5)", 3))
+        result = ob.obstruction(spec, 1)
+        basis = ob.basis_for(spec, 1)
         assert nfs(result) == gold_nfs(["(a1, a2; z)(a3, a4; z)"], basis)
 
     def test_trivial(self):
@@ -146,9 +146,9 @@ class TestElementaryAbelian:
         P = make_presentation(ctx, [("x", 1), ("y", 1), ("k", 1)])
         spec = EmbeddingProblemSpec(
             presentation=P, kernel_names=("k",), kernel_level=1,
-            preimage_names=("x", "y"), root_level=1,
+            preimage_names=("x", "y"),
         )
-        assert ob.obstruction(spec).conditions == ()
+        assert ob.obstruction(spec, 1).conditions == ()
 
 
 class TestTables:
@@ -310,11 +310,11 @@ class TestClosedForm:
     def test_root_above_the_basis_level_raises(self):
         # a nonzero residue at a level n_i above the basis root level N is
         # a BasisError, not a root weight p^(N - n_i) < 1
-        spec = spec_for_instance(instantiate("Phi2(41)", 3), 2)
-        params = extension.embedding_data(spec).params[0]
+        spec = spec_for_instance(instantiate("Phi2(41)", 3))
+        params = spec.params[0]
         assert any(ni > 2 and mi for ni, mi in zip(params.n, params.m))
         with pytest.raises(symbols.BasisError, match="exceeds the basis root level 2"):
-            ob.kernel_condition(spec, params, ob.basis_for(spec))
+            ob.kernel_condition(spec, params, ob.basis_for(spec, 2))
 
     def test_catalog_at_p101(self):
         # cost per row stays flat in p: the whole catalog at p = 101 is cheap
