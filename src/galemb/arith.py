@@ -55,16 +55,20 @@ def smallest_nonresidue(p: int) -> int:
 
 
 def _prime_factors(n: int, known: tuple[int, ...] = ()) -> list[int]:
+    """The distinct prime factors of n: the known primes that divide it, then
+    trial division of the cofactor, which stops once the cofactor is prime."""
     out = [q for q in known if n % q == 0]
     for q in out:
         while n % q == 0:
             n //= q
     d = 2
-    while d * d <= n:
+    prime = is_prime(n)
+    while not prime and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
+            prime = is_prime(n)
         d += 1
     if n > 1:
         out.append(n)

@@ -18,7 +18,7 @@ from importlib import resources
 
 from .arith import discrete_log_mod_p, mod_inverse
 from .arith import smallest_nonresidue, smallest_primitive_root  # re-exported API
-from .groups import PrimeContext, Presentation, make_presentation
+from .groups import PrimeContext, Presentation, generator_index, presentation_from_vectors
 from .symbols import BrauerExpression, CompiledExpression, ExpressionError, compile_expression
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "GroupTemplate",
     "TableRow",
     "enumerate_instances",
+    "gold_entry",
     "gold_row",
     "instantiate",
     "iter_instances",
@@ -75,27 +76,36 @@ class GroupTemplate:
     kernel_level: int
     preimages: tuple[str, ...]
     param: str = ""  # "", "half", "full", "1nu", "rs"
-    # powers and comms with each word tokenized once, here; `instantiate`
-    # only binds their exponents at p
-    words: tuple = field(init=False, repr=False, compare=False)
+    # derived once here, for every instance: the generators' names, relative
+    # order exponents and coordinates (`groups.generator_index`), and each
+    # relation as (x, None, word) for g_x^(p^e_x) = word or (x, y, word) for
+    # [g_x, g_y] = word, its word tokenized into coordinates; `_build` only
+    # binds the exponents at p
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    exps: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    index: dict = field(init=False, repr=False, compare=False)
+    relations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gens = {name for name, _ in self.gens}
-        object.__setattr__(self, "words", (
-            tuple((name, _tokenize_word(w, gens)) for name, w in self.powers),
-            tuple((x, y, _tokenize_word(w, gens)) for x, y, w in self.comms),
-        ))
+        names, exps, index = generator_index(self.gens)
+        for attr, value in (("names", names), ("exps", exps), ("index", index)):
+            object.__setattr__(self, attr, value)
+        object.__setattr__(self, "relations", tuple(
+            [(index[name], None, _tokenize_word(w, index)) for name, w in self.powers]
+            + [(index[x], index[y], _tokenize_word(w, index)) for x, y, w in self.comms]))
 
     @property
     def table(self) -> int:
         return table_of(self.family, self.order_exp)
 
 
-def table_of(family: int, order_exp: int) -> int:
-    key = {(2, 5): 1, (5, 5): 1, (4, 5): 2, (2, 6): 3, (5, 6): 3,
+_TABLES = {(2, 5): 1, (5, 5): 1, (4, 5): 2, (2, 6): 3, (5, 6): 3,
            (4, 6): 4, (12, 6): 4, (13, 6): 5, (15, 6): 5, (14, 6): 6}
+
+
+def table_of(family: int, order_exp: int) -> int:
     try:
-        return key[(family, order_exp)]
+        return _TABLES[(family, order_exp)]
     except KeyError:
         raise CatalogError(f"no table for family {family} at order exponent {order_exp}")
 
@@ -105,12 +115,13 @@ def table_of(family: int, order_exp: int) -> int:
 
 _FACTOR_RE = re.compile(r"([a-z][a-z0-9]*)(?:\^(-?)(?:(\d+)(?:/(\d+))?|([a-z]+)))?")
 
-# one factor of a relation word: (generator, sign, value, denominator), where
-# value is an int or a placeholder name and the denominator is None or an int
-_WordFactor = tuple[str, int, int | str, int | None]
+# one factor of a relation word: (generator coordinate, sign, value,
+# denominator), where value is an int or a placeholder name and the
+# denominator is None or an int
+_WordFactor = tuple[int, int, int | str, int | None]
 
 
-def _tokenize_word(word: Word, gens: set[str]) -> tuple[_WordFactor, ...]:
+def _tokenize_word(word: Word, index: dict[str, int]) -> tuple[_WordFactor, ...]:
     out = []
     pos = 0
     while pos < len(word):
@@ -118,9 +129,9 @@ def _tokenize_word(word: Word, gens: set[str]) -> tuple[_WordFactor, ...]:
         if not m:
             raise CatalogError(f"bad relation word {word!r}")
         name, minus, num, den, placeholder = m.groups()
-        if name not in gens:
+        if name not in index:
             raise CatalogError(f"unknown generator {name!r} in word {word!r}")
-        out.append((name, -1 if minus else 1, placeholder or int(num or 1),
+        out.append((index[name], -1 if minus else 1, placeholder or int(num or 1),
                     None if den is None else int(den)))
         pos = m.end()
         if pos < len(word):
@@ -128,22 +139,6 @@ def _tokenize_word(word: Word, gens: set[str]) -> tuple[_WordFactor, ...]:
                 raise CatalogError(f"bad relation word {word!r}")
             pos += 1
     return tuple(out)
-
-
-def _bind_word(word: tuple[_WordFactor, ...], env: dict[str, int],
-               orders: dict[str, int]) -> dict[str, int]:
-    """Exponents of a tokenized word, each reduced mod its generator's order."""
-    out: dict[str, int] = {}
-    for name, sign, value, den in word:
-        modulus = orders[name]
-        if type(value) is str:
-            if value not in env:
-                raise CatalogError(f"unknown exponent placeholder {value!r}")
-            value = env[value]
-        elif den is not None:
-            value *= mod_inverse(den, modulus)
-        out[name] = (out.get(name, 0) + sign * value % modulus) % modulus
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +465,31 @@ def instantiate(label_or_template, p: int, params: tuple[int, ...] | None = None
 
 
 def _build(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | None) -> GroupInstance:
-    """The instance of valid params: binds the template's tokenized words at p."""
+    """The instance of valid params: binds the template's tokenized relation
+    words at p into exponent vectors, each coordinate reduced mod its
+    generator's order, and validates them."""
     env = _env_for(tpl, ctx, params)
-    orders = {name: ctx.p**e for name, e in tpl.gens}
-    power_words, comm_words = tpl.words
-    powers = {name: _bind_word(w, env, orders) for name, w in power_words}
-    comms = {(x, y): _bind_word(w, env, orders) for x, y, w in comm_words}
-    pres = make_presentation(ctx, list(tpl.gens), powers, comms)
+    p = ctx.p
+    orders = tuple([p**e for e in tpl.exps])
+    k = len(orders)
+    tails: list[list[int] | None] = [None] * k
+    comms = []
+    for x, y, word in tpl.relations:
+        vec = [0] * k
+        for t, sign, value, den in word:
+            modulus = orders[t]
+            if type(value) is str:
+                if value not in env:
+                    raise CatalogError(f"unknown exponent placeholder {value!r}")
+                value = env[value]
+            elif den is not None:
+                value *= mod_inverse(den, modulus)
+            vec[t] = (vec[t] + sign * value % modulus) % modulus
+        if y is None:
+            tails[x] = vec
+        else:
+            comms.append((x, y, vec))
+    pres = presentation_from_vectors(ctx, tpl.names, tpl.exps, orders, tpl.index, tails, comms)
     gid = GroupId(family=tpl.family, james_label=tpl.label, order_exp=tpl.order_exp, params=params)
     return GroupInstance(id=gid, template=tpl, ctx=ctx, env=env, presentation=pres)
 
@@ -570,15 +583,23 @@ def _load_gold(path: str | None) -> dict[str, tuple[int, int, int, tuple[Compile
     return rows
 
 
-def gold_row(inst: GroupInstance, gold_path: str | None = None) -> TableRow:
+def gold_entry(template: GroupTemplate,
+               gold_path: str | None = None) -> tuple[int, tuple[CompiledExpression, ...]]:
+    """The root level and the compiled conditions of a template's gold row,
+    placeholders unbound."""
     rows = _load_gold(gold_path)
-    label = inst.template.label
+    label = template.label
     if label not in rows:
         raise CatalogError(f"no gold row for {label!r}")
     lineno, order_exp, root_level, conditions = rows[label]
-    if order_exp != inst.template.order_exp:
+    if order_exp != template.order_exp:
         raise CatalogError(f"gold table line {lineno}: {label}: order exponent {order_exp}, "
-                           f"but the group has order p^{inst.template.order_exp}")
+                           f"but the group has order p^{template.order_exp}")
+    return root_level, conditions
+
+
+def gold_row(inst: GroupInstance, gold_path: str | None = None) -> TableRow:
+    root_level, conditions = gold_entry(inst.template, gold_path)
     try:
         bound = tuple(c.bind(inst.env) for c in conditions)
     except ExpressionError as exc:

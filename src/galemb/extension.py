@@ -67,7 +67,7 @@ class EmbeddingProblemSpec:
         except groups.ElementError as exc:
             raise ExtensionError(str(exc)) from exc
         object.__setattr__(self, "other_coords", tuple(
-            i for i in range(P.ngens) if i not in self.kernel_coords))
+            [i for i in range(P.ngens) if i not in self.kernel_coords]))
         for name, i in zip(self.kernel_names, self.kernel_coords):
             if groups.generator_order_exp(P, i) != self.kernel_level:
                 raise ExtensionError(
@@ -77,14 +77,19 @@ class EmbeddingProblemSpec:
             if name not in P.index:
                 raise ExtensionError(f"unknown pre-image generator {name!r}")
         n = quotient_structure(self)
+        if not n:
+            raise ExtensionError("the quotient by the kernel is trivial: no pre-images to label")
         params = extract_params(self, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "params", params)
         # the largest factor level carrying a nonzero kernel residue, but at
         # least max n_i - 1 (cyclic realizability) and the kernel level itself
-        object.__setattr__(self, "minimal_root_level", max(
-            1, self.kernel_level, max(n) - 1,
-            *(ni for prm in params for ni, mi in zip(n, prm.m) if mi)))
+        level = max(1, self.kernel_level, max(n) - 1)
+        for prm in params:
+            for ni, mi in zip(n, prm.m):
+                if mi and ni > level:
+                    level = ni
+        object.__setattr__(self, "minimal_root_level", level)
         object.__setattr__(self, "proper", self.kernel_level == 1
                            or frattini_contains_kernel(P, self.kernel_names))
 
@@ -155,12 +160,13 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
     support lies in the kernel and |Q| = p^(sum of the other e_i)."""
     P = spec.presentation
     ker, other = spec.kernel_coords, spec.other_coords
-    if any(word[i] for _, _, word in P.comm for i in other):
-        raise ExtensionError("quotient by the kernel product is not abelian")
-    order_exp = sum(P.order_exps[i] for i in other)
+    for _, _, word in P.comm:
+        if any(map(word.__getitem__, other)):
+            raise ExtensionError("quotient by the kernel product is not abelian")
+    order_exp = sum(map(P.order_exps.__getitem__, other))
 
     pre = [P.index[name] for name in spec.preimage_names]
-    n = tuple(0 if i in ker else groups.generator_order_exp(P, i, ker) for i in pre)
+    n = tuple([0 if a in ker else groups.generator_order_exp(P, a, ker) for a in pre])
     if sum(n) != order_exp:
         raise ExtensionError(
             "pre-images do not generate a direct decomposition: "
@@ -176,9 +182,10 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
     # rows restricted to the columns outside K and the pre-images have full
     # rank (on no columns, trivially).
     rest = [i for i in other if i not in pre]
-    rows = [[row[i] for i in rest] for row in _frattini_relations(P)]
-    if rest and _fp_rank(rows, P.p) != len(rest):
-        raise ExtensionError("pre-image images are not independent generators of the quotient")
+    if rest:
+        rows = [[row[i] for i in rest] for row in _frattini_relations(P)]
+        if _fp_rank(rows, P.p) != len(rest):
+            raise ExtensionError("pre-image images are not independent generators of the quotient")
     return n
 
 
@@ -188,33 +195,43 @@ def extract_params(spec: EmbeddingProblemSpec,
     levels n; in each, the other kernel is quotiented away.
 
     Pre-images are generators, so both are read off the relation tables, each
-    relation once for every kernel: s_i^(p^n_i) is `generator_power` of the
-    pre-image's index, and [s_j, s_i] is the stored word [g_b, g_a] of their
-    indices b > a, or its inverse when b < a (the word is central with
-    trivial tails, so inverting negates its coordinates).  Both lie in the
-    kernel product where n are `quotient_structure`'s levels, which checks
-    every commutator word's support, so the kernel columns are read directly."""
+    relation once for every kernel.  For a pre-image g_a outside the kernel,
+    n_i >= e_a and s_i^(p^n_i) = tail_a^(p^(n_i - e_a)): the tail is central
+    with trivial tails, so its power scales its coordinates.  A pre-image
+    inside the kernel has n_i = 0 and s_i^1 = g_a.  [s_j, s_i] is read off
+    the stored word [g_b, g_a], b > a, of each pair of pre-images, negated
+    when s_j = g_a (the word is central with trivial tails, so inverting
+    negates its coordinates); a pair with no stored word commutes.  Both lie
+    in the kernel product where n are `quotient_structure`'s levels, which
+    checks every commutator word's support, so the kernel columns are read
+    directly.  Its checks also leave no generator outside the kernel twice
+    among the pre-images, and kernel generators are in no commutator, so
+    each stored pair names at most one (i, j)."""
     P = spec.presentation
-    modulus = P.p**spec.kernel_level
+    p, exps = P.p, P.order_exps
+    modulus = p**spec.kernel_level
     ker = spec.kernel_coords
-    kernels = range(len(ker))
     pre = [P.index[name] for name in spec.preimage_names]
-    # m[i][k], d[k][i][j]: kernel k's projections
-    m = [[power[c] % modulus for c in ker]
-         for power in (groups.generator_power(P, a, P.p**ni) for a, ni in zip(pre, n))]
-    words = {(j, i): word for j, i, word in P.comm}
     t = len(pre)
-    d = [[[0] * t for _ in range(t)] for _ in kernels]
-    for i, a in enumerate(pre):
-        for j in range(i + 1, t):
-            b = pre[j]
-            word = words.get((max(a, b), min(a, b)))
-            if word is not None:
-                for k, c in enumerate(ker):
-                    d[k][i][j] = (word[c] if b > a else -word[c]) % modulus
-    return tuple(ExtensionParams(n=n, m=tuple(mi[k] for mi in m),
-                                 d=tuple(tuple(row) for row in d[k]), kernel_index=k)
-                 for k in kernels)
+    out = []
+    for k, c in enumerate(ker):
+        m = []
+        for a, ni in zip(pre, n):
+            if ni < exps[a]:  # a kernel generator: s_i^1 = g_a
+                m.append(int(c == a))
+            else:
+                tail = P.power_tails[a]
+                m.append(tail[c] * p**(ni - exps[a]) % modulus if tail else 0)
+        # rows of d, zero on and below the diagonal; most entries are 0
+        d = [(0,) * t] * t
+        for b, a, word in P.comm:
+            if a in pre and b in pre and word[c]:
+                i, j, entry = pre.index(a), pre.index(b), word[c]
+                if i > j:
+                    i, j, entry = j, i, -entry
+                d[i] = d[i][:j] + (entry % modulus,) + d[i][j + 1:]
+        out.append(ExtensionParams(n=n, m=tuple(m), d=tuple(d), kernel_index=k))
+    return tuple(out)
 
 
 def minimal_root_level(spec: EmbeddingProblemSpec) -> int:

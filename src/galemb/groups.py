@@ -116,58 +116,75 @@ def make_presentation(
     comms: (x, y) -> {target: exponent} meaning [x, y] = word; either orientation
     is accepted and flipped into the stored (later, earlier) convention.
     """
-    power_tails = power_tails or {}
-    comms = comms or {}
-    names = tuple(n for n, _ in gens)
-    if len(set(names)) != len(names):
-        raise PresentationError("duplicate generator names")
-    index = {n: i for i, n in enumerate(names)}
-    exps = tuple(e for _, e in gens)
-    if any(e < 1 for e in exps):
-        raise PresentationError("relative order exponents must be >= 1")
-    p = ctx.p
-    orders = tuple(p**e for e in exps)
-    k = len(names)
+    names, exps, index = generator_index(gens)
+    orders = tuple(ctx.p**e for e in exps)
 
-    def resolve(word: dict[str, int]) -> Element:
-        vec = [0] * k
+    def vector(word: dict[str, int]) -> list[int]:
+        vec = [0] * len(names)
         for name, exp in word.items():
             if name not in index:
                 raise PresentationError(f"unknown generator {name!r} in relation")
             i = index[name]
             vec[i] = (vec[i] + exp) % orders[i]
-        return tuple(vec)
+        return vec
 
-    tails: list[Element | None] = [None] * k
-    for name, word in power_tails.items():
-        vec = resolve(word)
-        tails[index[name]] = vec if any(vec) else None
+    tails: list[list[int] | None] = [None] * len(names)
+    for name, word in (power_tails or {}).items():
+        tails[index[name]] = vector(word)
+    # lazily, so that each entry's word is resolved before its pair is looked up
+    comm_vectors = ((index[x], index[y], vec) for (x, y), word in (comms or {}).items()
+                    if any(vec := vector(word)))
+    return presentation_from_vectors(ctx, names, exps, orders, index, tails, comm_vectors)
 
-    comm_entries: dict[tuple[int, int], list[int]] = {}
-    for (x, y), word in comms.items():
-        vec = resolve(word)
+
+def generator_index(gens) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, int]]:
+    """Names, relative order exponents and the name -> coordinate map of
+    (name, e) generator pairs, checked: names distinct, every e >= 1."""
+    names = tuple([n for n, _ in gens])
+    if len(set(names)) != len(names):
+        raise PresentationError("duplicate generator names")
+    exps = tuple([e for _, e in gens])
+    if min(exps, default=1) < 1:
+        raise PresentationError("relative order exponents must be >= 1")
+    return names, exps, {n: i for i, n in enumerate(names)}
+
+
+def presentation_from_vectors(ctx: PrimeContext, names: tuple[str, ...], exps: tuple[int, ...],
+                              orders: tuple[int, ...], index: dict[str, int],
+                              tails: list[list[int] | None], comms) -> Presentation:
+    """Validate relations given as exponent vectors over the generators and
+    build the presentation: the one validator of `make_presentation` and of
+    the catalog's instances.
+
+    tails[i] is g_i^{p^{e_i}}, reduced mod the orders, or None; an all-zero
+    vector is trivial.  comms yields (x, y, vec) meaning [g_x, g_y] = vec,
+    reduced, in either orientation; a zero vec is skipped.  index is stored
+    in the presentation as given."""
+    k = len(names)
+    tails = [tuple(vec) if vec is not None and any(vec) else None for vec in tails]
+    comm_entries: dict[tuple[int, int], tuple[int, ...]] = {}
+    for xi, yi, vec in comms:
         if not any(vec):
             continue
-        xi, yi = index[x], index[y]
         if xi == yi:
-            raise PresentationError(f"commutator [{x},{x}] must be trivial")
+            raise PresentationError(f"commutator [{names[xi]},{names[xi]}] must be trivial")
         if xi > yi:
-            j, i, entry = xi, yi, list(vec)
+            key, entry = (xi, yi), tuple(vec)
         else:
             # [x, y] given with x earlier: store [g_j, g_i] = word^{-1}
-            j, i = yi, xi
-            entry = [(-c) % o for c, o in zip(vec, orders)]
-        if (j, i) in comm_entries:
-            raise PresentationError(f"duplicate commutator relation for pair {names[j]},{names[i]}")
-        comm_entries[(j, i)] = entry
+            key, entry = (yi, xi), tuple([(-c) % o for c, o in zip(vec, orders)])
+        if key in comm_entries:
+            raise PresentationError(
+                f"duplicate commutator relation for pair {names[key[0]]},{names[key[1]]}")
+        comm_entries[key] = entry
 
     support = set()
-    for vec in list(tails) + [v for v in comm_entries.values()]:
-        if vec is None:
-            continue
-        support.update(i for i, c in enumerate(vec) if c)
-    central = tuple(i in support for i in range(k))
-    in_comm = {g for pair in comm_entries for g in pair}
+    for vec in tails + list(comm_entries.values()):
+        if vec is not None:
+            support.update(itertools.compress(range(k), vec))
+    in_comm = set()
+    for pair in comm_entries:
+        in_comm.update(pair)
     for i in support:
         if tails[i] is not None:
             raise PresentationError(
@@ -178,17 +195,16 @@ def make_presentation(
                 f"generator {names[i]!r} carries relation values but appears in a commutator"
             )
 
-    pres = Presentation(
+    return Presentation(
         ctx=ctx,
         names=names,
         order_exps=exps,
-        central=central,
+        central=tuple(map(support.__contains__, range(k))),
         power_tails=tuple(tails),
-        comm=tuple((j, i, tuple(v)) for (j, i), v in sorted(comm_entries.items())),
+        comm=tuple([(j, i, v) for (j, i), v in sorted(comm_entries.items())]),
         orders=orders,
         index=index,
     )
-    return pres
 
 
 def _carry(P: Presentation, z: list[int]) -> Element:

@@ -13,7 +13,10 @@ for each quotient factor with n_i = N + 1.  N only fixes the basis: the
 caller passes it to `obstruction`, and a catalog row's defaults to its gold
 root level.  Each normal form is written
 straight from (n, m, d); the raw product is built only when a check asks for
-`Condition.raw`, and `normalize` serves the gold rows alone.  Pullback
+`Condition.raw`.  `generate_table` compiles each gold condition once per
+template and basis and folds it per row from the row's placeholder values,
+through the `fold` that `normalize` ends in, so no raw product is built or
+normalized on the table path.  Pullback
 problems (two disjoint order-p kernels) take the union of their two kernel
 projections; homocyclic problems with kernel mu_{p^n}, n >= 2, give the same
 shape of product at torsion p^n.
@@ -25,16 +28,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import extension
-from .catalog import GroupInstance, enumerate_instances, gold_row
+from .catalog import GroupInstance, enumerate_instances, gold_entry, gold_row
 from .extension import EmbeddingProblemSpec, ExtensionParams
 from .symbols import (
     BasisError,
+    BasisExpression,
     BrauerExpression,
     ExpressionError,
     NormalForm,
     SymbolBasis,
     SymbolFactor,
-    normalize,
+    normalize,  # not used here: perfbench/tests expect it bound in this module
     render,
     root_label,
     symbol,
@@ -113,16 +117,22 @@ def kernel_condition(spec: EmbeddingProblemSpec, params: ExtensionParams,
                      basis: SymbolBasis) -> Condition:
     """The kernel-formula condition of one kernel projection, in the spec's
     basis, written straight from (n, m, d): (a_i, zeta_{p^{n_i}}^{m_i}) is
-    -m_i p^(N-n_i) at (z, a_i), the root weight read through the basis, and
-    (a_j, a_i)^{d_ij} is -d_ij at (a_i, a_j)."""
-    torsion = basis.torsion
-    # resolve keeps the root slot only where the root power is nonzero mod p^n
-    entries = [(0, i, -c % torsion)
-               for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1) if mi
-               for c in basis.resolve(((root_label(ni), mi),)).values()]
+    -m_i p^(N-n_i) at (z, a_i), zeta_{p^{n_i}} being the basis root z =
+    zeta_{p^N} to the power p^(N-n_i), and (a_j, a_i)^{d_ij} is -d_ij at
+    (a_i, a_j)."""
+    p, level, torsion = basis.p, basis.root_level, basis.torsion
+    entries = []
+    for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1):
+        if mi:
+            if ni > level:
+                raise BasisError(f"root {root_label(ni)!r} exceeds the basis root level {level}")
+            c = -mi * p**(level - ni) % torsion
+            if c:
+                entries.append((0, i, c))
     for i, row in enumerate(params.d, start=1):
-        entries += [(i, j, -d % torsion) for j, d in enumerate(row[i:], start=i + 1)
-                    if d % torsion]
+        for j, d in enumerate(row[i:], start=i + 1):
+            if d % torsion:
+                entries.append((i, j, -d % torsion))
     return Condition(normal=NormalForm(basis, tuple(entries)),
                      origin=f"kernel {spec.kernel_names[params.kernel_index]}", source=params)
 
@@ -136,14 +146,37 @@ def _realizability_conditions(n: tuple[int, ...], basis: SymbolBasis) -> list[Co
 
 
 def _dedupe(conditions: list[Condition]) -> tuple[Condition, ...]:
-    seen: set[NormalForm] = set()
+    """The nonzero conditions, each normal form once; all are in one basis,
+    so their entries tell them apart."""
+    seen: set = set()
     out = []
     for c in conditions:
-        if c.normal.is_zero() or c.normal in seen:
-            continue
-        seen.add(c.normal)
-        out.append(c)
+        entries = c.normal.entries
+        if entries and entries not in seen:
+            seen.add(entries)
+            out.append(c)
     return tuple(out)
+
+
+def _root_level(spec: EmbeddingProblemSpec, root_level: int, lift_root_level: bool) -> int:
+    """The level `obstruction` computes at, after its checks of the problem's
+    shape and of root_level."""
+    if spec.kernel_level >= 2 and any(ni != spec.kernel_level for ni in spec.n):
+        raise ObstructionError(
+            f"quotient is not homocyclic of exponent p^{spec.kernel_level}: levels {spec.n}"
+        )
+    if root_level < spec.minimal_root_level and not lift_root_level:
+        raise ObstructionError(
+            f"root level {root_level} below the minimal level {spec.minimal_root_level}"
+        )
+    return max(root_level, spec.minimal_root_level)
+
+
+def _conditions(spec: EmbeddingProblemSpec, basis: SymbolBasis) -> ObstructionResult:
+    conditions = [kernel_condition(spec, params, basis) for params in spec.params]
+    if spec.kernel_level == 1:
+        conditions += _realizability_conditions(spec.n, basis)
+    return ObstructionResult(conditions=_dedupe(conditions), spec=spec, basis=basis)
 
 
 def obstruction(spec: EmbeddingProblemSpec, root_level: int,
@@ -154,19 +187,7 @@ def obstruction(spec: EmbeddingProblemSpec, root_level: int,
 
     A root level below the minimal one is an error, or with lift_root_level
     the conditions are computed at the minimal level instead."""
-    if spec.kernel_level >= 2 and any(ni != spec.kernel_level for ni in spec.n):
-        raise ObstructionError(
-            f"quotient is not homocyclic of exponent p^{spec.kernel_level}: levels {spec.n}"
-        )
-    if root_level < spec.minimal_root_level and not lift_root_level:
-        raise ObstructionError(
-            f"root level {root_level} below the minimal level {spec.minimal_root_level}"
-        )
-    basis = basis_for(spec, max(root_level, spec.minimal_root_level))
-    conditions = [kernel_condition(spec, params, basis) for params in spec.params]
-    if spec.kernel_level == 1:
-        conditions += _realizability_conditions(spec.n, basis)
-    return ObstructionResult(conditions=_dedupe(conditions), spec=spec, basis=basis)
+    return _conditions(spec, basis_for(spec, _root_level(spec, root_level, lift_root_level)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +203,11 @@ def spec_for_instance(inst: GroupInstance) -> EmbeddingProblemSpec:
     )
 
 
+def _named(inst: GroupInstance, exc: Exception) -> Exception:
+    """exc's type, with its message prefixed by the instance and p."""
+    return type(exc)(f"{inst.label} p={inst.p}: {exc}")
+
+
 def obstruction_for_instance(inst: GroupInstance, root_level: int | None = None,
                              lift_root_level: bool = False) -> ObstructionResult:
     """`obstruction` of a catalog instance at root_level, by default its gold
@@ -191,7 +217,7 @@ def obstruction_for_instance(inst: GroupInstance, root_level: int | None = None,
     try:
         return obstruction(spec_for_instance(inst), root_level, lift_root_level)
     except (extension.ExtensionError, ObstructionError) as exc:
-        raise type(exc)(f"{inst.label} p={inst.p}: {exc}") from exc
+        raise _named(inst, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -221,25 +247,48 @@ def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[
 
     A row is computed at its gold root level, or at the minimal level where
     the gold level lies below it: that row's verdict fails, and the rows
-    after it are still computed."""
+    after it are still computed.  Each row binds its gold row's placeholders,
+    then runs the engine, then folds the gold conditions, and an error names
+    the row.  What depends on the template alone is done once per template:
+    the gold row's lookup and, per root level, the basis and the gold
+    conditions compiled against it (`CompiledExpression.in_basis`)."""
     if table_id not in range(1, 7):
         raise ObstructionError(f"no table {table_id}")
     out = []
+    template = None
     for inst in enumerate_instances(p, table=table_id):
-        row = gold_row(inst, gold_path)
-        result = obstruction_for_instance(inst, row.root_level, lift_root_level=True)
+        if inst.template is not template:
+            template = inst.template
+            gold_level, gold = gold_entry(template, gold_path)
+            compiled: dict[int, tuple[SymbolBasis, list[BasisExpression]]] = {}
         try:
-            gold_nfs = frozenset(normalize(e, result.basis) for e in row.obstructions)
+            values = [c.placeholder_values(inst.env) for c in gold]
+        except ExpressionError as exc:
+            raise _named(inst, exc) from exc
+        try:
+            spec = spec_for_instance(inst)
+            level = _root_level(spec, gold_level, lift_root_level=True)
+        except (extension.ExtensionError, ObstructionError) as exc:
+            raise _named(inst, exc) from exc
+        if level not in compiled:
+            basis = basis_for(spec, level)
+            compiled[level] = basis, [c.in_basis(basis) for c in gold]
+        basis, gold_forms = compiled[level]
+        result = _conditions(spec, basis)
+        try:
+            gold_nfs = frozenset([g.normal_form(v) for g, v in zip(gold_forms, values)])
         except (ExpressionError, BasisError) as exc:
             # a gold row that does not fit the row's basis
-            raise type(exc)(f"{inst.label} p={p}: {exc}") from exc
+            raise _named(inst, exc) from exc
         out.append(
             RowResult(
                 instance=inst,
                 result=result,
-                gold_root_level=row.root_level,
+                gold_root_level=gold_level,
                 gold_normal_forms=gold_nfs,
-                match=(gold_nfs == result.normal_forms()),
+                # gold and engine forms share one basis: their entries decide
+                match=({g.entries for g in gold_nfs}
+                       == {c.normal.entries for c in result.conditions}),
             )
         )
     return out

@@ -1,6 +1,9 @@
 """Catalog instantiation, parameter expansion, number theory helpers, and the
 shipped reference rows."""
 
+import dataclasses
+import re
+
 import pytest
 
 import galemb
@@ -267,3 +270,52 @@ class TestCatalogSoundness:
                 assert groups.is_central_element(P, g), inst.label
                 assert groups.element_order(P, g) == p**inst.kernel_level, inst.label
             assert groups.is_abelian_quotient(P, list(inst.kernels)), inst.label
+
+
+def _reference_relations(tpl, env, orders):
+    """The template's name-keyed relation words bound at env, parsed here on
+    their own: factors name^e joined by '*', e an integer, a fraction n/d
+    (d inverted mod the generator's order) or a placeholder, either signed."""
+    def bind(word):
+        out = {}
+        for factor in word.split("*"):
+            name, _, exp = factor.partition("^")
+            sign = -1 if exp.startswith("-") else 1
+            exp = exp.lstrip("-") or "1"
+            if re.fullmatch(r"[a-z]+", exp):
+                value = env[exp]
+            elif "/" in exp:
+                num, den = exp.split("/")
+                value = int(num) * pow(int(den), -1, orders[name])
+            else:
+                value = int(exp)
+            out[name] = out.get(name, 0) + sign * value
+        return out
+    return ({name: bind(w) for name, w in tpl.powers},
+            {(x, y): bind(w) for x, y, w in tpl.comms})
+
+
+class TestBoundRelations:
+    """Each instance's presentation, bound from the template's tokenized
+    words, against `make_presentation` of the name-keyed words."""
+
+    @staticmethod
+    def _check(inst):
+        tpl, p = inst.template, inst.p
+        orders = {name: p**e for name, e in tpl.gens}
+        powers, comms = _reference_relations(tpl, inst.env, orders)
+        want = groups.make_presentation(inst.ctx, list(tpl.gens), powers, comms)
+        for f in dataclasses.fields(groups.Presentation):
+            assert getattr(inst.presentation, f.name) == getattr(want, f.name), (inst.label, p, f.name)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+    def test_every_instance(self, p):
+        for inst in enumerate_instances(p):
+            self._check(inst)
+
+    def test_first_instance_of_every_template_at_p101(self):
+        ctx = PrimeContext.for_prime(101)
+        firsts = [instantiate(tpl, 101, catalog._param_values(tpl, ctx)[0]) for tpl in templates()]
+        assert len(firsts) == 95
+        for inst in firsts:
+            self._check(inst)

@@ -26,9 +26,9 @@ PACKAGE = str(Path(galemb.__file__).resolve().parent) + os.sep
 
 # calls per table row over tables 1-6, per condition of an oracle check plus
 # witness, and per enumerated instance; measured with CPython 3.11.7 at
-# 238.3, 258.1, 60.5 and 77.5
+# 99.3, 78.0, 60.5 and 10.8
 CEILINGS = {
-    (3, 11): {"row p=5": 245, "row p=13": 266, "condition p=23": 62.5, "instance p=101": 80},
+    (3, 11): {"row p=5": 102, "row p=13": 80.5, "condition p=23": 62.5, "instance p=101": 11.2},
 }
 CEILING = CEILINGS.get(sys.version_info[:2])
 
@@ -56,12 +56,12 @@ def _calls(work) -> int:
     return count
 
 
-def _calls_per_row(p: int) -> float:
+def _calls_per_row(p: int, tables=range(1, 7)) -> float:
     rows = []
 
-    def tables():
-        rows[:] = [row for table in range(1, 7) for row in generate_table(table, p)]
-    return _calls(tables) / len(rows)
+    def work():
+        rows[:] = [row for table in tables for row in generate_table(table, p)]
+    return _calls(work) / len(rows)
 
 
 @pytest.mark.parametrize("p", [5, 13])
@@ -94,3 +94,11 @@ def test_calls_per_row_flat_in_p():
     # cost per row should grow with the number of rows, not with p
     ratio = _calls_per_row(31) / _calls_per_row(3)
     assert ratio <= 1.20, f"calls per row at p=31 are {ratio:.3f} x those at p=3"
+
+
+@pytest.mark.parametrize("table", range(1, 7))
+def test_calls_per_row_flat_in_p_table_by_table(table):
+    # the bound above also measures the mix of rows, which p changes; within
+    # one table no row may get dearer as p grows
+    at_5, at_31 = _calls_per_row(5, [table]), _calls_per_row(31, [table])
+    assert at_31 <= 1.02 * at_5, f"table {table}: {at_31:.1f} calls per row at p=31, {at_5:.1f} at p=5"

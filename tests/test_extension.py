@@ -20,6 +20,14 @@ def make_spec(label, p):
 
 
 class TestQuotientStructure:
+    def test_no_preimages_is_a_trivial_quotient(self):
+        # the group is its own kernel: nothing to label, and an
+        # ExtensionError says so
+        P = make_presentation(PrimeContext.for_prime(3), [("k", 1)])
+        with pytest.raises(ExtensionError, match="quotient by the kernel is trivial"):
+            EmbeddingProblemSpec(presentation=P, kernel_names=("k",), kernel_level=1,
+                                 preimage_names=())
+
     def test_phi2_41(self):
         assert extension.quotient_structure(make_spec("Phi2(41)", 3)) == (1, 3)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from galemb import catalog, extension, groups, local_oracle as lo, obstructions as ob, symbols
+from galemb.arith import is_prime
 from galemb.catalog import instantiate
 from galemb.extension import EmbeddingProblemSpec, ExtensionError
 from galemb.groups import PrimeContext, make_presentation
@@ -195,8 +196,9 @@ class TestTables:
             ob.generate_table(7, 3)
 
     def test_one_embedding_pass_per_row(self, monkeypatch):
-        # one pass reads every kernel's projection, and one basis serves the
-        # kernel conditions, the realizability conditions and the gold row
+        # one pass reads every kernel's projection, and one basis per
+        # template and root level serves the kernel conditions, the
+        # realizability conditions and the gold rows
         calls = {"quotient_structure": 0, "extract_params": 0, "basis_for": 0}
         for name in calls:
             module = ob if name == "basis_for" else extension
@@ -204,14 +206,17 @@ class TestTables:
                 calls[_name] += 1
                 return _original(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
-        assert rows == 118
-        assert calls == {"quotient_structure": rows, "extract_params": rows, "basis_for": rows}
+        rows = [row for table in range(1, 7) for row in ob.generate_table(table, 5)]
+        assert len(rows) == 118
+        levels = {(row.instance.template.label, row.result.root_level) for row in rows}
+        assert len(levels) == 95
+        assert calls == {"quotient_structure": 118, "extract_params": 118, "basis_for": 95}
 
     def test_quotient_read_off_presentation(self, monkeypatch):
         # G/K is read off each row's own presentation: no centrality check by
-        # collection and no second presentation per row
-        calls = {"is_central_element": 0, "make_presentation": 0}
+        # collection and no second presentation per row, whose relations are
+        # validated once
+        calls = {"is_central_element": 0, "make_presentation": 0, "presentation_from_vectors": 0}
         for name in calls:
             def counted(*args, _original=getattr(groups, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -221,7 +226,8 @@ class TestTables:
                     monkeypatch.setattr(module, name, counted)
         rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
         assert rows == 118
-        assert calls == {"is_central_element": 0, "make_presentation": rows}
+        assert calls == {"is_central_element": 0, "make_presentation": 0,
+                         "presentation_from_vectors": rows}
 
     def test_table_path_parses_nothing(self, monkeypatch):
         # gold conditions are compiled when the file loads and relation words
@@ -283,16 +289,24 @@ class TestClosedForm:
         assert conditions == 3810
 
     def test_table_path_builds_no_raw_product(self, monkeypatch):
-        # normalize serves the gold rows only, one call per gold condition
+        # the gold conditions are folded straight from their compiled form,
+        # one fold per gold condition: no bound expression, no normalize
         calls = 0
+        fold = symbols.fold
 
-        def counted(expr, basis):
+        def counted(basis, factors):
             nonlocal calls
             calls += 1
-            return normalize(expr, basis)
-        monkeypatch.setattr(ob, "normalize", counted)
+            return fold(basis, factors)
+
+        def raw(*args, **kwargs):
+            raise AssertionError("raw product on the table path")
+        monkeypatch.setattr(symbols, "fold", counted)
+        monkeypatch.setattr(symbols, "normalize", raw)
+        monkeypatch.setattr(symbols.CompiledExpression, "bind", raw)
         rows = [row for table in range(1, 7) for row in ob.generate_table(table, 5)]
-        assert calls == sum(len(catalog.gold_row(row.instance).obstructions) for row in rows)
+        assert calls == sum(len(catalog.gold_entry(row.instance.template)[1]) for row in rows)
+        assert calls == 241
         assert not any("raw" in vars(c) for row in rows for c in row.result.conditions)
 
     def test_gold_sees_a_resolve_fault(self, monkeypatch):
@@ -315,6 +329,21 @@ class TestClosedForm:
         assert any(ni > 2 and mi for ni, mi in zip(params.n, params.m))
         with pytest.raises(symbols.BasisError, match="exceeds the basis root level 2"):
             ob.kernel_condition(spec, params, ob.basis_for(spec, 2))
+
+    def test_first_instances_at_a_62_bit_safe_prime(self):
+        # p - 1 = 2q with q prime: factoring p - 1 for the primitive root
+        # stops at the prime cofactor q, where trial division up to sqrt(q)
+        # would not return.  Phi15(2211)b_{r,s} is left out: the range of
+        # its s takes an exhaustive discrete log mod p
+        p = 4611686018427394499
+        assert is_prime(p) and is_prime((p - 1) // 2)
+        start = time.perf_counter()
+        results = [ob.obstruction_for_instance(instantiate(tpl, p, (1,) if tpl.param else None))
+                   for tpl in catalog.templates() if tpl.param != "rs"]
+        elapsed = time.perf_counter() - start
+        assert len(results) == 94
+        assert all(r.spec.minimal_root_level <= r.root_level for r in results)
+        assert elapsed < 2.0, f"{elapsed:.2f} s"
 
     def test_catalog_at_p101(self):
         # cost per row stays flat in p: the whole catalog at p = 101 is cheap
