@@ -84,12 +84,9 @@ class EmbeddingProblemSpec:
         object.__setattr__(self, "params", params)
         # the largest factor level carrying a nonzero kernel residue, but at
         # least max n_i - 1 (cyclic realizability) and the kernel level itself
-        level = max(1, self.kernel_level, max(n) - 1)
-        for prm in params:
-            for ni, mi in zip(n, prm.m):
-                if mi and ni > level:
-                    level = ni
-        object.__setattr__(self, "minimal_root_level", level)
+        object.__setattr__(self, "minimal_root_level", max(
+            1, self.kernel_level, max(n) - 1,
+            *[ni for prm in params for ni, mi in zip(n, prm.m) if mi]))
         object.__setattr__(self, "proper", self.kernel_level == 1
                            or frattini_contains_kernel(P, self.kernel_names))
 
@@ -160,13 +157,14 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
     support lies in the kernel and |Q| = p^(sum of the other e_i)."""
     P = spec.presentation
     ker, other = spec.kernel_coords, spec.other_coords
-    for _, _, word in P.comm:
-        if any(map(word.__getitem__, other)):
-            raise ExtensionError("quotient by the kernel product is not abelian")
-    order_exp = sum(map(P.order_exps.__getitem__, other))
+    # list comprehensions, not generators, on this per-row path: resuming a
+    # generator per item costs more than the items
+    if any([word[i] for _, _, word in P.comm for i in other]):
+        raise ExtensionError("quotient by the kernel product is not abelian")
+    order_exp = sum([P.order_exps[i] for i in other])
 
     pre = [P.index[name] for name in spec.preimage_names]
-    n = tuple([0 if a in ker else groups.generator_order_exp(P, a, ker) for a in pre])
+    n = tuple([0 if i in ker else groups.generator_order_exp(P, i, ker) for i in pre])
     if sum(n) != order_exp:
         raise ExtensionError(
             "pre-images do not generate a direct decomposition: "

@@ -140,11 +140,11 @@ def make_presentation(
 def generator_index(gens) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, int]]:
     """Names, relative order exponents and the name -> coordinate map of
     (name, e) generator pairs, checked: names distinct, every e >= 1."""
-    names = tuple([n for n, _ in gens])
+    names = tuple(n for n, _ in gens)
     if len(set(names)) != len(names):
         raise PresentationError("duplicate generator names")
-    exps = tuple([e for _, e in gens])
-    if min(exps, default=1) < 1:
+    exps = tuple(e for _, e in gens)
+    if any(e < 1 for e in exps):
         raise PresentationError("relative order exponents must be >= 1")
     return names, exps, {n: i for i, n in enumerate(names)}
 
@@ -182,9 +182,7 @@ def presentation_from_vectors(ctx: PrimeContext, names: tuple[str, ...], exps: t
     for vec in tails + list(comm_entries.values()):
         if vec is not None:
             support.update(itertools.compress(range(k), vec))
-    in_comm = set()
-    for pair in comm_entries:
-        in_comm.update(pair)
+    in_comm = {g for pair in comm_entries for g in pair}
     for i in support:
         if tails[i] is not None:
             raise PresentationError(
@@ -199,7 +197,7 @@ def presentation_from_vectors(ctx: PrimeContext, names: tuple[str, ...], exps: t
         ctx=ctx,
         names=names,
         order_exps=exps,
-        central=tuple(map(support.__contains__, range(k))),
+        central=tuple([i in support for i in range(k)]),
         power_tails=tuple(tails),
         comm=tuple([(j, i, v) for (j, i), v in sorted(comm_entries.items())]),
         orders=orders,

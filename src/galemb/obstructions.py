@@ -13,10 +13,7 @@ for each quotient factor with n_i = N + 1.  N only fixes the basis: the
 caller passes it to `obstruction`, and a catalog row's defaults to its gold
 root level.  Each normal form is written
 straight from (n, m, d); the raw product is built only when a check asks for
-`Condition.raw`.  `generate_table` compiles each gold condition once per
-template and basis and folds it per row from the row's placeholder values,
-through the `fold` that `normalize` ends in, so no raw product is built or
-normalized on the table path.  Pullback
+`Condition.raw`, and `normalize` serves the gold rows alone.  Pullback
 problems (two disjoint order-p kernels) take the union of their two kernel
 projections; homocyclic problems with kernel mu_{p^n}, n >= 2, give the same
 shape of product at torsion p^n.
@@ -28,17 +25,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import extension
-from .catalog import GroupInstance, enumerate_instances, gold_entry, gold_row
+from .catalog import GroupInstance, enumerate_instances, gold_row
 from .extension import EmbeddingProblemSpec, ExtensionParams
 from .symbols import (
     BasisError,
-    BasisExpression,
     BrauerExpression,
     ExpressionError,
     NormalForm,
     SymbolBasis,
     SymbolFactor,
-    normalize,  # not used here: perfbench/tests expect it bound in this module
+    normalize,
     render,
     root_label,
     symbol,
@@ -117,22 +113,16 @@ def kernel_condition(spec: EmbeddingProblemSpec, params: ExtensionParams,
                      basis: SymbolBasis) -> Condition:
     """The kernel-formula condition of one kernel projection, in the spec's
     basis, written straight from (n, m, d): (a_i, zeta_{p^{n_i}}^{m_i}) is
-    -m_i p^(N-n_i) at (z, a_i), zeta_{p^{n_i}} being the basis root z =
-    zeta_{p^N} to the power p^(N-n_i), and (a_j, a_i)^{d_ij} is -d_ij at
-    (a_i, a_j)."""
-    p, level, torsion = basis.p, basis.root_level, basis.torsion
-    entries = []
-    for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1):
-        if mi:
-            if ni > level:
-                raise BasisError(f"root {root_label(ni)!r} exceeds the basis root level {level}")
-            c = -mi * p**(level - ni) % torsion
-            if c:
-                entries.append((0, i, c))
+    -m_i p^(N-n_i) at (z, a_i), the root weight read through the basis, and
+    (a_j, a_i)^{d_ij} is -d_ij at (a_i, a_j)."""
+    torsion = basis.torsion
+    # resolve keeps the root slot only where the root power is nonzero mod p^n
+    entries = [(0, i, -c % torsion)
+               for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1) if mi
+               for c in basis.resolve(((root_label(ni), mi),)).values()]
     for i, row in enumerate(params.d, start=1):
-        for j, d in enumerate(row[i:], start=i + 1):
-            if d % torsion:
-                entries.append((i, j, -d % torsion))
+        entries += [(i, j, -d % torsion) for j, d in enumerate(row[i:], start=i + 1)
+                    if d % torsion]
     return Condition(normal=NormalForm(basis, tuple(entries)),
                      origin=f"kernel {spec.kernel_names[params.kernel_index]}", source=params)
 
@@ -247,11 +237,9 @@ def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[
 
     A row is computed at its gold root level, or at the minimal level where
     the gold level lies below it: that row's verdict fails, and the rows
-    after it are still computed.  Each row binds its gold row's placeholders,
-    then runs the engine, then folds the gold conditions, and an error names
-    the row.  What depends on the template alone is done once per template:
-    the gold row's lookup and, per root level, the basis and the gold
-    conditions compiled against it (`CompiledExpression.in_basis`)."""
+    after it are still computed.  Each row binds its gold row, then runs the
+    engine, then normalizes the gold conditions, and an error names the row.
+    The rows of one template at one root level share one basis."""
     if table_id not in range(1, 7):
         raise ObstructionError(f"no table {table_id}")
     out = []
@@ -259,24 +247,18 @@ def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[
     for inst in enumerate_instances(p, table=table_id):
         if inst.template is not template:
             template = inst.template
-            gold_level, gold = gold_entry(template, gold_path)
-            compiled: dict[int, tuple[SymbolBasis, list[BasisExpression]]] = {}
-        try:
-            values = [c.placeholder_values(inst.env) for c in gold]
-        except ExpressionError as exc:
-            raise _named(inst, exc) from exc
+            bases: dict[int, SymbolBasis] = {}
+        row = gold_row(inst, gold_path)
         try:
             spec = spec_for_instance(inst)
-            level = _root_level(spec, gold_level, lift_root_level=True)
+            level = _root_level(spec, row.root_level, lift_root_level=True)
         except (extension.ExtensionError, ObstructionError) as exc:
             raise _named(inst, exc) from exc
-        if level not in compiled:
-            basis = basis_for(spec, level)
-            compiled[level] = basis, [c.in_basis(basis) for c in gold]
-        basis, gold_forms = compiled[level]
-        result = _conditions(spec, basis)
+        if level not in bases:
+            bases[level] = basis_for(spec, level)
+        result = _conditions(spec, bases[level])
         try:
-            gold_nfs = frozenset([g.normal_form(v) for g, v in zip(gold_forms, values)])
+            gold_nfs = frozenset([normalize(e, result.basis) for e in row.obstructions])
         except (ExpressionError, BasisError) as exc:
             # a gold row that does not fit the row's basis
             raise _named(inst, exc) from exc
@@ -284,7 +266,7 @@ def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[
             RowResult(
                 instance=inst,
                 result=result,
-                gold_root_level=gold_level,
+                gold_root_level=row.root_level,
                 gold_normal_forms=gold_nfs,
                 # gold and engine forms share one basis: their entries decide
                 match=({g.entries for g in gold_nfs}

@@ -189,39 +189,25 @@ def bind_exponent(exp: int | Fraction, torsion: int) -> int:
         ) from exc
 
 
-def _level_error(level: int, basis: SymbolBasis) -> BasisError:
-    return BasisError(f"factor at torsion level {level} in a level-{basis.torsion_level} basis")
-
-
 def normalize(expr: BrauerExpression, basis: SymbolBasis) -> NormalForm:
     """Fold bilinearity, the alternating rule, inversion, root rescaling and
-    exponent reduction mod p^n into the unique nonzero upper entries: each
-    factor's monomials are read through `SymbolBasis.resolve`, then `fold`."""
+    exponent reduction mod p^n into the unique nonzero upper entries.
+
+    A factor w * (L, R) adds w L[u] R[v] at (u, v) for u < v and subtracts
+    it at (v, u) for u > v, over the nonzero entries of L and R only."""
     torsion = basis.torsion
-    factors = []
+    form: dict[tuple[int, int], int] = {}
     for f in expr.factors:
         if f.torsion_level != basis.torsion_level:
-            raise _level_error(f.torsion_level, basis)
+            raise BasisError(
+                f"factor at torsion level {f.torsion_level} in a level-{basis.torsion_level} basis"
+            )
         w = f.exponent
         w = w % torsion if type(w) is int else bind_exponent(w, torsion)
         if w == 0:
             continue
-        right = basis.resolve(f.right)
-        factors.append((w, basis.resolve(f.left), right))
-    return fold(basis, factors)
-
-
-def fold(basis: SymbolBasis, factors: Iterable[tuple[int, dict[int, int], dict[int, int]]]) -> NormalForm:
-    """The normal form of the product of factors (w, L, R), each w times the
-    symbol (L, R) of two monomials given by slot over (z, a1..at).
-
-    A factor adds w L[u] R[v] at (u, v) for u < v and subtracts it at (v, u)
-    for u > v, over the entries of L and R; the sums are reduced mod p^n."""
-    torsion = basis.torsion
-    form: dict[tuple[int, int], int] = {}
-    for w, left, right in factors:
-        right = right.items()
-        for u, a in left.items():
+        right = basis.resolve(f.right).items()
+        for u, a in basis.resolve(f.left).items():
             for v, c in right:
                 if u < v:
                     form[u, v] = form.get((u, v), 0) + w * a * c
@@ -249,15 +235,11 @@ _Exponent = int | Fraction | _Placeholder
 _Terms = tuple[tuple[str, _Exponent], ...]
 
 
-def _unbound(exp: _Placeholder) -> ExpressionError:
-    return ExpressionError(f"unbound exponent placeholder {exp.name!r}", exp.pos)
-
-
 def _bind(exp: _Exponent, env: dict[str, int] | None) -> int | Fraction:
     if type(exp) is not _Placeholder:
         return exp
     if env is None or exp.name not in env:
-        raise _unbound(exp)
+        raise ExpressionError(f"unbound exponent placeholder {exp.name!r}", exp.pos)
     return exp.sign * env[exp.name]
 
 
@@ -277,28 +259,12 @@ class CompiledExpression:
     factors: tuple[tuple[_Terms, _Terms, _Exponent, int], ...]
     # the bound expression of a text without placeholders, built once
     constant: BrauerExpression | None = field(init=False, repr=False, compare=False)
-    # every placeholder in the order `bind` substitutes them: per factor its
-    # left terms, its right terms, then its exponent
-    placeholders: tuple[_Placeholder, ...] = field(init=False, repr=False, compare=False)
-    # per factor (left, right, exponent, the exponent's index in
-    # `placeholders` or None, torsion level), each monomial summed by label
-    # as `bind` sums it (`_sum_by_label`)
-    summed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        placeholders: list[_Placeholder] = []
-        summed = []
-        for left, right, exp, level in self.factors:
-            left = _sum_by_label(left, placeholders)
-            right = _sum_by_label(right, placeholders)
-            index = None
-            if type(exp) is _Placeholder:
-                index = len(placeholders)
-                placeholders.append(exp)
-            summed.append((left, right, exp, index, level))
-        object.__setattr__(self, "placeholders", tuple(placeholders))
-        object.__setattr__(self, "summed", tuple(summed))
-        object.__setattr__(self, "constant", None if placeholders else self._substitute(None))
+        exps = [exp for _, _, exp, _ in self.factors]
+        exps += [exp for left, right, _, _ in self.factors for _, exp in left + right]
+        constant = None if any(type(e) is _Placeholder for e in exps) else self._substitute(None)
+        object.__setattr__(self, "constant", constant)
 
     def bind(self, env: dict[str, int] | None = None) -> BrauerExpression:
         """The expression with env's values substituted; a placeholder that env
@@ -310,122 +276,6 @@ class CompiledExpression:
             SymbolFactor(left=_bind_monomial(left, env), right=_bind_monomial(right, env),
                          exponent=_bind(exp, env), torsion_level=level)
             for left, right, exp, level in self.factors))
-
-    def placeholder_values(self, env: dict[str, int]) -> list[int]:
-        """The signed value of each of `placeholders` in env, raising as
-        `bind` does for the first one env does not bind."""
-        values = []
-        for exp in self.placeholders:
-            if exp.name not in env:
-                raise _unbound(exp)
-            values.append(exp.sign * env[exp.name])
-        return values
-
-    def in_basis(self, basis: SymbolBasis) -> "BasisExpression":
-        """The expression with each label read through `basis.resolve` once,
-        and its placeholders left as indices into `placeholder_values`.  A
-        factor without placeholders is bound here, once; one whose binding
-        raises is kept, to raise in its turn wherever it is folded."""
-        fixed, factors = [], []
-        for left, right, exp, index, level in self.summed:
-            left, right = _read_labels(left, basis), _read_labels(right, basis)
-            error = None if level == basis.torsion_level else _level_error(level, basis)
-            factor = (error, exp, index, right, left)
-            if index is None and not any(term[1] for term in left + right):
-                try:
-                    bound = _bound_factor(factor, (), basis.torsion)
-                except (ExpressionError, BasisError):
-                    pass
-                else:
-                    if bound is not None:
-                        fixed.append(bound)
-                    continue
-            factors.append(factor)
-        return BasisExpression(basis, tuple(fixed), tuple(factors))
-
-
-def _sum_by_label(terms: _Terms, placeholders: list[_Placeholder]) -> tuple:
-    """A monomial's (label, constant part, placeholder indices) in label
-    order, its terms summed by label as `_bind_monomial` sums them; each
-    placeholder is appended to placeholders, in text order."""
-    by_label: dict[str, tuple[int | Fraction, tuple[int, ...]]] = {}
-    for label, exp in terms:
-        const, idx = by_label.get(label, (0, ()))
-        if type(exp) is _Placeholder:
-            idx += (len(placeholders),)
-            placeholders.append(exp)
-        else:
-            const += exp
-        by_label[label] = const, idx
-    return tuple([(label, const, idx) for label, (const, idx) in sorted(by_label.items())])
-
-
-# a monomial's summed exponent of one label, read through a basis: (constant
-# part, indices of its placeholder values, the (slot, weight) pairs that
-# `resolve` gives the label at exponent 1, or the error it raised instead)
-_SlotTerm = tuple[int | Fraction, tuple[int, ...], tuple[tuple[int, int], ...], BasisError | None]
-
-
-def _read_labels(terms: tuple, basis: SymbolBasis) -> tuple[_SlotTerm, ...]:
-    out = []
-    for label, const, idx in terms:
-        try:
-            slots, error = tuple(basis.resolve(((label, 1),)).items()), None
-        except BasisError as exc:
-            slots, error = (), exc
-        out.append((const, idx, slots, error))
-    return tuple(out)
-
-
-def _bound_factor(factor, values, torsion: int) -> tuple[int, dict[int, int], dict[int, int]] | None:
-    """A compiled factor (torsion error, exponent, its placeholder index,
-    right and left slot terms) at the placeholder values: (w, L, R) for
-    `fold`, or None when w = 0 mod p^n.  It raises what `normalize` raises on
-    the bound factor, in the same order: the torsion level, the exponent,
-    then each term of R and of L, its value before its label."""
-    error, w, index, right, left = factor
-    if error is not None:
-        raise error
-    if index is not None:
-        w = values[index]
-    w = w % torsion if type(w) is int else bind_exponent(w, torsion)
-    if w == 0:
-        return None
-    vectors = []
-    for terms in (right, left):
-        vec: dict[int, int] = {}
-        for exp, idx, slots, slot_error in terms:
-            for i in idx:
-                exp += values[i]
-            exp = exp % torsion if type(exp) is int else bind_exponent(exp, torsion)
-            if slot_error is not None:
-                raise slot_error
-            for slot, weight in slots:
-                vec[slot] = (vec.get(slot, 0) + exp * weight) % torsion
-        vectors.append(vec)
-    return w, vectors[1], vectors[0]
-
-
-@dataclass(frozen=True)
-class BasisExpression:
-    """A `CompiledExpression` whose labels are resolved against one basis:
-    the (w, L, R) of its factors without placeholders, bound once, and its
-    other factors compiled (`_bound_factor`).  `normal_form` of the
-    placeholder values of an environment equals `normalize` of the
-    expression bound there, errors included, raised in the same order."""
-
-    basis: SymbolBasis
-    fixed: tuple[tuple[int, dict[int, int], dict[int, int]], ...]
-    factors: tuple
-
-    def normal_form(self, values: list[int]) -> NormalForm:
-        torsion = self.basis.torsion
-        factors = list(self.fixed)
-        for factor in self.factors:
-            bound = _bound_factor(factor, values, torsion)
-            if bound is not None:
-                factors.append(bound)
-        return fold(self.basis, factors)
 
 
 def _parse_exponent(text: str, pos: int) -> tuple[_Exponent, int]:

@@ -26,9 +26,9 @@ PACKAGE = str(Path(galemb.__file__).resolve().parent) + os.sep
 
 # calls per table row over tables 1-6, per condition of an oracle check plus
 # witness, and per enumerated instance; measured with CPython 3.11.7 at
-# 99.3, 78.0, 60.5 and 10.8
+# 110.9, 113.6, 60.5 and 12.8
 CEILINGS = {
-    (3, 11): {"row p=5": 102, "row p=13": 80.5, "condition p=23": 62.5, "instance p=101": 11.2},
+    (3, 11): {"row p=5": 114, "row p=13": 117, "condition p=23": 62.5, "instance p=101": 13.2},
 }
 CEILING = CEILINGS.get(sys.version_info[:2])
 

@@ -289,24 +289,16 @@ class TestClosedForm:
         assert conditions == 3810
 
     def test_table_path_builds_no_raw_product(self, monkeypatch):
-        # the gold conditions are folded straight from their compiled form,
-        # one fold per gold condition: no bound expression, no normalize
+        # normalize serves the gold rows only, one call per gold condition
         calls = 0
-        fold = symbols.fold
 
-        def counted(basis, factors):
+        def counted(expr, basis):
             nonlocal calls
             calls += 1
-            return fold(basis, factors)
-
-        def raw(*args, **kwargs):
-            raise AssertionError("raw product on the table path")
-        monkeypatch.setattr(symbols, "fold", counted)
-        monkeypatch.setattr(symbols, "normalize", raw)
-        monkeypatch.setattr(symbols.CompiledExpression, "bind", raw)
+            return normalize(expr, basis)
+        monkeypatch.setattr(ob, "normalize", counted)
         rows = [row for table in range(1, 7) for row in ob.generate_table(table, 5)]
-        assert calls == sum(len(catalog.gold_entry(row.instance.template)[1]) for row in rows)
-        assert calls == 241
+        assert calls == sum(len(catalog.gold_row(row.instance).obstructions) for row in rows)
         assert not any("raw" in vars(c) for row in rows for c in row.result.conditions)
 
     def test_gold_sees_a_resolve_fault(self, monkeypatch):

@@ -2,7 +2,7 @@
 
 Run from anywhere, with the standard library only:
 
-    python3 tools/bench.py --out BENCH_<n>.json [--repo DIR] [--runs 5]
+    python3 tools/bench.py --out BENCH_<n>.json [--repo DIR]
 
 --repo is the checkout to measure (default: the one holding this script); its
 `src/` is imported, and nothing else from it.  The JSON record holds:
@@ -14,7 +14,7 @@ Run from anywhere, with the standard library only:
   and the instructions per galemb module.  Each count is taken over a warm
   pass, after one untraced pass has filled every cache the work reads, and
   repeats exactly from run to run on one CPython version;
-- check_tables: per p in PRIMES, over --runs fresh interpreters each, the
+- check_tables: per p in PRIMES, over RUNS fresh interpreters each, the
   quartiles of the command's own time (`cli.main`, timed inside the child)
   and of the child's wall time (interpreter start and imports included);
 - the checkout's git SHA (null outside git), the Python version and the host.
@@ -38,6 +38,7 @@ from pathlib import Path
 
 PRIMES = (3, 13, 31, 101)
 TABLES = range(1, 7)
+RUNS = 5  # fresh processes per prime
 
 # run in a fresh interpreter: the own time of `galemb check-tables --p P`
 CHILD = """
@@ -125,12 +126,12 @@ def _quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
 
 
-def time_check_tables(src: Path, runs: int) -> dict:
+def time_check_tables(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     out = {}
     for p in PRIMES:
         own, wall, lines = [], [], set()
-        for _ in range(runs):
+        for _ in range(RUNS):
             start = time.perf_counter()
             child = subprocess.run([sys.executable, "-c", CHILD, str(p)], env=env,
                                    capture_output=True, text=True, check=True)
@@ -158,10 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--repo", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout to measure (default: this script's)")
-    parser.add_argument("--runs", type=int, default=5, help="fresh processes per prime (>= 2)")
     args = parser.parse_args(argv)
-    if args.runs < 2:
-        parser.error("--runs must be at least 2 for quartiles")
     repo = Path(args.repo).resolve()
     src = repo / "src"
     sys.path.insert(0, str(src))
@@ -178,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
                  "cpus": os.cpu_count()},
         "primes": list(PRIMES),
         "counts": count_tables(package),
-        "check_tables": time_check_tables(src, args.runs),
+        "check_tables": time_check_tables(src),
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
