@@ -18,7 +18,7 @@ from importlib import resources
 
 from .arith import discrete_log_mod_p, mod_inverse
 from .arith import smallest_nonresidue, smallest_primitive_root  # re-exported API
-from .groups import PrimeContext, Presentation, generator_index, presentation_from_vectors
+from .groups import Factor, PrimeContext, Presentation, RelationTable
 from .symbols import BrauerExpression, CompiledExpression, ExpressionError, compile_expression
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "GroupTemplate",
     "TableRow",
     "enumerate_instances",
-    "gold_entry",
     "gold_row",
     "instantiate",
     "iter_instances",
@@ -76,23 +75,15 @@ class GroupTemplate:
     kernel_level: int
     preimages: tuple[str, ...]
     param: str = ""  # "", "half", "full", "1nu", "rs"
-    # derived once here, for every instance: the generators' names, relative
-    # order exponents and coordinates (`groups.generator_index`), and each
-    # relation as (x, None, word) for g_x^(p^e_x) = word or (x, y, word) for
-    # [g_x, g_y] = word, its word tokenized into coordinates; `_build` only
-    # binds the exponents at p
-    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    exps: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    index: dict = field(init=False, repr=False, compare=False)
-    relations: tuple = field(init=False, repr=False, compare=False)
+    # derived once here, for every instance: the generators and the
+    # tokenized relation words, checked, as one `groups.RelationTable`;
+    # `_build` only binds it at p
+    relations: RelationTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names, exps, index = generator_index(self.gens)
-        for attr, value in (("names", names), ("exps", exps), ("index", index)):
-            object.__setattr__(self, attr, value)
-        object.__setattr__(self, "relations", tuple(
-            [(index[name], None, _tokenize_word(w, index)) for name, w in self.powers]
-            + [(index[x], index[y], _tokenize_word(w, index)) for x, y, w in self.comms]))
+        object.__setattr__(self, "relations", RelationTable(self.gens, tuple(
+            [(name, None, _tokenize_word(w)) for name, w in self.powers]
+            + [(x, y, _tokenize_word(w)) for x, y, w in self.comms])))
 
     @property
     def table(self) -> int:
@@ -115,13 +106,8 @@ def table_of(family: int, order_exp: int) -> int:
 
 _FACTOR_RE = re.compile(r"([a-z][a-z0-9]*)(?:\^(-?)(?:(\d+)(?:/(\d+))?|([a-z]+)))?")
 
-# one factor of a relation word: (generator coordinate, sign, value,
-# denominator), where value is an int or a placeholder name and the
-# denominator is None or an int
-_WordFactor = tuple[int, int, int | str, int | None]
 
-
-def _tokenize_word(word: Word, index: dict[str, int]) -> tuple[_WordFactor, ...]:
+def _tokenize_word(word: Word) -> tuple[Factor, ...]:
     out = []
     pos = 0
     while pos < len(word):
@@ -129,9 +115,7 @@ def _tokenize_word(word: Word, index: dict[str, int]) -> tuple[_WordFactor, ...]
         if not m:
             raise CatalogError(f"bad relation word {word!r}")
         name, minus, num, den, placeholder = m.groups()
-        if name not in index:
-            raise CatalogError(f"unknown generator {name!r} in word {word!r}")
-        out.append((index[name], -1 if minus else 1, placeholder or int(num or 1),
+        out.append((name, -1 if minus else 1, placeholder or int(num or 1),
                     None if den is None else int(den)))
         pos = m.end()
         if pos < len(word):
@@ -465,33 +449,11 @@ def instantiate(label_or_template, p: int, params: tuple[int, ...] | None = None
 
 
 def _build(tpl: GroupTemplate, ctx: PrimeContext, params: tuple[int, ...] | None) -> GroupInstance:
-    """The instance of valid params: binds the template's tokenized relation
-    words at p into exponent vectors, each coordinate reduced mod its
-    generator's order, and validates them."""
+    """The instance of valid params: the template's relation table bound at p."""
     env = _env_for(tpl, ctx, params)
-    p = ctx.p
-    orders = tuple([p**e for e in tpl.exps])
-    k = len(orders)
-    tails: list[list[int] | None] = [None] * k
-    comms = []
-    for x, y, word in tpl.relations:
-        vec = [0] * k
-        for t, sign, value, den in word:
-            modulus = orders[t]
-            if type(value) is str:
-                if value not in env:
-                    raise CatalogError(f"unknown exponent placeholder {value!r}")
-                value = env[value]
-            elif den is not None:
-                value *= mod_inverse(den, modulus)
-            vec[t] = (vec[t] + sign * value % modulus) % modulus
-        if y is None:
-            tails[x] = vec
-        else:
-            comms.append((x, y, vec))
-    pres = presentation_from_vectors(ctx, tpl.names, tpl.exps, orders, tpl.index, tails, comms)
     gid = GroupId(family=tpl.family, james_label=tpl.label, order_exp=tpl.order_exp, params=params)
-    return GroupInstance(id=gid, template=tpl, ctx=ctx, env=env, presentation=pres)
+    return GroupInstance(id=gid, template=tpl, ctx=ctx, env=env,
+                         presentation=tpl.relations.bind(ctx, env))
 
 
 def iter_instances(p: int, order_exp: int | None = None, table: int | None = None):
@@ -583,11 +545,11 @@ def _load_gold(path: str | None) -> dict[str, tuple[int, int, int, tuple[Compile
     return rows
 
 
-def gold_entry(template: GroupTemplate,
-               gold_path: str | None = None) -> tuple[int, tuple[CompiledExpression, ...]]:
-    """The root level and the compiled conditions of a template's gold row,
-    placeholders unbound."""
+def gold_row(inst: GroupInstance, gold_path: str | None = None) -> TableRow:
+    """The root level of an instance's template's gold row and its compiled
+    conditions, bound to the instance's env."""
     rows = _load_gold(gold_path)
+    template = inst.template
     label = template.label
     if label not in rows:
         raise CatalogError(f"no gold row for {label!r}")
@@ -595,13 +557,8 @@ def gold_entry(template: GroupTemplate,
     if order_exp != template.order_exp:
         raise CatalogError(f"gold table line {lineno}: {label}: order exponent {order_exp}, "
                            f"but the group has order p^{template.order_exp}")
-    return root_level, conditions
-
-
-def gold_row(inst: GroupInstance, gold_path: str | None = None) -> TableRow:
-    root_level, conditions = gold_entry(inst.template, gold_path)
     try:
-        bound = tuple(c.bind(inst.env) for c in conditions)
+        bound = tuple([c.bind(inst.env) for c in conditions])
     except ExpressionError as exc:
         raise ExpressionError(f"{inst.label} p={inst.p}: {exc}") from exc
     return TableRow(root_level=root_level, obstructions=bound)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime, smallest_nonresidue, smallest_primitive_root
+from .arith import is_prime, mod_inverse, smallest_nonresidue, smallest_primitive_root
 
 Element = tuple[int, ...]
 
@@ -65,7 +65,8 @@ def _prime_context(p: int) -> PrimeContext:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Validated class-<=2 power-commutator presentation.
+    """Validated class-<=2 power-commutator presentation, built only by
+    `RelationTable.bind`.
 
     comm maps (j, i) with j > i to the exponent vector of [g_j, g_i]; pairs
     not present commute.  power_tails[i] is the exponent vector of
@@ -79,10 +80,8 @@ class Presentation:
     central: tuple[bool, ...] = field(compare=False)
     power_tails: tuple[Element | None, ...]
     comm: tuple[tuple[int, int, Element], ...]
-
-    # derived, filled by make_presentation
-    orders: tuple[int, ...] = field(compare=False, default=())
-    index: dict = field(compare=False, default_factory=dict, repr=False)
+    orders: tuple[int, ...] = field(compare=False)
+    index: dict = field(compare=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -103,6 +102,109 @@ class Presentation:
         return tuple(e)
 
 
+# one factor g^(sign value / den) of a relation word: (generator name, sign,
+# value, den), value an int or a placeholder name read from the env at bind
+# time, den None or an int inverted mod the generator's order
+Factor = tuple[str, int, int | str, int | None]
+
+
+@dataclass(frozen=True)
+class RelationTable:
+    """A presentation's generators and relations, exponents unbound.
+
+    gens: (name, e) pairs in normal-form order; generator has relative order
+    p^e.  relations: (x, None, word) for g_x^{p^e_x} = word and (x, y, word)
+    for [g_x, g_y] = word in either orientation, each word a tuple of
+    `Factor`s.  Building the table checks, once, that the names are distinct,
+    every e >= 1 and every name in a relation is a generator; `bind` checks
+    the rest at each prime."""
+
+    gens: tuple[tuple[str, int], ...]
+    relations: tuple[tuple[str, str | None, tuple[Factor, ...]], ...]
+    # derived: the generators' names, exponents and coordinates, and each
+    # relation as (j, i, word) in coordinates, a commutator flipped into the
+    # stored (later, earlier) convention by negating its word's signs
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    exps: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    index: dict = field(init=False, repr=False, compare=False)
+    coords: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        names = tuple(n for n, _ in self.gens)
+        if len(set(names)) != len(names):
+            raise PresentationError("duplicate generator names")
+        exps = tuple(e for _, e in self.gens)
+        if any(e < 1 for e in exps):
+            raise PresentationError("relative order exponents must be >= 1")
+        index = {n: i for i, n in enumerate(names)}
+        coords = []
+        for x, y, word in self.relations:
+            for name in (x, y, *(f[0] for f in word)):
+                if name is not None and name not in index:
+                    raise PresentationError(f"unknown generator {name!r} in relation")
+            j, i, flip = index[x], None if y is None else index[y], 1
+            if i is not None and j < i:
+                # [x, y] given with x earlier: store [g_j, g_i] = word^{-1}
+                j, i, flip = i, j, -1
+            coords.append((j, i, tuple((index[n], flip * s, v, d) for n, s, v, d in word)))
+        for attr, value in (("names", names), ("exps", exps), ("index", index),
+                            ("coords", tuple(coords))):
+            object.__setattr__(self, attr, value)
+
+    def bind(self, ctx: PrimeContext, env: dict[str, int] | None = None) -> Presentation:
+        """The presentation at ctx.p, placeholders read from env, validated:
+        each factor reduced mod its generator's order, a zero word trivial,
+        no nontrivial [x, x] and no pair twice, and every generator a
+        relation hits (the relation targets) with a trivial power tail and
+        in no commutator."""
+        names, k = self.names, len(self.names)
+        orders = tuple([ctx.p**e for e in self.exps])
+        tails: list[Element | None] = [None] * k
+        comm: list[tuple[int, int, Element]] = []
+        pairs: set[tuple[int, int]] = set()
+        support: set[int] = set()
+        for j, i, word in self.coords:
+            vec = [0] * k
+            for t, sign, value, den in word:
+                o = orders[t]
+                if type(value) is str:
+                    if env is None or value not in env:
+                        raise PresentationError(f"unknown exponent placeholder {value!r}")
+                    value = env[value]
+                elif den is not None:
+                    value *= mod_inverse(den, o)
+                vec[t] = (vec[t] + sign * value % o) % o
+            if not any(vec):
+                continue  # a zero word is trivial
+            vec = tuple(vec)
+            if i is None:
+                tails[j] = vec
+            elif j == i:
+                raise PresentationError(f"commutator [{names[j]},{names[j]}] must be trivial")
+            elif (j, i) in pairs:
+                raise PresentationError(f"duplicate commutator relation for pair {names[j]},{names[i]}")
+            else:
+                pairs.add((j, i))
+                comm.append((j, i, vec))
+            support.update(itertools.compress(range(k), vec))
+        in_comm = set(itertools.chain.from_iterable(pairs))
+        central = [False] * k
+        for t in support:
+            if tails[t] is not None:
+                raise PresentationError(
+                    f"generator {names[t]!r} carries relation values but has a nontrivial power tail"
+                )
+            if t in in_comm:
+                raise PresentationError(
+                    f"generator {names[t]!r} carries relation values but appears in a commutator"
+                )
+            central[t] = True
+        comm.sort()
+        return Presentation(ctx=ctx, names=names, order_exps=self.exps, central=tuple(central),
+                            power_tails=tuple(tails), comm=tuple(comm), orders=orders,
+                            index=self.index)
+
+
 def make_presentation(
     ctx: PrimeContext,
     gens: list[tuple[str, int]],
@@ -116,93 +218,9 @@ def make_presentation(
     comms: (x, y) -> {target: exponent} meaning [x, y] = word; either orientation
     is accepted and flipped into the stored (later, earlier) convention.
     """
-    names, exps, index = generator_index(gens)
-    orders = tuple(ctx.p**e for e in exps)
-
-    def vector(word: dict[str, int]) -> list[int]:
-        vec = [0] * len(names)
-        for name, exp in word.items():
-            if name not in index:
-                raise PresentationError(f"unknown generator {name!r} in relation")
-            i = index[name]
-            vec[i] = (vec[i] + exp) % orders[i]
-        return vec
-
-    tails: list[list[int] | None] = [None] * len(names)
-    for name, word in (power_tails or {}).items():
-        tails[index[name]] = vector(word)
-    # lazily, so that each entry's word is resolved before its pair is looked up
-    comm_vectors = ((index[x], index[y], vec) for (x, y), word in (comms or {}).items()
-                    if any(vec := vector(word)))
-    return presentation_from_vectors(ctx, names, exps, orders, index, tails, comm_vectors)
-
-
-def generator_index(gens) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, int]]:
-    """Names, relative order exponents and the name -> coordinate map of
-    (name, e) generator pairs, checked: names distinct, every e >= 1."""
-    names = tuple(n for n, _ in gens)
-    if len(set(names)) != len(names):
-        raise PresentationError("duplicate generator names")
-    exps = tuple(e for _, e in gens)
-    if any(e < 1 for e in exps):
-        raise PresentationError("relative order exponents must be >= 1")
-    return names, exps, {n: i for i, n in enumerate(names)}
-
-
-def presentation_from_vectors(ctx: PrimeContext, names: tuple[str, ...], exps: tuple[int, ...],
-                              orders: tuple[int, ...], index: dict[str, int],
-                              tails: list[list[int] | None], comms) -> Presentation:
-    """Validate relations given as exponent vectors over the generators and
-    build the presentation: the one validator of `make_presentation` and of
-    the catalog's instances.
-
-    tails[i] is g_i^{p^{e_i}}, reduced mod the orders, or None; an all-zero
-    vector is trivial.  comms yields (x, y, vec) meaning [g_x, g_y] = vec,
-    reduced, in either orientation; a zero vec is skipped.  index is stored
-    in the presentation as given."""
-    k = len(names)
-    tails = [tuple(vec) if vec is not None and any(vec) else None for vec in tails]
-    comm_entries: dict[tuple[int, int], tuple[int, ...]] = {}
-    for xi, yi, vec in comms:
-        if not any(vec):
-            continue
-        if xi == yi:
-            raise PresentationError(f"commutator [{names[xi]},{names[xi]}] must be trivial")
-        if xi > yi:
-            key, entry = (xi, yi), tuple(vec)
-        else:
-            # [x, y] given with x earlier: store [g_j, g_i] = word^{-1}
-            key, entry = (yi, xi), tuple([(-c) % o for c, o in zip(vec, orders)])
-        if key in comm_entries:
-            raise PresentationError(
-                f"duplicate commutator relation for pair {names[key[0]]},{names[key[1]]}")
-        comm_entries[key] = entry
-
-    support = set()
-    for vec in tails + list(comm_entries.values()):
-        if vec is not None:
-            support.update(itertools.compress(range(k), vec))
-    in_comm = {g for pair in comm_entries for g in pair}
-    for i in support:
-        if tails[i] is not None:
-            raise PresentationError(
-                f"generator {names[i]!r} carries relation values but has a nontrivial power tail"
-            )
-        if i in in_comm:
-            raise PresentationError(
-                f"generator {names[i]!r} carries relation values but appears in a commutator"
-            )
-
-    return Presentation(
-        ctx=ctx,
-        names=names,
-        order_exps=exps,
-        central=tuple([i in support for i in range(k)]),
-        power_tails=tuple(tails),
-        comm=tuple([(j, i, v) for (j, i), v in sorted(comm_entries.items())]),
-        orders=orders,
-        index=index,
-    )
+    words = [((x, None), w) for x, w in (power_tails or {}).items()] + list((comms or {}).items())
+    relations = tuple((x, y, tuple((n, 1, e, None) for n, e in w.items())) for (x, y), w in words)
+    return RelationTable(tuple(gens), relations).bind(ctx)
 
 
 def _carry(P: Presentation, z: list[int]) -> Element:
@@ -241,22 +259,6 @@ def mul(P: Presentation, x: Element, y: Element) -> Element:
                 if w:
                     z[t] += w * c
     return _carry(P, z)
-
-
-def generator_power(P: Presentation, i: int, n: int) -> Element:
-    """Normal form of g_i^n for any integer n, in closed form:
-    g_i^(q p^e_i + r) = g_i^r tail_i^q, each tail coordinate reduced mod its
-    order.  Tails land only on central generators with trivial tails
-    (`make_presentation` enforces it), so nothing carries further; `_carry`
-    is the reference."""
-    q, r = divmod(n, P.orders[i])
-    tail = P.power_tails[i]
-    if tail is None or not q:
-        z = [0] * P.ngens
-    else:
-        z = [c * q % o for c, o in zip(tail, P.orders)]
-    z[i] = r
-    return tuple(z)
 
 
 def generator_order_exp(P: Presentation, i: int, skip: tuple[int, ...] = ()) -> int:
@@ -336,7 +338,7 @@ def is_consistent(P: Presentation) -> bool:
     """True iff the presentation is consistent: its normal forms are pairwise
     distinct elements, so |G| = prod o_i and collection is associative.
 
-    For the shape `make_presentation` enforces this is exact (Sims,
+    For the shape `RelationTable.bind` enforces this is exact (Sims,
     Computation with Finitely Presented Groups, 1994, ch. 9): P is consistent
     iff every stored commutator word [g_j, g_i] = w has order dividing
     p^min(e_i, e_j), i.e. each coordinate c_t of w has c_t p^min(e_i, e_j)
@@ -502,7 +504,7 @@ def _collect(P: Presentation, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             if w:
                 Z[t] += w * c
     # Two fixed carry stages.  This order relies on the invariant that
-    # make_presentation enforces: power tails land only on P.central
+    # `RelationTable.bind` enforces: power tails land only on P.central
     # generators, whose own tails are trivial.  Reducing the other generators
     # first adds only to central rows; reducing the central rows afterwards
     # carries nowhere.

@@ -215,7 +215,6 @@ class RowResult:
     instance: GroupInstance
     result: ObstructionResult
     gold_root_level: int
-    gold_normal_forms: frozenset
     match: bool
 
     @property
@@ -258,19 +257,11 @@ def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[
             bases[level] = basis_for(spec, level)
         result = _conditions(spec, bases[level])
         try:
-            gold_nfs = frozenset([normalize(e, result.basis) for e in row.obstructions])
+            # gold and engine forms share one basis: their entries decide
+            gold = {normalize(e, result.basis).entries for e in row.obstructions}
         except (ExpressionError, BasisError) as exc:
             # a gold row that does not fit the row's basis
             raise _named(inst, exc) from exc
-        out.append(
-            RowResult(
-                instance=inst,
-                result=result,
-                gold_root_level=row.root_level,
-                gold_normal_forms=gold_nfs,
-                # gold and engine forms share one basis: their entries decide
-                match=({g.entries for g in gold_nfs}
-                       == {c.normal.entries for c in result.conditions}),
-            )
-        )
+        out.append(RowResult(instance=inst, result=result, gold_root_level=row.root_level,
+                             match=gold == {c.normal.entries for c in result.conditions}))
     return out

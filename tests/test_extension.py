@@ -465,7 +465,8 @@ class TestFrattini:
         # Phi(G) = <g^p, [G,G]> enumerated by collection, for every generator
         for inst in enumerate_instances(p):
             P = inst.presentation
-            gens = [groups.generator_power(P, i, p) for i in range(P.ngens)]
+            gens = [groups._carry(P, [p if t == i else 0 for t in range(P.ngens)])
+                    for i in range(P.ngens)]
             gens += [tuple(c % o for c, o in zip(word, P.orders)) for _, _, word in P.comm]
             frattini = groups.subgroup_closure(P, gens)
             for name in P.names:

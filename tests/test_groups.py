@@ -152,10 +152,11 @@ class TestCommutator:
 
 
 def ref_inv(P, x):
-    """Inverse collected as g_{k-1}^{-x_{k-1}} ... g_0^{-x_0}, from mul alone."""
+    """Inverse collected as g_{k-1}^{-x_{k-1}} ... g_0^{-x_0}, from mul and
+    `carried_power` alone."""
     acc = P.identity
     for i in range(P.ngens - 1, -1, -1):
-        acc = groups.mul(P, acc, groups.generator_power(P, i, -x[i]))
+        acc = groups.mul(P, acc, carried_power(P, i, -x[i]))
     return acc
 
 
@@ -198,7 +199,7 @@ def elements(P):
 
 class TestClosedForms:
     """The bilinear commutator and the class-2 power formula against
-    references built only from collection (mul) and generator_power."""
+    references built only from collection (mul and `_carry`)."""
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_agree_with_collection_on_every_instance(self, p):
@@ -227,38 +228,10 @@ class TestClosedForms:
 
 
 def carried_power(P, i, n):
-    """g_i^n by `_carry`, the reference for the closed-form generator_power."""
+    """g_i^n by `_carry` alone."""
     z = [0] * P.ngens
     z[i] = n
     return groups._carry(P, z)
-
-
-def power_exponents(P, i):
-    """0, negative n, and every multiple k p^e_i (and its neighbours) up to
-    p^(e_i+2) in absolute value."""
-    o, p = P.orders[i], P.p
-    return sorted({k * o + r for k in range(-p * p, p * p + 1) for r in (-1, 0, 1)}
-                  | {o // p, -(o // p), 2 * o + p, -3 * o - p})
-
-
-class TestGeneratorPower:
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_closed_form_equals_carry_on_every_instance(self, p):
-        for inst in enumerate_instances(p):
-            P = inst.presentation
-            for i in range(P.ngens):
-                for n in power_exponents(P, i):
-                    assert groups.generator_power(P, i, n) == carried_power(P, i, n), \
-                        (inst.label, P.names[i], n)
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_closed_form_equals_carry_on_drawn_presentations(self, data):
-        P = data.draw(class2_presentations())
-        i = data.draw(st.integers(0, P.ngens - 1))
-        bound = P.orders[i] * P.p**2
-        for n in power_exponents(P, i) + [data.draw(st.integers(-bound, bound))]:
-            assert groups.generator_power(P, i, n) == carried_power(P, i, n), (P, i, n)
 
 
 def order_exp_by_collection(P, x):
@@ -394,6 +367,34 @@ class TestValidator:
                 power_tails={"x": {"y": 1}},
                 comms={("y", "x"): {"z": 1}},
             )
+
+    @pytest.mark.parametrize("relations", [{"power_tails": {"b": {"a": 1}}},
+                                           {"comms": {("a", "b"): {"a": 1}}},
+                                           {"comms": {("b", "a"): {"a": 1}}}])
+    def test_rejects_relation_keyed_by_unknown_generator(self, relations):
+        ctx = PrimeContext.for_prime(3)
+        with pytest.raises(PresentationError, match=r"^unknown generator 'b' in relation$"):
+            make_presentation(ctx, [("a", 1)], **relations)
+
+    @pytest.mark.parametrize("gens, comms, error", [
+        ([("a", 1), ("a", 1)], {}, "duplicate generator names"),
+        ([("a", 0)], {}, "relative order exponents must be >= 1"),
+        ([("a", 1), ("c", 1)], {("a", "a"): {"c": 1}}, r"commutator \[a,a\] must be trivial"),
+        ([("a", 1), ("b", 1), ("c", 1)], {("a", "b"): {"c": 1}, ("b", "a"): {"c": 2}},
+         "duplicate commutator relation for pair b,a"),
+    ])
+    def test_rejects_malformed_relations(self, gens, comms, error):
+        ctx = PrimeContext.for_prime(3)
+        with pytest.raises(PresentationError, match=f"^{error}$"):
+            make_presentation(ctx, gens, comms=comms)
+
+    def test_zero_words_are_trivial(self):
+        # words that vanish mod the orders are skipped before any check
+        ctx = PrimeContext.for_prime(3)
+        P = make_presentation(ctx, [("a", 1), ("b", 1), ("c", 1)], power_tails={"a": {"c": 3}},
+                              comms={("a", "a"): {"c": 3}, ("a", "b"): {"c": 0}, ("b", "a"): {}})
+        assert P.power_tails == (None, None, None) and P.comm == ()
+        assert P.central == (False, False, False)
 
     def test_prime_context_values(self):
         ctx = PrimeContext.for_prime(7)

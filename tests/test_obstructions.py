@@ -215,19 +215,17 @@ class TestTables:
     def test_quotient_read_off_presentation(self, monkeypatch):
         # G/K is read off each row's own presentation: no centrality check by
         # collection and no second presentation per row, whose relations are
-        # validated once
-        calls = {"is_central_element": 0, "make_presentation": 0, "presentation_from_vectors": 0}
+        # validated once, by the one binder
+        calls = {"is_central_element": 0, "make_presentation": 0, "bind": 0}
         for name in calls:
-            def counted(*args, _original=getattr(groups, name), _name=name, **kwargs):
+            owner = groups.RelationTable if name == "bind" else groups
+            def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
-            for module in (groups, catalog):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         rows = sum(len(ob.generate_table(table, 5)) for table in range(1, 7))
         assert rows == 118
-        assert calls == {"is_central_element": 0, "make_presentation": 0,
-                         "presentation_from_vectors": rows}
+        assert calls == {"is_central_element": 0, "make_presentation": 0, "bind": rows}
 
     def test_table_path_parses_nothing(self, monkeypatch):
         # gold conditions are compiled when the file loads and relation words

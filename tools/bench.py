@@ -14,6 +14,8 @@ Run from anywhere, with the standard library only:
   and the instructions per galemb module.  Each count is taken over a warm
   pass, after one untraced pass has filled every cache the work reads, and
   repeats exactly from run to run on one CPython version;
+- instance_counts: the same counts per instance of `enumerate_instances`
+  at INSTANCE_PRIME, the path that builds every catalog presentation;
 - check_tables: per p in PRIMES, over RUNS fresh interpreters each, the
   quartiles of the command's own time (`cli.main`, timed inside the child)
   and of the child's wall time (interpreter start and imports included);
@@ -39,6 +41,7 @@ from pathlib import Path
 PRIMES = (3, 13, 31, 101)
 TABLES = range(1, 7)
 RUNS = 5  # fresh processes per prime
+INSTANCE_PRIME = 101
 
 # run in a fresh interpreter: the own time of `galemb check-tables --p P`
 CHILD = """
@@ -121,6 +124,22 @@ def count_tables(package: str) -> dict:
     return out
 
 
+def count_instances(package: str) -> dict:
+    from galemb.catalog import enumerate_instances
+
+    result = []
+
+    def work():
+        result[:] = enumerate_instances(INSTANCE_PRIME)
+    calls, instructions, modules = _warm_counts(work, package)
+    n = len(result)
+    return {"p": INSTANCE_PRIME, "instances": n,
+            "calls_per_instance": round(calls / n, 2),
+            "instructions_per_instance": round(instructions / n, 1),
+            "instructions_per_instance_by_module": {name: round(i / n, 1)
+                                                    for name, i in modules.items()}}
+
+
 def _quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
@@ -176,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
                  "cpus": os.cpu_count()},
         "primes": list(PRIMES),
         "counts": count_tables(package),
+        "instance_counts": count_instances(package),
         "check_tables": time_check_tables(src),
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
