@@ -116,8 +116,8 @@ class RelationTable:
     p^e.  relations: (x, None, word) for g_x^{p^e_x} = word and (x, y, word)
     for [g_x, g_y] = word in either orientation, each word a tuple of
     `Factor`s.  Building the table checks, once, that the names are distinct,
-    every e >= 1 and every name in a relation is a generator; `bind` checks
-    the rest at each prime."""
+    every e >= 1, every name in a relation is a generator and no generator
+    has two power relations; `bind` checks the rest at each prime."""
 
     gens: tuple[tuple[str, int], ...]
     relations: tuple[tuple[str, str | None, tuple[Factor, ...]], ...]
@@ -137,11 +137,15 @@ class RelationTable:
         if any(e < 1 for e in exps):
             raise PresentationError("relative order exponents must be >= 1")
         index = {n: i for i, n in enumerate(names)}
-        coords = []
+        coords, tailed = [], set()
         for x, y, word in self.relations:
             for name in (x, y, *(f[0] for f in word)):
                 if name is not None and name not in index:
                     raise PresentationError(f"unknown generator {name!r} in relation")
+            if y is None:
+                if x in tailed:
+                    raise PresentationError(f"two power relations for generator {x!r}")
+                tailed.add(x)
             j, i, flip = index[x], None if y is None else index[y], 1
             if i is not None and j < i:
                 # [x, y] given with x earlier: store [g_j, g_i] = word^{-1}

@@ -388,6 +388,11 @@ class TestValidator:
         with pytest.raises(PresentationError, match=f"^{error}$"):
             make_presentation(ctx, gens, comms=comms)
 
+    def test_rejects_two_power_relations_for_one_generator(self):
+        tail = (("c", 1, 1, None),)
+        with pytest.raises(PresentationError, match="^two power relations for generator 'a'$"):
+            groups.RelationTable((("a", 1), ("c", 1)), (("a", None, tail), ("a", None, tail)))
+
     def test_zero_words_are_trivial(self):
         # words that vanish mod the orders are skipped before any check
         ctx = PrimeContext.for_prime(3)
