@@ -17,7 +17,6 @@ from functools import lru_cache
 from importlib import resources
 
 from .arith import discrete_log_mod_p, mod_inverse
-from .arith import smallest_nonresidue, smallest_primitive_root  # re-exported API
 from .groups import Factor, PrimeContext, Presentation, RelationTable
 from .symbols import BrauerExpression, CompiledExpression, ExpressionError, compile_expression
 
@@ -32,8 +31,6 @@ __all__ = [
     "instantiate",
     "iter_instances",
     "lookup",
-    "smallest_nonresidue",
-    "smallest_primitive_root",
     "table_of",
     "templates",
 ]

@@ -45,9 +45,10 @@ class EmbeddingProblemSpec:
     preimage_names: tuple[str, ...]
     # coordinate of each kernel generator, in kernel order, from
     # groups.kernel_indices, and every other coordinate: dropping the kernel
-    # ones is the quotient map
+    # ones is the quotient map; and the coordinate of each pre-image
     kernel_coords: tuple[int, ...] = field(init=False, repr=False, compare=False)
     other_coords: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    preimage_coords: tuple[int, ...] = field(init=False, repr=False, compare=False)
     n: tuple[int, ...] = field(init=False, compare=False)  # quotient_structure's levels
     # one per kernel projection, in kernel order
     params: tuple[ExtensionParams, ...] = field(init=False, repr=False, compare=False)
@@ -76,6 +77,7 @@ class EmbeddingProblemSpec:
         for name in self.preimage_names:
             if name not in P.index:
                 raise ExtensionError(f"unknown pre-image generator {name!r}")
+        object.__setattr__(self, "preimage_coords", tuple([P.index[n] for n in self.preimage_names]))
         n = quotient_structure(self)
         if not n:
             raise ExtensionError("the quotient by the kernel is trivial: no pre-images to label")
@@ -156,14 +158,13 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
     the quotient map (`spec.kernel_coords`), so an image is trivial iff its
     support lies in the kernel and |Q| = p^(sum of the other e_i)."""
     P = spec.presentation
-    ker, other = spec.kernel_coords, spec.other_coords
+    ker, other, pre = spec.kernel_coords, spec.other_coords, spec.preimage_coords
     # list comprehensions, not generators, on this per-row path: resuming a
     # generator per item costs more than the items
     if any([word[i] for _, _, word in P.comm for i in other]):
         raise ExtensionError("quotient by the kernel product is not abelian")
     order_exp = sum([P.order_exps[i] for i in other])
 
-    pre = [P.index[name] for name in spec.preimage_names]
     n = tuple([0 if i in ker else groups.generator_order_exp(P, i, ker) for i in pre])
     if sum(n) != order_exp:
         raise ExtensionError(
@@ -208,8 +209,7 @@ def extract_params(spec: EmbeddingProblemSpec,
     P = spec.presentation
     p, exps = P.p, P.order_exps
     modulus = p**spec.kernel_level
-    ker = spec.kernel_coords
-    pre = [P.index[name] for name in spec.preimage_names]
+    ker, pre = spec.kernel_coords, spec.preimage_coords
     t = len(pre)
     out = []
     for k, c in enumerate(ker):

@@ -443,29 +443,23 @@ def is_abelian_quotient(P: Presentation, kernel_names: list[str]) -> bool:
 def quotient_by_central(P: Presentation, kernel_names: list[str]) -> tuple[Presentation, "QuotientMap"]:
     """Presentation of G/<kernel gens> obtained by dropping the kernel coordinates.
 
-    Valid when the kernel passes `kernel_indices`: central generators whose
-    power tails stay inside the kernel; relation words keep their non-kernel
-    support.
+    Valid when the kernel passes `kernel_indices`: central generators (in no
+    commutator relation) whose power tails stay inside the kernel.  The
+    quotient's relation table is P's power tails and commutator words
+    restricted to the kept coordinates, bound at P's prime.
     """
     drop = kernel_indices(P, kernel_names)
     keep = [i for i in range(P.ngens) if i not in drop]
+    names = P.names
 
-    gens = [(P.names[i], P.order_exps[i]) for i in keep]
-    tails = {}
-    for i in keep:
-        t = P.power_tails[i]
-        if t is not None:
-            word = {P.names[j]: t[j] for j in keep if t[j]}
-            if word:
-                tails[P.names[i]] = word
-    comms = {}
-    for j, i, word in P.comm:
-        if j in drop or i in drop:
-            continue
-        w = {P.names[t]: word[t] for t in keep if word[t]}
-        if w:
-            comms[(P.names[j], P.names[i])] = w
-    Q = make_presentation(P.ctx, gens, tails, comms)
+    def word(vec: Element) -> tuple[Factor, ...]:
+        return tuple([(names[t], 1, vec[t], None) for t in keep if vec[t]])
+
+    relations = [(names[i], None, word(P.power_tails[i]))
+                 for i in keep if P.power_tails[i] is not None]
+    relations += [(names[j], names[i], word(vec)) for j, i, vec in P.comm]
+    Q = RelationTable(tuple([(names[i], P.order_exps[i]) for i in keep]),
+                      tuple(relations)).bind(P.ctx)
     return Q, QuotientMap(P, Q, tuple(keep))
 
 

@@ -18,9 +18,9 @@ The scalar reference keeps the sign of the standard formula; the form drops it.
 
 The root basis symbol is pinned to valuation 0 and a unit of exact order p^N,
 which requires ell = 1 mod p^N.  Labels are evaluated here, not through the
-normalizer's `SymbolBasis.resolve`, so a fault there shows as a disagreement:
-a label reads its own column of the assignment, a lower root zeta_{p^K} the
-root's value to the power p^(N-K).
+normalizer's `SymbolBasis.resolve` or the writer's `SymbolBasis.root_weight`,
+so a fault there shows as a disagreement: a label reads its own column of the
+assignment, a lower root zeta_{p^K} the root's value to the power p^(N-K).
 
 Every check evaluates over one prime, the least ell with v_p(ell-1) = N
 exactly.  There the root's power residue zeta^{(ell-1)/p^n} has full order
@@ -199,7 +199,7 @@ def eval_expression(expr: BrauerExpression, assignment: LocalAssignment,
     total = 0
     for f in expr.factors:
         w = _bind(f.exponent, basis.torsion)
-        total += w * eval_symbol(f.left_mono(), f.right_mono(), assignment, basis)
+        total += w * eval_symbol(dict(f.left), dict(f.right), assignment, basis)
     return total % basis.torsion
 
 

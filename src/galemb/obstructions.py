@@ -96,9 +96,6 @@ class ObstructionResult:
     def texts(self) -> list[str]:
         return [c.text() for c in self.conditions]
 
-    def normal_forms(self) -> set[NormalForm]:
-        return {c.normal for c in self.conditions}
-
 
 def basis_for(spec: EmbeddingProblemSpec, root_level: int) -> SymbolBasis:
     return SymbolBasis(
@@ -112,14 +109,13 @@ def basis_for(spec: EmbeddingProblemSpec, root_level: int) -> SymbolBasis:
 def kernel_condition(spec: EmbeddingProblemSpec, params: ExtensionParams,
                      basis: SymbolBasis) -> Condition:
     """The kernel-formula condition of one kernel projection, in the spec's
-    basis, written straight from (n, m, d): (a_i, zeta_{p^{n_i}}^{m_i}) is
-    -m_i p^(N-n_i) at (z, a_i), the root weight read through the basis, and
-    (a_j, a_i)^{d_ij} is -d_ij at (a_i, a_j)."""
+    basis, written straight from (n, m, d) at root level N:
+    (a_i, zeta_{p^{n_i}}^{m_i}) is the number -m_i p^(N-n_i) at (z, a_i),
+    p^(N-n_i) being `SymbolBasis.root_weight`(n_i), and (a_j, a_i)^{d_ij} is
+    -d_ij at (a_i, a_j); entries that vanish mod p^n are left out."""
     torsion = basis.torsion
-    # resolve keeps the root slot only where the root power is nonzero mod p^n
-    entries = [(0, i, -c % torsion)
-               for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1) if mi
-               for c in basis.resolve(((root_label(ni), mi),)).values()]
+    entries = [(0, i, c) for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1)
+               if mi and (c := -mi * basis.root_weight(ni) % torsion)]
     for i, row in enumerate(params.d, start=1):
         entries += [(i, j, -d % torsion) for j, d in enumerate(row[i:], start=i + 1)
                     if d % torsion]
@@ -148,16 +144,12 @@ def _dedupe(conditions: list[Condition]) -> tuple[Condition, ...]:
     return tuple(out)
 
 
-def _root_level(spec: EmbeddingProblemSpec, root_level: int, lift_root_level: bool) -> int:
-    """The level `obstruction` computes at, after its checks of the problem's
-    shape and of root_level."""
+def _root_level(spec: EmbeddingProblemSpec, root_level: int) -> int:
+    """root_level raised to the spec's minimal level, after the check of the
+    problem's shape."""
     if spec.kernel_level >= 2 and any(ni != spec.kernel_level for ni in spec.n):
         raise ObstructionError(
             f"quotient is not homocyclic of exponent p^{spec.kernel_level}: levels {spec.n}"
-        )
-    if root_level < spec.minimal_root_level and not lift_root_level:
-        raise ObstructionError(
-            f"root level {root_level} below the minimal level {spec.minimal_root_level}"
         )
     return max(root_level, spec.minimal_root_level)
 
@@ -169,15 +161,17 @@ def _conditions(spec: EmbeddingProblemSpec, basis: SymbolBasis) -> ObstructionRe
     return ObstructionResult(conditions=_dedupe(conditions), spec=spec, basis=basis)
 
 
-def obstruction(spec: EmbeddingProblemSpec, root_level: int,
-                lift_root_level: bool = False) -> ObstructionResult:
+def obstruction(spec: EmbeddingProblemSpec, root_level: int) -> ObstructionResult:
     """Conditions of any catalog shape at the assumed root level: one kernel
     condition per projection, plus cyclic realizability for order-p kernels.
-    A kernel mu_{p^n}, n >= 2, needs a homocyclic quotient (C_{p^n})^t.
-
-    A root level below the minimal one is an error, or with lift_root_level
-    the conditions are computed at the minimal level instead."""
-    return _conditions(spec, basis_for(spec, _root_level(spec, root_level, lift_root_level)))
+    A kernel mu_{p^n}, n >= 2, needs a homocyclic quotient (C_{p^n})^t, and
+    a root level below the minimal one is an error."""
+    level = _root_level(spec, root_level)
+    if root_level < level:
+        raise ObstructionError(
+            f"root level {root_level} below the minimal level {spec.minimal_root_level}"
+        )
+    return _conditions(spec, basis_for(spec, level))
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +192,13 @@ def _named(inst: GroupInstance, exc: Exception) -> Exception:
     return type(exc)(f"{inst.label} p={inst.p}: {exc}")
 
 
-def obstruction_for_instance(inst: GroupInstance, root_level: int | None = None,
-                             lift_root_level: bool = False) -> ObstructionResult:
+def obstruction_for_instance(inst: GroupInstance, root_level: int | None = None) -> ObstructionResult:
     """`obstruction` of a catalog instance at root_level, by default its gold
     row's; errors name the instance and p."""
     if root_level is None:
         root_level = gold_row(inst).root_level
     try:
-        return obstruction(spec_for_instance(inst), root_level, lift_root_level)
+        return obstruction(spec_for_instance(inst), root_level)
     except (extension.ExtensionError, ObstructionError) as exc:
         raise _named(inst, exc) from exc
 
@@ -250,7 +243,7 @@ def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[
         row = gold_row(inst, gold_path)
         try:
             spec = spec_for_instance(inst)
-            level = _root_level(spec, row.root_level, lift_root_level=True)
+            level = _root_level(spec, row.root_level)
         except (extension.ExtensionError, ObstructionError) as exc:
             raise _named(inst, exc) from exc
         if level not in bases:

@@ -25,7 +25,8 @@ from .arith import ModularArithmeticError, mod_inverse
 Monomial = dict[str, int | Fraction]
 
 # a label index starts at 1 with no leading zero: a01 is not a second name for a1
-_LABEL_RE = re.compile(r"(a[1-9]\d*|z(?:[1-9]\d*)?)(?!\d)")
+_INDEPENDENT_RE = re.compile(r"a[1-9]\d*")
+_LABEL_RE = re.compile(rf"({_INDEPENDENT_RE.pattern}|z(?:[1-9]\d*)?)(?!\d)")
 _NUM_EXP_RE = re.compile(r"-?\d+(?:/\d+)?")
 _NAME_EXP_RE = re.compile(r"-?[a-z][a-z0-9]*")
 
@@ -67,8 +68,11 @@ class SymbolBasis:
             raise BasisError("at least one independent label required")
         slots: dict[str, int] = {}
         for idx, label in enumerate(self.labels, start=1):
-            if label.startswith("a"):
-                slots.setdefault(label, idx)
+            # a root label or a repeat would read one way in `resolve` and
+            # another in the oracle: labels are the parser's aN names, once each
+            if label in slots or not _INDEPENDENT_RE.fullmatch(label):
+                raise BasisError(f"basis labels must be distinct aN names, not {self.labels}")
+            slots[label] = idx
         object.__setattr__(self, "torsion", self.p**self.torsion_level)
         object.__setattr__(self, "size", len(self.labels) + 1)
         object.__setattr__(self, "_slots", slots)
@@ -76,19 +80,19 @@ class SymbolBasis:
     def base_name(self, idx: int) -> str:
         return root_label(self.root_level) if idx == 0 else self.labels[idx - 1]
 
-    def _root_weight(self, label: str) -> int:
-        """The power of the basis root z = z_N that the root z_K is: p^(N-K)."""
-        if label.startswith("a"):
-            raise BasisError(f"unknown label {label!r} for basis {self.labels}")
-        level = root_level_of(label)
+    def root_weight(self, level: int) -> int:
+        """The power of the basis root z = z_N that the root z_K is: p^(N-K),
+        for K = level <= N."""
         if level > self.root_level:
-            raise BasisError(f"root {label!r} exceeds the basis root level {self.root_level}")
+            raise BasisError(f"root {root_label(level)!r} exceeds the basis root level "
+                             f"{self.root_level}")
         return self.p ** (self.root_level - level)
 
     def resolve(self, pairs: Iterable[tuple[str, int | Fraction]]) -> dict[int, int]:
         """Nonzero exponents mod p^n, by slot over (z, a1..at), of the (label,
         exponent) pairs of a monomial, such as a factor's stored `left`/`right`
-        or a `Monomial`'s items(); lower roots fold into the z slot.
+        or a `Monomial`'s items().  A root label z_K is parsed for its level
+        and folds into the z slot as z^`root_weight`(K).
 
         Fractional exponents bind mod p^n here: a different representative
         shifts the slot by a p^n-th power, invisible at torsion p^n.
@@ -100,7 +104,9 @@ class SymbolBasis:
             exp = raw_exp % torsion if type(raw_exp) is int else bind_exponent(raw_exp, torsion)
             idx = slots.get(label)
             if idx is None:
-                idx, exp = 0, exp * self._root_weight(label)
+                if label.startswith("a"):
+                    raise BasisError(f"unknown label {label!r} for basis {self.labels}")
+                idx, exp = 0, exp * self.root_weight(root_level_of(label))
             vec[idx] = (vec.get(idx, 0) + exp) % torsion
         return {idx: exp for idx, exp in vec.items() if exp}
 
@@ -123,12 +129,6 @@ class SymbolFactor:
     right: tuple[tuple[str, int], ...]
     exponent: int | Fraction
     torsion_level: int
-
-    def left_mono(self) -> Monomial:
-        return dict(self.left)
-
-    def right_mono(self) -> Monomial:
-        return dict(self.right)
 
 
 @dataclass(frozen=True)
@@ -158,10 +158,6 @@ def symbol(left: Monomial, right: Monomial, level: int, exponent: int | Fraction
             ),
         )
     )
-
-
-def one() -> BrauerExpression:
-    return BrauerExpression(())
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ import pytest
 
 import galemb
 from galemb import catalog, groups
-from galemb.arith import discrete_log_mod_p, mod_inverse
+from galemb.arith import (discrete_log_mod_p, mod_inverse, smallest_nonresidue,
+                          smallest_primitive_root)
 from galemb.catalog import (
     CatalogError,
     enumerate_instances,
@@ -16,8 +17,6 @@ from galemb.catalog import (
     instantiate,
     iter_instances,
     lookup,
-    smallest_nonresidue,
-    smallest_primitive_root,
     table_of,
     templates,
 )

@@ -19,7 +19,7 @@ from galemb import local_oracle as lo
 from galemb.arith import is_prime, smallest_primitive_root
 from galemb.catalog import instantiate
 from galemb.obstructions import generate_table, obstruction_for_instance
-from galemb.symbols import (BrauerExpression, SymbolBasis, normalize, one, parse, root_label,
+from galemb.symbols import (BrauerExpression, SymbolBasis, normalize, parse, root_label,
                             root_level_of, symbol)
 from dense_forms import raised, to_dense
 
@@ -70,7 +70,7 @@ class TestEvalSymbol:
 
 class TestEvalExpression:
     def test_empty(self):
-        assert lo.eval_expression(one(), ASG7, B1) == 0
+        assert lo.eval_expression(parse("1"), ASG7, B1) == 0
 
     def test_inverse_pair_cancels(self):
         e = parse("(a1, a2; z)(a2, a1; z)")
@@ -224,19 +224,16 @@ def test_fraction_exponents_evaluate_like_bound_residues():
         assert lo.eval_expression(e1, asg, B1) == lo.eval_expression(e2, asg, B1)
 
 
-def test_oracle_sees_a_resolve_fault(monkeypatch):
-    # the oracle evaluates labels itself: a resolve that folds each lower
-    # root z_K as z_(K+1) moves the engine's normal forms but not the
-    # oracle's value of the raw product
-    resolve = SymbolBasis.resolve
+def test_oracle_sees_a_root_weight_fault(monkeypatch):
+    # the oracle weighs root labels itself: a root weight that takes each
+    # lower root z_K for z_(K+1) moves the normal forms the writer builds
+    # from it, but not the oracle's value of the raw product
+    root_weight = SymbolBasis.root_weight
 
-    def one_level_short(self, pairs):
-        return resolve(self, [
-            (label, e) if label.startswith("a") or root_level_of(label) >= self.root_level
-            else (root_label(root_level_of(label) + 1), e)
-            for label, e in pairs])
+    def one_level_short(self, level):
+        return root_weight(self, level + 1 if level < self.root_level else level)
 
-    monkeypatch.setattr(SymbolBasis, "resolve", one_level_short)
+    monkeypatch.setattr(SymbolBasis, "root_weight", one_level_short)
     conditions = [c for table in range(1, 7) for row in generate_table(table, 3)
                   for c in row.result.conditions]
     moved = [(k, c) for k, c in enumerate(conditions)
@@ -270,7 +267,7 @@ def _random_expression(rng: random.Random, basis: SymbolBasis):
         return {name: rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-3, 3), 2)])
                 for name in picked}
 
-    expr = one()
+    expr = parse("1")
     for _ in range(rng.randint(1, 4)):
         expr = expr * symbol(mono(), mono(), basis.torsion_level, rng.choice(exponents))
     return expr
@@ -299,7 +296,7 @@ def _near_root_expression(rng, basis, names, factors):
         return {name: rng.choice((1, -1)) * (big - rng.randint(0, 40))
                 for name in rng.sample(names, 3)}
 
-    expr = one()
+    expr = parse("1")
     for _ in range(factors):
         expr = expr * symbol(mono(), mono(), basis.torsion_level,
                              rng.choice((1, -1)) * (big - rng.randint(1, 40)))
@@ -435,7 +432,7 @@ class TestBatch:
         form = lo._expression_form(expr, basis)
         (f,) = expr.factors
         assert [lo._value(form, row, basis.torsion) for row in odd] == [
-            lo.eval_symbol(f.left_mono(), f.right_mono(), lo._assignment(basis, ell, row), basis)
+            lo.eval_symbol(dict(f.left), dict(f.right), lo._assignment(basis, ell, row), basis)
             for row in odd]
 
     @pytest.mark.parametrize("nfactors", [4, 8, 16])
@@ -445,7 +442,7 @@ class TestBatch:
         basis = SymbolBasis(p=5, labels=("a1", "a2", "a3"), root_level=2, torsion_level=2)
         torsion = basis.torsion
         rng = random.Random(nfactors)
-        expr = one()
+        expr = parse("1")
         for _ in range(nfactors):
             x, y = rng.sample(basis.labels + ("z2",), 2)
             expr = expr * symbol({x: rng.randint(1, 4)}, {y: 1}, 2, rng.randint(1, 24))
@@ -568,7 +565,7 @@ class TestZeroForm:
             assert verdict.equal and verdict.counterexample is None, c.origin
         trivial = parse("(a1, z*a2; z)(a2, a1; z)(z, a1; z)")
         assert lo.witness_nontrivial(trivial, B1) is None
-        assert lo.witness_nontrivial(one(), B3) is None
+        assert lo.witness_nontrivial(parse("1"), B3) is None
 
     def test_drawn_rows_read_zero_anyway(self, engine_conditions):
         for k, c in enumerate(engine_conditions):
@@ -618,7 +615,7 @@ def _products(draw, basis):
                             min_size=1, max_size=4))
     if kind == "zero":
         factors += [(y, x, w) for x, y, w in factors]
-    expr = one()
+    expr = parse("1")
     for x, y, w in factors:
         expr = expr * symbol(x, y, basis.torsion_level, w)
     return expr

@@ -14,7 +14,6 @@ from galemb.symbols import (
     SymbolFactor,
     compile_expression,
     normalize,
-    one,
     parse,
     render,
     root_label,
@@ -62,8 +61,18 @@ class TestNormalize:
             normalize(parse("(a9, a1; z)"), B1)
 
     def test_root_above_basis_level(self):
-        with pytest.raises(BasisError):
+        with pytest.raises(BasisError, match="^root 'z4' exceeds the basis root level 3$"):
             normalize(parse("(a1, z4; z)"), B3)
+
+    def test_basis_labels_are_distinct_a_names(self):
+        # a root label or a repeat in the basis would read one way in
+        # normalize and another in the oracle
+        for labels in [("a1", "a1"), ("a1", "z2"), ("b1",), ("a01",)]:
+            with pytest.raises(BasisError, match="distinct aN names"):
+                SymbolBasis(p=3, labels=labels, root_level=2, torsion_level=1)
+        # eval's basis holds the labels an expression names, gaps and all
+        basis = SymbolBasis(p=3, labels=("a2", "a5"), root_level=2, torsion_level=1)
+        assert normalize(parse("(a5, z2; z)"), basis).entries == ((0, 2, 2),)
 
     def test_torsion_mismatch(self):
         with pytest.raises(ExpressionError):
@@ -74,7 +83,7 @@ class TestNormalize:
 
 class TestEqual:
     def test_inverse_pair_is_trivial(self):
-        assert normalize(parse("(a1, a2; z)(a2, a1; z)"), B1) == normalize(one(), B1)
+        assert normalize(parse("(a1, a2; z)(a2, a1; z)"), B1) == normalize(parse("1"), B1)
 
     def test_swap_is_not_equal(self):
         assert normalize(parse("(a1, a2; z)"), B1) != normalize(parse("(a2, a1; z)"), B1)
@@ -155,7 +164,7 @@ class TestParse:
 
 class TestRender:
     def test_zero(self):
-        assert render(normalize(one(), B1)) == "1"
+        assert render(normalize(parse("1"), B1)) == "1"
 
     def test_mixed_column(self):
         assert render(normalize(parse("(a1, a2; z)(a2, z3; z)"), B3)) == "(z3^-1*a1, a2; z)"
