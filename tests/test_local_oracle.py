@@ -19,8 +19,7 @@ from galemb import local_oracle as lo
 from galemb.arith import is_prime, smallest_primitive_root
 from galemb.catalog import instantiate
 from galemb.obstructions import generate_table, obstruction_for_instance
-from galemb.symbols import (BrauerExpression, SymbolBasis, normalize, parse, root_label,
-                            root_level_of, symbol)
+from galemb.symbols import BrauerExpression, SymbolBasis, normalize, parse, root_label, symbol
 from dense_forms import raised, to_dense
 
 B1 = SymbolBasis(p=3, labels=("a1", "a2"), root_level=1, torsion_level=1)
