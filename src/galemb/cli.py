@@ -1,12 +1,14 @@
 """Command-line front end: list and inspect catalog groups, compute obstruction
 condition sets, regenerate the reference tables and check the catalog against
-them.  `check-tables` checks every catalog instance once: its presentation's
-order and the exact class-2 consistency test `groups.is_consistent`, then its
-conditions and minimal root level against the gold row.  A failed check is a
-MISMATCH line for the row; a kernel generator that is not central or not of
-order p^level, or a quotient that is not abelian, is a data error.  The numpy
-sweeps in `groups` are the test and benchmark reference, and no command calls
-them.
+them.  Every command but `check-tables` works from the catalog alone: its
+default root level is the problem's minimal one.  `check-tables` checks every
+catalog instance once: its presentation's order and the exact class-2
+consistency test `groups.is_consistent`, then its conditions and minimal root
+level against the gold row (`--gold` names another reference file).  A failed
+check is a MISMATCH line for the row; a kernel generator that is not central
+or not of order p^level, or a quotient that is not abelian, is a data error.
+The numpy sweeps in `groups` are the test and benchmark reference: no command
+calls them, and none imports numpy.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 table/oracle mismatch,
 141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
@@ -22,7 +24,7 @@ import sys
 import time
 
 from . import __version__, arith, extension, groups, local_oracle, obstructions
-from .catalog import CatalogError, gold_row, iter_instances, lookup
+from .catalog import CatalogError, iter_instances, lookup
 from .groups import PresentationError
 from .obstructions import ObstructionError
 from .symbols import (
@@ -48,43 +50,35 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-_OPTIONS = {
-    "--order": dict(choices=["5", "6", "both"], default="both"),
-    "--root-level": dict(type=int, default=None),
-    "--gold": dict(default=None, help="override path of the reference table file"),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="galemb", description=__doc__)
     parser.add_argument("--version", action="version", version=f"galemb {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, *options, formats=None):
-        """A subcommand with --p and exactly the options it reads."""
+    def command(name, help, formats=None):
+        """A subcommand with --p; each caller adds the other options it reads."""
         sub = subs.add_parser(name, help=help)
         sub.add_argument("--p", type=int, action="append", help="odd prime (repeatable)")
-        for flag in options:
-            sub.add_argument(flag, **_OPTIONS[flag])
         if formats:
             sub.add_argument("--format", choices=formats, default="text")
         return sub
 
-    command("list", "list catalog instances", "--order", formats=["text", "machine"])
+    sub = command("list", "list catalog instances", formats=["text", "machine"])
+    sub.add_argument("--order", choices=["5", "6", "both"], default="both")
 
-    sub = command("show", "dump one group presentation", "--gold")
-    sub.add_argument("group")
+    command("show", "dump one group presentation").add_argument("group")
 
-    sub = command("obstruct", "obstruction conditions for one group", "--root-level", "--gold",
+    sub = command("obstruct", "obstruction conditions for one group",
                   formats=["text", "machine"])
+    sub.add_argument("--root-level", type=int, default=None)
     sub.add_argument("group")
 
-    sub = command("table", "regenerate one reference table", "--gold",
-                  formats=["text", "csv", "machine"])
+    sub = command("table", "regenerate one reference table", formats=["text", "csv", "machine"])
     sub.add_argument("table_id", type=int, choices=range(1, 7))
 
     command("check-tables", "check every catalog instance and diff its row against the "
-            "reference data", "--gold")
+            "reference data").add_argument("--gold", default=None,
+                                           help="override path of the reference table file")
 
     sub = command("eval", "numeric tame-symbol values of an expression")
     sub.add_argument("expression")
@@ -130,7 +124,6 @@ def _word(P, exponents) -> str:
 def cmd_show(args) -> int:
     for p in _primes(args):
         inst = lookup(args.group, p)
-        root_level = gold_row(inst, args.gold).root_level
         P = inst.presentation
         print(f"{inst.label} at p={p}: order p^{inst.id.order_exp} = {groups.group_order(P)}")
         print(f"  generators: " + ", ".join(
@@ -142,17 +135,15 @@ def cmd_show(args) -> int:
             print(f"  [{P.names[j]}, {P.names[i]}] = {_word(P, word)}")
         print(f"  kernel(s): {', '.join(inst.kernels)} (order p^{inst.kernel_level})")
         print(f"  pre-images: {', '.join(inst.preimages)}")
-        print(f"  assumed root of unity: level p^{root_level}")
+        print("  assumed root of unity: level "
+              f"p^{obstructions.spec_for_instance(inst).minimal_root_level}")
     return 0
 
 
 def cmd_obstruct(args) -> int:
     for p in _primes(args):
         inst = lookup(args.group, p)
-        root_level = args.root_level
-        if root_level is None:
-            root_level = gold_row(inst, args.gold).root_level
-        result = obstructions.obstruction_for_instance(inst, root_level)
+        result = obstructions.obstruction_for_instance(inst, args.root_level)
         if args.format == "machine":
             print(json.dumps(_machine_row(inst, result)))
         else:
@@ -164,24 +155,25 @@ def cmd_obstruct(args) -> int:
 
 def cmd_table(args) -> int:
     for p in _primes(args):
-        rows = obstructions.generate_table(args.table_id, p, args.gold)
+        rows = [(inst, obstructions.obstruction_for_instance(inst))
+                for inst in iter_instances(p, table=args.table_id)]
         if args.format == "csv":
             # labels such as Phi15(2211)b_{1,0} and two-slot conditions hold commas
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(["label", "p", "independents", "root_level", "solvability",
                              "conditions"])
-            writer.writerows([r.label, p, len(r.instance.preimages), r.result.root_level,
-                              r.result.solvability_kind, " ".join(r.result.texts())]
-                             for r in rows)
+            writer.writerows([inst.label, p, len(inst.preimages), result.root_level,
+                              result.solvability_kind, " ".join(result.texts())]
+                             for inst, result in rows)
         elif args.format == "machine":
-            for r in rows:
-                print(json.dumps(_machine_row(r.instance, r.result)))
+            for inst, result in rows:
+                print(json.dumps(_machine_row(inst, result)))
         else:
             print(f"table {args.table_id}, p={p}")
-            for r in rows:
-                labels = ",".join(r.result.spec.labels())
-                conds = ", ".join(r.result.texts()) or "1"
-                print(f"  {r.label:26s} | {labels:17s} | {root_label(r.result.root_level):3s} | {conds}")
+            for inst, result in rows:
+                labels = ",".join(result.spec.labels())
+                conds = ", ".join(result.texts()) or "1"
+                print(f"  {inst.label:26s} | {labels:17s} | {root_label(result.root_level):3s} | {conds}")
     return 0
 
 
@@ -204,16 +196,11 @@ def cmd_check_tables(args) -> int:
             rows = obstructions.generate_table(table_id, p, args.gold)
             nrows += len(rows)
             for r in rows:
-                kind = _presentation_faults(r.instance)
-                if not r.match:
-                    kind.append("conditions differ")
-                if r.minimal_root_level != r.gold_root_level:
-                    kind.append(
-                        f"minimal root level {r.minimal_root_level} != {r.gold_root_level}")
-                if not kind:
+                faults = _presentation_faults(r.instance) + r.faults
+                if not faults:
                     continue
                 bad += 1
-                print(f"MISMATCH table {table_id} p={p} {r.label}: {'; '.join(kind)}")
+                print(f"MISMATCH table {table_id} p={p} {r.label}: {'; '.join(faults)}")
                 print(f"  engine: {', '.join(r.result.texts())}")
         elapsed = time.perf_counter() - start
         verdict = "OK" if bad == 0 else f"{bad} mismatches"

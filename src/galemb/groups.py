@@ -19,8 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .arith import is_prime, mod_inverse, smallest_nonresidue, smallest_primitive_root
 
 Element = tuple[int, ...]
@@ -476,7 +474,8 @@ class QuotientMap:
 # ---------------------------------------------------------------------------
 # bulk (vectorized) operations and the consistency sweeps.  `is_consistent`
 # decides consistency exactly; the sweeps stay as the reference the tests and
-# the benchmark check it and `mul` against, and no CLI path calls them.
+# the benchmark check it and `mul` against, and no CLI path calls them.  Each
+# function imports numpy in its body, so no command loads it.
 
 
 # bytes per coordinate row of a kernel call in associativity_random: 8192
@@ -544,6 +543,8 @@ def _collect_bound(P: Presentation) -> int:
 def _sweep_dtype(P: Presentation) -> np.dtype:
     """Narrowest of int16, int32, int64 that holds every value of the sweeps:
     the kernel's `_collect_bound` and the element indices up to |G| - 1."""
+    import numpy as np
+
     n = group_order(P)
     bound = max(_collect_bound(P), n - 1)
     for dtype in (np.int16, np.int32, np.int64):
@@ -556,6 +557,8 @@ def _sweep_dtype(P: Presentation) -> np.dtype:
 def _radix_weights(P: Presentation) -> np.ndarray:
     """Mixed-radix weights: element x has index sum_i x_i * weights[i]
     (lexicographic coordinate order, as in enumerate_elements)."""
+    import numpy as np
+
     weights = np.ones(P.ngens, dtype=np.int64)
     for i in range(P.ngens - 2, -1, -1):
         weights[i] = weights[i + 1] * P.orders[i + 1]
@@ -565,6 +568,8 @@ def _radix_weights(P: Presentation) -> np.ndarray:
 def _decode(P: Presentation, idx: np.ndarray) -> np.ndarray:
     """Coordinate-major (k, ...) normal forms of the elements with the given
     indices, each in [0, |G|), in the dtype of idx."""
+    import numpy as np
+
     E = np.empty((P.ngens,) + idx.shape, dtype=idx.dtype)
     for i in range(P.ngens - 1, 0, -1):
         q = idx // P.orders[i]
@@ -576,6 +581,8 @@ def _decode(P: Presentation, idx: np.ndarray) -> np.ndarray:
 
 def bulk_mul(P: Presentation, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Row-wise collection product of two (n, k) coordinate arrays."""
+    import numpy as np
+
     X = np.asarray(X, dtype=np.int64)
     Y = np.asarray(Y, dtype=np.int64)
     return _collect(P, X.T, Y.T).T
@@ -584,6 +591,8 @@ def bulk_mul(P: Presentation, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def cayley_table(P: Presentation) -> np.ndarray:
     """(n, n) table of element indices (lexicographic coordinate order, as in
     enumerate_elements): T[a, b] is the index of ab."""
+    import numpy as np
+
     n = group_order(P)
     if n > _CAYLEY_TABLE_MAX_ORDER:
         raise EnumerationBoundError(
@@ -603,6 +612,8 @@ def _light_associative(T: np.ndarray, gens: np.ndarray) -> bool:
     complement of R therefore decides associativity exactly, for any table:
     when the generators do generate, R is everything and only they are checked.
     """
+    import numpy as np
+
     n = T.shape[0]
     in_closure = np.zeros(n, dtype=bool)
     in_closure[gens] = True
@@ -628,6 +639,8 @@ def associativity_random(P: Presentation, ntriples: int, seed: int = 0) -> bool:
     """Check (xy)z = x(yz) on ntriples triples of elements drawn uniformly
     (each as one uniform index in [0, |G|), drawn in the kernel dtype and
     decoded to its normal form)."""
+    import numpy as np
+
     dtype = _sweep_dtype(P)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, group_order(P), size=(3, ntriples), dtype=dtype)

@@ -10,8 +10,9 @@ verdict) and turns each kernel projection into the product
 in normal form against the assumed root level N (sub-level root factors
 vanish there), plus one cyclic-realizability condition (a_i, zeta_{p^N}; zeta)
 for each quotient factor with n_i = N + 1.  N only fixes the basis: the
-caller passes it to `obstruction`, and a catalog row's defaults to its gold
-root level.  Each normal form is written
+caller passes it to `obstruction`, and a catalog instance's defaults to the
+problem's minimal root level.  The gold rows are read only where they are
+compared, in `generate_table`.  Each normal form is written
 straight from (n, m, d); the raw product is built only when a check asks for
 `Condition.raw`, and `normalize` serves the gold rows alone.  Pullback
 problems (two disjoint order-p kernels) take the union of their two kernel
@@ -193,12 +194,11 @@ def _named(inst: GroupInstance, exc: Exception) -> Exception:
 
 
 def obstruction_for_instance(inst: GroupInstance, root_level: int | None = None) -> ObstructionResult:
-    """`obstruction` of a catalog instance at root_level, by default its gold
-    row's; errors name the instance and p."""
-    if root_level is None:
-        root_level = gold_row(inst).root_level
+    """`obstruction` of a catalog instance at root_level, by default the
+    problem's minimal one; errors name the instance and p."""
     try:
-        return obstruction(spec_for_instance(inst), root_level)
+        spec = spec_for_instance(inst)
+        return obstruction(spec, spec.minimal_root_level if root_level is None else root_level)
     except (extension.ExtensionError, ObstructionError) as exc:
         raise _named(inst, exc) from exc
 
@@ -219,9 +219,18 @@ class RowResult:
         return self.result.spec.minimal_root_level
 
     @property
+    def faults(self) -> list[str]:
+        """The gold checks the row fails: its conditions, then its minimal
+        root level against the gold one."""
+        faults = [] if self.match else ["conditions differ"]
+        if self.minimal_root_level != self.gold_root_level:
+            faults.append(f"minimal root level {self.minimal_root_level} != {self.gold_root_level}")
+        return faults
+
+    @property
     def ok(self) -> bool:
-        """The row's verdict: conditions and minimal root level both match gold."""
-        return self.match and self.minimal_root_level == self.gold_root_level
+        """The row's verdict: no gold check fails."""
+        return not self.faults
 
 
 def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[RowResult]:

@@ -49,45 +49,31 @@ class TestObstruct:
         code, _, err = run(capsys, "obstruct", "Phi99(1)", "--p", "3")
         assert code == 2 and "unknown group" in err
 
-    def test_gold_file_sets_the_root_level(self, capsys, tmp_path):
-        gold = _gold_with(tmp_path, "Phi2(41) | 5 | 4 | (z3^-1*a1, a2; z)")
-        _, shown, _ = run(capsys, "show", "Phi2(41)", "--p", "5", "--gold", str(gold))
-        assert "level p^4" in shown
-        code, out, _ = run(capsys, "obstruct", "Phi2(41)", "--p", "5", "--gold", str(gold))
-        assert code == 0 and "root=p^4" in out
-        code, out, _ = run(capsys, "obstruct", "Phi2(41)", "--p", "5", "--gold", str(gold),
-                           "--root-level", "3")
-        assert code == 0 and "root=p^3" in out
-
     def test_root_level_error_names_group_and_prime(self, capsys):
         code, _, err = run(capsys, "obstruct", "Phi2(41)", "--p", "5", "--root-level", "1")
         assert code == 2
         assert "Phi2(41)" in err and "p=5" in err and "below the minimal level 3" in err
 
-    @pytest.mark.parametrize("argv", [("show", "Phi2(41)"), ("obstruct", "Phi2(41)"),
-                                      ("table", "1"), ("check-tables",)])
-    def test_unparsable_gold_row_names_line_and_group(self, capsys, tmp_path, argv):
+    def test_unparsable_gold_row_names_line_and_group(self, capsys, tmp_path):
         # conditions are compiled when the file loads, so the error names the
-        # line and the row's label, whichever group the command asks for
+        # line and the row's label before any row is reached
         gold = _gold_with(tmp_path, "Phi2(41) | 5 | 3 | (a1, a2; z")
         lineno = next(n for n, line in enumerate(gold.read_text(encoding="utf-8").splitlines(), 1)
                       if line.startswith("Phi2(41) |"))
-        code, _, err = run(capsys, *argv, "--p", "3", "--gold", str(gold))
+        code, _, err = run(capsys, "check-tables", "--p", "3", "--gold", str(gold))
         assert code == 2
         assert err == f"error: gold table line {lineno}: Phi2(41): expected ')' (at position 10)\n"
 
-    @pytest.mark.parametrize("argv", [("show", "Phi2(41)"), ("obstruct", "Phi2(41)"),
-                                      ("table", "1"), ("check-tables",)])
     @pytest.mark.parametrize("kind, reason", [
         ("missing", "No such file or directory"),
         ("directory", "Is a directory"),
         ("not-utf8", "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
     ])
-    def test_unreadable_gold_file_is_data_error(self, capsys, tmp_path, argv, kind, reason):
+    def test_unreadable_gold_file_is_data_error(self, capsys, tmp_path, kind, reason):
         (tmp_path / "latin1.txt").write_bytes(b"Phi2(41) \xff")
         gold = {"missing": tmp_path / "missing.txt", "directory": tmp_path,
                 "not-utf8": tmp_path / "latin1.txt"}[kind]
-        code, out, err = run(capsys, *argv, "--p", "3", "--gold", str(gold))
+        code, out, err = run(capsys, "check-tables", "--p", "3", "--gold", str(gold))
         assert code == 2 and out == ""
         assert err == f"error: gold table {gold}: {reason}\n"
 
@@ -96,19 +82,18 @@ class TestObstruct:
         with open(gold, "a", encoding="utf-8") as fh:
             fh.write("\nPhi2(41) | 5 | 4 | (z3^-1*a1, a2; z)\n")
         lineno = len(gold.read_text(encoding="utf-8").splitlines())
-        code, _, err = run(capsys, "table", "1", "--p", "3", "--gold", str(gold))
+        code, _, err = run(capsys, "check-tables", "--p", "3", "--gold", str(gold))
         assert code == 2
         assert err == f"error: gold table line {lineno}: a second row for 'Phi2(41)'\n"
 
-    @pytest.mark.parametrize("argv", [("obstruct", "Phi13(2211)b"), ("check-tables",)])
-    def test_gold_order_mismatch_names_the_line(self, capsys, tmp_path, argv):
+    def test_gold_order_mismatch_names_the_line(self, capsys, tmp_path):
         # the order column is checked when a row is reached, not when the
         # file loads, and the error still names the row's line
         gold = _gold_with(tmp_path, "Phi13(2211)b | 7 | 1 | (z^-1*a1, a3; z)(a2, a4; z), "
                                     "(a1, z*a2; z)")
         lineno = next(n for n, line in enumerate(gold.read_text(encoding="utf-8").splitlines(), 1)
                       if line.startswith("Phi13(2211)b |"))
-        code, _, err = run(capsys, *argv, "--p", "3", "--gold", str(gold))
+        code, _, err = run(capsys, "check-tables", "--p", "3", "--gold", str(gold))
         assert code == 2
         assert err == (f"error: gold table line {lineno}: Phi13(2211)b: order exponent 7, "
                        "but the group has order p^6\n")
@@ -153,10 +138,9 @@ class TestCheckTables:
         code, out, _ = run(capsys, "check-tables", "--p", "17")
         assert code == 0 and "311 rows, OK" in out
 
-    @pytest.mark.parametrize("argv", [("table", "1"), ("check-tables",)])
-    def test_out_of_basis_gold_label_is_data_error(self, capsys, tmp_path, argv):
+    def test_out_of_basis_gold_label_is_data_error(self, capsys, tmp_path):
         gold = _gold_with(tmp_path, "Phi2(41) | 5 | 3 | (z3^-1*a1, a5; z)")
-        code, _, err = run(capsys, *argv, "--p", "3", "--gold", str(gold))
+        code, _, err = run(capsys, "check-tables", "--p", "3", "--gold", str(gold))
         assert code == 2
         assert err == ("error: Phi2(41) p=3: unknown label 'a5' for basis ('a1', 'a2')\n")
 
@@ -164,7 +148,7 @@ class TestCheckTables:
                                      "Phi2(41) | 5 | 3.0 | (a1, a2; z)"])
     def test_non_integer_gold_column_is_data_error(self, capsys, tmp_path, row):
         gold = _gold_with(tmp_path, row)
-        code, _, err = run(capsys, "table", "1", "--p", "3", "--gold", str(gold))
+        code, _, err = run(capsys, "check-tables", "--p", "3", "--gold", str(gold))
         assert code == 2
         assert err.startswith("error: gold table line ") and err.count("\n") == 1
         assert "must be integers" in err
@@ -191,7 +175,7 @@ class TestCheckTables:
         assert out.startswith("MISMATCH table 1 p=3 Phi2(41): minimal root level 3 != 2\n"
                               "  engine: (z3^-1*a1, a2; z)\n"
                               "p=3: 101 rows, 1 mismatches (")
-        code, out, _ = run(capsys, "table", "1", "--p", "3", "--gold", str(gold))
+        code, out, _ = run(capsys, "table", "1", "--p", "3")
         assert code == 0 and "  Phi2(41)                   | a1,a2             | z3  |" in out
         code, _, err = run(capsys, "obstruct", "Phi2(41)", "--p", "3", "--root-level", "2")
         assert code == 2 and err == "error: Phi2(41) p=3: root level 2 below the minimal level 3\n"
@@ -421,6 +405,25 @@ class TestMisc:
         proc.stderr.close()
         assert (proc.wait(timeout=60), err) == (141, b"")
 
+    def test_no_command_imports_numpy(self):
+        # numpy serves only the reference sweeps in `groups`; a command that
+        # loaded it would pay its start-up on every run
+        code = (
+            "import contextlib, io, sys\n"
+            "from galemb import cli\n"
+            "for argv in (['list'], ['show', 'Phi2(41)'], ['obstruct', 'Phi2(41)'],\n"
+            "             ['table', '1'], ['check-tables', '--p', '3'], ['eval', '(a1, a2; z)']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = str(Path(galemb.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120, env=env)
+        assert out.stdout == "False\n"
+
     @pytest.mark.parametrize("argv", [
         ("eval", "(a1, a2; z)", "--p", "3", "--trials", "20"),
         ("eval", "(a1, a2; z)", "--p", "3", "--seed", "1"),
@@ -440,6 +443,9 @@ class TestMisc:
         ("obstruct", "Phi2(41)", "--p", "5", "--format", "csv"),
         ("list", "--p", "3", "--trials", "5"),
         ("check-tables", "--p", "3", "--order", "5"),
+        ("show", "Phi2(41)", "--p", "5", "--gold", "gold.txt"),
+        ("obstruct", "Phi2(41)", "--p", "5", "--gold", "gold.txt"),
+        ("table", "1", "--p", "3", "--gold", "gold.txt"),
     ])
     def test_option_the_subcommand_does_not_read_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -456,13 +462,13 @@ def test_each_subcommand_reads_exactly_its_options():
                for name, sub in subs.choices.items()}
     assert options == {
         "list": ["--format", "--order", "--p"],
-        "show": ["--gold", "--p"],
-        "obstruct": ["--format", "--gold", "--p", "--root-level"],
-        "table": ["--format", "--gold", "--p"],
+        "show": ["--p"],
+        "obstruct": ["--format", "--p", "--root-level"],
+        "table": ["--format", "--p"],
         "check-tables": ["--gold", "--p"],
         "eval": ["--p"],
     }
-    assert sum(map(len, options.values())) == 15
+    assert sum(map(len, options.values())) == 12
 
 
 def _readme_block(heading, language):

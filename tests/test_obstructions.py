@@ -311,6 +311,24 @@ class TestClosedForm:
         assert len(rows) == 101
         assert not any(row.ok for row in rows)
 
+    @pytest.mark.parametrize("p, nrows", [(3, 101), (5, 118), (7, 136)])
+    def test_gold_matches_the_engine_through_the_oracle_fold(self, p, nrows):
+        # a second fold of the gold text, through the oracle's own label slots
+        # (M = -N), not `resolve` or `root_weight`: a fault that moves the
+        # engine's forms and `normalize` alike shows here
+        rows = [row for table in range(1, 7) for row in ob.generate_table(table, p)]
+        assert len(rows) == nrows
+        differ = []
+        for row in rows:
+            basis, torsion = row.result.basis, row.result.basis.torsion
+            gold = {frozenset(lo._expression_form(e, basis).items())
+                    for e in catalog.gold_row(row.instance).obstructions}
+            engine = {frozenset(((u, v), -c % torsion) for u, v, c in cond.normal.entries)
+                      for cond in row.result.conditions}
+            if gold != engine:
+                differ.append(row.label)
+        assert differ == []
+
     def test_root_above_the_basis_level_raises(self):
         # a nonzero residue at a level n_i above the basis root level N is
         # a BasisError, not a root weight p^(N - n_i) < 1

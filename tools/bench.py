@@ -19,6 +19,8 @@ Run from anywhere, with the standard library only:
 - check_tables: per p in PRIMES, over RUNS fresh interpreters each, the
   quartiles of the command's own time (`cli.main`, timed inside the child)
   and of the child's wall time (interpreter start and imports included);
+- import_s: over RUNS fresh interpreters, the quartiles of the wall time of
+  `python -c "import galemb.cli"`, the start-up every command pays;
 - the checkout's git SHA (null outside git), the Python version and the host.
 
 Counts miss work done inside C (big-int arithmetic, `pow`); times on a
@@ -165,6 +167,16 @@ def time_check_tables(src: Path) -> dict:
     return out
 
 
+def time_import(src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    wall = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import galemb.cli"], env=env, check=True)
+        wall.append(time.perf_counter() - start)
+    return _quartiles(wall)
+
+
 def _sha(repo: Path) -> str | None:
     try:
         return subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], capture_output=True,
@@ -197,6 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         "counts": count_tables(package),
         "instance_counts": count_instances(package),
         "check_tables": time_check_tables(src),
+        "import_s": time_import(src),
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -98,13 +98,7 @@ def corpus() -> list[list[str]]:
     for level in ("1", "2", "3", "4", "6"):
         lines.append(["obstruct", "Phi2(41)", "--p", "5", "--root-level", level])
     lines += [["obstruct", "Phi14(222)", "--p", "3", "--root-level", level] for level in ("1", "3")]
-    lines += [["obstruct", "Phi2(41)", "--p", "3", "--root-level", "5", "--format", "machine"],
-              ["show", "Phi2(41)", "--p", "5", "--gold", "{gold:root-level-above}"],
-              ["obstruct", "Phi2(41)", "--p", "5", "--gold", "{gold:root-level-above}"],
-              ["obstruct", "Phi2(41)", "--p", "5", "--gold", "{gold:root-level-above}",
-               "--root-level", "3"],
-              ["table", "1", "--p", "3", "--gold", "{gold:root-level-below}"],
-              ["obstruct", "Phi13(2211)b", "--p", "3", "--gold", "{gold:order}"]]
+    lines.append(["obstruct", "Phi2(41)", "--p", "3", "--root-level", "5", "--format", "machine"])
     return lines
 
 
