@@ -11,8 +11,10 @@ in normal form against the assumed root level N (sub-level root factors
 vanish there), plus one cyclic-realizability condition (a_i, zeta_{p^N}; zeta)
 for each quotient factor with n_i = N + 1.  N only fixes the basis: the
 caller passes it to `obstruction`, and a catalog instance's defaults to the
-problem's minimal root level.  The gold rows are read only where they are
-compared, in `generate_table`.  Each normal form is written
+problem's minimal root level.  Every caller shares one `SymbolBasis` per
+shape (p, t, N, n).  `generate_table` is `obstruction` at the gold row's
+level plus the comparison with the gold row, the only place gold rows are
+read.  Each normal form is written
 straight from (n, m, d); the raw product is built only when a check asks for
 `Condition.raw`, and `normalize` serves the gold rows alone.  Pullback
 problems (two disjoint order-p kernels) take the union of their two kernel
@@ -98,13 +100,21 @@ class ObstructionResult:
         return [c.text() for c in self.conditions]
 
 
+# one basis per shape (p, number of labels, root level N, torsion level n);
+# a basis is immutable, so every caller in the process shares it
+_BASES: dict[tuple[int, int, int, int], SymbolBasis] = {}
+
+
 def basis_for(spec: EmbeddingProblemSpec, root_level: int) -> SymbolBasis:
-    return SymbolBasis(
-        p=spec.presentation.p,
-        labels=spec.labels(),
-        root_level=root_level,
-        torsion_level=spec.kernel_level,
-    )
+    """The one `SymbolBasis` of the spec's shape at root_level, built on
+    first use."""
+    key = (spec.presentation.p, len(spec.preimage_names), root_level, spec.kernel_level)
+    basis = _BASES.get(key)
+    if basis is None:
+        basis = _BASES[key] = SymbolBasis(p=spec.presentation.p, labels=spec.labels(),
+                                          root_level=root_level,
+                                          torsion_level=spec.kernel_level)
+    return basis
 
 
 def kernel_condition(spec: EmbeddingProblemSpec, params: ExtensionParams,
@@ -145,34 +155,24 @@ def _dedupe(conditions: list[Condition]) -> tuple[Condition, ...]:
     return tuple(out)
 
 
-def _root_level(spec: EmbeddingProblemSpec, root_level: int) -> int:
-    """root_level raised to the spec's minimal level, after the check of the
-    problem's shape."""
-    if spec.kernel_level >= 2 and any(ni != spec.kernel_level for ni in spec.n):
-        raise ObstructionError(
-            f"quotient is not homocyclic of exponent p^{spec.kernel_level}: levels {spec.n}"
-        )
-    return max(root_level, spec.minimal_root_level)
-
-
-def _conditions(spec: EmbeddingProblemSpec, basis: SymbolBasis) -> ObstructionResult:
-    conditions = [kernel_condition(spec, params, basis) for params in spec.params]
-    if spec.kernel_level == 1:
-        conditions += _realizability_conditions(spec.n, basis)
-    return ObstructionResult(conditions=_dedupe(conditions), spec=spec, basis=basis)
-
-
 def obstruction(spec: EmbeddingProblemSpec, root_level: int) -> ObstructionResult:
     """Conditions of any catalog shape at the assumed root level: one kernel
     condition per projection, plus cyclic realizability for order-p kernels.
     A kernel mu_{p^n}, n >= 2, needs a homocyclic quotient (C_{p^n})^t, and
     a root level below the minimal one is an error."""
-    level = _root_level(spec, root_level)
-    if root_level < level:
+    if spec.kernel_level >= 2 and any(ni != spec.kernel_level for ni in spec.n):
+        raise ObstructionError(
+            f"quotient is not homocyclic of exponent p^{spec.kernel_level}: levels {spec.n}"
+        )
+    if root_level < spec.minimal_root_level:
         raise ObstructionError(
             f"root level {root_level} below the minimal level {spec.minimal_root_level}"
         )
-    return _conditions(spec, basis_for(spec, level))
+    basis = basis_for(spec, root_level)
+    conditions = [kernel_condition(spec, params, basis) for params in spec.params]
+    if spec.kernel_level == 1:
+        conditions += _realizability_conditions(spec.n, basis)
+    return ObstructionResult(conditions=_dedupe(conditions), spec=spec, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -236,33 +236,22 @@ class RowResult:
 def generate_table(table_id: int, p: int, gold_path: str | None = None) -> list[RowResult]:
     """Engine rows for one table at prime p, each compared against its gold row.
 
-    A row is computed at its gold root level, or at the minimal level where
-    the gold level lies below it: that row's verdict fails, and the rows
-    after it are still computed.  Each row binds its gold row, then runs the
-    engine, then normalizes the gold conditions, and an error names the row.
-    The rows of one template at one root level share one basis."""
+    A row is `obstruction` at its gold root level, or at the minimal level
+    where the gold level lies below it: that row's verdict fails, and the
+    rows after it are still computed.  Each row binds its gold row, then
+    runs the engine, then normalizes the gold conditions against the
+    result's basis, and an error names the row."""
     if table_id not in range(1, 7):
         raise ObstructionError(f"no table {table_id}")
     out = []
-    template = None
     for inst in enumerate_instances(p, table=table_id):
-        if inst.template is not template:
-            template = inst.template
-            bases: dict[int, SymbolBasis] = {}
         row = gold_row(inst, gold_path)
         try:
             spec = spec_for_instance(inst)
-            level = _root_level(spec, row.root_level)
-        except (extension.ExtensionError, ObstructionError) as exc:
-            raise _named(inst, exc) from exc
-        if level not in bases:
-            bases[level] = basis_for(spec, level)
-        result = _conditions(spec, bases[level])
-        try:
+            result = obstruction(spec, max(row.root_level, spec.minimal_root_level))
             # gold and engine forms share one basis: their entries decide
             gold = {normalize(e, result.basis).entries for e in row.obstructions}
-        except (ExpressionError, BasisError) as exc:
-            # a gold row that does not fit the row's basis
+        except (extension.ExtensionError, ObstructionError, ExpressionError, BasisError) as exc:
             raise _named(inst, exc) from exc
         out.append(RowResult(instance=inst, result=result, gold_root_level=row.root_level,
                              match=gold == {c.normal.entries for c in result.conditions}))

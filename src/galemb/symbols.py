@@ -81,12 +81,13 @@ class SymbolBasis:
         return root_label(self.root_level) if idx == 0 else self.labels[idx - 1]
 
     def root_weight(self, level: int) -> int:
-        """The power of the basis root z = z_N that the root z_K is: p^(N-K),
-        for K = level <= N."""
+        """The power of the basis root z = z_N that the root z_K is: p^(N-K)
+        mod p^n, for K = level <= N.  Reduced mod p^n, the exponent's
+        torsion, so a huge N costs one modular power, not p^(N-K) in full."""
         if level > self.root_level:
             raise BasisError(f"root {root_label(level)!r} exceeds the basis root level "
                              f"{self.root_level}")
-        return self.p ** (self.root_level - level)
+        return pow(self.p, self.root_level - level, self.torsion)
 
     def resolve(self, pairs: Iterable[tuple[str, int | Fraction]]) -> dict[int, int]:
         """Nonzero exponents mod p^n, by slot over (z, a1..at), of the (label,

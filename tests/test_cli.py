@@ -54,6 +54,15 @@ class TestObstruct:
         assert code == 2
         assert "Phi2(41)" in err and "p=5" in err and "below the minimal level 3" in err
 
+    def test_huge_root_level_answers(self):
+        # root weights are reduced mod p^n, so no p^(N-K) is built in full; a
+        # child process, so that a hang fails by the timeout
+        env = dict(os.environ, PYTHONPATH=str(Path(galemb.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-m", "galemb.cli", "obstruct", "Phi2(41)",
+                              "--p", "3", "--root-level", "1000000000"],
+                             capture_output=True, text=True, check=True, timeout=10, env=env)
+        assert out.stdout == "Phi2(41) p=3 root=p^1000000000 [proper]: (a1, a2; z)\n"
+
     def test_unparsable_gold_row_names_line_and_group(self, capsys, tmp_path):
         # conditions are compiled when the file loads, so the error names the
         # line and the row's label before any row is reached

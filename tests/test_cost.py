@@ -11,6 +11,7 @@ without a key every test here skips, saying so.  A change that lowers a
 count lowers its ceiling with it.
 """
 
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -24,11 +25,16 @@ from galemb.obstructions import generate_table
 
 PACKAGE = str(Path(galemb.__file__).resolve().parent) + os.sep
 
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+_spec = importlib.util.spec_from_file_location("bench", TOOL)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
 # calls per table row over tables 1-6, per condition of an oracle check plus
 # witness, and per enumerated instance; measured with CPython 3.11.7 at
-# 93.8, 93.7, 60.5 and 5.06
+# 88.1, 91.2, 60.5 and 5.06
 CEILINGS = {
-    (3, 11): {"row p=5": 96.5, "row p=13": 96.5, "condition p=23": 62.5, "instance p=101": 5.2},
+    (3, 11): {"row p=5": 90.5, "row p=13": 93.5, "condition p=23": 62.5, "instance p=101": 5.2},
 }
 CEILING = CEILINGS.get(sys.version_info[:2])
 
@@ -37,31 +43,12 @@ pytestmark = pytest.mark.skipif(
     f"{sys.version_info[1]}: counts depend on the CPython version; measure and add a key")
 
 
-def _calls(work) -> int:
-    """The `call` events in galemb frames over one pass of work, after a warm
-    pass that fills every cache the work reads."""
-    work()
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
-            count += 1
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        work()
-    finally:
-        sys.setprofile(previous)
-    return count
-
-
 def _calls_per_row(p: int, tables=range(1, 7)) -> float:
     rows = []
 
     def work():
         rows[:] = [row for table in tables for row in generate_table(table, p)]
-    return _calls(work) / len(rows)
+    return bench.count_calls(work, PACKAGE) / len(rows)
 
 
 @pytest.mark.parametrize("p", [5, 13])
@@ -79,14 +66,14 @@ def test_calls_per_oracle_condition():
         for c in conditions:
             lo.check_raw_vs_normal(c.raw, c.normal)
             lo.witness_nontrivial(c.raw, c.normal.basis)
-    per_condition = _calls(oracle) / len(conditions)
+    per_condition = bench.count_calls(oracle, PACKAGE) / len(conditions)
     assert per_condition <= CEILING["condition p=23"], f"{per_condition:.1f} calls per condition"
 
 
 def test_calls_per_enumerated_instance():
     count = len(enumerate_instances(101))
     assert count == 5690
-    per_instance = _calls(lambda: enumerate_instances(101)) / count
+    per_instance = bench.count_calls(lambda: enumerate_instances(101), PACKAGE) / count
     assert per_instance <= CEILING["instance p=101"], f"{per_instance:.1f} calls per instance"
 
 

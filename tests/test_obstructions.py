@@ -196,21 +196,18 @@ class TestTables:
             ob.generate_table(7, 3)
 
     def test_one_embedding_pass_per_row(self, monkeypatch):
-        # one pass reads every kernel's projection, and one basis per
-        # template and root level serves the kernel conditions, the
-        # realizability conditions and the gold rows
-        calls = {"quotient_structure": 0, "extract_params": 0, "basis_for": 0}
+        # one pass reads every kernel's projection, and the rows of one shape
+        # (p, number of labels, root level, torsion level) share one basis
+        calls = {"quotient_structure": 0, "extract_params": 0}
         for name in calls:
-            module = ob if name == "basis_for" else extension
-            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            def counted(*args, _original=getattr(extension, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(extension, name, counted)
         rows = [row for table in range(1, 7) for row in ob.generate_table(table, 5)]
         assert len(rows) == 118
-        levels = {(row.instance.template.label, row.result.root_level) for row in rows}
-        assert len(levels) == 95
-        assert calls == {"quotient_structure": 118, "extract_params": 118, "basis_for": 95}
+        assert calls == {"quotient_structure": 118, "extract_params": 118}
+        assert len({id(row.result.basis) for row in rows}) == 11
 
     def test_quotient_read_off_presentation(self, monkeypatch):
         # G/K is read off each row's own presentation: no centrality check by

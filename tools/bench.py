@@ -9,7 +9,8 @@ Run from anywhere, with the standard library only:
 
 - counts: for `generate_table` over tables 1-6 at p in PRIMES, per table and
   over all of them, the rows and, per row, the Python calls (`sys.setprofile`
-  "call" events, as tests/test_cost.py counts them) and the bytecode
+  "call" events, counted by `count_calls`, which tests/test_cost.py gates
+  on) and the bytecode
   instructions (`sys.settrace` "opcode" events) in frames of galemb code,
   and the instructions per galemb module.  Each count is taken over a warm
   pass, after one untraced pass has filled every cache the work reads, and
@@ -57,9 +58,9 @@ print(json.dumps({"code": code, "own_s": own, "lines": out.getvalue().count("\\n
 """
 
 
-def _warm_counts(work, package: str) -> tuple[int, int, dict[str, int]]:
-    """Calls and instructions in frames of files under package over one
-    pass of work, after a warm pass; instructions also by file name."""
+def count_calls(work, package: str) -> int:
+    """The `call` events in frames of files under package over one pass of
+    work, after a warm pass that fills every cache the work reads."""
     work()
     calls = 0
 
@@ -68,12 +69,19 @@ def _warm_counts(work, package: str) -> tuple[int, int, dict[str, int]]:
         if event == "call" and frame.f_code.co_filename.startswith(package):
             calls += 1
 
+    previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         work()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
+    return calls
 
+
+def _warm_counts(work, package: str) -> tuple[int, int, dict[str, int]]:
+    """Calls and instructions in frames of files under package over one
+    pass of work, after a warm pass; instructions also by file name."""
+    calls = count_calls(work, package)
     by_file: dict[str, int] = {}
 
     def local(frame, event, arg):
