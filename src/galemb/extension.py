@@ -1,15 +1,16 @@
 """Extraction of embedding-problem data from a group with pinned central kernel(s).
 
 Given a presentation, one or two central kernel generators, and an ordered
-list of pre-image generators whose images must decompose the abelian quotient
-as a direct product of cyclic factors, this module computes the cyclic factor
-levels n_i and, per kernel, the residues m_i (kernel component of
-s_i^{p^{n_i}}) and the strictly upper-triangular d with
+list of pre-image generators outside the kernel whose images must decompose
+the abelian quotient as a direct product of cyclic factors, this module
+computes the cyclic factor levels n_i and, per kernel, the residues m_i
+(kernel component of s_i^{p^{n_i}}) and the nonzero
 
     d_ij = kernel_logs([s_j, s_i])[kernel]   for i < j,
 
-projected modulo the other kernel in the two-kernel (pullback) case.  That
-sign convention is the one under which the obstruction product
+projected modulo the other kernel in the two-kernel (pullback) case, as the
+sorted triples (i, j, d_ij), 0-based, with d_ij != 0 mod p^n.  That sign
+convention is the one under which the obstruction product
 prod_{i<j} (a_j, a_i; zeta)^{d_ij} reproduces the reference tables.
 
 An `EmbeddingProblemSpec` computes these data once, when it is built,
@@ -77,6 +78,8 @@ class EmbeddingProblemSpec:
         for name in self.preimage_names:
             if name not in P.index:
                 raise ExtensionError(f"unknown pre-image generator {name!r}")
+            if name in self.kernel_names:
+                raise ExtensionError(f"pre-image {name!r} lies in the kernel")
         object.__setattr__(self, "preimage_coords", tuple([P.index[n] for n in self.preimage_names]))
         n = quotient_structure(self)
         if not n:
@@ -111,16 +114,15 @@ class EmbeddingProblemSpec:
 
 @dataclass(frozen=True)
 class ExtensionParams:
-    """(n_i, m_i, d_ij) of one kernel projection, in pre-image order (unsorted)."""
+    """(n_i, m_i, d_ij) of one kernel projection, in pre-image order (unsorted).
+
+    d holds only the nonzero d_ij: the triples (i, j, d_ij), sorted, with
+    0-based i < j and 0 < d_ij < p^n, the shape of `NormalForm.entries`."""
 
     n: tuple[int, ...]
     m: tuple[int, ...]
-    d: tuple[tuple[int, ...], ...]  # full t x t, zero on and below the diagonal
+    d: tuple[tuple[int, int, int], ...]
     kernel_index: int
-
-    @property
-    def t(self) -> int:
-        return len(self.n)
 
 
 def _fp_rank(rows: list[Element], p: int) -> int:
@@ -165,7 +167,7 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
         raise ExtensionError("quotient by the kernel product is not abelian")
     order_exp = sum([P.order_exps[i] for i in other])
 
-    n = tuple([0 if i in ker else groups.generator_order_exp(P, i, ker) for i in pre])
+    n = tuple([groups.generator_order_exp(P, i, ker) for i in pre])
     if sum(n) != order_exp:
         raise ExtensionError(
             "pre-images do not generate a direct decomposition: "
@@ -191,44 +193,38 @@ def quotient_structure(spec: EmbeddingProblemSpec) -> tuple[int, ...]:
 def extract_params(spec: EmbeddingProblemSpec,
                    n: tuple[int, ...]) -> tuple[ExtensionParams, ...]:
     """m and d of every kernel projection, in kernel order, given the factor
-    levels n; in each, the other kernel is quotiented away.
+    levels n; in each, the other kernel is quotiented away, and d is the
+    sorted nonzero triples (i, j, d_ij), i < j.
 
-    Pre-images are generators, so both are read off the relation tables, each
-    relation once for every kernel.  For a pre-image g_a outside the kernel,
-    n_i >= e_a and s_i^(p^n_i) = tail_a^(p^(n_i - e_a)): the tail is central
-    with trivial tails, so its power scales its coordinates.  A pre-image
-    inside the kernel has n_i = 0 and s_i^1 = g_a.  [s_j, s_i] is read off
-    the stored word [g_b, g_a], b > a, of each pair of pre-images, negated
-    when s_j = g_a (the word is central with trivial tails, so inverting
-    negates its coordinates); a pair with no stored word commutes.  Both lie
-    in the kernel product where n are `quotient_structure`'s levels, which
-    checks every commutator word's support, so the kernel columns are read
-    directly.  Its checks also leave no generator outside the kernel twice
-    among the pre-images, and kernel generators are in no commutator, so
-    each stored pair names at most one (i, j)."""
+    Pre-images are generators outside the kernel, so both are read off the
+    relation tables, each relation once for every kernel.  For a pre-image
+    g_a, n_i >= e_a and s_i^(p^n_i) = tail_a^(p^(n_i - e_a)): the tail is
+    central with trivial tails, so its power scales its coordinates.
+    [s_j, s_i] is read off the stored word [g_b, g_a], b > a, of each pair
+    of pre-images, negated when s_j = g_a (the word is central with trivial
+    tails, so inverting negates its coordinates); a pair with no stored word
+    commutes.  Both lie in the kernel product where n are
+    `quotient_structure`'s levels, which checks every commutator word's
+    support, so the kernel columns are read directly.  Its checks also leave
+    no generator twice among the pre-images, so each stored pair names at
+    most one (i, j).  A word's kernel coordinate is reduced mod the kernel
+    generator's order p^n, so a nonzero one stays nonzero mod p^n."""
     P = spec.presentation
     p, exps = P.p, P.order_exps
     modulus = p**spec.kernel_level
-    ker, pre = spec.kernel_coords, spec.preimage_coords
-    t = len(pre)
+    pre = spec.preimage_coords
     out = []
-    for k, c in enumerate(ker):
+    for k, c in enumerate(spec.kernel_coords):
         m = []
         for a, ni in zip(pre, n):
-            if ni < exps[a]:  # a kernel generator: s_i^1 = g_a
-                m.append(int(c == a))
-            else:
-                tail = P.power_tails[a]
-                m.append(tail[c] * p**(ni - exps[a]) % modulus if tail else 0)
-        # rows of d, zero on and below the diagonal; most entries are 0
-        d = [(0,) * t] * t
+            tail = P.power_tails[a]
+            m.append(tail[c] * p**(ni - exps[a]) % modulus if tail else 0)
+        d = []
         for b, a, word in P.comm:
-            if a in pre and b in pre and word[c]:
+            if word[c] and a in pre and b in pre:
                 i, j, entry = pre.index(a), pre.index(b), word[c]
-                if i > j:
-                    i, j, entry = j, i, -entry
-                d[i] = d[i][:j] + (entry % modulus,) + d[i][j + 1:]
-        out.append(ExtensionParams(n=n, m=tuple(m), d=tuple(d), kernel_index=k))
+                d.append((i, j, entry) if i < j else (j, i, -entry % modulus))
+        out.append(ExtensionParams(n=n, m=tuple(m), d=tuple(sorted(d)), kernel_index=k))
     return tuple(out)
 
 

@@ -60,7 +60,9 @@ class Condition:
     @cached_property
     def raw(self) -> BrauerExpression:
         """The unnormalized product that `normal` stands for, built on first
-        access: the row path reads the normal form only."""
+        access: the row path reads the normal form only.  A kernel
+        projection's d gives one factor (a_j, a_i)^{d_ij} per triple
+        (i, j, d_ij)."""
         basis = self.normal.basis
         if isinstance(self.source, str):
             return symbol({self.source: 1}, {root_label(basis.root_level): 1},
@@ -70,8 +72,7 @@ class Condition:
                                 torsion_level=level)
                    for label, ni, mi in zip(labels, params.n, params.m) if mi]
         factors += [SymbolFactor(left=((labels[j], 1),), right=((labels[i], 1),),
-                                 exponent=row[j], torsion_level=level)
-                    for i, row in enumerate(params.d) for j in range(i + 1, params.t) if row[j]]
+                                 exponent=d, torsion_level=level) for i, j, d in params.d]
         return BrauerExpression(tuple(factors))
 
     def text(self) -> str:
@@ -123,13 +124,12 @@ def kernel_condition(spec: EmbeddingProblemSpec, params: ExtensionParams,
     basis, written straight from (n, m, d) at root level N:
     (a_i, zeta_{p^{n_i}}^{m_i}) is the number -m_i p^(N-n_i) at (z, a_i),
     p^(N-n_i) being `SymbolBasis.root_weight`(n_i), and (a_j, a_i)^{d_ij} is
-    -d_ij at (a_i, a_j); entries that vanish mod p^n are left out."""
+    -d_ij at (a_i, a_j), one entry per triple (i, j, d_ij) of d; residues
+    that vanish mod p^n are left out, and d holds no such d_ij."""
     torsion = basis.torsion
     entries = [(0, i, c) for i, (ni, mi) in enumerate(zip(params.n, params.m), start=1)
                if mi and (c := -mi * basis.root_weight(ni) % torsion)]
-    for i, row in enumerate(params.d, start=1):
-        entries += [(i, j, -d % torsion) for j, d in enumerate(row[i:], start=i + 1)
-                    if d % torsion]
+    entries += [(i + 1, j + 1, -d % torsion) for i, j, d in params.d]
     return Condition(normal=NormalForm(basis, tuple(entries)),
                      origin=f"kernel {spec.kernel_names[params.kernel_index]}", source=params)
 

@@ -45,13 +45,13 @@ def test_criterion_2_worked_proof_fixtures():
     for p in (3, 5, 7, 11):
         params = spec_for_instance(instantiate("Phi2(41)", p)).params[0]
         assert params.n == (1, 3) and params.m == (0, 1), (p, params)
-        assert params.d[0][1] == p - 1, (p, params.d)
+        assert params.d == ((0, 1, p - 1),), (p, params.d)
 
         beta2, beta1 = spec_for_instance(instantiate("Phi4(221)a", p)).params
-        assert beta2.t == 3 and beta2.m == (0, 0, 1), (p, beta2)
-        assert beta2.d[1][2] == p - 1 and beta2.d[0][2] == 0, (p, beta2.d)
+        assert len(beta2.n) == 3 and beta2.m == (0, 0, 1), (p, beta2)
+        assert beta2.d == ((1, 2, p - 1),), (p, beta2.d)
         assert max(i + 1 for i, mi in enumerate(beta2.m) if mi) == 3  # r = 3
-        assert beta1.m == (1, 0, 0) and beta1.d[0][2] == p - 1, (p, beta1)
+        assert beta1.m == (1, 0, 0) and beta1.d == ((0, 2, p - 1),), (p, beta1)
     _report("2 worked-proof-fixtures", True, "Phi2(41) and Phi4(221)a at p=3,5,7,11")
 
 
@@ -85,7 +85,8 @@ def test_criterion_3_group_engine_soundness():
 def _collected_data(spec):
     """n, and (m, d) per kernel, from repeated collection (`groups.mul`) alone:
     s^k by k-fold products, x^-1 as x^(|x|-1), [x, y] = x^-1 y^-1 x y, each
-    read at the kernel coordinate."""
+    read at the kernel coordinate; d as the nonzero (i, j, d_ij), i < j, in
+    order."""
     P = spec.presentation
     p = P.p
     kernel = {P.index[k] for k in spec.kernel_names}
@@ -118,8 +119,8 @@ def _collected_data(spec):
     for k in spec.kernel_names:
         col = P.index[k]
         m = tuple(walk[p**e % len(walk)][col] % modulus for walk, e in zip(walks, n))
-        d = tuple(tuple(commutators[i, j][col] % modulus if j > i else 0 for j in range(t))
-                  for i in range(t))
+        d = tuple((i, j, c) for (i, j), x in sorted(commutators.items())
+                  if (c := x[col] % modulus))
         out.append((m, d))
     return tuple(n), out
 
@@ -138,8 +139,8 @@ def _expected_normal_forms(spec, N, n, per_kernel):
             if m[i]:
                 assert n[i] <= N, (spec.preimage_names, i)
                 M[0][i + 1] = -m[i] * p ** (N - n[i])
-            for j in range(i + 1, t):
-                M[i + 1][j + 1] = -d[i][j]
+        for i, j, dij in d:
+            M[i + 1][j + 1] = -dij
         matrices.append(M)
     for i in range(t):
         if n[i] == N + 1:

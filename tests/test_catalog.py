@@ -92,6 +92,12 @@ class TestInstantiate:
         with pytest.raises(CatalogError):
             instantiate("Phi2(41)", 3, (1,))
 
+    @pytest.mark.parametrize("word", ["beta1^", "Beta"])
+    def test_rejects_bad_relation_word(self, word):
+        # a factor with a dangling "^", and a name the factor pattern refuses
+        with pytest.raises(CatalogError, match=re.escape(f"bad relation word {word!r}")):
+            catalog._tokenize_word(word)
+
 
 class TestEnumeration:
     def test_family2_order5_has_seven_templates(self):

@@ -77,6 +77,13 @@ class TestQuotientStructure:
                 preimage_names=("alpha1", "alpha2", "alpha"),
             )
 
+    def test_rejects_kernel_generator_as_preimage(self):
+        # its image is trivial: it would take the label a1 and shift the
+        # labels of the real factors
+        with pytest.raises(ExtensionError, match="pre-image 'alpha2' lies in the kernel"):
+            EmbeddingProblemSpec(presentation=phi2_41(), kernel_names=("alpha2",),
+                                 kernel_level=1, preimage_names=("alpha2", "alpha1", "alpha"))
+
 
 def c9_presentation():
     """G = C_9 = <a> with b = a^3.  Kernel a (order 9) is central, but its
@@ -218,7 +225,8 @@ def _mul_power(P, x, k):
 def _collected_params(spec, n):
     """(m, d) of every kernel projection by `groups.mul` alone, for the levels
     n: s_i^(p^n_i) and [s_j, s_i] = s_j^-1 s_i^-1 s_j s_i, with x^-1 =
-    x^(|G|-1), read at the kernel coordinate."""
+    x^(|G|-1), read at the kernel coordinate; d as the nonzero (i, j, d_ij),
+    i < j, in order."""
     P = spec.presentation
     s = spec.preimages
     inverse = [_mul_power(P, x, groups.group_order(P) - 1) for x in s]
@@ -234,8 +242,7 @@ def _collected_params(spec, n):
     out = []
     for col in spec.kernel_coords:
         m = tuple(x[col] % modulus for x in powers)
-        d = tuple(tuple(comms[i, j][col] % modulus if j > i else 0 for j in range(t))
-                  for i in range(t))
+        d = tuple((i, j, c) for (i, j), x in sorted(comms.items()) if (c := x[col] % modulus))
         out.append((m, d))
     return out
 
@@ -324,8 +331,7 @@ class TestExtractParams:
             assert got == _collected_params(spec, spec.n), (P, kernel, pre)
             seen.add(f"kernel level {spec.kernel_level}")
             index = [P.index[name] for name in pre]
-            if any(row[j] and index[j] < index[i] for params in spec.params
-                   for i, row in enumerate(params.d) for j in range(i + 1, len(pre))):
+            if any(index[j] < index[i] for params in spec.params for i, j, _ in params.d):
                 seen.add("nonzero d against generator order")
 
         agree()
@@ -346,7 +352,7 @@ class TestExtractParams:
         params = make_spec("Phi2(41)", 3).params[0]
         assert params.n == (1, 3)
         assert params.m == (0, 1)
-        assert params.d[0][1] == 2  # p - 1
+        assert params.d == ((0, 1, 2),)  # p - 1
 
     def test_zero_params_for_plain_abelian(self):
         ctx = PrimeContext.for_prime(3)
@@ -357,17 +363,17 @@ class TestExtractParams:
         )
         params = spec.params[0]
         assert params.m == (0, 0)
-        assert all(all(c == 0 for c in row) for row in params.d)
+        assert params.d == ()
 
     def test_phi4_221a_both_projections(self):
         beta2, beta1 = make_spec("Phi4(221)a", 3).params
-        assert beta2.m == (0, 0, 1) and beta2.d[1][2] == 2 and beta2.d[0][2] == 0
-        assert beta1.m == (1, 0, 0) and beta1.d[0][2] == 2 and beta1.d[1][2] == 0
+        assert beta2.m == (0, 0, 1) and beta2.d == ((1, 2, 2),)
+        assert beta1.m == (1, 0, 0) and beta1.d == ((0, 2, 2),)
 
     def test_phi14_level2_values(self):
         params = make_spec("Phi14(42)", 3).params[0]
         assert params.m == (1, 0)
-        assert params.d[0][1] == 8  # p^2 - 1
+        assert params.d == ((0, 1, 8),)  # p^2 - 1
 
     def test_invariant_under_kernel_perturbation(self):
         # replacing s_i by s_i * kernel element leaves m and d unchanged
@@ -388,11 +394,10 @@ class TestExtractParams:
                     m = tuple(spec.kernel_logs(groups.pow_element(P, s, 3**ni))[k]
                               for s, ni in zip(perturbed, n))
                     assert m == base[k].m, label
-                    for i in range(len(n)):
-                        for j in range(i + 1, len(n)):
-                            dij = spec.kernel_logs(
-                                groups.commutator(P, perturbed[j], perturbed[i]))[k]
-                            assert dij == base[k].d[i][j], label
+                    d = tuple((i, j, dij) for i in range(len(n)) for j in range(i + 1, len(n))
+                              if (dij := spec.kernel_logs(
+                                  groups.commutator(P, perturbed[j], perturbed[i]))[k]))
+                    assert d == base[k].d, label
 
     def test_d_is_alternating(self):
         spec = make_spec("Phi15(2211)a", 5)

@@ -393,6 +393,12 @@ class TestValidator:
         with pytest.raises(PresentationError, match="^two power relations for generator 'a'$"):
             groups.RelationTable((("a", 1), ("c", 1)), (("a", None, tail), ("a", None, tail)))
 
+    @pytest.mark.parametrize("env", [None, {"r": 1}], ids=["no-env", "env-without-k"])
+    def test_rejects_unknown_exponent_placeholder(self, env):
+        table = groups.RelationTable((("a", 1), ("c", 1)), (("a", None, (("c", 1, "k", None),)),))
+        with pytest.raises(PresentationError, match="^unknown exponent placeholder 'k'$"):
+            table.bind(PrimeContext.for_prime(3), env)
+
     def test_zero_words_are_trivial(self):
         # words that vanish mod the orders are skipped before any check
         ctx = PrimeContext.for_prime(3)

@@ -29,7 +29,8 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 
 # gold-file faults: (row replacing the row of its label, line appended after
-# the file or None); "missing", "directory" and "not-utf8" are unreadable files
+# the file or None), where a bare label with no columns drops its row;
+# "missing", "directory" and "not-utf8" are unreadable files
 FAULTS = {
     "root-level-above": ("Phi2(41) | 5 | 4 | (z3^-1*a1, a2; z)", None),
     "root-level-below": ("Phi2(41) | 5 | 2 | (z3^-1*a1, a2; z)", None),
@@ -41,6 +42,8 @@ FAULTS = {
     "float-column": ("Phi2(41) | 5 | 3.0 | (a1, a2; z)", None),
     "conditions": ("Phi2(41) | 5 | 3 | (a1, a2; z)", None),
     "placeholder": ("Phi2(41) | 5 | 3 | (z3^x*a1, a2; z)", None),
+    "three-columns": ("Phi2(41) | 5 | (z3^-1*a1, a2; z)", None),
+    "no-row": ("Phi2(41)", None),
     "missing": None,
     "directory": None,
     "not-utf8": None,
@@ -114,8 +117,13 @@ def write_faults(directory: Path) -> None:
             continue
         row, extra = fault
         label = row.split("|", 1)[0].strip()
-        out = "\n".join(row if line.split("|", 1)[0].strip() == label else line
-                        for line in text.splitlines())
+        lines = []
+        for line in text.splitlines():
+            if line.split("|", 1)[0].strip() != label:
+                lines.append(line)
+            elif "|" in row:
+                lines.append(row)
+        out = "\n".join(lines)
         if extra is not None:
             out += f"\n{extra}\n"
         (directory / name).write_text(out, encoding="utf-8")
