@@ -478,28 +478,43 @@ class QuotientMap:
 # function imports numpy in its body, so no command loads it.
 
 
-# bytes per coordinate row of a kernel call in associativity_random: 8192
-# triples at int64, 32768 at int16.  The (k, chunk) temporaries stay in cache
-# (whole 100,000-column int64 rows ran ~1.5x slower on a 2-vCPU x86-64 host)
-_SWEEP_CHUNK = 65536
+# bytes of each (k, chunk) work array of associativity_random, below glibc's
+# default 128 KiB mmap threshold: the arrays come from the heap and are reused
+# from one call to the next instead of being mapped and faulted in on each
+# call (10,240 triples a chunk in int8 at k = 6).  Chunks of half this size
+# ran ~1.3x slower on a 2-vCPU x86-64 host, from per-call overhead
+_SWEEP_CHUNK = 120 * 1024
 
-# largest group cayley_table builds: its collection call holds (k, n, n) arrays
-# in the dtype `_sweep_dtype` picks, int16 for every group of order <= 3^6:
-# about 6.4 MB each at n = 3^6, k = 6 (2.9 GB at an order-5^6 group, also int16)
+# largest group cayley_table builds: its collection call holds a (k, n, n)
+# array in the kernel dtype, about 3.2 MB at n = 3^6, k = 6 in int8 (72 of
+# the 81 groups of order 3^6) and 6.4 MB in int16 (the other 9); 1.5 to
+# 2.9 GB at order 5^6
 _CAYLEY_TABLE_MAX_ORDER = 3**6
 
 
-def _collect(P: Presentation, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _collect(P: Presentation, X: np.ndarray, Y: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Coordinate-major collection product of two integer arrays of shape
     (k, ...) (broadcast against each other): row i holds coordinate i of
-    every element.  On reduced inputs no value it computes exceeds
-    `_collect_bound(P)`, so any dtype that holds the bound computes exactly."""
-    Z = X + Y
+    every element.  The product is written into out when given, an array of
+    the broadcast shape in the dtype of the inputs.  On reduced inputs no
+    value it computes exceeds `_collect_bound(P)`, so any dtype that holds
+    the bound computes exactly."""
+    import numpy as np
+
+    Z = np.add(X, Y, out=out)
+    # scratch rows: c for a product or a carry quotient, wc for a multiple of c
+    c = np.empty_like(Z[0])
+    wc = np.empty_like(c)
+
+    def add_multiple(t, w):  # Z[t] += w * c
+        np.add(Z[t], c if w == 1 else np.multiply(c, w, out=wc), out=Z[t])
+
     for j, i, word in P.comm:
-        c = X[j] * Y[i]
+        np.multiply(X[j], Y[i], out=c)
         for t, w in enumerate(word):
             if w:
-                Z[t] += w * c
+                add_multiple(t, w)
     # Two fixed carry stages.  This order relies on the invariant that
     # `RelationTable.bind` enforces: power tails land only on P.central
     # generators, whose own tails are trivial.  Reducing the other generators
@@ -509,12 +524,12 @@ def _collect(P: Presentation, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         for i, (o, tail) in enumerate(zip(P.orders, P.power_tails)):
             if P.central[i] != stage_central:
                 continue
-            q = Z[i] // o
-            Z[i] -= q * o
+            np.floor_divide(Z[i], o, out=c)
+            np.subtract(Z[i], np.multiply(c, o, out=wc), out=Z[i])
             if tail is not None:
                 for t, w in enumerate(tail):
                     if w:
-                        Z[t] += w * q
+                        add_multiple(t, w)
     return Z
 
 
@@ -540,18 +555,31 @@ def _collect_bound(P: Presentation) -> int:
     return max(bound)
 
 
-def _sweep_dtype(P: Presentation) -> np.dtype:
-    """Narrowest of int16, int32, int64 that holds every value of the sweeps:
-    the kernel's `_collect_bound` and the element indices up to |G| - 1."""
+def _narrowest_int(P: Presentation, bound: int, dtypes: tuple[str, ...]) -> np.dtype:
+    """The first of dtypes that holds bound."""
     import numpy as np
 
-    n = group_order(P)
-    bound = max(_collect_bound(P), n - 1)
-    for dtype in (np.int16, np.int32, np.int64):
+    for dtype in dtypes:
         if bound <= np.iinfo(dtype).max:
             return np.dtype(dtype)
-    raise EnumerationBoundError(
-        f"group order {P.p}^{sum(P.order_exps)} = {n}: sweep values up to {bound} exceed int64")
+    raise EnumerationBoundError(f"group order {P.p}^{sum(P.order_exps)} = {group_order(P)}: "
+                                f"sweep values up to {bound} exceed int64")
+
+
+def _sweep_dtype(P: Presentation) -> np.dtype:
+    """dtype of the sweeps' element indices: the narrowest of int16, int32,
+    int64 that holds the indices up to |G| - 1 and the kernel's
+    `_collect_bound`, so never narrower than `_kernel_dtype`.
+    `associativity_random` draws its indices in it, which fixes the triples
+    each seed checks."""
+    return _narrowest_int(P, max(_collect_bound(P), group_order(P) - 1),
+                          ("int16", "int32", "int64"))
+
+
+def _kernel_dtype(P: Presentation) -> np.dtype:
+    """dtype the sweeps run `_collect` in: the narrowest of int8, int16,
+    int32, int64 that holds `_collect_bound(P)`."""
+    return _narrowest_int(P, _collect_bound(P), ("int8", "int16", "int32", "int64"))
 
 
 def _radix_weights(P: Presentation) -> np.ndarray:
@@ -565,18 +593,21 @@ def _radix_weights(P: Presentation) -> np.ndarray:
     return weights
 
 
-def _decode(P: Presentation, idx: np.ndarray) -> np.ndarray:
-    """Coordinate-major (k, ...) normal forms of the elements with the given
-    indices, each in [0, |G|), in the dtype of idx."""
+def _decode(P: Presentation, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Writes into out, of shape (k,) + idx.shape and any integer dtype that
+    holds the orders, the coordinate-major normal forms of the elements with
+    the given indices, each in [0, |G|).  idx serves as scratch: its values
+    are overwritten."""
     import numpy as np
 
-    E = np.empty((P.ngens,) + idx.shape, dtype=idx.dtype)
+    q, qo = np.empty_like(idx), np.empty_like(idx)
     for i in range(P.ngens - 1, 0, -1):
-        q = idx // P.orders[i]
-        np.subtract(idx, q * P.orders[i], out=E[i])
-        idx = q
-    E[0] = idx
-    return E
+        o = P.orders[i]
+        np.floor_divide(idx, o, out=q)
+        np.subtract(idx, np.multiply(q, o, out=qo), out=out[i])
+        idx, q = q, idx
+    out[0] = idx
+    return out
 
 
 def bulk_mul(P: Presentation, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -590,15 +621,23 @@ def bulk_mul(P: Presentation, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def cayley_table(P: Presentation) -> np.ndarray:
     """(n, n) table of element indices (lexicographic coordinate order, as in
-    enumerate_elements): T[a, b] is the index of ab."""
+    enumerate_elements): T[a, b] is the index of ab, in `_sweep_dtype(P)`."""
     import numpy as np
 
     n = group_order(P)
     if n > _CAYLEY_TABLE_MAX_ORDER:
         raise EnumerationBoundError(
             f"group order {n} exceeds the Cayley table limit {_CAYLEY_TABLE_MAX_ORDER}")
-    E = _decode(P, np.arange(n, dtype=_sweep_dtype(P)))
-    return np.tensordot(_radix_weights(P), _collect(P, E[:, :, None], E[:, None, :]), axes=1)
+    index = _sweep_dtype(P)
+    E = _decode(P, np.arange(n, dtype=index), np.empty((P.ngens, n), dtype=_kernel_dtype(P)))
+    Z = _collect(P, E[:, :, None], E[:, None, :])
+    # Horner's rule, ((z_0 o_1 + z_1) o_2 + z_2) ...: after row i, T holds the
+    # mixed-radix index of (z_0, ..., z_i), below o_0 ... o_i <= |G|
+    T = Z[0].astype(index)
+    for o, row in zip(P.orders[1:], Z[1:]):
+        T *= o
+        T += row
+    return T
 
 
 def _light_associative(T: np.ndarray, gens: np.ndarray) -> bool:
@@ -637,18 +676,26 @@ def associativity_exhaustive(P: Presentation) -> bool:
 
 def associativity_random(P: Presentation, ntriples: int, seed: int = 0) -> bool:
     """Check (xy)z = x(yz) on ntriples triples of elements drawn uniformly
-    (each as one uniform index in [0, |G|), drawn in the kernel dtype and
-    decoded to its normal form)."""
+    (each as one uniform index in [0, |G|), drawn in `_sweep_dtype(P)` and
+    decoded to its normal form in `_kernel_dtype(P)`)."""
     import numpy as np
 
-    dtype = _sweep_dtype(P)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, group_order(P), size=(3, ntriples), dtype=dtype)
-    chunk = _SWEEP_CHUNK // dtype.itemsize
+    idx = rng.integers(0, group_order(P), size=(3, ntriples), dtype=_sweep_dtype(P))
+    kernel = _kernel_dtype(P)
+    chunk = _SWEEP_CHUNK // (P.ngens * kernel.itemsize)
+    # work arrays, allocated once: x, y, z, then xy and yz, (xy)z and x(yz)
+    work = [np.empty((P.ngens, chunk), dtype=kernel) for _ in range(6)]
     for start in range(0, ntriples, chunk):
-        X, Y, Z = _decode(P, idx[:, start:start + chunk]).swapaxes(0, 1)
-        left = _collect(P, _collect(P, X, Y), Z)
-        right = _collect(P, X, _collect(P, Y, Z))
-        if not np.array_equal(left, right):
+        m = min(chunk, ntriples - start)
+        X, Y, Z, inner, left, right = (a[:, :m] for a in work)
+        for row, E in zip(idx[:, start:start + m], (X, Y, Z)):
+            _decode(P, row, E)
+        _collect(P, _collect(P, X, Y, out=inner), Z, out=left)
+        _collect(P, X, _collect(P, Y, Z, out=inner), out=right)
+        # compared in place: a (k, chunk) temporary here took the selfcheck
+        # workload past glibc's heap trim threshold, and each call then
+        # faulted its pages in again
+        if np.subtract(left, right, out=left).any():
             return False
     return True

@@ -1,7 +1,9 @@
 """Collection arithmetic: multiplication, inverses, powers, commutators,
 orders, enumeration, and the structural helpers."""
 
+import collections
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,6 +450,14 @@ def associative_all_columns(T):
     return all(np.array_equal(T[T[:, a], :], T[:, T[a, :]]) for a in range(T.shape[0]))
 
 
+# kernel dtypes per (order exponent, dtype) over every catalog instance at p
+KERNEL_DTYPES = {
+    3: {(5, "int8"): 20, (6, "int8"): 72, (6, "int16"): 9},
+    5: {(5, "int8"): 15, (5, "int16"): 7, (6, "int8"): 47, (6, "int16"): 49},
+    7: {(5, "int8"): 16, (5, "int16"): 8, (6, "int8"): 4, (6, "int16"): 105, (6, "int32"): 3},
+}
+
+
 def collect_with_extremes(P, X, Y):
     """groups._collect on (k, n) int64 inputs, with the least and the largest
     value that any array operation inside it produced."""
@@ -470,8 +480,9 @@ def collect_with_extremes(P, X, Y):
 
 def assert_narrow_collect_exact(P, rng, where, ncols=30):
     """On random reduced columns plus the all-(o_i - 1) column, _collect in
-    _sweep_dtype(P) equals the int64 _collect and scalar mul, and the int64
-    run never leaves [0, _collect_bound(P)], reaching the bound exactly."""
+    _sweep_dtype(P), and in _kernel_dtype(P) into an out array, equals the
+    int64 _collect and scalar mul, and the int64 run never leaves
+    [0, _collect_bound(P)], reaching the bound exactly."""
     orders = np.array(P.orders, dtype=np.int64)[:, None]
     X = np.hstack([rng.integers(0, orders, (P.ngens, ncols)), orders - 1])
     Y = np.hstack([rng.integers(0, orders, (P.ngens, ncols)), orders - 1])
@@ -480,6 +491,11 @@ def assert_narrow_collect_exact(P, rng, where, ncols=30):
     dtype = groups._sweep_dtype(P)
     narrow = groups._collect(P, X.astype(dtype), Y.astype(dtype))
     assert narrow.dtype == dtype and np.array_equal(narrow, wide), where
+    kernel = groups._kernel_dtype(P)
+    assert kernel.itemsize <= dtype.itemsize, where
+    out = np.empty(X.shape, dtype=kernel)
+    assert groups._collect(P, X.astype(kernel), Y.astype(kernel), out=out) is out, where
+    assert np.array_equal(out, wide), where
     for x, y, z in zip(X.T.tolist(), Y.T.tolist(), wide.T.tolist()):
         assert groups.mul(P, tuple(x), tuple(y)) == tuple(z), where
 
@@ -510,21 +526,25 @@ class TestBulkOps:
         assert groups.associativity_exhaustive(phi2_41_p3.presentation)
 
     def test_cayley_table_limit(self):
-        # |G| = 5^5, k = 3: each (k, |G|, |G|) collection array would be int16
-        # (|G| - 1 = 3124 is the sweep bound) and take ~59 MB
+        # |G| = 5^5, k = 3: the (k, |G|, |G|) collection array would be in the
+        # kernel dtype int16 (the kernel bound is 505) and take ~59 MB
         P = instantiate("Phi2(41)", 5).presentation
         with pytest.raises(EnumerationBoundError):
             groups.associativity_exhaustive(P)
 
     @pytest.mark.parametrize("p, dtype6", [(3, np.int16), (5, np.int16), (7, np.int32)])
     def test_narrow_collect_is_exact_on_every_instance(self, p, dtype6):
-        # the dtype follows |G| - 1: at most 7^5 - 1 < 2^15 for order p^5 here
+        # the index dtype follows |G| - 1: at most 7^5 - 1 < 2^15 for order
+        # p^5 here; the kernel dtype follows the kernel bound alone
         rng = np.random.default_rng(p)
+        kernels = collections.Counter()
         for inst in enumerate_instances(p):
             P = inst.presentation
             dtype = dtype6 if inst.id.order_exp == 6 else np.int16
             assert groups._sweep_dtype(P) == dtype, inst.label
             assert_narrow_collect_exact(P, rng, inst.label)
+            kernels[inst.id.order_exp, groups._kernel_dtype(P).name] += 1
+        assert kernels == KERNEL_DTYPES[p]
 
     @settings(max_examples=100, deadline=None)
     @given(P=class2_presentations(), seed=st.integers(0, 2**32 - 1))
@@ -545,6 +565,21 @@ class TestBulkOps:
         monkeypatch.setattr(groups, "_collect_bound", lambda P: bound)
         assert groups._sweep_dtype(abelian_p3) == dtype
 
+    @pytest.mark.parametrize("bound, dtype", [
+        (2**7 - 1, np.int8), (2**7, np.int16), (2**15 - 1, np.int16), (2**15, np.int32),
+        (2**31 - 1, np.int32), (2**31, np.int64), (2**63 - 1, np.int64),
+    ])
+    def test_kernel_dtype_edges(self, monkeypatch, abelian_p3, bound, dtype):
+        # the index dtype, which also holds |G| - 1, is never the narrower
+        monkeypatch.setattr(groups, "_collect_bound", lambda P: bound)
+        assert groups._kernel_dtype(abelian_p3) == dtype
+        assert groups._sweep_dtype(abelian_p3).itemsize >= np.dtype(dtype).itemsize
+
+    def test_kernel_bound_past_int64_is_a_bound_error(self, monkeypatch, abelian_p3):
+        monkeypatch.setattr(groups, "_collect_bound", lambda P: 2**63)
+        with pytest.raises(EnumerationBoundError, match=rf"up to {2**63} exceed int64"):
+            groups._kernel_dtype(abelian_p3)
+
     @pytest.mark.parametrize("q, dtype", [(16381, np.int16), (16411, np.int32)])
     def test_kernel_bound_sets_the_dtype_of_a_cyclic_group(self, q, dtype):
         # C_q: x + y reaches 2(q - 1), past the largest index q - 1
@@ -560,7 +595,8 @@ class TestBulkOps:
         assert groups._sweep_dtype(P) == np.int32
         idx = np.arange(3**10 - 50, 3**10)
         expected = [list(x) for x in groups.enumerate_elements(P)[-50:]]
-        assert groups._decode(P, idx.astype(np.int32)).T.tolist() == expected
+        out = np.empty((P.ngens, len(idx)), dtype=np.int32)
+        assert groups._decode(P, idx.astype(np.int32), out).T.tolist() == expected
         assert groups.associativity_random(P, 1_000)
 
     def test_order_past_int64_is_a_bound_error(self):
@@ -570,6 +606,33 @@ class TestBulkOps:
         P = instantiate("Phi5(3111)", 1451).presentation
         with pytest.raises(EnumerationBoundError, match=rf"group order 1451\^6 = {1451**6}: "):
             groups.associativity_random(P, 10)
+
+    def test_sweeps_stay_below_their_memory_bounds(self):
+        # tracemalloc peaks on x86-64 with numpy 2.4: at most 2.1 MiB for a
+        # random sweep (its 600 KB int16 draw and six 120 KiB work arrays)
+        # and 5.1 MiB for the first order-3^6 table (a 3.2 MB int8 product
+        # array, two 0.5 MB int8 scratch rows and the 1.1 MB int16 table)
+        order6 = [inst.presentation for inst in enumerate_instances(3, order_exp=6)]
+        assert len(order6) == 81
+
+        def peak(f, *args):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = f(*args)
+            return result, tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            random_peaks = []
+            for P in order6:
+                ok, used = peak(groups.associativity_random, P, 100_000)
+                assert ok, P
+                random_peaks.append(used)
+            _, table_peak = peak(groups.cayley_table, order6[0])
+        finally:
+            tracemalloc.stop()
+        assert max(random_peaks) < 3 * 2**20
+        assert table_peak < 8 * 2**20
 
     def test_random_associativity(self):
         P = instantiate("Phi14(321)", 3).presentation

@@ -69,6 +69,10 @@ EVAL_LINES = [
     ("(a1, a2; z01)", "3"),
     ("(a1, a2; z0)", "3"),
     ("(a1, a2; z)(a1, a2; z2)", "3"),
+    ("", "3"),
+    ("a1", "3"),
+    ("(a1^, z; z)", "3"),
+    ("(a1 a2, z; z)", "3"),
 ]
 
 
