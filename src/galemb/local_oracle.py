@@ -47,7 +47,9 @@ in closed form, over the least ell: for the least key (j, i), a_i = ell
 (v = 1, L = 0), a_j = g (L = 1) where j is a label column, and every other
 label 1 (v = 0, L = 0).  The row reads M[i][0] r = -M[0][i] r where j = 0,
 nonzero since r is a unit, and M[i][j] = -M[j][i] where no key holds the
-root column.  A zero M has no witness, and no ell is picked.  The scalar
+root column.  A zero M has no witness, and no ell is picked.  Only the
+pair (i, j) depends on M: ell, g and the units g^r and zeta_{p^n} are
+computed once per shape (p, N, n).  The scalar
 `eval_symbol` / `eval_expression` / `eval_normal_form` evaluate each symbol
 on its own, with its own power residue and a Pohlig-Hellman discrete log in
 mu_{p^n}: they are the reference the form and its witnesses are tested
@@ -218,6 +220,9 @@ class EquivalenceVerdict:
     counterexample: LocalAssignment | None = None
 
 
+_EQUAL = EquivalenceVerdict(True)  # frozen, so every equal check shares it
+
+
 # ---------------------------------------------------------------------------
 # form evaluation
 
@@ -225,33 +230,30 @@ _Row = tuple[list[int], list[int]]  # valuations V and unit logs L, by column
 _Form = dict[tuple[int, int], int]  # M[u][v] by (u, v) with u < v; M[v][u] = -M[u][v]
 
 
-def _vector(basis: SymbolBasis, pairs) -> dict[int, int]:
-    """Exponents mod p^n, by assignment column, of a monomial's (label,
-    exponent) pairs."""
-    torsion = basis.torsion
-    vec: dict[int, int] = {}
-    for label, exp in pairs:
-        col, weight = _slot(basis, label)
-        vec[col] = (vec.get(col, 0) + _bind(exp, torsion) * weight) % torsion
-    return vec
-
-
 def _expression_form(expr: BrauerExpression, basis: SymbolBasis, start=()) -> _Form:
     """The nonzero upper entries mod p^n of the alternating matrix
     M = sum_f w_f (y_f x_f^T - x_f y_f^T) of a product of symbols
     (x_f, y_f)^(w_f), over the assignment columns, plus the upper entries
-    (u, v, c) of `start`."""
+    (u, v, c) of `start`.  Each factor is expanded over its (label,
+    exponent) pairs: a (right, left) pair on columns (i, j) adds
+    w y x to M[i][j], and M is reduced mod p^n once, at the end."""
     torsion = basis.torsion
     form = {(u, v): c for u, v, c in start}
     for f in expr.factors:
-        w = _bind(f.exponent, torsion)
-        x = _vector(basis, f.left)
-        for i, yi in _vector(basis, f.right).items():
-            for j, xj in x.items():
+        w = f.exponent
+        w = w % torsion if type(w) is int else _bind(w, torsion)
+        x = []
+        for label, exp in f.left:
+            col, weight = _slot(basis, label)
+            x.append((col, (exp % torsion if type(exp) is int else _bind(exp, torsion)) * weight))
+        for label, exp in f.right:
+            i, weight = _slot(basis, label)
+            wy = w * (exp % torsion if type(exp) is int else _bind(exp, torsion)) * weight
+            for j, xj in x:
                 if i < j:
-                    form[i, j] = form.get((i, j), 0) + w * yi * xj
+                    form[i, j] = form.get((i, j), 0) + wy * xj
                 elif i > j:
-                    form[j, i] = form.get((j, i), 0) - w * yi * xj
+                    form[j, i] = form.get((j, i), 0) - wy * xj
     return {key: c % torsion for key, c in form.items() if c % torsion}
 
 
@@ -288,9 +290,30 @@ def _witness_row(form: _Form, basis: SymbolBasis) -> tuple[int, _Row] | None:
                  [(ell - 1) // basis.p**basis.root_level] + [int(c == j) for c in range(1, size)])
 
 
+@lru_cache(maxsize=64)
+def _witness_constants(p: int, root_level: int, torsion_level: int) -> tuple[int, int, int, int]:
+    """(ell, g, g^((ell-1)/p^N), g^((ell-1)/p^n)) of a shape (p, N, n): the
+    least ell, its least primitive root g, the root column's unit on every
+    witness row and zeta_base.  Keyed by the three ints, not the basis:
+    hashing a basis costs more than the work it would save."""
+    ell = find_suitable_ell(p, root_level)
+    g = _primitive_root(ell, p)
+    return (ell, g, pow(g, (ell - 1) // p**root_level, ell),
+            pow(g, (ell - 1) // p**torsion_level, ell))
+
+
 def _witness(form: _Form, basis: SymbolBasis) -> LocalAssignment | None:
-    found = _witness_row(form, basis)
-    return None if found is None else _assignment(basis, *found)
+    """The assignment of `_witness_row`'s row, built from the shape's
+    constants: the root column is (0, g^r), a_i is (1, 1), a_j is (0, g)
+    and every other label (0, 1)."""
+    if not form:
+        return None
+    j, i = min(form)
+    ell, g, root_unit, zeta = _witness_constants(basis.p, basis.root_level,
+                                                 basis.torsion_level)
+    values = (("z", (0, root_unit)),) + tuple([
+        (name, (int(c == i), g if c == j else 1)) for c, name in enumerate(basis.labels, 1)])
+    return LocalAssignment(ell=ell, zeta_base=zeta, values=values)
 
 
 @dataclass(frozen=True)
@@ -307,11 +330,11 @@ def read_form(expr: BrauerExpression, basis: SymbolBasis) -> FormReading:
     row and the value M reads there."""
     form = _expression_form(expr, basis)
     entries = tuple(sorted((u, v, c) for (u, v), c in form.items()))
-    found = _witness_row(form, basis)
-    if found is None:
+    witness = _witness(form, basis)
+    if witness is None:
         return FormReading(entries, None, None)
-    ell, row = found
-    return FormReading(entries, _assignment(basis, ell, row), _value(form, row, basis.torsion))
+    _, row = _witness_row(form, basis)
+    return FormReading(entries, witness, _value(form, row, basis.torsion))
 
 
 def _random_row(basis: SymbolBasis, ell: int, rng: random.Random) -> _Row:
@@ -344,7 +367,7 @@ def check_raw_vs_normal(expr: BrauerExpression, nf: NormalForm, trials: int = 20
     # is N^T - N, -N above the diagonal: the difference form's upper entries
     # are the raw product's plus N
     counterexample = _witness(_expression_form(expr, basis, nf.entries), basis)
-    return EquivalenceVerdict(equal=counterexample is None, counterexample=counterexample)
+    return _EQUAL if counterexample is None else EquivalenceVerdict(False, counterexample)
 
 
 def witness_nontrivial(expr: BrauerExpression, basis: SymbolBasis, trials: int = 500,

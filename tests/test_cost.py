@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 import galemb
-from galemb import local_oracle as lo
 from galemb.catalog import enumerate_instances
 from galemb.obstructions import generate_table
 
@@ -31,10 +30,10 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 # calls per table row over tables 1-6, per condition of an oracle check plus
-# witness, and per enumerated instance; measured with CPython 3.11.7 at
-# 83.8, 86.3, 60.5 and 5.06
+# witness (`count_oracle`), and per enumerated instance; measured with
+# CPython 3.11.7 at 83.8, 86.3, 22.38 and 5.06
 CEILINGS = {
-    (3, 11): {"row p=5": 86.5, "row p=13": 89.0, "condition p=23": 62.5, "instance p=101": 5.2},
+    (3, 11): {"row p=5": 86.5, "row p=13": 89.0, "condition p=23": 23.0, "instance p=101": 5.2},
 }
 CEILING = CEILINGS.get(sys.version_info[:2])
 
@@ -58,16 +57,10 @@ def test_calls_per_table_row(p):
 
 
 def test_calls_per_oracle_condition():
-    conditions = [c for table in range(1, 7) for row in generate_table(table, 23)
-                  for c in row.result.conditions]
-    assert len(conditions) == 887
-
-    def oracle():
-        for c in conditions:
-            lo.check_raw_vs_normal(c.raw, c.normal)
-            lo.witness_nontrivial(c.raw, c.normal.basis)
-    per_condition = bench.count_calls(oracle, PACKAGE) / len(conditions)
-    assert per_condition <= CEILING["condition p=23"], f"{per_condition:.1f} calls per condition"
+    record = bench.count_oracle(PACKAGE)
+    assert record["p"] == 23 and record["conditions"] == 887
+    per_condition = record["calls_per_condition"]
+    assert per_condition <= CEILING["condition p=23"], f"{per_condition:.2f} calls per condition"
 
 
 def test_calls_per_enumerated_instance():

@@ -304,6 +304,16 @@ def _near_root_expression(rng, basis, names, factors):
     return expr
 
 
+def _columns(basis, pairs):
+    """A monomial's exponents mod p^n by assignment column, over all
+    columns, read through the oracle's `_slot` and `_bind`."""
+    vec = [0] * basis.size
+    for label, exp in pairs:
+        col, weight = lo._slot(basis, label)
+        vec[col] = (vec[col] + lo._bind(exp, basis.torsion) * weight) % basis.torsion
+    return vec
+
+
 def _dense_form(expr, basis):
     """The full alternating matrix M = sum_f w_f (y_f x_f^T - x_f y_f^T) mod
     p^n, built from each factor's column vectors over the assignment
@@ -312,8 +322,7 @@ def _dense_form(expr, basis):
     M = [[0] * size for _ in range(size)]
     for f in expr.factors:
         w = lo._bind(f.exponent, torsion)
-        x, y = lo._vector(basis, f.left), lo._vector(basis, f.right)
-        x, y = [x.get(c, 0) for c in range(size)], [y.get(c, 0) for c in range(size)]
+        x, y = _columns(basis, f.left), _columns(basis, f.right)
         for i in range(size):
             for j in range(size):
                 M[i][j] += w * (y[i] * x[j] - x[i] * y[j])
@@ -670,6 +679,10 @@ class TestWitness:
         assert lo.eval_expression(expr, wit, basis) == 1
 
     def test_every_engine_condition_is_equal_and_witnessed(self, engine_conditions):
+        # the witness is built from constants cached by (p, N, n); it must be
+        # the assignment of `_witness_row`'s row on every shape, torsion p
+        # and p^2 over one (p, N) included
+        shapes = set()
         for c in engine_conditions:
             basis = c.normal.basis
             assert lo.check_raw_vs_normal(c.raw, c.normal).equal, c.origin
@@ -678,6 +691,12 @@ class TestWitness:
                 assert wit is None, c.origin
             else:
                 assert lo.eval_expression(c.raw, wit, basis) != 0, c.origin
+                form = lo._expression_form(c.raw, basis)
+                assert wit == lo._assignment(basis, *lo._witness_row(form, basis)), c.origin
+                shapes.add((basis.p, basis.root_level, basis.torsion_level))
+        assert {(p, 2, n) for p in (3, 5, 7) for n in (1, 2)} <= shapes
+        # the three Phi14 templates, at torsion p^2, at each prime
+        assert sum(c.normal.basis.torsion_level == 2 for c in engine_conditions) == 9
 
 
 def _primes_below(n: int) -> list[int]:

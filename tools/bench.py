@@ -17,6 +17,9 @@ Run from anywhere, with the standard library only:
   repeats exactly from run to run on one CPython version;
 - instance_counts: the same counts per instance of `enumerate_instances`
   at INSTANCE_PRIME, the path that builds every catalog presentation;
+- oracle_counts: the same counts per engine condition of tables 1-6 at
+  ORACLE_PRIME, for one `check_raw_vs_normal` plus one `witness_nontrivial`
+  (tests/test_cost.py gates on its calls);
 - check_tables: per p in PRIMES, over RUNS fresh interpreters each, the
   quartiles of the command's own time (`cli.main`, timed inside the child)
   and of the child's wall time (interpreter start and imports included);
@@ -45,6 +48,7 @@ PRIMES = (3, 13, 31, 101)
 TABLES = range(1, 7)
 RUNS = 5  # fresh processes per prime
 INSTANCE_PRIME = 101
+ORACLE_PRIME = 23
 
 # run in a fresh interpreter: the own time of `galemb check-tables --p P`
 CHILD = """
@@ -150,6 +154,29 @@ def count_instances(package: str) -> dict:
                                                     for name, i in modules.items()}}
 
 
+def count_oracle(package: str) -> dict:
+    """The same counts per engine condition of tables 1-6 at ORACLE_PRIME,
+    for one tame-symbol check of the raw product against its normal form
+    plus one nontriviality witness, each raw product built beforehand."""
+    from galemb import local_oracle
+    from galemb.obstructions import generate_table
+
+    conditions = [c for table in TABLES for row in generate_table(table, ORACLE_PRIME)
+                  for c in row.result.conditions]
+
+    def work():
+        for c in conditions:
+            local_oracle.check_raw_vs_normal(c.raw, c.normal)
+            local_oracle.witness_nontrivial(c.raw, c.normal.basis)
+    calls, instructions, modules = _warm_counts(work, package)
+    n = len(conditions)
+    return {"p": ORACLE_PRIME, "conditions": n,
+            "calls_per_condition": round(calls / n, 2),
+            "instructions_per_condition": round(instructions / n, 1),
+            "instructions_per_condition_by_module": {name: round(i / n, 1)
+                                                     for name, i in modules.items()}}
+
+
 def _quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
@@ -216,6 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         "primes": list(PRIMES),
         "counts": count_tables(package),
         "instance_counts": count_instances(package),
+        "oracle_counts": count_oracle(package),
         "check_tables": time_check_tables(src),
         "import_s": time_import(src),
     }
